@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 from .calibration import CalibrationModel, detection_distance
 from .config import Config
-from .errors import ConfigError, ConsistencyError
+from .errors import ConfigError, ConsistencyError, InsufficientHistoryError
 from .geometry import safety_distance
 from .global_planner import NavGraph, Route, replan
 from .local_planner import (
@@ -39,7 +39,7 @@ from .local_planner import (
     width_threshold_px,
 )
 from .perception import BoundingBox, Detection, PerceptionFrame, rle_encode, mask_from_bbox
-from .tracking import Tracker, TrackPoint, approach_rate
+from .tracking import APPROACH_WINDOW_S, Tracker, TrackPoint, approach_rate
 
 
 def nearest_rank(values: list[float], q: float) -> float:
@@ -125,8 +125,8 @@ class Pipeline:
                 if track.class_label == "vip":
                     continue
                 try:
-                    rates.append(approach_rate(track, window=1.0))
-                except Exception:
+                    rates.append(approach_rate(track, window=APPROACH_WINDOW_S))
+                except InsufficientHistoryError:
                     continue
             live = max((r for r in rates if r > 0), default=None)
             if live is not None:

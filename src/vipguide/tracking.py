@@ -4,16 +4,22 @@ Gives detections stable ids across frames and, once per-track distances
 are attached, estimates how fast the VIP closes on each obstacle. A full
 motion-model tracker can be swapped in behind the same interface; id
 stability and approach rate are all the planner needs.
+
+Each track keeps one approach-rate window of history (APPROACH_WINDOW_S
+seconds back from its newest point), which is all `approach_rate` reads
+at that window, so per-frame cost and memory stay bounded however long
+the stream runs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .errors import InsufficientHistoryError
+from .errors import ConsistencyError, InsufficientHistoryError
 from .perception import BoundingBox, Detection
 
 IOU_THRESHOLD = 0.3
 MAX_MISSES = 15  # ~0.5 s at 30 fps
+APPROACH_WINDOW_S = 1.0  # history kept per track; the planner's rate window
 
 
 @dataclass(frozen=True)
@@ -80,7 +86,10 @@ class Tracker:
         descending IoU at or above the threshold; ties broken toward the
         lower detection index, then the older track. Unmatched detections
         open new tracks. Unmatched tracks accrue a miss, hold their last
-        bbox, and retire once misses exceed max_misses.
+        bbox, and retire once misses exceed max_misses. A matched track
+        gains a point at `timestamp` and drops the points older than
+        APPROACH_WINDOW_S before it; a `timestamp` not after the track's
+        newest point raises ConsistencyError.
         """
         if distances is None:
             distances = [None] * len(detections)
@@ -107,14 +116,23 @@ class Tracker:
         matched_by_pos = {t_pos: d_idx for d_idx, t_pos in det_match.items()}
         for t_pos, track in enumerate(self.tracks):
             if t_pos in matched_by_pos:
+                newest = track.history[-1].timestamp
+                if timestamp <= newest:
+                    raise ConsistencyError(
+                        f"track {track.track_id}: timestamp {timestamp} "
+                        f"not after its last point at {newest}"
+                    )
                 d_idx = matched_by_pos[t_pos]
                 point = TrackPoint(
                     timestamp=timestamp,
                     bbox=detections[d_idx].bbox,
                     distance_m=distances[d_idx],
                 )
+                # same cut-off expression as approach_rate's window filter
+                horizon = timestamp - APPROACH_WINDOW_S
+                kept = tuple(p for p in track.history if p.timestamp >= horizon)
                 new_tracks.append(
-                    replace(track, history=track.history + (point,), misses=0)
+                    Track(track.track_id, track.class_label, kept + (point,))
                 )
             else:
                 if track.misses + 1 > self.max_misses:

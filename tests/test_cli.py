@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -91,6 +94,21 @@ class TestPlan:
         assert code == 2
         assert "--src" in err
 
+    def test_repeated_timestamp_fails_cleanly(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        run(capsys, "simulate", "--scenario", "crowded_street",
+            "--seed", "1", "--n-frames", "3", "--out", str(ds))
+        frames = ds / "frames.jsonl"
+        records = [json.loads(l) for l in frames.read_text().splitlines()]
+        records[1]["timestamp"] = records[0]["timestamp"]
+        frames.write_text("".join(json.dumps(r) + "\n" for r in records))
+        code, _, err = run(
+            capsys, "plan", "--frames", str(ds), "--out", str(tmp_path / "t.jsonl")
+        )
+        assert code == 1
+        assert err.startswith("plan: ") and err.count("\n") == 1
+        assert "timestamp" in err
+
     def test_missing_dataset_fails_cleanly(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "plan", "--frames", str(tmp_path / "nope"),
@@ -172,3 +190,15 @@ def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["plan"])  # neither --frames nor --scenario
     assert exc.value.code == 2
+
+
+def test_module_entry_point_prints_usage():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "vipguide.cli", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: vipguide")

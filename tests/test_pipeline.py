@@ -175,6 +175,14 @@ class TestBasics:
         with pytest.raises(ConsistencyError):
             pipe.process_frame(world_frame(3, 2.0))
 
+    def test_repeated_timestamp_raises_consistency_error(self):
+        pipe = make_pipeline()
+        pipe.process_frame(world_frame(0, 0.5))
+        with pytest.raises(ConsistencyError, match="timestamp"):
+            pipe.process_frame(world_frame(1, 0.5))
+        with pytest.raises(ConsistencyError, match="timestamp"):
+            pipe.process_frame(world_frame(2, 0.25))
+
     def test_model_required(self):
         with pytest.raises(ConfigError):
             Pipeline(default_config(), None)

@@ -1,8 +1,16 @@
+import numpy as np
 import pytest
 
-from vipguide.errors import InsufficientHistoryError
+from vipguide.errors import ConsistencyError, InsufficientHistoryError
 from vipguide.perception import BoundingBox
-from vipguide.tracking import Track, TrackPoint, Tracker, approach_rate, iou
+from vipguide.tracking import (
+    APPROACH_WINDOW_S,
+    Track,
+    TrackPoint,
+    Tracker,
+    approach_rate,
+    iou,
+)
 
 from conftest import det
 
@@ -100,6 +108,14 @@ class TestAssociate:
                 seen.add(d.track_id)
         assert seen == {0, 1, 2}
 
+    def test_non_increasing_timestamp_rejected(self):
+        tracker = Tracker()
+        tracker.step(1.0, [det("car", 0, 0, 10, 10)])
+        for t in (1.0, 0.5):
+            with pytest.raises(ConsistencyError, match="track 0"):
+                tracker.step(t, [det("car", 0, 0, 10, 10)])
+        assert len(tracker.get(0).history) == 1  # state untouched
+
     def test_deterministic(self):
         def run():
             tracker = Tracker()
@@ -163,6 +179,65 @@ class TestApproachRate:
         )
         with pytest.raises(InsufficientHistoryError):
             approach_rate(track, window=10.0)
+
+
+def rate_or_none(track, window):
+    try:
+        return approach_rate(track, window)
+    except InsufficientHistoryError:
+        return None
+
+
+def test_window_trim_matches_untrimmed_oracle():
+    """Tracks appear, coast, retire; the trimmed history reads like the full one.
+
+    Six lanes of jittering boxes run for 900 frames at 30 fps. Each lane
+    hides for bursts of 1-11 frames: up to max_misses the track coasts,
+    longer and it retires and the lane comes back under a new id. Next to
+    the tracker, every point each id ever received is kept.
+    """
+    rng = np.random.default_rng(11)
+    fps, n_frames, n_lanes = 30, 900, 6
+    tracker = Tracker(max_misses=5)
+    full: dict[int, list[TrackPoint]] = {}
+    hidden = [int(rng.integers(0, 120)) for _ in range(n_lanes)]
+    coasted = rated = 0
+    for k in range(n_frames):
+        t = k / fps
+        detections, distances = [], []
+        for lane in range(n_lanes):
+            if hidden[lane] > 0:
+                hidden[lane] -= 1
+                continue
+            if rng.random() < 0.03:
+                hidden[lane] = int(rng.integers(1, 12))
+            x = 100 * lane + k % 7
+            label = "car" if lane % 2 else "person"
+            detections.append(det(label, x, 50, x + 40, 150))
+            d = 30.0 - 0.5 * t + float(rng.normal(0.0, 0.2))
+            distances.append(None if rng.random() < 0.1 else d)
+        labeled = tracker.step(t, detections, distances=distances)
+        for d_obj, dist in zip(labeled, distances):
+            full.setdefault(d_obj.track_id, []).append(
+                TrackPoint(timestamp=t, bbox=d_obj.bbox, distance_m=dist)
+            )
+
+        for track in tracker.tracks:
+            coasted += track.misses > 0
+            history = track.history
+            assert history[-1].timestamp - history[0].timestamp <= APPROACH_WINDOW_S
+            points = full[track.track_id]
+            assert history[-1] == points[-1]
+            oracle = Track(track.track_id, track.class_label, tuple(points))
+            expected = rate_or_none(oracle, APPROACH_WINDOW_S)
+            assert rate_or_none(track, APPROACH_WINDOW_S) == expected
+            rated += expected is not None
+
+    live_ids = {track.track_id for track in tracker.tracks}
+    assert coasted > 0
+    assert len(set(full) - live_ids) > n_lanes  # many tracks retired
+    assert max(len(p) for p in full.values()) > 3 * fps  # trimming fired
+    assert rated > n_frames
 
 
 def test_history_timestamps_must_increase():
