@@ -68,6 +68,7 @@ from .local_planner import (
     mean_partition_depth,
     partition_bounds,
     partition_profiles,
+    partition_scores,
     road_edge_check,
     width_threshold_px,
 )

@@ -96,28 +96,68 @@ def partition_bounds(width: int, n: int = N_PARTITIONS) -> list[Partition]:
     return bounds
 
 
-def mean_partition_depth(
-    depth: DepthMap, p: Partition, exclude: BitMask | None = None
-) -> tuple[float, bool]:
-    """H(i): mean REV over the partition's columns, minus excluded pixels.
+UINT32_EXACT_ROWS = 65537  # 65537 * 65535 == 2**32 - 1: a uint32 column sum is exact
 
-    Integer REVs summed in int64 then divided once, so the result is
-    bit-identical to a naive wide-integer loop. Returns (0.0, True) when
-    exclusion leaves nothing.
+Exclusion = BitMask | BoundingBox | None
+
+
+def partition_scores(
+    depth: DepthMap, partitions: list[Partition], exclude: Exclusion = None
+) -> list[tuple[float, bool]]:
+    """H(i) for every partition from one column sum of the whole frame.
+
+    The excluded pixels (the VIP's mask, decoded over the rows it spans,
+    or its clipped bbox) are subtracted from the column sums and counts;
+    each partition's total and count are then exact Python ints divided
+    once, so every score is bit-identical to a naive wide-integer loop.
+    A partition whose pixels are all excluded scores (0.0, True).
     """
-    patch = depth.values[:, p.x_start : p.x_end]
-    if exclude is not None:
-        keep = ~exclude.decode()[:, p.x_start : p.x_end]
-        count = int(np.count_nonzero(keep))
+    h, w = depth.height, depth.width
+    for p in partitions:
+        if not 0 <= p.x_start <= p.x_end <= w:
+            raise PlannerError(f"partition [{p.x_start},{p.x_end}) outside width {w}")
+    values = depth.values
+    acc = np.uint32 if h <= UINT32_EXACT_ROWS else np.uint64
+    col_sum = values.sum(axis=0, dtype=acc)
+    col_count = np.full(w, h, dtype=acc)
+    if isinstance(exclude, BoundingBox):
+        x1, x2 = exclude.x1, min(exclude.x2, w)
+        y1, y2 = exclude.y1, min(exclude.y2, h)
+        if x1 < x2 and y1 < y2:
+            col_sum[x1:x2] -= values[y1:y2, x1:x2].sum(axis=0, dtype=acc)
+            col_count[x1:x2] -= y2 - y1
+    elif exclude is not None:
+        if (exclude.width, exclude.height) != (w, h):
+            raise PlannerError(
+                f"exclusion mask {exclude.width}x{exclude.height} != depth {w}x{h}"
+            )
+        y1, y2 = exclude.foreground_rows()
+        grid = exclude.decode(rows=(y1, y2))
+        cols = np.flatnonzero(grid.any(axis=0))
+        if cols.size:
+            x1, x2 = int(cols[0]), int(cols[-1]) + 1
+            grid = grid[:, x1:x2]
+            col_sum[x1:x2] -= (values[y1:y2, x1:x2] * grid).sum(axis=0, dtype=acc)
+            col_count[x1:x2] -= grid.sum(axis=0, dtype=acc)
+    scores = []
+    for p in partitions:
+        count = int(col_count[p.x_start : p.x_end].sum(dtype=np.uint64))
         if count == 0:
-            return 0.0, True
-        total = int(patch.sum(dtype=np.int64, where=keep))
-    else:
-        count = patch.size
-        if count == 0:
-            return 0.0, True
-        total = int(patch.sum(dtype=np.int64))
-    return total / count, False
+            scores.append((0.0, True))
+        else:
+            total = int(col_sum[p.x_start : p.x_end].sum(dtype=np.uint64))
+            scores.append((total / count, False))
+    return scores
+
+
+def mean_partition_depth(
+    depth: DepthMap, p: Partition, exclude: Exclusion = None
+) -> tuple[float, bool]:
+    """H(i) of one partition: mean REV over its columns, minus excluded pixels.
+
+    Returns (0.0, True) when exclusion leaves nothing.
+    """
+    return partition_scores(depth, [p], exclude)[0]
 
 
 def free_segments(
@@ -187,13 +227,13 @@ def partition_profiles(
     detections: list[Detection],
     distances: list[float],
     d_filter: float,
-    exclude: BitMask | None = None,
+    exclude: Exclusion = None,
 ) -> list[PartitionProfile]:
     """Bundle H(i) scores and free space into one profile per partition."""
     spaces = free_space(detections, distances, d_filter, depth.width, partitions)
+    scores = partition_scores(depth, partitions, exclude)
     profiles = []
-    for p, (segments, max_width) in zip(partitions, spaces):
-        score, empty = mean_partition_depth(depth, p, exclude)
+    for p, (segments, max_width), (score, empty) in zip(partitions, spaces, scores):
         profiles.append(
             PartitionProfile(
                 partition=p,

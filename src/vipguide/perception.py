@@ -94,9 +94,28 @@ class BitMask:
                 f"runs sum {total} != {self.width}x{self.height} pixels"
             )
 
-    def decode(self) -> np.ndarray:
-        """Expand to a boolean (height, width) grid."""
-        return rle_decode(self)
+    def decode(self, rows: tuple[int, int] | None = None) -> np.ndarray:
+        """Expand to a boolean grid: all rows, or the half-open span ``rows``."""
+        return rle_decode(self, rows)
+
+    def foreground_rows(self) -> tuple[int, int]:
+        """Half-open row span holding every foreground pixel; (0, 0) when none.
+
+        Read from the runs alone: for a canonical mask only the leading
+        and trailing background runs are summed.
+        """
+        runs = self.runs
+        first = 1
+        while first < len(runs) and runs[first] == 0:
+            first += 2
+        if first >= len(runs):
+            return 0, 0
+        last = len(runs) - 1 if len(runs) % 2 == 0 else len(runs) - 2
+        while runs[last] == 0:
+            last -= 2
+        start = sum(runs[:first])
+        end = self.width * self.height - sum(runs[last + 1 :])
+        return start // self.width, (end - 1) // self.width + 1
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitMask):
@@ -228,16 +247,26 @@ def rle_encode(grid) -> BitMask:
     return BitMask(width=g.shape[1], height=g.shape[0], runs=tuple(runs))
 
 
-def rle_decode(mask: BitMask) -> np.ndarray:
+def rle_decode(mask: BitMask, rows: tuple[int, int] | None = None) -> np.ndarray:
     """Expand a BitMask to a boolean (height, width) grid.
 
-    Run lengths are validated at construction, so decoding never writes
-    out of bounds.
+    With ``rows = (y0, y1)`` only that half-open row span is expanded, into
+    a (y1 - y0, width) grid: each run is clipped to the span, so the cost
+    is O(runs) plus the pixels returned. Run lengths are validated at
+    construction, so decoding never writes out of bounds.
     """
-    runs = np.asarray(mask.runs, dtype=np.int64)
-    pattern = np.resize(np.array([False, True]), runs.size)
+    runs = np.fromiter(mask.runs, dtype=np.int64, count=len(mask.runs))
+    pattern = np.zeros(runs.size, dtype=bool)
+    pattern[1::2] = True
+    y0, y1 = (0, mask.height) if rows is None else rows
+    if not 0 <= y0 <= y1 <= mask.height:
+        raise ConsistencyError(f"rows [{y0},{y1}) outside mask height {mask.height}")
+    if (y0, y1) != (0, mask.height):
+        ends = np.cumsum(runs)
+        lo, hi = y0 * mask.width, y1 * mask.width
+        runs = np.maximum(np.minimum(ends, hi) - np.maximum(ends - runs, lo), 0)
     flat = np.repeat(pattern, runs)
-    return flat.reshape(mask.height, mask.width)
+    return flat.reshape(y1 - y0, mask.width)
 
 
 def mask_from_bbox(bbox: BoundingBox, width: int, height: int) -> np.ndarray:

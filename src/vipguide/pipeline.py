@@ -19,6 +19,8 @@ current edge blocked and a fresh route computed from the current node.
 from __future__ import annotations
 
 import time
+from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 from .calibration import CalibrationModel, detection_distance
@@ -38,12 +40,12 @@ from .local_planner import (
     road_edge_check,
     width_threshold_px,
 )
-from .perception import BoundingBox, Detection, PerceptionFrame, rle_encode, mask_from_bbox
+from .perception import BoundingBox, Detection, PerceptionFrame
 from .tracking import APPROACH_WINDOW_S, Tracker, TrackPoint, approach_rate
 
 
-def nearest_rank(values: list[float], q: float) -> float:
-    """Nearest-rank percentile (q in (0,1]) of a nonempty list."""
+def nearest_rank(values: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile (q in (0,1]) of a nonempty sequence."""
     if not values:
         raise ConsistencyError("percentile of empty list")
     ordered = sorted(values)
@@ -51,13 +53,31 @@ def nearest_rank(values: list[float], q: float) -> float:
     return ordered[rank - 1]
 
 
+STAGE_SAMPLES = 4096  # latency samples kept per stage; older ones are dropped
+
+
+def _recent_samples() -> deque[float]:
+    return deque(maxlen=STAGE_SAMPLES)
+
+
 @dataclass
 class StageStats:
-    """Running per-stage latency samples, milliseconds."""
+    """Per-stage latency samples in milliseconds, the most recent STAGE_SAMPLES.
 
-    decode: list[float] = field(default_factory=list)
-    track: list[float] = field(default_factory=list)
-    plan: list[float] = field(default_factory=list)
+    Memory stays bounded over an unbounded stream; `frames` counts every
+    frame recorded, so the summary's `n` is the total, not the window.
+    """
+
+    decode: deque[float] = field(default_factory=_recent_samples)
+    track: deque[float] = field(default_factory=_recent_samples)
+    plan: deque[float] = field(default_factory=_recent_samples)
+    frames: int = 0
+
+    def record(self, decode_ms: float, track_ms: float, plan_ms: float) -> None:
+        self.decode.append(decode_ms)
+        self.track.append(track_ms)
+        self.plan.append(plan_ms)
+        self.frames += 1
 
     def summary(self) -> dict:
         out = {}
@@ -67,7 +87,7 @@ class StageStats:
                 out[stage] = {
                     "p50": nearest_rank(samples, 0.50),
                     "p90": nearest_rank(samples, 0.90),
-                    "n": len(samples),
+                    "n": self.frames,
                 }
         return out
 
@@ -99,6 +119,7 @@ class Pipeline:
         )
         self.stats = StageStats()
         self._last_frame_id: int | None = None
+        self._last_timestamp: float | None = None
         self._last_vip_bbox: BoundingBox | None = None
         self._last_vip_distance: float | None = None
         self._vip_miss_streak = 0
@@ -148,11 +169,18 @@ class Pipeline:
     def process_frame(
         self, frame: PerceptionFrame, decode_ms: float = 0.0
     ) -> tuple[GuidanceDecision, dict]:
-        if self._last_frame_id is not None and frame.frame_id <= self._last_frame_id:
-            raise ConsistencyError(
-                f"frame {frame.frame_id} out of order after {self._last_frame_id}"
-            )
+        if self._last_frame_id is not None:
+            if frame.frame_id <= self._last_frame_id:
+                raise ConsistencyError(
+                    f"frame {frame.frame_id} out of order after {self._last_frame_id}"
+                )
+            if frame.timestamp <= self._last_timestamp:
+                raise ConsistencyError(
+                    f"frame {frame.frame_id}: timestamp {frame.timestamp} not after "
+                    f"the previous frame's {self._last_timestamp}"
+                )
         self._last_frame_id = frame.frame_id
+        self._last_timestamp = frame.timestamp
 
         t0 = time.perf_counter()
         labeled = self.tracker.step(frame.timestamp, list(frame.detections))
@@ -232,12 +260,8 @@ class Pipeline:
         reference_bbox = vip_det.bbox if vip_det is not None else self._last_vip_bbox
         if vip_det is not None and frame.vip_mask is not None:
             exclude = frame.vip_mask
-        elif reference_bbox is not None:
-            exclude = rle_encode(
-                mask_from_bbox(reference_bbox, frame.width, frame.height)
-            )
         else:
-            exclude = None
+            exclude = reference_bbox
         vip_partition = (
             self._vip_partition(reference_bbox, partitions)
             if reference_bbox is not None
@@ -289,9 +313,7 @@ class Pipeline:
 
         track_ms = (t1 - t0) * 1000.0
         plan_ms = (t2 - t1) * 1000.0
-        self.stats.decode.append(decode_ms)
-        self.stats.track.append(track_ms)
-        self.stats.plan.append(plan_ms)
+        self.stats.record(decode_ms, track_ms, plan_ms)
 
         record = trace_record(decision, new_route, decode_ms, track_ms, plan_ms)
         return decision, record

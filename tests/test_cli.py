@@ -109,6 +109,24 @@ class TestPlan:
         assert err.startswith("plan: ") and err.count("\n") == 1
         assert "timestamp" in err
 
+    def test_backward_frame_timestamp_fails_cleanly(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        run(capsys, "simulate", "--scenario", "crowded_street",
+            "--seed", "1", "--n-frames", "2", "--out", str(ds))
+        frames = ds / "frames.jsonl"
+        records = [json.loads(l) for l in frames.read_text().splitlines()]
+        records[0]["timestamp"] = 0.5
+        # the second frame sees nothing, so no track can notice the clock
+        records[1].update(timestamp=0.25, detections=[], vip_mask=None)
+        records[1].pop("instance_masks", None)
+        frames.write_text("".join(json.dumps(r) + "\n" for r in records))
+        code, _, err = run(
+            capsys, "plan", "--frames", str(ds), "--out", str(tmp_path / "t.jsonl")
+        )
+        assert code == 1
+        assert err.startswith("plan: ") and err.count("\n") == 1
+        assert "timestamp 0.25 not after" in err
+
     def test_missing_dataset_fails_cleanly(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "plan", "--frames", str(tmp_path / "nope"),

@@ -15,10 +15,11 @@ from vipguide.local_planner import (
     mean_partition_depth,
     partition_bounds,
     partition_profiles,
+    partition_scores,
     road_edge_check,
     width_threshold_px,
 )
-from vipguide.perception import BoundingBox, DepthMap, rle_encode
+from vipguide.perception import BoundingBox, DepthMap, mask_from_bbox, rle_encode
 
 from conftest import det
 
@@ -125,6 +126,89 @@ class TestMeanPartitionDepth:
                         count += 1
             expected = (0.0, True) if count == 0 else (total / count, False)
             assert mean_partition_depth(depth, p, rle_encode(grid)) == expected
+
+
+def wide_integer_scores(values, partitions, excluded):
+    """H(i) by a Python-int loop over every pixel: the semantic definition."""
+    scores = []
+    for p in partitions:
+        total = count = 0
+        for y in range(values.shape[0]):
+            for x in range(p.x_start, p.x_end):
+                if not excluded[y, x]:
+                    total += int(values[y, x])
+                    count += 1
+        scores.append((0.0, True) if count == 0 else (total / count, False))
+    return scores
+
+
+class TestPartitionScores:
+    """The single pass over all partitions against a per-pixel oracle."""
+
+    def random_exclusion(self, rng, kind, h, w, parts):
+        """(exclusion passed to the planner, dense grid the oracle skips)."""
+        if kind == "none":
+            return None, np.zeros((h, w), dtype=bool)
+        if kind == "background":
+            grid = np.zeros((h, w), dtype=bool)
+            return rle_encode(grid), grid
+        x1 = int(rng.integers(0, w))
+        y1 = int(rng.integers(0, h))
+        if kind == "clipped_bbox":
+            # runs past the right and bottom edges, as a bbox remembered
+            # from a larger frame can
+            box = BoundingBox(
+                x1, y1, w + int(rng.integers(1, 9)), h + int(rng.integers(1, 9))
+            )
+            return box, mask_from_bbox(box, w, h)
+        box = BoundingBox(
+            x1, y1, int(rng.integers(x1 + 1, w + 1)), int(rng.integers(y1 + 1, h + 1))
+        )
+        grid = mask_from_bbox(box, w, h)
+        if kind == "bbox":
+            return box, grid
+        grid |= rng.random((h, w)) < 0.1  # foreground outside the VIP's box
+        if kind == "covers_partition":
+            p = parts[int(rng.integers(0, len(parts)))]
+            grid[:, p.x_start : p.x_end] = True
+        return rle_encode(grid), grid
+
+    def test_matches_wide_integer_loop(self):
+        rng = np.random.default_rng(23)
+        kinds = ("none", "background", "bbox", "clipped_bbox", "mask", "covers_partition")
+        for n in (1, 3, 5, 7):
+            for kind in kinds:
+                for _ in range(6):
+                    h = int(rng.integers(1, 20))
+                    w = int(rng.integers(n, 36))
+                    values = rng.integers(0, 65536, size=(h, w)).astype(np.uint16)
+                    depth = DepthMap(width=w, height=h, values=values)
+                    parts = partition_bounds(w, n)
+                    exclude, grid = self.random_exclusion(rng, kind, h, w, parts)
+                    want = wide_integer_scores(values, parts, grid)
+                    assert partition_scores(depth, parts, exclude) == want, (n, kind)
+                    if kind == "covers_partition":
+                        assert (0.0, True) in want
+                    for p, score in zip(parts, want):
+                        assert mean_partition_depth(depth, p, exclude) == score
+
+    @pytest.mark.parametrize("h, w", [(480, 640), (65538, 3)])
+    def test_all_max_rev_frame_cannot_overflow(self, h, w):
+        # 65538 rows of 65535 sum past 2**32, so the column sums must widen
+        values = np.full((h, w), 65535, dtype=np.uint16)
+        depth = DepthMap(width=w, height=h, values=values)
+        parts = partition_bounds(w, 3)
+        assert partition_scores(depth, parts) == [(65535.0, False)] * 3
+        box = BoundingBox(0, 0, 1, h // 2)
+        assert partition_scores(depth, parts, box) == [(65535.0, False)] * 3
+
+    def test_rejects_partition_outside_frame_and_mismatched_mask(self):
+        depth = DepthMap(width=4, height=2, values=np.zeros((2, 4)))
+        with pytest.raises(PlannerError):
+            partition_scores(depth, [Partition(0, 2, 5)])
+        with pytest.raises(PlannerError):
+            tall = rle_encode(np.zeros((4, 2), dtype=bool))
+            partition_scores(depth, [Partition(0, 0, 4)], tall)
 
 
 class TestFreeSpace:

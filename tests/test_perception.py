@@ -87,6 +87,40 @@ class TestRle:
         mask = BitMask(width=4, height=1, runs=(1, 2, 0, 0, 1))
         assert rle_decode(mask).tolist() == [[False, True, True, False]]
 
+    def test_row_span_decode_matches_full_decode(self):
+        rng = np.random.default_rng(7)
+        for _ in range(60):
+            h = int(rng.integers(1, 12))
+            w = int(rng.integers(1, 12))
+            grid = rng.random((h, w)) < float(rng.choice([0.0, 0.05, 0.4, 1.0]))
+            mask = rle_encode(grid)
+            y0 = int(rng.integers(0, h + 1))
+            y1 = int(rng.integers(y0, h + 1))
+            assert np.array_equal(rle_decode(mask, rows=(y0, y1)), grid[y0:y1])
+            assert np.array_equal(mask.decode(rows=(y0, y1)), grid[y0:y1])
+
+    def test_row_span_outside_mask_rejected(self):
+        mask = rle_encode(np.zeros((3, 2), dtype=bool))
+        for rows in ((-1, 2), (2, 1), (0, 4)):
+            with pytest.raises(ConsistencyError):
+                rle_decode(mask, rows=rows)
+
+    def test_foreground_rows_match_grid(self):
+        rng = np.random.default_rng(8)
+        for _ in range(60):
+            h = int(rng.integers(1, 12))
+            w = int(rng.integers(1, 12))
+            grid = rng.random((h, w)) < float(rng.choice([0.0, 0.05, 0.4, 1.0]))
+            ys = np.flatnonzero(grid.any(axis=1))
+            want = (int(ys[0]), int(ys[-1]) + 1) if ys.size else (0, 0)
+            assert rle_encode(grid).foreground_rows() == want
+
+    def test_foreground_rows_skip_zero_runs(self):
+        # fg pixels at flat 5 and 6 of a 4x3 grid, padded with empty runs
+        mask = BitMask(width=3, height=4, runs=(2, 0, 3, 2, 0, 0, 5, 0))
+        assert mask.foreground_rows() == (1, 3)
+        assert BitMask(width=3, height=2, runs=(2, 0, 4)).foreground_rows() == (0, 0)
+
 
 class TestDepthMap:
     def test_reshape_and_readonly(self):

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -9,8 +10,11 @@ from vipguide.config import default_config
 from vipguide.errors import ConfigError, ConsistencyError
 from vipguide.global_planner import NavGraph, shortest_path
 from vipguide.local_planner import Heading, RerouteNeeded
+from vipguide import perception
+from vipguide import pipeline as pipeline_module
 from vipguide.pipeline import Pipeline, nearest_rank
 from vipguide.perception import rle_encode
+from vipguide.scenario import ScenarioSpec, generate
 
 from conftest import det, make_frame
 
@@ -182,6 +186,17 @@ class TestBasics:
             pipe.process_frame(world_frame(1, 0.5))
         with pytest.raises(ConsistencyError, match="timestamp"):
             pipe.process_frame(world_frame(2, 0.25))
+
+    def test_frame_timestamp_must_increase_without_tracks(self):
+        # no VIP and no obstacle, so no track can catch the clock going back
+        pipe = make_pipeline()
+        pipe.process_frame(world_frame(0, 0.5, vip=False))
+        with pytest.raises(ConsistencyError, match="timestamp 0.25 not after"):
+            pipe.process_frame(world_frame(1, 0.25, vip=False))
+        with pytest.raises(ConsistencyError, match="timestamp 0.5 not after"):
+            pipe.process_frame(world_frame(2, 0.5, vip=False))
+        decision, _ = pipe.process_frame(world_frame(3, 0.75, vip=False))
+        assert isinstance(decision.outcome, Heading)
 
     def test_model_required(self):
         with pytest.raises(ConfigError):
@@ -363,3 +378,34 @@ class TestTraceRecords:
         assert summary["decode"]["p50"] == 4.0
         assert summary["decode"]["p90"] == 8.0
         assert summary["plan"]["p90"] >= summary["plan"]["p50"] >= 0.0
+
+    def test_stats_keep_recent_window(self, monkeypatch):
+        monkeypatch.setattr(pipeline_module, "STAGE_SAMPLES", 4)
+        pipe = make_pipeline()
+        for k in range(10):
+            pipe.process_frame(world_frame(k, k / 30), decode_ms=float(k))
+        assert list(pipe.stats.decode) == [6.0, 7.0, 8.0, 9.0]
+        assert len(pipe.stats.plan) == len(pipe.stats.track) == 4
+        summary = pipe.stats.summary()
+        assert summary["decode"]["n"] == 10
+        assert summary["decode"]["p50"] == 7.0
+
+    def test_each_mask_decoded_at_most_once(self, monkeypatch):
+        spec = ScenarioSpec(kind="crowded_street", seed=1, n_frames=2)
+        frames = [frame for frame, _ in generate(spec)]
+        pipe = make_pipeline()
+        pipe.process_frame(frames[0])
+        decoded = Counter()
+        real_decode = perception.rle_decode
+
+        def counting_decode(mask, *args, **kwargs):
+            decoded[id(mask)] += 1
+            return real_decode(mask, *args, **kwargs)
+
+        monkeypatch.setattr(perception, "rle_decode", counting_decode)
+        pipe.process_frame(frames[1])
+        frame = frames[1]
+        masks = [frame.vip_mask, frame.road_mask, *frame.instance_masks.values()]
+        assert decoded[id(frame.vip_mask)] == 1
+        assert set(decoded) <= {id(m) for m in masks}
+        assert max(decoded.values()) == 1
