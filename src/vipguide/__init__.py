@@ -32,6 +32,7 @@ from .perception import (
     luma_convert,
     rle_decode,
     rle_encode,
+    rle_encode_window,
 )
 from .geometry import (
     GeometricConfig,

@@ -96,9 +96,8 @@ def _mask_from_json(obj, width: int, height: int, field: str) -> BitMask:
     if not isinstance(obj, dict) or "runs" not in obj:
         raise FrameDecodeError(f"field '{field}': expected an object with 'runs'")
     runs = obj["runs"]
-    if not isinstance(runs, list) or not all(
-        isinstance(r, int) and not isinstance(r, bool) for r in runs
-    ):
+    # JSON yields exact ints, so `type is int` also rules out bools
+    if not isinstance(runs, list) or not set(map(type, runs)) <= {int}:
         raise FrameDecodeError(f"field '{field}.runs': expected a list of ints")
     try:
         return BitMask(width=width, height=height, runs=tuple(runs))

@@ -8,7 +8,8 @@ synthetic scenario generator) hands the results over in this form.
 Depth convention: per-pixel 16-bit relative depth values (REV) where a
 *larger* value means *nearer* to the camera. Masks are stored run-length
 encoded; :func:`rle_encode` / :func:`rle_decode` convert to and from dense
-boolean grids.
+boolean grids, and :func:`rle_encode_window` encodes a frame that is
+background outside one rectangle by scanning that rectangle alone.
 """
 from __future__ import annotations
 
@@ -84,9 +85,12 @@ class BitMask:
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
             raise ConsistencyError(f"mask dims {self.width}x{self.height} not positive")
-        runs = tuple(int(r) for r in self.runs)
+        try:
+            runs = tuple(np.fromiter(self.runs, dtype=np.int64).tolist())
+        except OverflowError:  # a run beyond int64: Python ints hold it exactly
+            runs = tuple(map(int, self.runs))
         object.__setattr__(self, "runs", runs)
-        if any(r < 0 for r in runs):
+        if runs and min(runs) < 0:
             raise ConsistencyError("negative run length")
         total = sum(runs)
         if total != self.width * self.height:
@@ -236,15 +240,47 @@ def rle_encode(grid) -> BitMask:
     background run when the grid starts with foreground.
     """
     g = np.asarray(grid, dtype=bool)
-    if g.ndim != 2 or g.shape[0] == 0 or g.shape[1] == 0:
+    if g.ndim != 2:
         raise ConsistencyError(f"expected a non-empty 2D grid, got shape {g.shape}")
-    flat = g.ravel()
-    change = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-    bounds = np.concatenate(([0], change, [flat.size]))
-    runs = np.diff(bounds).tolist()
-    if flat[0]:
-        runs.insert(0, 0)
-    return BitMask(width=g.shape[1], height=g.shape[0], runs=tuple(runs))
+    return rle_encode_window(g, 0, 0, g.shape[1], g.shape[0])
+
+
+def rle_encode_window(window, x: int, y: int, width: int, height: int) -> BitMask:
+    """Canonical BitMask of a width x height frame that is background except
+    for the boolean ``window``, whose top-left pixel sits at column x, row y.
+
+    Costs O(window pixels), not O(frame): only the window is scanned, and
+    its foreground run edges are mapped to flat frame offsets.
+    """
+    w = np.asarray(window, dtype=bool)
+    if w.ndim != 2 or w.size == 0:
+        raise ConsistencyError(f"expected a non-empty 2D grid, got shape {w.shape}")
+    rows, cols = w.shape
+    if x < 0 or y < 0 or x + cols > width or y + rows > height:
+        raise ConsistencyError(
+            f"window {cols}x{rows} at ({x},{y}) outside frame {width}x{height}"
+        )
+    if cols == width:
+        # full-width rows are contiguous in the frame: one flat scan
+        flat = w.ravel()
+        start = y * width
+        edges = np.flatnonzero(flat[1:] != flat[:-1]) + (start + 1)
+    else:
+        # a background column after each row keeps runs from crossing rows
+        padded = np.zeros((rows, cols + 1), dtype=bool)
+        padded[:, :cols] = w
+        flat = padded.ravel()
+        start = y * width + x
+        row, col = np.divmod(np.flatnonzero(flat[1:] != flat[:-1]) + 1, cols + 1)
+        edges = (row + y) * width + (col + x)
+    # foreground at the scan's first or last pixel has no change point there
+    head = [0, start] if flat[0] else [0]
+    tail = [start + flat.size, width * height] if flat[-1] else [width * height]
+    bounds = np.concatenate((head, edges, tail))
+    runs = bounds[1:] - bounds[:-1]
+    if runs[-1] == 0:  # foreground reaches the frame's last pixel
+        runs = runs[:-1]
+    return BitMask(width=width, height=height, runs=tuple(runs.tolist()))
 
 
 def rle_decode(mask: BitMask, rows: tuple[int, int] | None = None) -> np.ndarray:

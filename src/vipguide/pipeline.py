@@ -18,10 +18,12 @@ current edge blocked and a fresh route computed from the current node.
 """
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 
 from .calibration import CalibrationModel, detection_distance
 from .config import Config
@@ -45,11 +47,17 @@ from .tracking import APPROACH_WINDOW_S, Tracker, TrackPoint, approach_rate
 
 
 def nearest_rank(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile (q in (0,1]) of a nonempty sequence."""
+    """Nearest-rank percentile (q in (0,1]) of a nonempty sequence.
+
+    The rank is ceil(q*n), taken on q's shortest decimal form: in binary
+    0.9 * 10 comes to 9.000000000000002, which would round up to 10.
+    """
+    if not 0 < q <= 1:
+        raise ConsistencyError(f"percentile {q} outside (0, 1]")
     if not values:
         raise ConsistencyError("percentile of empty list")
     ordered = sorted(values)
-    rank = max(1, -(-int(q * 100) * len(ordered) // 100))  # ceil(q*n)
+    rank = math.ceil(Fraction(repr(float(q))) * len(ordered))
     return ordered[rank - 1]
 
 

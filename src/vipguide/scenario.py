@@ -28,7 +28,7 @@ from .perception import (
     DepthMap,
     Detection,
     PerceptionFrame,
-    rle_encode,
+    rle_encode_window,
 )
 
 Z_NEAR = 1.0
@@ -169,17 +169,27 @@ def render_scene(
     return DepthMap(width=cam.width, height=cam.height, values=depth), owner
 
 
-def render_depth(objects: list[SceneObject], cam: Camera) -> DepthMap:
-    return render_scene(objects, cam)[0]
+def _visible_mask(
+    owner: np.ndarray, bbox: BoundingBox, idx: int, cam: Camera
+) -> BitMask | None:
+    """Mask of the pixels object `idx` keeps in view; None when it is hidden.
+
+    render_scene paints each object only inside its projected bbox, so only
+    that window of the owner grid is compared and encoded.
+    """
+    visible = owner[bbox.y1 : bbox.y2, bbox.x1 : bbox.x2] == idx
+    if not visible.any():
+        return None
+    return rle_encode_window(visible, bbox.x1, bbox.y1, cam.width, cam.height)
 
 
 def default_road_mask(cam: Camera) -> BitMask:
     """Walkway band: central 60% of columns, everything below the horizon."""
-    grid = np.zeros((cam.height, cam.width), dtype=bool)
     x1 = _round_px(0.2 * cam.width)
     x2 = _round_px(0.8 * cam.width)
-    grid[cam.height // 2 :, x1:x2] = True
-    return rle_encode(grid)
+    y1 = cam.height // 2
+    band = np.ones((cam.height - y1, x2 - x1), dtype=bool)
+    return rle_encode_window(band, x1, y1, cam.width, cam.height)
 
 
 # -- scenario authoring ---------------------------------------------------------
@@ -359,8 +369,8 @@ def generate(spec: ScenarioSpec):
             bbox = project_bbox(obj, cam)
             if bbox is None:
                 continue
-            visible = owner == idx
-            if not visible.any():
+            mask = _visible_mask(owner, bbox, idx, cam)
+            if mask is None:
                 continue
             detections.append(
                 Detection(
@@ -371,9 +381,9 @@ def generate(spec: ScenarioSpec):
                 )
             )
             if obj.kind == "vip":
-                vip_mask = rle_encode(visible)
+                vip_mask = mask
             else:
-                instance_masks[idx] = rle_encode(visible)
+                instance_masks[idx] = mask
 
         frame = PerceptionFrame(
             frame_id=frame_id,
@@ -452,7 +462,7 @@ def calibration_frames(
             detections=(
                 Detection("wall", bbox, CONFIDENCE["wall"], track_id=0),
             ),
-            instance_masks={0: rle_encode(owner == 0)},
+            instance_masks={0: _visible_mask(owner, bbox, 0, cam)},
         )
         out.append((frame, float(z)))
     return out

@@ -105,6 +105,10 @@ class TestRecordCodec:
             (lambda r: r["detections"][0].update(confidence="high"), "confidence"),
             (lambda r: r["detections"][1].update(bbox=[1, 2, 3]), "bbox"),
             (lambda r: r.update(vip_mask={"runs": [1, "x"]}), "vip_mask"),
+            (lambda r: r.update(vip_mask={"runs": [1.0, 47]}), "vip_mask.runs"),
+            (lambda r: r.update(vip_mask={"runs": [True, 47]}), "vip_mask.runs"),
+            (lambda r: r.update(vip_mask={"runs": [49, -1]}), "vip_mask': negative run"),
+            (lambda r: r.update(vip_mask={"runs": [2**63]}), "vip_mask': runs sum"),
             (lambda r: r.update(instance_masks={"ten": {"runs": [48]}}), "instance_masks"),
         ],
     )

@@ -36,7 +36,9 @@ CALIBRATION_Z = tuple(1.0 + 0.5 * i for i in range(19))  # as cli._default_model
 def frame_bytes(frame) -> bytes:
     """Canonical bytes of everything a frame carries."""
     masks = [("vip", frame.vip_mask), ("road", frame.road_mask)]
-    masks += [(f"instance{tid}", frame.instance_masks[tid]) for tid in sorted(frame.instance_masks)]
+    masks += [
+        (f"instance{tid}", frame.instance_masks[tid]) for tid in sorted(frame.instance_masks)
+    ]
     meta = {
         "frame_id": frame.frame_id,
         "timestamp": frame.timestamp,
@@ -51,8 +53,8 @@ def frame_bytes(frame) -> bytes:
         ],
     }
     depth = frame.depth
-    header = json.dumps(meta, separators=(",", ":")).encode("ascii")
-    return header + f"\n{depth.width}x{depth.height}\n".encode("ascii") + depth.values.astype("<u2").tobytes()
+    header = json.dumps(meta, separators=(",", ":")) + f"\n{depth.width}x{depth.height}\n"
+    return header.encode("ascii") + depth.values.astype("<u2").tobytes()
 
 
 def stream_hash(frames) -> str:
@@ -63,7 +65,9 @@ def stream_hash(frames) -> str:
 
 
 def scenario_hash(kind: str, seed: int, rev_jitter_sigma: float = 0.0) -> str:
-    spec = ScenarioSpec(kind=kind, seed=seed, n_frames=N_FRAMES, rev_jitter_sigma=rev_jitter_sigma)
+    spec = ScenarioSpec(
+        kind=kind, seed=seed, n_frames=N_FRAMES, rev_jitter_sigma=rev_jitter_sigma
+    )
     return stream_hash(frame for frame, _ in generate(spec))
 
 
@@ -100,7 +104,8 @@ def test_scenario_frames_unchanged(golden, kind, seed):
 @pytest.mark.parametrize("kind", SCENARIO_KINDS)
 def test_jittered_frames_unchanged(golden, kind):
     key = f"{kind}/seed{JITTER_SEED}/jitter"
-    assert scenario_hash(kind, JITTER_SEED, JITTER_SIGMA) == golden[key], f"frames of {key} changed"
+    got = scenario_hash(kind, JITTER_SEED, JITTER_SIGMA)
+    assert got == golden[key], f"frames of {key} changed"
 
 
 def test_calibration_frames_unchanged(golden):

@@ -13,6 +13,7 @@ from vipguide.perception import (
     mask_from_bbox,
     rle_decode,
     rle_encode,
+    rle_encode_window,
 )
 
 from conftest import det, make_frame
@@ -120,6 +121,115 @@ class TestRle:
         mask = BitMask(width=3, height=4, runs=(2, 0, 3, 2, 0, 0, 5, 0))
         assert mask.foreground_rows() == (1, 3)
         assert BitMask(width=3, height=2, runs=(2, 0, 4)).foreground_rows() == (0, 0)
+
+
+def reference_runs(grid) -> tuple[int, ...]:
+    """Canonical runs of a grid, one pixel at a time."""
+    runs, current, length = [], False, 0
+    for px in np.asarray(grid, dtype=bool).ravel().tolist():
+        if px == current:
+            length += 1
+        else:
+            runs.append(length)
+            current, length = px, 1
+    runs.append(length)
+    return tuple(runs)
+
+
+class TestRleEncodeWindow:
+    @staticmethod
+    def check(window, x, y, width, height):
+        window = np.asarray(window, dtype=bool)
+        grid = np.zeros((height, width), dtype=bool)
+        grid[y : y + window.shape[0], x : x + window.shape[1]] = window
+        mask = rle_encode_window(window, x, y, width, height)
+        assert mask == rle_encode(grid)
+        assert mask.runs == reference_runs(grid)
+        assert (mask.width, mask.height) == (width, height)
+
+    def test_matches_embedded_full_grid(self):
+        rng = np.random.default_rng(11)
+        sizes = [(1, 1), (1, 9), (9, 1), (1, 2), (2, 1)]
+        sizes += [tuple(int(v) for v in rng.integers(1, 14, size=2)) for _ in range(40)]
+        for height, width in sizes:
+            for _ in range(12):
+                rows = int(rng.integers(1, height + 1))
+                cols = int(rng.integers(1, width + 1))
+                # left/top edge, right/bottom edge, or anywhere between
+                x = int(rng.choice([0, width - cols, rng.integers(0, width - cols + 1)]))
+                y = int(rng.choice([0, height - rows, rng.integers(0, height - rows + 1)]))
+                p = float(rng.choice([0.0, 0.3, 0.7, 1.0]))
+                self.check(rng.random((rows, cols)) < p, x, y, width, height)
+
+    def test_full_width_windows(self):
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            height, width = (int(v) for v in rng.integers(1, 10, size=2))
+            rows = int(rng.integers(1, height + 1))
+            y = int(rng.integers(0, height - rows + 1))
+            self.check(rng.random((rows, width)) < 0.5, 0, y, width, height)
+
+    def test_run_wrapping_into_next_row_is_one_run(self):
+        # the last column of row 0 and the first of row 1 are adjacent pixels
+        window = [[False, False, True], [True, False, False]]
+        assert rle_encode_window(window, 0, 0, 3, 2).runs == (2, 2, 2)
+        assert rle_encode_window(window, 0, 1, 3, 3).runs == (5, 2, 2)
+        # narrower than the frame, the same window leaves a gap between rows
+        assert rle_encode_window(window, 1, 0, 4, 2).runs == (3, 1, 1, 1, 2)
+
+    def test_empty_and_full_windows(self):
+        assert rle_encode_window(np.zeros((2, 3), bool), 1, 1, 5, 4).runs == (20,)
+        assert rle_encode_window(np.ones((2, 3), bool), 1, 1, 5, 4).runs == (6, 3, 2, 3, 6)
+        assert rle_encode_window(np.ones((4, 5), bool), 0, 0, 5, 4).runs == (0, 20)
+        assert rle_encode_window(np.ones((1, 2), bool), 3, 3, 5, 4).runs == (18, 2)
+        assert rle_encode_window(np.ones((1, 1), bool), 0, 0, 5, 4).runs == (0, 1, 19)
+
+    @pytest.mark.parametrize(
+        "x,y,shape",
+        [(-1, 0, (2, 2)), (0, -1, (2, 2)), (4, 0, (2, 2)), (0, 3, (2, 2)), (0, 0, (5, 6))],
+    )
+    def test_window_outside_frame_rejected(self, x, y, shape):
+        with pytest.raises(ConsistencyError, match="outside frame 5x4"):
+            rle_encode_window(np.ones(shape, dtype=bool), x, y, 5, 4)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (4,), (1, 2, 2)])
+    def test_malformed_window_rejected(self, shape):
+        with pytest.raises(ConsistencyError, match="non-empty 2D"):
+            rle_encode_window(np.ones(shape, dtype=bool), 0, 0, 5, 4)
+
+
+class TestBitMaskValidation:
+    def test_numpy_ints_stored_as_python_ints(self):
+        mask = BitMask(width=3, height=2, runs=(np.int32(2), np.uint16(4)))
+        assert mask.runs == (2, 4)
+        assert all(type(r) is int for r in mask.runs)
+        runs = np.array([1, 2, 3], dtype=np.int64)
+        assert all(type(r) is int for r in BitMask(width=3, height=2, runs=runs).runs)
+
+    def test_floats_truncate_like_int(self):
+        assert BitMask(width=3, height=2, runs=(2.7, 4.2)).runs == (2, 4)
+        assert BitMask(width=3, height=2, runs=(-0.5, 6.9)).runs == (0, 6)
+
+    def test_empty_runs_rejected(self):
+        with pytest.raises(ConsistencyError, match=r"^runs sum 0 != 3x2 pixels$"):
+            BitMask(width=3, height=2, runs=())
+
+    def test_messages(self):
+        with pytest.raises(ConsistencyError, match=r"^negative run length$"):
+            BitMask(width=3, height=2, runs=(4, -1, 3))
+        with pytest.raises(ConsistencyError, match=r"^runs sum 5 != 3x2 pixels$"):
+            BitMask(width=3, height=2, runs=(2, 3))
+
+    @pytest.mark.parametrize("run", [2**63, 2**64 + 6, -(2**63) - 1])
+    def test_runs_beyond_int64_rejected_as_inconsistent(self, run):
+        with pytest.raises(ConsistencyError):
+            BitMask(width=3, height=2, runs=(run,))
+
+    def test_huge_runs_summed_exactly(self):
+        # five runs of 2**62 wrap to 2**62 in an int64 sum
+        with pytest.raises(ConsistencyError, match="runs sum 23058430092136939520"):
+            BitMask(width=2**31, height=2**31, runs=(2**62,) * 5)
+        assert BitMask(width=2**32, height=2**32, runs=(2**64,)).runs == (2**64,)
 
 
 class TestDepthMap:

@@ -38,6 +38,22 @@ class TestNearestRank:
         with pytest.raises(ConsistencyError):
             nearest_rank([], 0.5)
 
+    def test_rank_is_ceil_of_decimal_q_times_n(self):
+        # truncating q * 100 picked the 28th of 1..100 for 0.29, the 56th for 0.57
+        values = [float(v) for v in range(1, 101)]
+        assert nearest_rank(values, 0.29) == 29.0
+        assert nearest_rank(values, 0.57) == 57.0
+        for n in range(1, 41):
+            ordered = [float(v) for v in range(1, n + 1)]
+            for k in range(1, 101):
+                want = -(-k * n // 100)  # exact integer ceil(k/100 * n)
+                assert nearest_rank(ordered, k / 100) == want, (n, k)
+
+    @pytest.mark.parametrize("q", [0.0, -0.5, 1.01, 2.0, float("nan")])
+    def test_q_outside_unit_interval_rejected(self, q):
+        with pytest.raises(ConsistencyError, match="outside"):
+            nearest_rank([1.0, 2.0, 3.0], q)
+
     def test_matches_numpy_higher_method_loosely(self):
         # nearest-rank is within one order statistic of the interpolated value
         rng = np.random.default_rng(2)
