@@ -50,7 +50,7 @@ def nearest_rank(values: Sequence[float], q: float) -> float:
     """Nearest-rank percentile (q in (0,1]) of a nonempty sequence.
 
     The rank is ceil(q*n), taken on q's shortest decimal form: in binary
-    0.9 * 10 comes to 9.000000000000002, which would round up to 10.
+    0.07 * 100 comes to 7.000000000000001, whose ceiling would be 8.
     """
     if not 0 < q <= 1:
         raise ConsistencyError(f"percentile {q} outside (0, 1]")

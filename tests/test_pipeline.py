@@ -43,6 +43,7 @@ class TestNearestRank:
         values = [float(v) for v in range(1, 101)]
         assert nearest_rank(values, 0.29) == 29.0
         assert nearest_rank(values, 0.57) == 57.0
+        assert nearest_rank(values, 0.07) == 7.0  # binary 0.07 * 100 is just above 7
         for n in range(1, 41):
             ordered = [float(v) for v in range(1, n + 1)]
             for k in range(1, 101):
