@@ -10,26 +10,15 @@ import os
 import sys
 
 from vipguide import (
-    CalibrationSample,
     Pipeline,
     ScenarioSpec,
     annotate_frame,
-    calibration_frames,
     default_config,
-    fit,
+    default_model,
     generate,
     partition_bounds,
-    region_rev,
     write_ppm,
 )
-
-
-def depth_model():
-    samples = []
-    for frame, z in calibration_frames([1.0 + 0.5 * i for i in range(19)]):
-        rev = region_rev(frame, frame.detections[0]) / 65535.0
-        samples.append(CalibrationSample(rev=rev, distance=z))
-    return fit(samples)
 
 
 def main():
@@ -37,7 +26,7 @@ def main():
     os.makedirs(out_dir, exist_ok=True)
 
     config = default_config()
-    pipe = Pipeline(config, depth_model())
+    pipe = Pipeline(config, default_model())
     spec = ScenarioSpec(kind="parked_vehicles", seed=1, n_frames=12)
     partitions = partition_bounds(spec.camera.width, config.planner.n_partitions)
 

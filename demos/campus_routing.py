@@ -5,7 +5,7 @@ route, then discovers mid-walk that the next leg is impassable: the
 edge gets blocked, the route is recomputed from where we stand, and the
 detour never re-enters the blocked leg.
 """
-from vipguide import NavGraph, replan, shortest_path
+from vipguide import NavGraph, shortest_path
 
 NAMES = "ABCDEFGHIJKL"  # 3 rows of 4, A top-left
 
@@ -32,13 +32,13 @@ def main():
     # walking A -> B -> C, and the C -> D leg turns out to be impassable
     here = "C"
     g.block_edge("C", "D")
-    detour = replan(g, here, "L")
+    detour = shortest_path(g, here, "L")
     print(f"C-D blocked; replanned from {here}: "
           f"{' -> '.join(detour.nodes)}  ({detour.total_cost:.0f} m)")
 
     # a second closure on the detour itself
     g.block_edge("C", "G")
-    second = replan(g, here, "L")
+    second = shortest_path(g, here, "L")
     print(f"C-G blocked too; replanned: "
           f"{' -> '.join(second.nodes)}  ({second.total_cost:.0f} m)")
 

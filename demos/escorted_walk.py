@@ -7,32 +7,21 @@ prints a compact per-frame story plus the stage latency summary. The
 crowd scenario steers left; swap the kind to see the others.
 """
 from vipguide import (
-    CalibrationSample,
     Heading,
     Pipeline,
     ScenarioSpec,
-    calibration_frames,
     default_config,
+    default_model,
     direction_name,
-    fit,
     generate,
-    region_rev,
 )
 
 KIND = "crowded_street"
 
 
-def depth_model():
-    samples = []
-    for frame, z in calibration_frames([1.0 + 0.5 * i for i in range(19)]):
-        rev = region_rev(frame, frame.detections[0]) / 65535.0
-        samples.append(CalibrationSample(rev=rev, distance=z))
-    return fit(samples)
-
-
 def main():
     spec = ScenarioSpec(kind=KIND, seed=1, n_frames=30)
-    pipe = Pipeline(default_config(), depth_model())
+    pipe = Pipeline(default_config(), default_model())
 
     matched = total = 0
     for frame, truth in generate(spec):

@@ -6,34 +6,23 @@ score and widest free gap, the per-obstacle severity calls, and the
 heading the pedestrian is finally given.
 """
 from vipguide import (
-    CalibrationSample,
     ScenarioSpec,
-    calibration_frames,
     default_config,
+    default_model,
     detection_distance,
-    fit,
     free_space,
     generate,
     heading_angle,
     partition_bounds,
-    region_rev,
     safety_distance,
     width_threshold_px,
 )
 from vipguide.local_planner import decide, partition_profiles
 
 
-def depth_model():
-    samples = []
-    for frame, z in calibration_frames([1.0 + 0.5 * i for i in range(19)]):
-        rev = region_rev(frame, frame.detections[0]) / 65535.0
-        samples.append(CalibrationSample(rev=rev, distance=z))
-    return fit(samples)
-
-
 def main():
     cfg = default_config()
-    model = depth_model()
+    model = default_model()
     spec = ScenarioSpec(kind="parked_vehicles", seed=1, n_frames=1)
     frame, truth = next(iter(generate(spec)))
 

@@ -73,13 +73,14 @@ from .local_planner import (
     road_edge_check,
     width_threshold_px,
 )
-from .global_planner import NavGraph, Route, load_graph, replan, shortest_path
+from .global_planner import NavGraph, Route, load_graph, shortest_path
 from .scenario import (
     Camera,
     GroundTruth,
     SceneObject,
     ScenarioSpec,
     calibration_frames,
+    default_model,
     direction_name,
     generate,
     read_ground_truth,

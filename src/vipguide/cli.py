@@ -15,7 +15,7 @@ from .frameio import read_dataset, record_to_line
 from .global_planner import Route, load_graph, shortest_path
 from .local_planner import partition_bounds
 from .pipeline import Pipeline
-from .scenario import SCENARIO_KINDS, ScenarioSpec, generate, write_scenario
+from .scenario import SCENARIO_KINDS, ScenarioSpec, default_model, generate, write_scenario
 
 
 def _timed(iterator):
@@ -75,24 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _default_model() -> calibration.CalibrationModel:
-    """Calibration fit against the synthetic depth law (for generated frames)."""
-    from .scenario import calibration_frames
-
-    frames = calibration_frames([1.0 + 0.5 * i for i in range(19)])
-    samples = [
-        calibration.CalibrationSample(
-            rev=calibration.region_rev(frame, frame.detections[0]) / 65535.0,
-            distance=z,
-        )
-        for frame, z in frames
-    ]
-    return calibration.fit(samples)
-
-
 def run_plan(args) -> int:
     config = load_config(args.config) if args.config else default_config()
-    model = calibration.load_model(args.model) if args.model else _default_model()
+    model = calibration.load_model(args.model) if args.model else default_model()
 
     graph = route = None
     if args.graph:

@@ -6,7 +6,7 @@ rejected so a typo cannot silently fall back to a default.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 from .geometry import GeometricConfig, GeometryError
@@ -28,11 +28,11 @@ GEOMETRY_KEYS = {
 @dataclass(frozen=True)
 class PlannerConfig:
     n_partitions: int = 3
-    width_margin: float = 1.2
-    danger_mult: float = 1.0
-    warning_mult: float = 2.0
-    edge_box_px: int = 90
-    edge_threshold: float = 128.0
+    width_margin: float = 1.2      # clearance factor on the VIP's apparent width
+    danger_mult: float = 1.0       # danger when distance <= 1.0 * d'
+    warning_mult: float = 2.0      # warning when distance <= 2.0 * d'
+    edge_box_px: int = 90          # road-edge probe side, ~0.5 m at typical range
+    edge_threshold: float = 128.0  # probe mean (road=255) must exceed this
 
     def __post_init__(self):
         if self.n_partitions < 1 or self.n_partitions % 2 == 0:
@@ -60,7 +60,7 @@ class PipelineTuning:
     reroute_patience: int = 5   # consecutive exhausted frames before replanning
     live_speed: bool = False    # recompute d' from tracked VIP speed
     iou_threshold: float = 0.3
-    max_misses: int = 15
+    max_misses: int = 15        # ~0.5 s at 30 fps
 
     def __post_init__(self):
         if self.vip_hold_frames < 0:
@@ -103,47 +103,21 @@ def _build(section: str, raw: dict, key_map: dict, cls):
 def config_from_dict(obj: dict) -> Config:
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
-    known = {"geometry", "planner", "pipeline"}
+    sections = {f.name: f.default_factory for f in fields(Config)}
     for section in obj:
-        if section not in known:
+        if section not in sections:
             raise ConfigError(f"unknown config section '{section}'")
     for section, raw in obj.items():
         if not isinstance(raw, dict):
             raise ConfigError(f"config section '{section}' must be an object")
-    identity = lambda names: {n: n for n in names}
-    geometry = _build(
-        "geometry", obj.get("geometry", {}), GEOMETRY_KEYS, GeometricConfig
-    )
-    planner = _build(
-        "planner",
-        obj.get("planner", {}),
-        identity(
-            [
-                "n_partitions",
-                "width_margin",
-                "danger_mult",
-                "warning_mult",
-                "edge_box_px",
-                "edge_threshold",
-            ]
-        ),
-        PlannerConfig,
-    )
-    pipeline = _build(
-        "pipeline",
-        obj.get("pipeline", {}),
-        identity(
-            [
-                "vip_hold_frames",
-                "reroute_patience",
-                "live_speed",
-                "iou_threshold",
-                "max_misses",
-            ]
-        ),
-        PipelineTuning,
-    )
-    return Config(geometry=geometry, planner=planner, pipeline=pipeline)
+    built = {}
+    for section, cls in sections.items():
+        if cls is GeometricConfig:
+            key_map = GEOMETRY_KEYS
+        else:
+            key_map = {f.name: f.name for f in fields(cls)}
+        built[section] = _build(section, obj.get(section, {}), key_map, cls)
+    return Config(**built)
 
 
 def load_config(path) -> Config:

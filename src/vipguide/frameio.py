@@ -155,6 +155,10 @@ def decode_record(record: dict, depth: DepthMap) -> PerceptionFrame:
     """
     frame_id = _require(record, "frame_id", int, "int")
     timestamp = _require(record, "timestamp", (int, float), "number")
+    try:
+        timestamp = float(timestamp)
+    except OverflowError as exc:
+        raise FrameDecodeError("field 'timestamp': beyond float range") from exc
     width = _require(record, "width", int, "int")
     height = _require(record, "height", int, "int")
     raw_dets = _require(record, "detections", list, "list")
@@ -228,7 +232,7 @@ def decode_record(record: dict, depth: DepthMap) -> PerceptionFrame:
 
     return PerceptionFrame(
         frame_id=frame_id,
-        timestamp=float(timestamp),
+        timestamp=timestamp,
         width=width,
         height=height,
         depth=depth,
@@ -287,7 +291,16 @@ def read_dataset(directory) -> Iterator[PerceptionFrame]:
                 )
             depth_file = record.get("depth_file")
             if not isinstance(depth_file, str):
-                raise FrameDecodeError(f"field 'depth_file': expected str")
+                raise FrameDecodeError("field 'depth_file': expected str")
+            # a bare name keeps every sidecar read inside the dataset directory
+            if (
+                depth_file in ("", ".", "..")
+                or os.path.basename(depth_file) != depth_file
+                or "\0" in depth_file
+            ):
+                raise FrameDecodeError(
+                    f"field 'depth_file': {depth_file!r} is not a bare file name"
+                )
             depth = read_pgm(os.path.join(directory, depth_file))
             frame = decode_record(record, depth)
             if last_id is not None and frame.frame_id <= last_id:

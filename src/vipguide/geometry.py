@@ -98,7 +98,9 @@ def safety_distance(walk_speed: float, t_detect: float, t_react: float) -> float
     return walk_speed * (t_detect + t_react)
 
 
-def lookahead(d: float, d_prime: float, buffer_factor: float = 0.05) -> float:
+def lookahead(
+    d: float, d_prime: float, buffer_factor: float = GeometricConfig.buffer_factor
+) -> float:
     """Forward range the camera must cover: d + d' plus a buffer fraction of d'."""
     return d + d_prime + buffer_factor * d_prime
 
@@ -117,6 +119,15 @@ def min_distance_for_visibility(h_prime: float, cfg: GeometricConfig) -> float:
     return max(D_MIN_FLOOR, need)
 
 
+def _distance_bounds(cfg: GeometricConfig) -> tuple[float, float]:
+    """The envelope's (d_min, d_max); d_min > d_max when it is empty."""
+    d_min = min_distance_for_visibility(cfg.h_max, cfg)
+    d_prime = safety_distance(cfg.walk_speed, cfg.t_detect, cfg.t_react)
+    # lookahead(d_max, d') must not exceed perception_range
+    d_max = cfg.perception_range - d_prime - cfg.buffer_factor * d_prime
+    return d_min, min(D_MAX_CEILING, d_max)
+
+
 def pose_envelope(cfg: GeometricConfig) -> PoseEnvelope:
     """Compute the admissible pose segment for a configuration.
 
@@ -125,11 +136,7 @@ def pose_envelope(cfg: GeometricConfig) -> PoseEnvelope:
     level with the VIP's head at the largest distance whose lookahead the
     sensor can still cover (capped at 10 m).
     """
-    d_min = min_distance_for_visibility(cfg.h_max, cfg)
-    d_prime = safety_distance(cfg.walk_speed, cfg.t_detect, cfg.t_react)
-    # lookahead(d_max, d') must not exceed perception_range
-    d_max = cfg.perception_range - d_prime - cfg.buffer_factor * d_prime
-    d_max = min(D_MAX_CEILING, d_max)
+    d_min, d_max = _distance_bounds(cfg)
     if d_min > d_max:
         raise InfeasibleConfigError(
             f"pose envelope empty: d_min {d_min:.3f} m > d_max {d_max:.3f} m"
@@ -144,12 +151,7 @@ def validate_pose(h_prime: float, d: float, cfg: GeometricConfig) -> list[str]:
     whose envelope is empty (every pose then violates a distance bound).
     """
     violations = []
-    d_min = min_distance_for_visibility(cfg.h_max, cfg)
-    d_prime = safety_distance(cfg.walk_speed, cfg.t_detect, cfg.t_react)
-    d_max = min(
-        D_MAX_CEILING,
-        cfg.perception_range - d_prime - cfg.buffer_factor * d_prime,
-    )
+    d_min, d_max = _distance_bounds(cfg)
     tan_half = math.tan(math.radians(cfg.f_deg) / 2.0)
     eps = 1e-9
     if h_prime > d * tan_half + eps:

@@ -119,11 +119,6 @@ def shortest_path(graph: NavGraph, src: str, dst: str) -> Route:
     raise UnreachableError(f"no unblocked path from '{src}' to '{dst}'")
 
 
-def replan(graph: NavGraph, current_node: str, dst: str) -> Route:
-    """Fresh shortest path from wherever the walk currently is."""
-    return shortest_path(graph, current_node, dst)
-
-
 # -- persistence ----------------------------------------------------------------
 
 

@@ -15,15 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import PlannerConfig
 from .errors import PlannerError
 from .perception import BitMask, BoundingBox, DepthMap, Detection
-
-N_PARTITIONS = 3
-WIDTH_MARGIN = 1.2      # clearance factor on the VIP's apparent width
-DANGER_MULT = 1.0       # danger when distance <= 1.0 * d'
-WARNING_MULT = 2.0      # warning when distance <= 2.0 * d'
-EDGE_BOX_PX = 90        # road-edge probe side, ~0.5 m at typical range
-EDGE_THRESHOLD = 128.0  # probe mean (road=255) must exceed this
 
 Severity = str  # "danger" | "warning" | "clear"
 EdgeStatus = str  # "safe" | "warn_left" | "warn_right" | "warn_both" | "unknown"
@@ -80,7 +74,7 @@ class GuidanceDecision:
     edge_status: EdgeStatus
 
 
-def partition_bounds(width: int, n: int = N_PARTITIONS) -> list[Partition]:
+def partition_bounds(width: int, n: int = PlannerConfig.n_partitions) -> list[Partition]:
     """Tile [0, width) into n near-equal strips, remainder going leftmost."""
     if n < 1 or n % 2 == 0:
         raise PlannerError(f"partition count must be odd and positive, got {n}")
@@ -249,8 +243,8 @@ def partition_profiles(
 def classify_obstacle(
     distance_m: float,
     d_prime: float,
-    danger_mult: float = DANGER_MULT,
-    warning_mult: float = WARNING_MULT,
+    danger_mult: float = PlannerConfig.danger_mult,
+    warning_mult: float = PlannerConfig.warning_mult,
 ) -> Severity:
     """Severity by distance thresholds: danger <= d', warning <= 2d'."""
     if distance_m < 0:
@@ -278,8 +272,8 @@ def _probe_mean(road: np.ndarray, x1: int, x2: int, y1: int, y2: int) -> float |
 def road_edge_check(
     vip_bbox: BoundingBox,
     road_mask: BitMask | None,
-    box_px: int = EDGE_BOX_PX,
-    threshold: float = EDGE_THRESHOLD,
+    box_px: int = PlannerConfig.edge_box_px,
+    threshold: float = PlannerConfig.edge_threshold,
 ) -> EdgeStatus:
     """Probe road coverage on both sides of the VIP, at their feet.
 
@@ -347,6 +341,8 @@ def heading_angle(partition: Partition, width: int, hfov_deg: float) -> float:
     return (partition.center_column - width / 2.0) / width * hfov_deg
 
 
-def width_threshold_px(vip_bbox_width: int, margin: float = WIDTH_MARGIN) -> int:
+def width_threshold_px(
+    vip_bbox_width: int, margin: float = PlannerConfig.width_margin
+) -> int:
     """Minimum free-gap width: the VIP's apparent width plus clearance."""
     return math.ceil(margin * vip_bbox_width)

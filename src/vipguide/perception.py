@@ -13,6 +13,7 @@ background outside one rectangle by scanning that rectangle alone.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -182,6 +183,11 @@ class PerceptionFrame:
 
     def __post_init__(self):
         object.__setattr__(self, "detections", tuple(self.detections))
+        # NaN compares false both ways, so it would slip past every order check
+        if not math.isfinite(self.timestamp):
+            raise ConsistencyError(
+                f"frame {self.frame_id}: timestamp {self.timestamp} not finite"
+            )
         if self.depth.width != self.width or self.depth.height != self.height:
             raise ConsistencyError(
                 f"depth dims {self.depth.width}x{self.depth.height} != "

@@ -25,11 +25,12 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
+from . import global_planner
 from .calibration import CalibrationModel, detection_distance
 from .config import Config
 from .errors import ConfigError, ConsistencyError, InsufficientHistoryError
 from .geometry import safety_distance
-from .global_planner import NavGraph, Route, replan
+from .global_planner import NavGraph, Route
 from .local_planner import (
     GuidanceDecision,
     Heading,
@@ -107,7 +108,6 @@ class Pipeline:
         model: CalibrationModel,
         graph: NavGraph | None = None,
         route: Route | None = None,
-        destination: str | None = None,
     ):
         if model is None:
             raise ConfigError("pipeline needs a calibration model")
@@ -115,12 +115,8 @@ class Pipeline:
         self.model = model
         self.graph = graph
         self.route = route
-        self.destination = destination
-        if route is not None:
-            if graph is None:
-                raise ConfigError("a route needs its graph")
-            if destination is None:
-                self.destination = route.nodes[-1]
+        if route is not None and graph is None:
+            raise ConfigError("a route needs its graph")
         tuning = config.pipeline
         self.tracker = Tracker(
             iou_threshold=tuning.iou_threshold, max_misses=tuning.max_misses
@@ -164,12 +160,13 @@ class Pipeline:
 
     def _fire_replan(self) -> list[str] | None:
         """Block the edge being walked and recompute; None when no graph/route."""
-        if self.graph is None or self.route is None or self.destination is None:
+        if self.graph is None or self.route is None:
             return None
-        current = self.route.nodes[0]
+        current, destination = self.route.nodes[0], self.route.nodes[-1]
         if len(self.route.nodes) >= 2:
             self.graph.block_edge(current, self.route.nodes[1])
-        self.route = replan(self.graph, current, self.destination)
+        # through the module, so a patched shortest_path sees every replan
+        self.route = global_planner.shortest_path(self.graph, current, destination)
         return list(self.route.nodes)
 
     # -- main entry point --------------------------------------------------------

@@ -20,8 +20,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .calibration import CalibrationModel, CalibrationSample, fit, region_rev
 from .errors import ConsistencyError
 from .frameio import write_dataset
+from .local_planner import partition_bounds
 from .perception import (
     BitMask,
     BoundingBox,
@@ -279,17 +281,11 @@ def _base_scene(spec: ScenarioSpec, rng: np.random.Generator):
     return obstacles, expected
 
 
-def _partition_columns(width: int, n: int, index: int) -> tuple[int, int]:
-    base, extra = divmod(width, n)
-    x = sum(base + (1 if k < extra else 0) for k in range(index))
-    return x, x + base + (1 if index < extra else 0)
-
-
 def _random_scene(spec: ScenarioSpec, rng: np.random.Generator):
     """Scatter obstacles while keeping one randomly chosen partition clear."""
     cam = spec.camera
     expected = int(rng.integers(0, 3))
-    keep_lo, keep_hi = _partition_columns(cam.width, 3, expected)
+    keep = partition_bounds(cam.width, 3)[expected]
     kinds = ["person", "car", "wall", "tree"]
     sizes = {
         "person": (0.6, 1.75),
@@ -319,7 +315,7 @@ def _random_scene(spec: ScenarioSpec, rng: np.random.Generator):
             clear = True
             for z_rel_t in (z_rel, max(FREEZE_GAP, z_rel - _max_advance(spec, obstacles + [candidate]))):
                 rect = _pixel_rect(replace(candidate, z=VIP_Z + z_rel_t), cam)
-                if rect is not None and rect[0] < keep_hi and rect[2] > keep_lo:
+                if rect is not None and rect[0] < keep.x_end and rect[2] > keep.x_start:
                     clear = False
                     break
             if clear:
@@ -466,3 +462,15 @@ def calibration_frames(
         )
         out.append((frame, float(z)))
     return out
+
+
+def default_model() -> CalibrationModel:
+    """Calibration fit against the synthetic depth law (for generated frames)."""
+    frames = calibration_frames([1.0 + 0.5 * i for i in range(19)])
+    samples = [
+        CalibrationSample(
+            rev=region_rev(frame, frame.detections[0]) / 65535.0, distance=z
+        )
+        for frame, z in frames
+    ]
+    return fit(samples)

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from .config import PipelineTuning
 from .errors import ConsistencyError, InsufficientHistoryError
 from .perception import BoundingBox, Detection
 
-IOU_THRESHOLD = 0.3
-MAX_MISSES = 15  # ~0.5 s at 30 fps
 APPROACH_WINDOW_S = 1.0  # history kept per track; the planner's rate window
 
 
@@ -47,10 +46,6 @@ class Track:
     def last_bbox(self) -> BoundingBox:
         return self.history[-1].bbox
 
-    @property
-    def last_distance(self) -> float | None:
-        return self.history[-1].distance_m
-
 
 def iou(b1: BoundingBox, b2: BoundingBox) -> float:
     """Intersection-over-union of two boxes."""
@@ -66,7 +61,11 @@ def iou(b1: BoundingBox, b2: BoundingBox) -> float:
 class Tracker:
     """Owns track state and the never-reused id counter for one stream."""
 
-    def __init__(self, iou_threshold: float = IOU_THRESHOLD, max_misses: int = MAX_MISSES):
+    def __init__(
+        self,
+        iou_threshold: float = PipelineTuning.iou_threshold,
+        max_misses: int = PipelineTuning.max_misses,
+    ):
         if not 0.0 < iou_threshold < 1.0:
             raise ValueError(f"iou_threshold {iou_threshold} outside (0,1)")
         self.iou_threshold = iou_threshold

@@ -127,6 +127,46 @@ class TestPlan:
         assert err.startswith("plan: ") and err.count("\n") == 1
         assert "timestamp 0.25 not after" in err
 
+    @pytest.mark.parametrize(
+        "timestamp,needle",
+        [
+            (float("nan"), "timestamp nan not finite"),
+            (float("inf"), "timestamp inf not finite"),
+            (10**400, "'timestamp': beyond float range"),
+        ],
+        ids=["nan", "inf", "huge_int"],
+    )
+    def test_non_finite_timestamp_fails_cleanly(self, tmp_path, capsys, timestamp, needle):
+        ds = tmp_path / "ds"
+        run(capsys, "simulate", "--scenario", "crowded_street",
+            "--seed", "1", "--n-frames", "3", "--out", str(ds))
+        frames = ds / "frames.jsonl"
+        records = [json.loads(l) for l in frames.read_text().splitlines()]
+        records[1]["timestamp"] = timestamp
+        frames.write_text("".join(json.dumps(r) + "\n" for r in records))
+        code, _, err = run(
+            capsys, "plan", "--frames", str(ds), "--out", str(tmp_path / "t.jsonl")
+        )
+        assert code == 1
+        assert err.startswith("plan: ") and err.count("\n") == 1
+        assert needle in err
+
+    def test_depth_file_outside_dataset_fails_cleanly(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        run(capsys, "simulate", "--scenario", "crowded_street",
+            "--seed", "1", "--n-frames", "2", "--out", str(ds))
+        (tmp_path / "outside.pgm").write_bytes((ds / "1.pgm").read_bytes())
+        frames = ds / "frames.jsonl"
+        records = [json.loads(l) for l in frames.read_text().splitlines()]
+        records[1]["depth_file"] = "../outside.pgm"
+        frames.write_text("".join(json.dumps(r) + "\n" for r in records))
+        code, _, err = run(
+            capsys, "plan", "--frames", str(ds), "--out", str(tmp_path / "t.jsonl")
+        )
+        assert code == 1
+        assert err.startswith("plan: ") and err.count("\n") == 1
+        assert "'depth_file'" in err and "../outside.pgm" in err
+
     def test_missing_dataset_fails_cleanly(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "plan", "--frames", str(tmp_path / "nope"),

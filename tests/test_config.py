@@ -1,9 +1,37 @@
 import json
+from dataclasses import fields
 
 import pytest
 
-from vipguide.config import config_from_dict, default_config, load_config
+from vipguide.config import (
+    GEOMETRY_KEYS,
+    PipelineTuning,
+    PlannerConfig,
+    config_from_dict,
+    default_config,
+    load_config,
+)
 from vipguide.errors import ConfigError
+from vipguide.geometry import GeometricConfig
+
+# a valid non-default value for every planner and pipeline field
+NON_DEFAULT = {
+    "planner": {
+        "n_partitions": 5,
+        "width_margin": 1.5,
+        "danger_mult": 0.5,
+        "warning_mult": 3.0,
+        "edge_box_px": 60,
+        "edge_threshold": 100.0,
+    },
+    "pipeline": {
+        "vip_hold_frames": 10,
+        "reroute_patience": 3,
+        "live_speed": True,
+        "iou_threshold": 0.5,
+        "max_misses": 7,
+    },
+}
 
 
 def test_defaults():
@@ -41,6 +69,37 @@ def test_geometry_keys_map_to_fields():
     assert (g.walk_speed, g.t_detect, g.t_react) == (1.0, 0.2, 0.8)
     assert (g.buffer_factor, g.perception_range) == (0.1, 12.0)
     assert (g.visible_fraction, g.hfov_deg) == (0.7, 70.0)
+
+
+def test_geometry_keys_cover_every_field():
+    names = sorted(f.name for f in fields(GeometricConfig))
+    assert sorted(GEOMETRY_KEYS.values()) == names
+
+
+@pytest.mark.parametrize(
+    "section,cls", [("planner", PlannerConfig), ("pipeline", PipelineTuning)]
+)
+def test_every_field_has_a_non_default_case(section, cls):
+    assert set(NON_DEFAULT[section]) == {f.name for f in fields(cls)}
+
+
+@pytest.mark.parametrize(
+    "section,key,value",
+    [
+        (section, key, value)
+        for section, values in NON_DEFAULT.items()
+        for key, value in values.items()
+    ],
+)
+def test_every_field_settable_by_its_name(section, key, value):
+    default = getattr(default_config(), section)
+    assert getattr(default, key) != value
+    cfg = config_from_dict({section: {key: value}})
+    got = getattr(cfg, section)
+    assert getattr(got, key) == value
+    for f in fields(got):
+        if f.name != key:
+            assert getattr(got, f.name) == getattr(default, f.name)
 
 
 def test_partial_section_keeps_other_defaults():

@@ -110,6 +110,7 @@ class TestRecordCodec:
             (lambda r: r.update(vip_mask={"runs": [49, -1]}), "vip_mask': negative run"),
             (lambda r: r.update(vip_mask={"runs": [2**63]}), "vip_mask': runs sum"),
             (lambda r: r.update(instance_masks={"ten": {"runs": [48]}}), "instance_masks"),
+            (lambda r: r.update(timestamp=10**400), "timestamp"),
         ],
     )
     def test_errors_name_field(self, mutate, needle):
@@ -139,6 +140,22 @@ class TestDataset:
     def test_ids_must_increase(self, tmp_path):
         with pytest.raises(ConsistencyError):
             write_dataset(tmp_path, [sample_frame(1), sample_frame(1)])
+
+    @pytest.mark.parametrize(
+        "name",
+        ["../outside.pgm", "{outside}", "..", ".", "", "sub/0.pgm", "0.pgm\0"],
+    )
+    def test_depth_file_must_be_a_bare_name(self, tmp_path, name):
+        ds = tmp_path / "ds"
+        write_dataset(ds, [sample_frame(0)])
+        outside = tmp_path / "outside.pgm"
+        write_pgm(outside, sample_frame(0).depth)
+        path = ds / "frames.jsonl"
+        record = json.loads(path.read_text())
+        record["depth_file"] = name.format(outside=outside)
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(FrameDecodeError, match="field 'depth_file'.*bare file name"):
+            list(read_dataset(ds))
 
     def test_malformed_line(self, tmp_path):
         write_dataset(tmp_path, [sample_frame(0)])

@@ -10,7 +10,6 @@ from vipguide.global_planner import (
     graph_from_dict,
     graph_to_dict,
     load_graph,
-    replan,
     shortest_path,
 )
 
@@ -149,7 +148,7 @@ class TestShortestPath:
     def test_replan_after_midroute_block(self, campus_graph_path):
         g = load_graph(campus_graph_path)
         g.block_edge("C", "D")
-        route = replan(g, "C", "L")
+        route = shortest_path(g, "C", "L")
         assert route.nodes == ("C", "G", "H", "L")
         assert route.total_cost == 300.0
 

@@ -30,7 +30,7 @@ SEEDS = (1, 2, 3, 4, 5)
 N_FRAMES = 60
 JITTER_SEED = 1
 JITTER_SIGMA = 400.0
-CALIBRATION_Z = tuple(1.0 + 0.5 * i for i in range(19))  # as cli._default_model
+CALIBRATION_Z = tuple(1.0 + 0.5 * i for i in range(19))  # as scenario.default_model
 
 
 def frame_bytes(frame) -> bytes:

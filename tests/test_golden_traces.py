@@ -21,11 +21,10 @@ from dataclasses import replace
 
 import pytest
 
-from vipguide.cli import _default_model
 from vipguide.config import default_config
 from vipguide.frameio import record_to_line
 from vipguide.pipeline import Pipeline
-from vipguide.scenario import SCENARIO_KINDS, ScenarioSpec, generate
+from vipguide.scenario import SCENARIO_KINDS, ScenarioSpec, default_model, generate
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_traces.json")
 SEEDS = (1, 2, 3, 4, 5)
@@ -69,7 +68,7 @@ def golden():
 
 @pytest.fixture(scope="module")
 def model():
-    return _default_model()
+    return default_model()
 
 
 @pytest.mark.parametrize("kind", SCENARIO_KINDS)
@@ -87,7 +86,7 @@ def test_golden_file_covers_every_stream(golden):
 
 
 def regenerate() -> None:
-    model = _default_model()
+    model = default_model()
     data: dict = {"n_frames": N_FRAMES, "default": {}, "live_speed": {}}
     for kind in SCENARIO_KINDS:
         for seed in SEEDS:

@@ -270,6 +270,11 @@ class TestPerceptionFrame:
         with pytest.raises(ConsistencyError):
             make_frame(np.zeros((8, 8)), detections=[det("car", 0, 0, 9, 4)])
 
+    @pytest.mark.parametrize("timestamp", [float("nan"), float("inf"), float("-inf")])
+    def test_timestamp_must_be_finite(self, timestamp):
+        with pytest.raises(ConsistencyError, match="frame 4: timestamp .* not finite"):
+            make_frame(np.zeros((4, 4)), frame_id=4, timestamp=timestamp)
+
     def test_vip_lookup(self):
         frame = make_frame(
             np.zeros((8, 8)),

@@ -10,7 +10,7 @@ from vipguide.config import default_config
 from vipguide.errors import ConfigError, ConsistencyError
 from vipguide.global_planner import NavGraph, shortest_path
 from vipguide.local_planner import Heading, RerouteNeeded
-from vipguide import perception
+from vipguide import global_planner, perception
 from vipguide import pipeline as pipeline_module
 from vipguide.pipeline import Pipeline, nearest_rank
 from vipguide.perception import rle_encode
@@ -214,6 +214,16 @@ class TestBasics:
             pipe.process_frame(world_frame(2, 0.5, vip=False))
         decision, _ = pipe.process_frame(world_frame(3, 0.75, vip=False))
         assert isinstance(decision.outcome, Heading)
+
+    def test_nan_timestamp_cannot_reset_the_order_check(self):
+        # a NaN timestamp compares false against everything; were such a
+        # frame planned, the next frame's `<=` check would pass whatever its time
+        pipe = make_pipeline()
+        pipe.process_frame(world_frame(0, 0.0))
+        with pytest.raises(ConsistencyError, match="not finite"):
+            pipe.process_frame(world_frame(1, float("nan")))
+        with pytest.raises(ConsistencyError, match="timestamp 0.0 not after"):
+            pipe.process_frame(world_frame(2, 0.0))
 
     def test_model_required(self):
         with pytest.raises(ConfigError):
@@ -426,3 +436,40 @@ class TestTraceRecords:
         assert decoded[id(frame.vip_mask)] == 1
         assert set(decoded) <= {id(m) for m in masks}
         assert max(decoded.values()) == 1
+
+
+def test_benchmark_patch_points_see_every_call(monkeypatch):
+    """The traced benchmark times layers by replacing these module attributes."""
+    calls = Counter()
+    for owner, name in [
+        (global_planner, "shortest_path"),
+        (pipeline_module, "partition_profiles"),
+        (pipeline_module, "road_edge_check"),
+        (pipeline_module, "detection_distance"),
+        (perception, "rle_decode"),
+    ]:
+        real = getattr(owner, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    # a routed walk whose first frame fires a replan
+    graph = escort_graph()
+    route = global_planner.shortest_path(graph, "A", "C")
+    config = default_config()
+    config = replace(config, pipeline=replace(config.pipeline, reroute_patience=1))
+    pipe = Pipeline(config, scaled_model(), graph=graph, route=route)
+    _, record = pipe.process_frame(blocked_frame(0, 0.0))
+    assert record["outcome"]["new_route"] == ["A", "C"]
+    assert calls["shortest_path"] == 2  # the initial route and the replan
+
+    calls.clear()
+    frame, _ = next(generate(ScenarioSpec(kind="crowded_street", seed=1, n_frames=1)))
+    make_pipeline().process_frame(frame)
+    assert calls["partition_profiles"] == 1
+    assert calls["road_edge_check"] == 1
+    assert calls["detection_distance"] == len(frame.detections)
+    assert calls["rle_decode"] >= 1
