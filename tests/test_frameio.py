@@ -111,6 +111,18 @@ class TestRecordCodec:
             (lambda r: r.update(vip_mask={"runs": [2**63]}), "vip_mask': runs sum"),
             (lambda r: r.update(instance_masks={"ten": {"runs": [48]}}), "instance_masks"),
             (lambda r: r.update(timestamp=10**400), "timestamp"),
+            (
+                lambda r: r["detections"][0].update({"class": 7}),
+                r"^field 'detections\[0\]\.class': expected str$",
+            ),
+            (
+                lambda r: r["detections"][1].pop("class"),
+                r"^field 'detections\[1\]\.class': missing$",
+            ),
+            (
+                lambda r: r["detections"][0].update(track_id=True),
+                r"^field 'detections\[0\]\.track_id': expected int or null$",
+            ),
         ],
     )
     def test_errors_name_field(self, mutate, needle):
