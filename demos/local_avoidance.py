@@ -7,6 +7,7 @@ heading the pedestrian is finally given.
 """
 from vipguide import (
     ScenarioSpec,
+    classify_obstacle,
     default_config,
     default_model,
     detection_distance,
@@ -40,7 +41,8 @@ def main():
         d_rel = max(0.0, detection_distance(frame, det, model) - d_vip)
         obstacles.append(det)
         rel.append(d_rel)
-        band = "danger" if d_rel <= d_prime else ("warning" if d_rel <= 2 * d_prime else "clear")
+        band = classify_obstacle(d_rel, d_prime, cfg.planner.danger_mult,
+                                 cfg.planner.warning_mult)
         print(f"  {det.class_label} at {d_rel:.2f} m ahead of the pedestrian -> {band}")
     print()
 

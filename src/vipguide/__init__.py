@@ -28,8 +28,6 @@ from .perception import (
     DepthMap,
     Detection,
     PerceptionFrame,
-    gray8_to_rev,
-    luma_convert,
     rle_decode,
     rle_encode,
     rle_encode_window,
@@ -51,7 +49,6 @@ from .calibration import (
     fit,
     predict,
     region_rev,
-    rmse,
 )
 from .tracking import Track, Tracker, approach_rate, iou
 from .local_planner import (
@@ -66,7 +63,6 @@ from .local_planner import (
     free_segments,
     free_space,
     heading_angle,
-    mean_partition_depth,
     partition_bounds,
     partition_profiles,
     partition_scores,

@@ -71,14 +71,6 @@ def predict(model: CalibrationModel, rev: float) -> float:
     return max(0.0, model.a * rev * rev + model.b * rev + model.c)
 
 
-def rmse(model: CalibrationModel, samples: list[CalibrationSample]) -> float:
-    """Root-mean-square prediction error over a sample set."""
-    if not samples:
-        raise CalibrationError("rmse over empty sample set")
-    err2 = [(predict(model, s.rev) - s.distance) ** 2 for s in samples]
-    return math.sqrt(sum(err2) / len(err2))
-
-
 def region_rev(frame: PerceptionFrame, det: Detection) -> int:
     """Representative REV for a detection: median over bbox (∩ instance mask).
 

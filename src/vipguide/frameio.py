@@ -138,12 +138,14 @@ def record_to_line(record: dict) -> str:
     return json.dumps(record, separators=(",", ":"))
 
 
-def _require(record: dict, field: str, kinds, kind_name: str):
+def _require(record: dict, field: str, kinds, kind_name: str, where: str = ""):
+    """record[field] when it is one of ``kinds`` and not a bool; ``where``
+    prefixes the field's path in the error message."""
     if field not in record:
-        raise FrameDecodeError(f"field '{field}': missing")
+        raise FrameDecodeError(f"field '{where}{field}': missing")
     value = record[field]
     if isinstance(value, bool) or not isinstance(value, kinds):
-        raise FrameDecodeError(f"field '{field}': expected {kind_name}")
+        raise FrameDecodeError(f"field '{where}{field}': expected {kind_name}")
     return value
 
 
@@ -167,35 +169,17 @@ def decode_record(record: dict, depth: DepthMap) -> PerceptionFrame:
     for i, obj in enumerate(raw_dets):
         if not isinstance(obj, dict):
             raise FrameDecodeError(f"field 'detections[{i}]': expected an object")
-        try:
-            label = obj["class"]
-            bbox = obj["bbox"]
-            confidence = obj["confidence"]
-        except KeyError as exc:
-            raise FrameDecodeError(
-                f"field 'detections[{i}].{exc.args[0]}': missing"
-            ) from exc
-        if not isinstance(label, str):
-            raise FrameDecodeError(f"field 'detections[{i}].class': expected str")
-        if (
-            not isinstance(bbox, list)
-            or len(bbox) != 4
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in bbox)
+        where = f"detections[{i}]."
+        label = _require(obj, "class", str, "str", where)
+        bbox = _require(obj, "bbox", list, "[x1,y1,x2,y2] ints", where)
+        if len(bbox) != 4 or not all(
+            isinstance(v, int) and not isinstance(v, bool) for v in bbox
         ):
-            raise FrameDecodeError(
-                f"field 'detections[{i}].bbox': expected [x1,y1,x2,y2] ints"
-            )
-        if isinstance(confidence, bool) or not isinstance(confidence, (int, float)):
-            raise FrameDecodeError(
-                f"field 'detections[{i}].confidence': expected number"
-            )
+            raise FrameDecodeError(f"field '{where}bbox': expected [x1,y1,x2,y2] ints")
+        confidence = _require(obj, "confidence", (int, float), "number", where)
         track_id = obj.get("track_id")
-        if track_id is not None and (
-            isinstance(track_id, bool) or not isinstance(track_id, int)
-        ):
-            raise FrameDecodeError(
-                f"field 'detections[{i}].track_id': expected int or null"
-            )
+        if track_id is not None:
+            _require(obj, "track_id", int, "int or null", where)
         try:
             detections.append(
                 Detection(
@@ -205,7 +189,7 @@ def decode_record(record: dict, depth: DepthMap) -> PerceptionFrame:
                     track_id=track_id,
                 )
             )
-        except ConsistencyError as exc:
+        except (ConsistencyError, OverflowError) as exc:
             raise FrameDecodeError(f"field 'detections[{i}]': {exc}") from exc
 
     vip_mask = road_mask = None

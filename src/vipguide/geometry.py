@@ -149,14 +149,15 @@ def validate_pose(h_prime: float, d: float, cfg: GeometricConfig) -> list[str]:
 
     Violations are data, not errors: this stays total even for configs
     whose envelope is empty (every pose then violates a distance bound).
+    Only a distance d <= 0, which is no pose at all, raises GeometryError.
     """
     violations = []
     d_min, d_max = _distance_bounds(cfg)
-    tan_half = math.tan(math.radians(cfg.f_deg) / 2.0)
+    h_top = visibility_offset(cfg.f_deg, d)
     eps = 1e-9
-    if h_prime > d * tan_half + eps:
+    if h_prime > h_top + eps:
         violations.append(
-            f"head not visible: h'={h_prime:.3f} > d*tan(f/2)={d * tan_half:.3f}"
+            f"head not visible: h'={h_prime:.3f} > d*tan(f/2)={h_top:.3f}"
         )
     if d < d_min - eps:
         violations.append(f"d={d:.3f} below minimum distance {d_min:.3f}")

@@ -156,14 +156,3 @@ def graph_from_dict(obj: dict) -> NavGraph:
         graph.add_edge(u, v, w)
     return graph
 
-
-def graph_to_dict(graph: NavGraph) -> dict:
-    return {
-        "nodes": [
-            {"id": node_id, "pos": [x, y]}
-            for node_id, (x, y) in graph.positions.items()
-        ],
-        "edges": [
-            {"u": u, "v": v, "w": w} for u, v, w, _ in graph.edge_list()
-        ],
-    }

@@ -144,16 +144,6 @@ def partition_scores(
     return scores
 
 
-def mean_partition_depth(
-    depth: DepthMap, p: Partition, exclude: Exclusion = None
-) -> tuple[float, bool]:
-    """H(i) of one partition: mean REV over its columns, minus excluded pixels.
-
-    Returns (0.0, True) when exclusion leaves nothing.
-    """
-    return partition_scores(depth, [p], exclude)[0]
-
-
 def free_segments(
     detections: list[Detection],
     distances: list[float],

@@ -70,7 +70,7 @@ class Detection:
             raise ConsistencyError(f"negative track_id {self.track_id}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class BitMask:
     """Binary mask as alternating background/foreground run lengths.
 
@@ -122,15 +122,6 @@ class BitMask:
         end = self.width * self.height - sum(runs[last + 1 :])
         return start // self.width, (end - 1) // self.width + 1
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BitMask):
-            return NotImplemented
-        return (self.width, self.height, self.runs) == (
-            other.width,
-            other.height,
-            other.runs,
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class DepthMap:
@@ -167,7 +158,7 @@ class DepthMap:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PerceptionFrame:
     """Time-stamped bundle of detections, masks and depth for one frame."""
 
@@ -222,21 +213,6 @@ class PerceptionFrame:
             if det.class_label == "vip":
                 return det
         return None
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PerceptionFrame):
-            return NotImplemented
-        return (
-            self.frame_id == other.frame_id
-            and self.timestamp == other.timestamp
-            and self.width == other.width
-            and self.height == other.height
-            and self.detections == other.detections
-            and self.vip_mask == other.vip_mask
-            and self.road_mask == other.road_mask
-            and self.instance_masks == other.instance_masks
-            and self.depth == other.depth
-        )
 
 
 def rle_encode(grid) -> BitMask:
@@ -321,31 +297,3 @@ def mask_from_bbox(bbox: BoundingBox, width: int, height: int) -> np.ndarray:
     grid[y1:y2, x1:x2] = True
     return grid
 
-
-def luma_convert(rgb) -> np.ndarray:
-    """Convert interleaved 8-bit RGB values to 8-bit luma grayscale.
-
-    Uses the BT.601 weights 0.299/0.587/0.114 with half-up rounding,
-    clamped to [0, 255]. Accepts a flat array with length divisible by 3
-    or any array whose last axis has size 3; the channel axis is dropped
-    in the result.
-    """
-    arr = np.asarray(rgb, dtype=np.float64)
-    if arr.ndim >= 2 and arr.shape[-1] == 3:
-        channels = arr
-        out_shape = arr.shape[:-1]
-    else:
-        flat = arr.ravel()
-        if flat.size % 3 != 0:
-            raise ConsistencyError(f"rgb array length {flat.size} not divisible by 3")
-        channels = flat.reshape(-1, 3)
-        out_shape = (flat.size // 3,)
-    y = 0.299 * channels[..., 0] + 0.587 * channels[..., 1] + 0.114 * channels[..., 2]
-    y = np.clip(np.floor(y + 0.5), 0, 255)
-    return y.astype(np.uint8).reshape(out_shape)
-
-
-def gray8_to_rev(gray) -> np.ndarray:
-    """Scale an 8-bit grayscale depth rendering to 16-bit REV (x257)."""
-    g = np.asarray(gray, dtype=np.uint16)
-    return g * np.uint16(257)

@@ -127,7 +127,6 @@ class Pipeline:
         self._last_vip_bbox: BoundingBox | None = None
         self._last_vip_distance: float | None = None
         self._vip_miss_streak = 0
-        self._vip_ever_seen = False
         self._reroute_streak = 0
         # tracked detections of the frame just processed; ids match the trace
         self.last_detections: list[Detection] = []
@@ -200,16 +199,12 @@ class Pipeline:
                 vip_det, vip_index = det, i
                 break
 
-        vip_lost = False
         if vip_det is not None:
-            self._vip_ever_seen = True
             self._vip_miss_streak = 0
             self._last_vip_bbox = vip_det.bbox
-        else:
-            if self._vip_ever_seen:
-                self._vip_miss_streak += 1
-                if self._vip_miss_streak > self.config.pipeline.vip_hold_frames:
-                    vip_lost = True
+        elif self._last_vip_bbox is not None:
+            self._vip_miss_streak += 1
+        vip_lost = self._vip_miss_streak > self.config.pipeline.vip_hold_frames
 
         # -- per-detection camera distances (original ids key the masks) --------
         cam_distances: list[float] = []

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -406,16 +406,7 @@ def write_scenario(directory, spec: ScenarioSpec) -> int:
     path = os.path.join(directory, GROUND_TRUTH_FILE)
     with open(path, "w", encoding="ascii") as fh:
         for _, truth in pairs:
-            fh.write(
-                json.dumps(
-                    {
-                        "frame_id": truth.frame_id,
-                        "expected_partition": truth.expected_partition,
-                        "expected_direction": truth.expected_direction,
-                    },
-                    separators=(",", ":"),
-                )
-            )
+            fh.write(json.dumps(asdict(truth), separators=(",", ":")))
             fh.write("\n")
     return count
 

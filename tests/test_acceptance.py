@@ -35,8 +35,8 @@ from vipguide.local_planner import (
     Heading,
     Partition,
     free_segments,
-    mean_partition_depth,
     partition_bounds,
+    partition_scores,
     road_edge_check,
 )
 from vipguide.perception import BoundingBox, DepthMap, rle_encode
@@ -357,7 +357,7 @@ def test_partition_mean_matches_wide_integer_loop():
                     count += 1
             want = (0.0, True) if count == 0 else (total / count, False)
             exclude = rle_encode(grid) if grid is not None else None
-            assert mean_partition_depth(depth, part, exclude) == want
+            assert partition_scores(depth, [part], exclude)[0] == want
 
 
 # -- 8. planner latency budget -----------------------------------------------------

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,6 @@ from vipguide.calibration import (
     load_samples_csv,
     predict,
     region_rev,
-    rmse,
     save_model,
     save_samples_csv,
 )
@@ -130,28 +127,6 @@ class TestPredict:
         revs = np.linspace(0, 1, 101)
         values = [predict(model, float(r)) for r in revs]
         assert all(x >= y for x, y in zip(values, values[1:]))  # derivative <= 0 on [0,1]
-
-
-class TestRmse:
-    def test_zero_on_curve(self):
-        model = CalibrationModel(2.0, 3.0, 1.0, 0.0, 5)
-        assert rmse(model, quad_samples(2, 3, 1, [0.1, 0.5, 0.9])) == pytest.approx(0.0)
-
-    def test_single_sample(self):
-        model = CalibrationModel(0.0, 0.0, 5.0, 0.0, 3)
-        assert rmse(model, [CalibrationSample(rev=0.5, distance=3.0)]) == pytest.approx(2.0)
-
-    def test_two_samples(self):
-        model = CalibrationModel(0.0, 0.0, 5.0, 0.0, 3)
-        samples = [
-            CalibrationSample(rev=0.2, distance=2.0),
-            CalibrationSample(rev=0.8, distance=1.0),
-        ]
-        assert rmse(model, samples) == pytest.approx(math.sqrt(12.5))
-
-    def test_empty_rejected(self):
-        with pytest.raises(CalibrationError):
-            rmse(CalibrationModel(0, 0, 5, 0, 3), [])
 
 
 class TestRegionRev:

@@ -185,6 +185,11 @@ class TestValidatePose:
         violations = validate_pose(cfg.h_vip, 25.0, cfg)
         assert any("beyond maximum distance" in v for v in violations)
 
+    @pytest.mark.parametrize("d", [0.0, -1.0])
+    def test_non_positive_distance_is_no_pose(self, d):
+        with pytest.raises(GeometryError, match="not positive"):
+            validate_pose(GeometricConfig().h_vip, d, GeometricConfig())
+
 
 class TestConfigInvariants:
     @pytest.mark.parametrize(

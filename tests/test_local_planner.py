@@ -12,7 +12,6 @@ from vipguide.local_planner import (
     free_segments,
     free_space,
     heading_angle,
-    mean_partition_depth,
     partition_bounds,
     partition_profiles,
     partition_scores,
@@ -82,7 +81,7 @@ class TestPartitionBounds:
 class TestMeanPartitionDepth:
     def test_uniform(self):
         depth = DepthMap(width=6, height=4, values=np.full((4, 6), 100))
-        score, empty = mean_partition_depth(depth, Partition(0, 0, 3))
+        score, empty = partition_scores(depth, [Partition(0, 0, 3)])[0]
         assert score == 100.0 and not empty
 
     def test_exclusion_leaves_constant(self):
@@ -91,18 +90,19 @@ class TestMeanPartitionDepth:
         grid = np.zeros((4, 4), dtype=bool)
         grid[:2] = True
         depth = DepthMap(width=4, height=4, values=values)
-        score, empty = mean_partition_depth(depth, Partition(0, 0, 4), rle_encode(grid))
+        part = Partition(0, 0, 4)
+        score, empty = partition_scores(depth, [part], rle_encode(grid))[0]
         assert score == 40.0 and not empty
 
     def test_hand_mean(self):
         depth = DepthMap(width=2, height=2, values=np.array([[10, 20], [30, 40]]))
-        score, _ = mean_partition_depth(depth, Partition(0, 0, 2))
+        score, _ = partition_scores(depth, [Partition(0, 0, 2)])[0]
         assert score == 25.0
 
     def test_all_excluded(self):
         depth = DepthMap(width=2, height=2, values=np.full((2, 2), 7))
         full = rle_encode(np.ones((2, 2), dtype=bool))
-        score, empty = mean_partition_depth(depth, Partition(0, 0, 2), full)
+        score, empty = partition_scores(depth, [Partition(0, 0, 2)], full)[0]
         assert score == 0.0 and empty
 
     def test_matches_naive_loop_exactly(self):
@@ -125,7 +125,7 @@ class TestMeanPartitionDepth:
                         total += int(values[y, x])
                         count += 1
             expected = (0.0, True) if count == 0 else (total / count, False)
-            assert mean_partition_depth(depth, p, rle_encode(grid)) == expected
+            assert partition_scores(depth, [p], rle_encode(grid))[0] == expected
 
 
 def wide_integer_scores(values, partitions, excluded):
@@ -190,7 +190,7 @@ class TestPartitionScores:
                     if kind == "covers_partition":
                         assert (0.0, True) in want
                     for p, score in zip(parts, want):
-                        assert mean_partition_depth(depth, p, exclude) == score
+                        assert partition_scores(depth, [p], exclude)[0] == score
 
     @pytest.mark.parametrize("h, w", [(480, 640), (65538, 3)])
     def test_all_max_rev_frame_cannot_overflow(self, h, w):

@@ -8,8 +8,6 @@ from vipguide.perception import (
     DepthMap,
     Detection,
     PerceptionFrame,
-    gray8_to_rev,
-    luma_convert,
     mask_from_bbox,
     rle_decode,
     rle_encode,
@@ -283,6 +281,24 @@ class TestPerceptionFrame:
         assert frame.vip_detection.class_label == "vip"
         assert make_frame(np.zeros((4, 4))).vip_detection is None
 
+    def test_equality_compares_every_field(self):
+        def frame(depth_value=5, timestamp=0.0, label="car", run=3):
+            mask = BitMask(width=4, height=4, runs=(run, 2, 14 - run))
+            return make_frame(
+                np.full((4, 4), depth_value),
+                detections=[det(label, 0, 0, 2, 2, track_id=1)],
+                timestamp=timestamp,
+                vip_mask=mask,
+                instance_masks={1: mask},
+            )
+
+        assert frame() == frame()
+        assert frame() != frame(depth_value=6)
+        assert frame() != frame(timestamp=0.5)
+        assert frame() != frame(label="bike")
+        assert frame() != frame(run=4)
+        assert BitMask(width=4, height=4, runs=(16,)) != BitMask(8, 2, (16,))
+
 
 def test_mask_from_bbox_clips():
     grid = mask_from_bbox(BoundingBox(2, 1, 10, 9), width=6, height=4)
@@ -290,35 +306,3 @@ def test_mask_from_bbox_clips():
     assert grid[1:, 2:].all()
     assert not grid[0].any() and not grid[:, :2].any()
 
-
-class TestLuma:
-    def test_bt601_weights(self):
-        # pure channels: floor(w*255 + 0.5)
-        assert luma_convert([255, 0, 0])[0] == 76
-        assert luma_convert([0, 255, 0])[0] == 150
-        assert luma_convert([0, 0, 255])[0] == 29
-
-    def test_white_and_black(self):
-        assert luma_convert([255, 255, 255])[0] == 255
-        assert luma_convert([0, 0, 0])[0] == 0
-
-    def test_rounding_half_up(self):
-        # 0.299*1 + 0.587*0 + 0.114*2 = 0.527 -> 1
-        assert luma_convert([1, 0, 2])[0] == 1
-
-    def test_image_shape(self):
-        img = np.zeros((2, 2, 3), dtype=np.uint8)
-        img[0, 0] = (255, 255, 255)
-        out = luma_convert(img)
-        assert out.shape == (2, 2)
-        assert out[0, 0] == 255 and out[1, 1] == 0
-
-    def test_bad_length(self):
-        with pytest.raises(ConsistencyError):
-            luma_convert([1, 2, 3, 4])
-
-
-def test_gray8_to_rev_scales_to_full_range():
-    out = gray8_to_rev(np.array([0, 1, 128, 255], dtype=np.uint8))
-    assert out.tolist() == [0, 257, 32896, 65535]
-    assert out.dtype == np.uint16
