@@ -9,6 +9,7 @@ quadratic design matrix.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, asdict
@@ -27,8 +28,8 @@ class CalibrationSample:
     def __post_init__(self):
         if not 0.0 <= self.rev <= 1.0:
             raise CalibrationError(f"rev {self.rev} outside [0,1]")
-        if self.distance <= 0:
-            raise CalibrationError(f"distance {self.distance} not positive")
+        if not 0 < self.distance < math.inf:
+            raise CalibrationError(f"distance {self.distance} not positive finite")
 
 
 @dataclass(frozen=True)
@@ -42,6 +43,9 @@ class CalibrationModel:
     def __post_init__(self):
         if self.n_samples < 3:
             raise CalibrationError(f"model from {self.n_samples} samples")
+        for name in ("a", "b", "c", "rmse"):
+            if not math.isfinite(getattr(self, name)):
+                raise CalibrationError(f"{name} {getattr(self, name)} not finite")
         if self.rmse < 0:
             raise CalibrationError(f"negative rmse {self.rmse}")
 
@@ -108,7 +112,10 @@ def save_model(path, model: CalibrationModel) -> None:
 
 def load_model(path) -> CalibrationModel:
     with open(path, "r", encoding="ascii") as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:  # bad JSON or a non-ASCII byte
+            raise CalibrationError(f"{path}: malformed JSON: {exc}") from exc
     try:
         return CalibrationModel(
             a=float(obj["a"]),
@@ -117,31 +124,33 @@ def load_model(path) -> CalibrationModel:
             rmse=float(obj["rmse"]),
             n_samples=int(obj["n_samples"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, CalibrationError) as exc:
         raise CalibrationError(f"bad model file {path}: {exc}") from exc
 
 
 def load_samples_csv(path) -> list[CalibrationSample]:
     """Read calibration pairs from a CSV with header `rev,distance_m`."""
     with open(path, "r", encoding="ascii", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != [
-            "rev",
-            "distance_m",
-        ]:
-            raise CalibrationError(
-                f"{path}: expected header 'rev,distance_m', got {reader.fieldnames}"
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise CalibrationError(f"{path}: {exc}") from exc
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != [
+        "rev",
+        "distance_m",
+    ]:
+        raise CalibrationError(
+            f"{path}: expected header 'rev,distance_m', got {reader.fieldnames}"
+        )
+    samples = []
+    for row in reader:
+        try:
+            samples.append(
+                CalibrationSample(rev=float(row["rev"]), distance=float(row["distance_m"]))
             )
-        samples = []
-        for row in reader:
-            try:
-                samples.append(
-                    CalibrationSample(
-                        rev=float(row["rev"]), distance=float(row["distance_m"])
-                    )
-                )
-            except (TypeError, ValueError) as exc:
-                raise CalibrationError(f"{path}: bad row {row}: {exc}") from exc
+        except (TypeError, ValueError, CalibrationError) as exc:
+            raise CalibrationError(f"{path}: bad row {row}: {exc}") from exc
     return samples
 
 

@@ -6,6 +6,7 @@ rejected so a typo cannot silently fall back to a default.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
@@ -88,15 +89,39 @@ def default_config() -> Config:
     return Config()
 
 
+# JSON values each declared field type accepts; a bool is never a number
+_FIELD_KINDS = {
+    "bool": (bool, "true or false"),
+    "int": (int, "an int"),
+    "float": ((int, float), "a finite number"),
+}
+
+
+def _accepts(kind: str, value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, _FIELD_KINDS[kind][0]):
+        return isinstance(value, bool) and kind == "bool"
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        return False
+
+
 def _build(section: str, raw: dict, key_map: dict, cls):
+    kinds = {f.name: f.type for f in fields(cls)}
     kwargs = {}
     for key, value in raw.items():
         if key not in key_map:
             raise ConfigError(f"unknown key '{section}.{key}'")
+        kind = kinds[key_map[key]]
+        if not _accepts(kind, value):
+            raise ConfigError(
+                f"'{section}.{key}': expected {_FIELD_KINDS[kind][1]}, "
+                f"got {json.dumps(value)}"
+            )
         kwargs[key_map[key]] = value
     try:
         return cls(**kwargs)
-    except (GeometryError, TypeError) as exc:
+    except GeometryError as exc:
         raise ConfigError(f"bad '{section}' section: {exc}") from exc
 
 
@@ -124,6 +149,6 @@ def load_config(path) -> Config:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or bytes that are not UTF-8
         raise ConfigError(f"{path}: malformed JSON: {exc}") from exc
     return config_from_dict(obj)

@@ -125,8 +125,15 @@ def shortest_path(graph: NavGraph, src: str, dst: str) -> Route:
 def load_graph(path) -> NavGraph:
     """Read a graph JSON file: nodes with planar positions, weighted edges."""
     with open(path, "r", encoding="ascii") as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:  # bad JSON or a non-ASCII byte
+            raise GraphError(f"{path}: malformed JSON: {exc}") from exc
     return graph_from_dict(obj)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def graph_from_dict(obj: dict) -> NavGraph:
@@ -145,14 +152,18 @@ def graph_from_dict(obj: dict) -> NavGraph:
             raise GraphError(f"nodes[{i}]: missing id/pos") from exc
         if not isinstance(node_id, str):
             raise GraphError(f"nodes[{i}]: id must be a string")
-        if not (isinstance(pos, list) and len(pos) == 2):
-            raise GraphError(f"node '{node_id}': pos must be [x, y]")
+        if not (isinstance(pos, list) and len(pos) == 2 and all(map(_is_number, pos))):
+            raise GraphError(f"node '{node_id}': pos must be [x, y] numbers")
         graph.add_node(node_id, (pos[0], pos[1]))
     for i, edge in enumerate(edges):
         try:
             u, v, w = edge["u"], edge["v"], edge["w"]
         except (TypeError, KeyError) as exc:
             raise GraphError(f"edges[{i}]: missing u/v/w") from exc
+        if not (isinstance(u, str) and isinstance(v, str)):
+            raise GraphError(f"edges[{i}]: u and v must be node id strings")
+        if not _is_number(w):
+            raise GraphError(f"edges[{i}]: w must be a number, got {json.dumps(w)}")
         graph.add_edge(u, v, w)
     return graph
 

@@ -227,6 +227,8 @@ class ScenarioSpec:
             )
         if self.n_frames < 1:
             raise ConsistencyError(f"n_frames {self.n_frames} < 1")
+        if self.seed < 0:
+            raise ConsistencyError(f"seed {self.seed} < 0")
 
 
 def direction_name(partition_index: int, n_partitions: int = 3) -> str:

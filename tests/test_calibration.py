@@ -102,6 +102,21 @@ class TestFit:
             assert model.c == pytest.approx(c, abs=1e-6)
 
 
+class TestFiniteness:
+    @pytest.mark.parametrize("distance", [float("nan"), float("inf")])
+    def test_sample_distance(self, distance):
+        with pytest.raises(CalibrationError, match="not positive finite"):
+            CalibrationSample(rev=0.5, distance=distance)
+
+    @pytest.mark.parametrize("field", ["a", "b", "c", "rmse"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_model_coefficients(self, field, value):
+        kwargs = dict(a=1.0, b=2.0, c=3.0, rmse=0.0, n_samples=3)
+        kwargs[field] = value
+        with pytest.raises(CalibrationError, match=f"^{field} .* not finite$"):
+            CalibrationModel(**kwargs)
+
+
 class TestPredict:
     def test_constant_model(self):
         model = CalibrationModel(0.0, 0.0, 5.0, 0.0, 4)
@@ -208,6 +223,31 @@ class TestPersistence:
         save_samples_csv(path, samples)
         assert path.read_text().splitlines()[0] == "rev,distance_m"
         assert load_samples_csv(path) == samples
+
+    @pytest.mark.parametrize("text", ['{"a": 1', "\xff", "[1, 2]"])
+    def test_malformed_model_file(self, tmp_path, text):
+        path = tmp_path / "model.json"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(CalibrationError, match="model.json"):
+            load_model(path)
+
+    def test_non_finite_model_file(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"a": NaN, "b": 1, "c": 1, "rmse": 0, "n_samples": 3}')
+        with pytest.raises(CalibrationError, match="a nan not finite"):
+            load_model(path)
+
+    def test_csv_non_finite_distance(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        path.write_text("rev,distance_m\n0.1,2.0\n0.5,nan\n")
+        with pytest.raises(CalibrationError, match="samples.csv: bad row"):
+            load_samples_csv(path)
+
+    def test_csv_not_ascii(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        path.write_bytes(b"rev,distance_m\n0.1,2.0\xff\n")
+        with pytest.raises(CalibrationError, match="samples.csv"):
+            load_samples_csv(path)
 
     def test_csv_header_enforced(self, tmp_path):
         path = tmp_path / "samples.csv"

@@ -17,6 +17,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_fails_cleanly(result, command, needle):
+    code, _, err = result
+    assert code == 1
+    assert err.startswith(f"{command}: ") and err.count("\n") == 1
+    assert needle in err
+
+
 class TestSimulate:
     def test_writes_dataset(self, tmp_path, capsys):
         out = tmp_path / "ds"
@@ -29,6 +36,13 @@ class TestSimulate:
         assert (out / "frames.jsonl").exists()
         assert (out / "ground_truth.jsonl").exists()
         assert len(list(out.glob("*.pgm"))) == 4
+
+    def test_negative_seed_fails_cleanly(self, tmp_path, capsys):
+        result = run(
+            capsys, "simulate", "--scenario", "random", "--seed", "-1",
+            "--out", str(tmp_path / "ds"),
+        )
+        assert_fails_cleanly(result, "simulate", "seed -1 < 0")
 
     def test_rejects_unknown_scenario(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -167,6 +181,50 @@ class TestPlan:
         assert err.startswith("plan: ") and err.count("\n") == 1
         assert "'depth_file'" in err and "../outside.pgm" in err
 
+    def test_negative_seed_fails_cleanly(self, tmp_path, capsys):
+        result = run(
+            capsys, "plan", "--scenario", "random", "--seed", "-1",
+            "--out", str(tmp_path / "t.jsonl"),
+        )
+        assert_fails_cleanly(result, "plan", "seed -1 < 0")
+
+    @pytest.mark.parametrize(
+        "text,needle",
+        [
+            ('{"a": 1', "model.json: malformed JSON"),
+            ('{"a": NaN, "b": 1, "c": 1, "rmse": 0, "n_samples": 3}', "a nan not finite"),
+            ('{"a": 1, "b": 1, "c": Infinity, "rmse": 0, "n_samples": 3}', "c inf not finite"),
+        ],
+        ids=["malformed", "nan", "inf"],
+    )
+    def test_bad_model_file_fails_cleanly(self, tmp_path, capsys, text, needle):
+        model = tmp_path / "model.json"
+        model.write_text(text)
+        result = run(
+            capsys, "plan", "--scenario", "random", "--model", str(model),
+            "--out", str(tmp_path / "t.jsonl"),
+        )
+        assert_fails_cleanly(result, "plan", needle)
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("pipeline", "live_speed", "no"),
+            ("planner", "n_partitions", 3.0),
+            ("planner", "edge_box_px", 90.5),
+            ("pipeline", "max_misses", 1.5),
+            ("geometry", "walk_speed_mps", True),
+        ],
+    )
+    def test_mistyped_config_fails_cleanly(self, tmp_path, capsys, section, key, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({section: {key: value}}))
+        result = run(
+            capsys, "plan", "--scenario", "random", "--config", str(config),
+            "--out", str(tmp_path / "t.jsonl"),
+        )
+        assert_fails_cleanly(result, "plan", f"'{section}.{key}': expected")
+
     def test_missing_dataset_fails_cleanly(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "plan", "--frames", str(tmp_path / "nope"),
@@ -206,6 +264,30 @@ class TestRoute:
         assert code == 2
         assert "expected U,V" in err
 
+    @pytest.mark.parametrize(
+        "text,needle",
+        [
+            ('{"nodes": [', "graph.json: malformed JSON"),
+            ('{"nodes": [{"id": "A", "pos": [1, "x"]}], "edges": []}', "pos must be"),
+            (
+                '{"nodes": [{"id": "A", "pos": [0, 0]}, {"id": "B", "pos": [1, 0]}],'
+                ' "edges": [{"u": ["A"], "v": "B", "w": 1}]}',
+                "u and v must be node id strings",
+            ),
+            (
+                '{"nodes": [{"id": "A", "pos": [0, 0]}, {"id": "B", "pos": [1, 0]}],'
+                ' "edges": [{"u": "A", "v": "B", "w": true}]}',
+                "w must be a number",
+            ),
+        ],
+        ids=["malformed", "pos", "u", "w"],
+    )
+    def test_bad_graph_file_fails_cleanly(self, tmp_path, capsys, text, needle):
+        graph = tmp_path / "graph.json"
+        graph.write_text(text)
+        result = run(capsys, "route", "--graph", str(graph), "--src", "A", "--dst", "B")
+        assert_fails_cleanly(result, "route", needle)
+
     def test_unknown_node_exits_one(self, capsys, campus_graph_path):
         code, _, err = run(
             capsys, "route", "--graph", campus_graph_path, "--src", "A", "--dst", "Z"
@@ -234,6 +316,25 @@ class TestCalibrate:
         assert model.b == pytest.approx(-3.0, abs=1e-9)
         assert model.c == pytest.approx(4.0, abs=1e-9)
         assert model.rmse == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "raw,needle",
+        [
+            (b"rev,distance_m\n0.1,1.0\n0.5,nan\n0.9,3.0\n", "distance nan not positive"),
+            (b"rev,distance_m\n0.1,1.0\n0.5,inf\n0.9,3.0\n", "distance inf not positive"),
+            (b"rev,distance_m\n0.1,1.0\xff\n", "can't decode byte 0xff"),
+        ],
+        ids=["nan", "inf", "not_ascii"],
+    )
+    def test_bad_samples_fail_cleanly(self, tmp_path, capsys, raw, needle):
+        csv_path = tmp_path / "samples.csv"
+        csv_path.write_bytes(raw)
+        result = run(
+            capsys, "calibrate", "--samples", str(csv_path),
+            "--out", str(tmp_path / "m.json"),
+        )
+        assert_fails_cleanly(result, "calibrate", needle)
+        assert not (tmp_path / "m.json").exists()
 
     def test_missing_csv(self, tmp_path, capsys):
         code, _, err = run(

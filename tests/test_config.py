@@ -173,3 +173,45 @@ def test_load_config_malformed_json(tmp_path):
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(OSError):
         load_config(tmp_path / "absent.json")
+
+
+@pytest.mark.parametrize(
+    "section,key,value,expected",
+    [
+        ("pipeline", "live_speed", "no", 'true or false, got "no"'),
+        ("pipeline", "live_speed", 1, "true or false, got 1"),
+        ("planner", "n_partitions", 3.0, "an int, got 3.0"),
+        ("planner", "edge_box_px", 90.5, "an int, got 90.5"),
+        ("pipeline", "max_misses", 1.5, "an int, got 1.5"),
+        ("pipeline", "max_misses", True, "an int, got true"),
+        ("planner", "n_partitions", 10**400, "an int, got 1000"),
+        ("geometry", "walk_speed_mps", True, "a finite number, got true"),
+        ("geometry", "walk_speed_mps", "1.2", 'a finite number, got "1.2"'),
+        ("planner", "width_margin", float("nan"), "a finite number, got NaN"),
+        ("geometry", "perception_range_m", float("inf"), "a finite number, got Infinity"),
+        ("planner", "edge_threshold", None, "a finite number, got null"),
+    ],
+    ids=[
+        "bool_str", "bool_int", "int_float", "int_half", "int_fraction", "int_bool",
+        "int_huge", "float_bool", "float_str", "float_nan", "float_inf", "float_null",
+    ],
+)
+def test_value_must_match_field_type(section, key, value, expected):
+    with pytest.raises(ConfigError, match=f"^'{section}.{key}': expected {expected}"):
+        config_from_dict({section: {key: value}})
+
+
+def test_float_field_takes_an_int():
+    assert config_from_dict({"geometry": {"walk_speed_mps": 1}}).geometry.walk_speed == 1
+
+
+@pytest.mark.parametrize("cls", [GeometricConfig, PlannerConfig, PipelineTuning])
+def test_every_field_type_is_checkable(cls):
+    assert {f.type for f in fields(cls)} <= {"bool", "int", "float"}
+
+
+def test_load_config_not_utf8(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"planner": {"\xff": 1}}')
+    with pytest.raises(ConfigError, match="config.json: malformed JSON"):
+        load_config(path)

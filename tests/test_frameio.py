@@ -123,6 +123,10 @@ class TestRecordCodec:
                 lambda r: r["detections"][0].update(track_id=True),
                 r"^field 'detections\[0\]\.track_id': expected int or null$",
             ),
+            (
+                lambda r: r["detections"][1].update(confidence=10**400),
+                r"^field 'detections\[1\]': int too large to convert to float$",
+            ),
         ],
     )
     def test_errors_name_field(self, mutate, needle):

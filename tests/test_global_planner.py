@@ -249,6 +249,32 @@ class TestSerialization:
         with pytest.raises(GraphError, match="pos"):
             graph_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "node,edge,needle",
+        [
+            ({"pos": [1, "x"]}, {}, "pos must be"),
+            ({"pos": [True, 0]}, {}, "pos must be"),
+            ({}, {"u": ["A"]}, "u and v must be node id strings"),
+            ({}, {"v": 2}, "u and v must be node id strings"),
+            ({}, {"w": True}, "w must be a number, got true"),
+            ({}, {"w": "1"}, "w must be a number"),
+        ],
+    )
+    def test_mistyped_entries(self, node, edge, needle):
+        data = {
+            "nodes": [{"id": "A", "pos": [0, 0], **node}, {"id": "B", "pos": [1, 0]}],
+            "edges": [{"u": "A", "v": "B", "w": 1.0, **edge}],
+        }
+        with pytest.raises(GraphError, match=needle):
+            graph_from_dict(data)
+
+    @pytest.mark.parametrize("raw", [b'{"nodes": [', b"\xff"])
+    def test_load_malformed_file(self, tmp_path, raw):
+        path = tmp_path / "graph.json"
+        path.write_bytes(raw)
+        with pytest.raises(GraphError, match="graph.json: malformed JSON"):
+            load_graph(path)
+
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_graph(tmp_path / "nope.json")

@@ -203,6 +203,10 @@ class TestSpecValidation:
         with pytest.raises(ConsistencyError):
             ScenarioSpec(kind="random", seed=1, n_frames=0)
 
+    def test_negative_seed(self):
+        with pytest.raises(ConsistencyError, match="seed -1 < 0"):
+            ScenarioSpec(kind="random", seed=-1)
+
     def test_object_validation(self):
         with pytest.raises(ConsistencyError):
             SceneObject("wall", x=0, z=-1.0, width=1, height=1)
