@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import GraphError, UnreachableError
@@ -47,10 +48,9 @@ class NavGraph:
             raise GraphError(f"self-loop on '{u}'")
         if v in self._adj[u]:
             raise GraphError(f"duplicate edge ({u},{v})")
-        if not weight > 0 or weight != weight or weight == float("inf"):
+        if not 0 < weight < math.inf:  # NaN fails both comparisons
             raise GraphError(f"edge ({u},{v}) weight {weight} not positive finite")
-        self._adj[u][v] = float(weight)
-        self._adj[v][u] = float(weight)
+        self._adj[u][v] = self._adj[v][u] = float(weight)
 
     # -- queries --------------------------------------------------------------
 
@@ -132,8 +132,8 @@ def load_graph(path) -> NavGraph:
     return graph_from_dict(obj)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+# JSON yields exact ints and floats, so an exact type test also rules out bools
+_JSON_NUMBERS = (int, float)
 
 
 def graph_from_dict(obj: dict) -> NavGraph:
@@ -152,7 +152,12 @@ def graph_from_dict(obj: dict) -> NavGraph:
             raise GraphError(f"nodes[{i}]: missing id/pos") from exc
         if not isinstance(node_id, str):
             raise GraphError(f"nodes[{i}]: id must be a string")
-        if not (isinstance(pos, list) and len(pos) == 2 and all(map(_is_number, pos))):
+        if not (
+            isinstance(pos, list)
+            and len(pos) == 2
+            and type(pos[0]) in _JSON_NUMBERS
+            and type(pos[1]) in _JSON_NUMBERS
+        ):
             raise GraphError(f"node '{node_id}': pos must be [x, y] numbers")
         graph.add_node(node_id, (pos[0], pos[1]))
     for i, edge in enumerate(edges):
@@ -162,7 +167,7 @@ def graph_from_dict(obj: dict) -> NavGraph:
             raise GraphError(f"edges[{i}]: missing u/v/w") from exc
         if not (isinstance(u, str) and isinstance(v, str)):
             raise GraphError(f"edges[{i}]: u and v must be node id strings")
-        if not _is_number(w):
+        if type(w) not in _JSON_NUMBERS:
             raise GraphError(f"edges[{i}]: w must be a number, got {json.dumps(w)}")
         graph.add_edge(u, v, w)
     return graph
