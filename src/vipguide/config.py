@@ -89,17 +89,17 @@ def default_config() -> Config:
     return Config()
 
 
-# JSON values each declared field type accepts; a bool is never a number
-_FIELD_KINDS = {
-    "bool": (bool, "true or false"),
-    "int": (int, "an int"),
-    "float": ((int, float), "a finite number"),
-}
+# what a value for each declared field type must be, as error messages say it
+_EXPECTED = {"bool": "true or false", "int": "an int", "float": "a finite number"}
 
 
 def _accepts(kind: str, value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, _FIELD_KINDS[kind][0]):
-        return isinstance(value, bool) and kind == "bool"
+    """A bool fills only a bool field; an int fills an int or float field, a
+    float only a float field, and either must be finite."""
+    if kind == "bool" or isinstance(value, bool):
+        return kind == "bool" and isinstance(value, bool)
+    if not isinstance(value, int if kind == "int" else (int, float)):
+        return False
     try:
         return math.isfinite(value)
     except OverflowError:  # an int beyond float range
@@ -115,7 +115,7 @@ def _build(section: str, raw: dict, key_map: dict, cls):
         kind = kinds[key_map[key]]
         if not _accepts(kind, value):
             raise ConfigError(
-                f"'{section}.{key}': expected {_FIELD_KINDS[kind][1]}, "
+                f"'{section}.{key}': expected {_EXPECTED[kind]}, "
                 f"got {json.dumps(value)}"
             )
         kwargs[key_map[key]] = value
