@@ -172,9 +172,7 @@ def decode_record(record: dict, depth: DepthMap) -> PerceptionFrame:
         where = f"detections[{i}]."
         label = _require(obj, "class", str, "str", where)
         bbox = _require(obj, "bbox", list, "[x1,y1,x2,y2] ints", where)
-        if len(bbox) != 4 or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in bbox
-        ):
+        if len(bbox) != 4 or not set(map(type, bbox)) <= {int}:  # no bools
             raise FrameDecodeError(f"field '{where}bbox': expected [x1,y1,x2,y2] ints")
         confidence = _require(obj, "confidence", (int, float), "number", where)
         track_id = obj.get("track_id")

@@ -124,6 +124,10 @@ class TestRecordCodec:
                 r"^field 'detections\[0\]\.track_id': expected int or null$",
             ),
             (
+                lambda r: r["detections"][0].update(bbox=[3, 2, True, 5]),
+                r"^field 'detections\[0\]\.bbox': expected \[x1,y1,x2,y2\] ints$",
+            ),
+            (
                 lambda r: r["detections"][1].update(confidence=10**400),
                 r"^field 'detections\[1\]': int too large to convert to float$",
             ),
