@@ -256,8 +256,11 @@ def read_dataset(directory) -> Iterator[PerceptionFrame]:
     """Yield frames from a dataset directory in file order."""
     frames_path = os.path.join(directory, FRAMES_FILE)
     last_id = None
-    with open(frames_path, "r", encoding="ascii") as fh:
+    # non-ASCII bytes decode to lone surrogates, which isascii() (O(1)) flags
+    with open(frames_path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                raise FrameDecodeError(f"{frames_path}:{lineno}: non-ASCII byte")
             line = line.strip()
             if not line:
                 continue

@@ -4,6 +4,12 @@ The map is a small undirected weighted graph. When the local planner
 exhausts every partition, the edge currently being walked is marked
 blocked (it keeps its weight but is never traversed again) and the route
 is recomputed from the current node.
+
+Searches are goal-directed: the first one toward a destination computes
+every node's distance to it, and the graph keeps that map. Blocking an
+edge can only lengthen paths, so the map stays a consistent A* heuristic
+for every later search toward the same destination (ALT with the
+destination as its own landmark).
 """
 from __future__ import annotations
 
@@ -24,21 +30,43 @@ class Route:
         return list(zip(self.nodes, self.nodes[1:]))
 
 
+# The distance map is shrunk by this factor, so a search key rises by at
+# least 1e-9 * w along each edge of weight w. That margin outweighs float
+# rounding in cost + distance, so nodes pop in the order Dijkstra's
+# (cost, path) keys give them, for any edge weight above about 1e-7 of the
+# route costs around it.
+_H_SCALE = 1.0 - 1e-9
+
+
+def _key(u: str, v: str) -> tuple[str, str]:
+    return (u, v) if u < v else (v, u)
+
+
 class NavGraph:
     """Undirected weighted graph; blocked edges stay present but untraversable."""
 
     def __init__(self):
         self.positions: dict[str, tuple[float, float]] = {}
+        # unblocked edges only; block_edge moves an edge to _blocked
         self._adj: dict[str, dict[str, float]] = {}
-        self._blocked: set[frozenset] = set()
+        self._blocked: dict[tuple[str, str], float] = {}  # (u, v), u < v -> weight
+        # (destination, distance to it from every node that reached it)
+        self._dist_to: tuple[str, dict[str, float]] | None = None
 
     # -- construction ---------------------------------------------------------
 
     def add_node(self, node_id: str, pos: tuple[float, float]) -> None:
         if node_id in self.positions:
             raise GraphError(f"duplicate node id '{node_id}'")
-        self.positions[node_id] = (float(pos[0]), float(pos[1]))
+        try:
+            x, y = float(pos[0]), float(pos[1])
+        except OverflowError as exc:
+            raise GraphError(f"node '{node_id}': pos beyond float range") from exc
+        if not (-math.inf < x < math.inf and -math.inf < y < math.inf):
+            raise GraphError(f"node '{node_id}': pos ({x}, {y}) not finite")
+        self.positions[node_id] = (x, y)
         self._adj[node_id] = {}
+        self._dist_to = None
 
     def add_edge(self, u: str, v: str, weight: float) -> None:
         for node in (u, v):
@@ -46,11 +74,16 @@ class NavGraph:
                 raise GraphError(f"edge ({u},{v}) references unknown node '{node}'")
         if u == v:
             raise GraphError(f"self-loop on '{u}'")
-        if v in self._adj[u]:
+        if v in self._adj[u] or (self._blocked and _key(u, v) in self._blocked):
             raise GraphError(f"duplicate edge ({u},{v})")
-        if not 0 < weight < math.inf:  # NaN fails both comparisons
+        try:
+            w = float(weight)
+        except OverflowError as exc:
+            raise GraphError(f"edge ({u},{v}) weight beyond float range") from exc
+        if not 0 < w < math.inf:  # NaN fails both comparisons
             raise GraphError(f"edge ({u},{v}) weight {weight} not positive finite")
-        self._adj[u][v] = self._adj[v][u] = float(weight)
+        self._adj[u][v] = self._adj[v][u] = w
+        self._dist_to = None
 
     # -- queries --------------------------------------------------------------
 
@@ -59,63 +92,101 @@ class NavGraph:
         return list(self.positions)
 
     def edge_list(self) -> list[tuple[str, str, float, bool]]:
-        out = []
-        for u in self._adj:
-            for v, w in self._adj[u].items():
-                if u < v:
-                    out.append((u, v, w, self.is_blocked(u, v)))
+        """Every edge as (u, v, weight, blocked) with u < v; blocked ones last."""
+        out = [
+            (u, v, w, False)
+            for u, nbrs in self._adj.items()
+            for v, w in nbrs.items()
+            if u < v
+        ]
+        out.extend((u, v, w, True) for (u, v), w in self._blocked.items())
         return out
 
     def has_edge(self, u: str, v: str) -> bool:
-        return u in self._adj and v in self._adj[u]
+        return (u in self._adj and v in self._adj[u]) or _key(u, v) in self._blocked
 
     def weight(self, u: str, v: str) -> float:
-        if not self.has_edge(u, v):
+        w = self._adj.get(u, {}).get(v, self._blocked.get(_key(u, v)))
+        if w is None:
             raise GraphError(f"no edge ({u},{v})")
-        return self._adj[u][v]
+        return w
 
     def is_blocked(self, u: str, v: str) -> bool:
-        return frozenset((u, v)) in self._blocked
+        return _key(u, v) in self._blocked
 
     def neighbors(self, u: str):
-        for v, w in self._adj[u].items():
-            if frozenset((u, v)) not in self._blocked:
-                yield v, w
+        """(neighbor, weight) pairs over unblocked edges, as a dict view."""
+        return self._adj[u].items()
 
     # -- mutation (single logical writer) --------------------------------------
 
     def block_edge(self, u: str, v: str) -> None:
-        """Mark an edge untraversable; blocking twice is a no-op."""
+        """Mark an edge untraversable; blocking twice is a no-op.
+
+        The distance map stays: blocking can only lengthen paths.
+        """
+        if self.is_blocked(u, v):
+            return
         if not self.has_edge(u, v):
             raise GraphError(f"cannot block missing edge ({u},{v})")
-        self._blocked.add(frozenset((u, v)))
+        del self._adj[v][u]
+        self._blocked[_key(u, v)] = self._adj[u].pop(v)
+
+    def _distances_to(self, dst: str) -> dict[str, float]:
+        """Distance to dst, times _H_SCALE, from every node that reaches it.
+
+        Cached on the graph in one slot: a search toward another
+        destination replaces the map.
+        """
+        if self._dist_to is not None and self._dist_to[0] == dst:
+            return self._dist_to[1]
+        adj = self._adj
+        dist: dict[str, float] = {}
+        heap: list[tuple[float, str]] = [(0.0, dst)]
+        while heap:
+            d, node = heapq.heappop(heap)
+            if node in dist:
+                continue
+            dist[node] = d * _H_SCALE
+            for nxt, w in adj[node].items():
+                if nxt not in dist:
+                    heapq.heappush(heap, (d + w, nxt))
+        self._dist_to = (dst, dist)
+        return dist
 
 
 def shortest_path(graph: NavGraph, src: str, dst: str) -> Route:
-    """Dijkstra over unblocked edges.
+    """A* over unblocked edges toward the graph's distance map for dst.
 
-    Heap keys are (cost, node path), so equal-cost routes resolve to the
-    lexicographically smallest node sequence; with strictly positive
-    weights the first time a node pops it carries that canonical path.
+    Heap keys are (cost + distance to go, cost, node path), so equal-cost
+    routes resolve to the lexicographically smallest node sequence, as
+    Dijkstra keyed on (cost, path) would; the heuristic is consistent, so
+    the first time a node pops it carries that canonical path. The cost is
+    summed forward along the path, never derived from the key's first term.
     """
     for node in (src, dst):
         if node not in graph.positions:
             raise GraphError(f"unknown node '{node}'")
-    heap: list[tuple[float, tuple[str, ...]]] = [(0.0, (src,))]
+    h = graph._distances_to(dst)
+    if src not in h:
+        raise UnreachableError(f"no unblocked path from '{src}' to '{dst}'")
+    adj = graph._adj
+    # every node in h's component at mapping time is in h, and blocks only
+    # remove edges, so h[nxt] exists for every neighbour met here
+    heap: list[tuple[float, float, tuple[str, ...]]] = [(h[src], 0.0, (src,))]
     settled: set[str] = set()
     while heap:
-        cost, path = heapq.heappop(heap)
+        _, cost, path = heapq.heappop(heap)
         node = path[-1]
         if node in settled:
             continue
-        settled.add(node)
         if node == dst:
-            route = Route(nodes=path, total_cost=cost)
-            assert not any(graph.is_blocked(u, v) for u, v in route.edges())
-            return route
-        for nxt, weight in graph.neighbors(node):
+            return Route(nodes=path, total_cost=cost)
+        settled.add(node)
+        for nxt, weight in adj[node].items():
             if nxt not in settled:
-                heapq.heappush(heap, (cost + weight, path + (nxt,)))
+                g = cost + weight
+                heapq.heappush(heap, (g + h[nxt], g, path + (nxt,)))
     raise UnreachableError(f"no unblocked path from '{src}' to '{dst}'")
 
 

@@ -123,6 +123,17 @@ class TestPlan:
         assert err.startswith("plan: ") and err.count("\n") == 1
         assert "timestamp" in err
 
+    def test_non_ascii_byte_fails_cleanly(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        run(capsys, "simulate", "--scenario", "random",
+            "--seed", "1", "--n-frames", "2", "--out", str(ds))
+        with open(ds / "frames.jsonl", "ab") as fh:
+            fh.write(b"\xff\n")
+        result = run(
+            capsys, "plan", "--frames", str(ds), "--out", str(tmp_path / "t.jsonl")
+        )
+        assert_fails_cleanly(result, "plan", "frames.jsonl:3: non-ASCII byte")
+
     def test_backward_frame_timestamp_fails_cleanly(self, tmp_path, capsys):
         ds = tmp_path / "ds"
         run(capsys, "simulate", "--scenario", "crowded_street",
@@ -279,8 +290,18 @@ class TestRoute:
                 ' "edges": [{"u": "A", "v": "B", "w": true}]}',
                 "w must be a number",
             ),
+            (
+                '{"nodes": [{"id": "A", "pos": [0, 0]}, {"id": "B", "pos": [1%s, 0]}],'
+                ' "edges": [{"u": "A", "v": "B", "w": 1}]}' % ("0" * 400),
+                "node 'B': pos beyond float range",
+            ),
+            (
+                '{"nodes": [{"id": "A", "pos": [0, 0]}, {"id": "B", "pos": [1, 0]}],'
+                ' "edges": [{"u": "A", "v": "B", "w": 1%s}]}' % ("0" * 400),
+                "edge (A,B) weight beyond float range",
+            ),
         ],
-        ids=["malformed", "pos", "u", "w"],
+        ids=["malformed", "pos", "u", "w", "pos_beyond_float", "w_beyond_float"],
     )
     def test_bad_graph_file_fails_cleanly(self, tmp_path, capsys, text, needle):
         graph = tmp_path / "graph.json"

@@ -177,6 +177,18 @@ class TestDataset:
         with pytest.raises(FrameDecodeError, match="field 'depth_file'.*bare file name"):
             list(read_dataset(ds))
 
+    @pytest.mark.parametrize(
+        "line", [b"\xff\n", b'{"frame_id": "\xc3\xa9"}\n'], ids=["0xff", "utf8_in_string"]
+    )
+    def test_non_ascii_byte_names_its_line(self, tmp_path, line):
+        write_dataset(tmp_path, [sample_frame(0)])
+        with open(tmp_path / "frames.jsonl", "ab") as fh:
+            fh.write(line)
+        frames = read_dataset(tmp_path)
+        assert next(frames) == sample_frame(0)
+        with pytest.raises(FrameDecodeError, match="frames.jsonl:2: non-ASCII byte"):
+            next(frames)
+
     def test_malformed_line(self, tmp_path):
         write_dataset(tmp_path, [sample_frame(0)])
         path = tmp_path / "frames.jsonl"

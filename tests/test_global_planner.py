@@ -1,3 +1,5 @@
+import heapq
+import random
 from itertools import permutations
 
 import numpy as np
@@ -32,6 +34,30 @@ def oracle_shortest(graph: NavGraph, src: str, dst: str):
             if ok and (best is None or (cost, path) < (best.total_cost, best.nodes)):
                 best = Route(nodes=path, total_cost=cost)
     return best
+
+
+def dijkstra_oracle(graph: NavGraph, src: str, dst: str) -> Route:
+    """The route search before goal-directed search: Dijkstra keyed on
+    (cost, node path), so ties resolve to the smallest node sequence."""
+    for node in (src, dst):
+        if node not in graph.positions:
+            raise GraphError(f"unknown node '{node}'")
+    heap: list[tuple[float, tuple[str, ...]]] = [(0.0, (src,))]
+    settled: set[str] = set()
+    while heap:
+        cost, path = heapq.heappop(heap)
+        node = path[-1]
+        if node in settled:
+            continue
+        settled.add(node)
+        if node == dst:
+            route = Route(nodes=path, total_cost=cost)
+            assert not any(graph.is_blocked(u, v) for u, v in route.edges())
+            return route
+        for nxt, weight in graph.neighbors(node):
+            if nxt not in settled:
+                heapq.heappush(heap, (cost + weight, path + (nxt,)))
+    raise UnreachableError(f"no unblocked path from '{src}' to '{dst}'")
 
 
 def triangle():
@@ -94,6 +120,33 @@ class TestNavGraph:
         g = triangle()
         with pytest.raises(GraphError):
             g.block_edge("A", "Z")
+
+    def test_blocked_edge_keeps_weight_and_listing(self):
+        g = triangle()
+        g.block_edge("C", "A")
+        assert g.weight("A", "C") == g.weight("C", "A") == 3.0
+        assert sorted(g.edge_list()) == [
+            ("A", "B", 1.0, False), ("A", "C", 3.0, True), ("B", "C", 1.0, False),
+        ]
+        assert "A" not in {v for v, _ in g.neighbors("C")}
+        with pytest.raises(GraphError, match="duplicate edge"):
+            g.add_edge("A", "C", 1.0)
+        with pytest.raises(GraphError, match="no edge"):
+            g.weight("A", "Z")
+
+    @pytest.mark.parametrize("pos", [(10**400, 0), (0, float("inf")), (float("nan"), 0)])
+    def test_position_beyond_float_range(self, pos):
+        g = NavGraph()
+        with pytest.raises(GraphError, match="node 'A': pos"):
+            g.add_node("A", pos)
+        assert g.node_ids == []
+
+    def test_weight_beyond_float_range(self):
+        g = triangle()
+        g.add_node("D", (3, 0))
+        with pytest.raises(GraphError, match=r"edge \(C,D\) weight beyond float range"):
+            g.add_edge("C", "D", 10**400)
+        assert not g.has_edge("C", "D")
 
 
 class TestShortestPath:
@@ -231,6 +284,101 @@ class TestAgainstEnumeration:
             assert ac <= ab + bc + 1e-9
 
 
+GRID = 12
+WEIGHTS = {
+    "int_1_2": lambda rng: float(rng.randint(1, 2)),  # ties everywhere
+    "int_60_140": lambda rng: float(rng.randint(60, 140)),
+    "float_1_3": lambda rng: rng.uniform(1.0, 3.0),
+    "one_decimal": lambda rng: rng.randint(1, 30) / 10,  # inexact sums
+}
+
+
+def grid_graph(rng, draw, size=GRID):
+    g = NavGraph()
+    for r in range(size):
+        for c in range(size):
+            g.add_node(f"{r}_{c}", (float(c), float(r)))
+    for r in range(size):
+        for c in range(size):
+            if c + 1 < size:
+                g.add_edge(f"{r}_{c}", f"{r}_{c + 1}", draw(rng))
+            if r + 1 < size:
+                g.add_edge(f"{r}_{c}", f"{r + 1}_{c}", draw(rng))
+    return g
+
+
+def assert_matches_oracle(g, src, dst):
+    """Same route node for node and in cost as the oracle, or both unreachable."""
+    try:
+        want = dijkstra_oracle(g, src, dst)
+    except UnreachableError:
+        with pytest.raises(UnreachableError):
+            shortest_path(g, src, dst)
+        return None
+    got = shortest_path(g, src, dst)
+    assert got.nodes == want.nodes
+    assert got.total_cost == want.total_cost
+    return got
+
+
+@pytest.mark.parametrize("kind", sorted(WEIGHTS))
+class TestAgainstDijkstra:
+    """Goal-directed search must return exactly what Dijkstra on (cost, path) did."""
+
+    def test_successive_blocks_on_the_route(self, kind):
+        rng = random.Random(f"blocks-{kind}")
+        for _ in range(100):
+            g = grid_graph(rng, WEIGHTS[kind])
+            src, dst = rng.sample(g.node_ids, 2)
+            route = assert_matches_oracle(g, src, dst)
+            for _ in range(3):
+                i = rng.randrange(len(route.nodes) - 1)
+                g.block_edge(route.nodes[i], route.nodes[i + 1])
+                # replan from the block, as the pipeline does, or from the start
+                src = rng.choice((src, route.nodes[i]))
+                route = assert_matches_oracle(g, src, dst)
+                if route is None or len(route.nodes) < 2:
+                    break
+
+    def test_blocks_before_the_first_search(self, kind):
+        # route --block: the distance map is built on an already blocked graph
+        rng = random.Random(f"preblocked-{kind}")
+        for _ in range(40):
+            g = grid_graph(rng, WEIGHTS[kind])
+            for u, v, _w, _b in rng.sample(g.edge_list(), 30):
+                g.block_edge(u, v)
+            src, dst = rng.sample(g.node_ids, 2)
+            assert_matches_oracle(g, src, dst)
+            # another destination replaces the map; coming back rebuilds it
+            other = rng.choice(g.node_ids)
+            assert_matches_oracle(g, src, other)
+            assert_matches_oracle(g, other, dst)
+
+    def test_shortcut_added_after_a_search_is_found(self, kind):
+        rng = random.Random(f"shortcut-{kind}")
+        for _ in range(10):
+            g = grid_graph(rng, WEIGHTS[kind])
+            src, dst, below_src, below_dst = "0_0", f"0_{GRID - 1}", "1_0", f"1_{GRID - 1}"
+            assert_matches_oracle(g, src, dst)
+            # off the row-0 route, the old distances overestimate what it now costs
+            g.add_edge(below_src, below_dst, 0.1)
+            route = assert_matches_oracle(g, src, dst)
+            assert route.nodes == (src, below_src, below_dst, dst)
+
+    def test_block_that_cuts_off_the_destination(self, kind):
+        rng = random.Random(f"cut-{kind}")
+        g = grid_graph(rng, WEIGHTS[kind])
+        src, dst = f"{GRID - 1}_{GRID - 1}", "0_0"  # a corner: two edges
+        assert_matches_oracle(g, src, dst)
+        g.block_edge(dst, "0_1")
+        assert_matches_oracle(g, src, dst)
+        g.block_edge(dst, "1_0")
+        with pytest.raises(UnreachableError, match="no unblocked path"):
+            shortest_path(g, src, dst)
+        with pytest.raises(UnreachableError):
+            dijkstra_oracle(g, src, dst)
+
+
 class TestSerialization:
     def test_missing_nodes_key(self):
         with pytest.raises(GraphError, match="nodes"):
@@ -258,6 +406,8 @@ class TestSerialization:
             ({}, {"v": 2}, "u and v must be node id strings"),
             ({}, {"w": True}, "w must be a number, got true"),
             ({}, {"w": "1"}, "w must be a number"),
+            ({"pos": [10**400, 0]}, {}, "node 'A': pos beyond float range"),
+            ({}, {"w": 10**400}, r"edge \(A,B\) weight beyond float range"),
         ],
     )
     def test_mistyped_entries(self, node, edge, needle):
