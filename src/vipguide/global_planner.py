@@ -33,8 +33,8 @@ class Route:
 # The distance map is shrunk by this factor, so a search key rises by at
 # least 1e-9 * w along each edge of weight w. That margin outweighs float
 # rounding in cost + distance, so nodes pop in the order Dijkstra's
-# (cost, path) keys give them, for any edge weight above about 1e-7 of the
-# route costs around it.
+# (cost, path) keys give them, as long as every edge weighs more than about
+# a millionth of the route costs around it.
 _H_SCALE = 1.0 - 1e-9
 
 
@@ -69,12 +69,13 @@ class NavGraph:
         self._dist_to = None
 
     def add_edge(self, u: str, v: str, weight: float) -> None:
-        for node in (u, v):
-            if node not in self.positions:
-                raise GraphError(f"edge ({u},{v}) references unknown node '{node}'")
+        adj = self._adj
+        if u not in adj or v not in adj:
+            missing = u if u not in adj else v
+            raise GraphError(f"edge ({u},{v}) references unknown node '{missing}'")
         if u == v:
             raise GraphError(f"self-loop on '{u}'")
-        if v in self._adj[u] or (self._blocked and _key(u, v) in self._blocked):
+        if v in adj[u] or (self._blocked and _key(u, v) in self._blocked):
             raise GraphError(f"duplicate edge ({u},{v})")
         try:
             w = float(weight)
@@ -82,7 +83,7 @@ class NavGraph:
             raise GraphError(f"edge ({u},{v}) weight beyond float range") from exc
         if not 0 < w < math.inf:  # NaN fails both comparisons
             raise GraphError(f"edge ({u},{v}) weight {weight} not positive finite")
-        self._adj[u][v] = self._adj[v][u] = w
+        adj[u][v] = adj[v][u] = w
         self._dist_to = None
 
     # -- queries --------------------------------------------------------------
