@@ -135,7 +135,7 @@ class TestNavGraph:
             g.weight("A", "Z")
 
     @pytest.mark.parametrize("pos", [(10**400, 0), (0, float("inf")), (float("nan"), 0)])
-    def test_position_beyond_float_range(self, pos):
+    def test_position_must_be_a_finite_float(self, pos):
         g = NavGraph()
         with pytest.raises(GraphError, match="node 'A': pos"):
             g.add_node("A", pos)
