@@ -150,39 +150,86 @@ def ground_rev_rows(cam: Camera) -> np.ndarray:
     return np.floor(65535.0 * GROUND_ATTENUATION * rev + 0.5).astype(np.uint16)
 
 
+def _ground_image(cam: Camera) -> np.ndarray:
+    """The ground gradient as a full frame, before any object is painted."""
+    return np.tile(ground_rev_rows(cam)[:, None], (1, cam.width))
+
+
+def _paint(
+    objects: list[SceneObject], cam: Camera, depth: np.ndarray
+) -> list[tuple[int, tuple[int, int, int, int]]]:
+    """Paint each object's REV into `depth`, far to near (painter's order).
+
+    Returns the paint layout: (index, pixel rect) of every on-frame object,
+    in the order painted. Equal depths keep index order (sorted is stable),
+    so the later index wins.
+    """
+    layout = []
+    for i in sorted(range(len(objects)), key=lambda i: -objects[i].z):
+        rect = _pixel_rect(objects[i], cam)
+        if rect is None:
+            continue
+        x1, y1, x2, y2 = rect
+        depth[y1:y2, x1:x2] = rev16_from_z(objects[i].z)
+        layout.append((i, rect))
+    return layout
+
+
 def render_scene(
     objects: list[SceneObject], cam: Camera
 ) -> tuple[DepthMap, np.ndarray]:
     """Rasterize billboards over the ground gradient, painter's order.
 
     Returns the depth map and an owner grid holding, per pixel, the index
-    of the visible object (-1 for background) — the source for masks.
+    of the visible object (-1 for background).
     """
-    depth = np.tile(ground_rev_rows(cam)[:, None], (1, cam.width))
+    depth = _ground_image(cam)
     owner = np.full((cam.height, cam.width), -1, dtype=np.int32)
-    order = sorted(range(len(objects)), key=lambda i: -objects[i].z)
-    for i in order:
-        rect = _pixel_rect(objects[i], cam)
-        if rect is None:
-            continue
-        x1, y1, x2, y2 = rect
-        depth[y1:y2, x1:x2] = rev16_from_z(objects[i].z)
+    for i, (x1, y1, x2, y2) in _paint(objects, cam, depth):
         owner[y1:y2, x1:x2] = i
     return DepthMap(width=cam.width, height=cam.height, values=depth), owner
 
 
-def _visible_mask(
-    owner: np.ndarray, bbox: BoundingBox, idx: int, cam: Camera
-) -> BitMask | None:
-    """Mask of the pixels object `idx` keeps in view; None when it is hidden.
+def _render(
+    objects: list[SceneObject], cam: Camera, ground: np.ndarray
+) -> tuple[np.ndarray, list[Detection], BitMask | None, dict[int, BitMask]]:
+    """Paint `objects` over a copy of `ground`; detect what stays in view.
 
-    render_scene paints each object only inside its projected bbox, so only
-    that window of the owner grid is compared and encoded.
+    Returns (depth values, detections, VIP mask, instance masks). Labeled
+    objects and the VIP are detected, in index order, when some pixel of
+    theirs is visible. The visible part is the object's rect with the
+    rects painted after it cleared, the same pixels render_scene's owner
+    grid gives it, and only that window is encoded.
     """
-    visible = owner[bbox.y1 : bbox.y2, bbox.x1 : bbox.x2] == idx
-    if not visible.any():
-        return None
-    return rle_encode_window(visible, bbox.x1, bbox.y1, cam.width, cam.height)
+    values = ground.copy()
+    layout = _paint(objects, cam, values)
+    visible = {}
+    for k, (idx, (x1, y1, x2, y2)) in enumerate(layout):
+        obj = objects[idx]
+        if not obj.labeled and obj.kind != "vip":
+            continue
+        window = np.ones((y2 - y1, x2 - x1), dtype=bool)
+        for _, (u1, v1, u2, v2) in layout[k + 1 :]:
+            if u1 < x2 and x1 < u2 and v1 < y2 and y1 < v2:
+                window[
+                    max(v1, y1) - y1 : min(v2, y2) - y1,
+                    max(u1, x1) - x1 : min(u2, x2) - x1,
+                ] = False
+        if window.any():
+            mask = rle_encode_window(window, x1, y1, cam.width, cam.height)
+            visible[idx] = (BoundingBox(x1, y1, x2, y2), mask)
+    detections = []
+    vip_mask = None
+    instance_masks: dict[int, BitMask] = {}
+    for idx in sorted(visible):
+        bbox, mask = visible[idx]
+        kind = objects[idx].kind
+        detections.append(Detection(kind, bbox, CONFIDENCE.get(kind, 0.8), track_id=idx))
+        if kind == "vip":
+            vip_mask = mask
+        else:
+            instance_masks[idx] = mask
+    return values, detections, vip_mask, instance_masks
 
 
 def default_road_mask(cam: Camera) -> BitMask:
@@ -229,6 +276,12 @@ class ScenarioSpec:
             raise ConsistencyError(f"n_frames {self.n_frames} < 1")
         if self.seed < 0:
             raise ConsistencyError(f"seed {self.seed} < 0")
+        if not (math.isfinite(self.fps) and self.fps > 0):
+            raise ConsistencyError(f"fps {self.fps} not finite and > 0")
+        for name in ("walk_speed", "rev_jitter_sigma"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConsistencyError(f"{name} {value} not finite and >= 0")
 
 
 def direction_name(partition_index: int, n_partitions: int = 3) -> str:
@@ -343,52 +396,26 @@ def generate(spec: ScenarioSpec):
     road_mask = default_road_mask(cam)
     vip_x = _jitter(rng, 0.05)
     direction = direction_name(expected)
+    ground = _ground_image(cam)
+    vip = SceneObject("vip", x=vip_x, z=VIP_Z, width=VIP_SIZE[0], height=VIP_SIZE[1])
 
     for frame_id in range(spec.n_frames):
         t = frame_id / spec.fps
         advance = min(spec.walk_speed * t, cap)
-        objects = [SceneObject("vip", x=vip_x, z=VIP_Z, width=VIP_SIZE[0], height=VIP_SIZE[1])]
-        objects += [replace(o, z=VIP_Z + o.z - advance) for o in obstacles]
-        depth, owner = render_scene(objects, cam)
-        values = depth.values
+        objects = [vip] + [replace(o, z=VIP_Z + o.z - advance) for o in obstacles]
+        values, detections, vip_mask, instance_masks = _render(objects, cam, ground)
         if spec.rev_jitter_sigma > 0:
             noise = rng.normal(0.0, spec.rev_jitter_sigma, values.shape)
             values = np.clip(
                 np.floor(values.astype(np.float64) + noise + 0.5), 0, 65535
             ).astype(np.uint16)
-            depth = DepthMap(width=cam.width, height=cam.height, values=values)
-
-        detections = []
-        instance_masks: dict[int, BitMask] = {}
-        vip_mask = None
-        for idx, obj in enumerate(objects):
-            if not obj.labeled and obj.kind != "vip":
-                continue
-            bbox = project_bbox(obj, cam)
-            if bbox is None:
-                continue
-            mask = _visible_mask(owner, bbox, idx, cam)
-            if mask is None:
-                continue
-            detections.append(
-                Detection(
-                    class_label=obj.kind,
-                    bbox=bbox,
-                    confidence=CONFIDENCE.get(obj.kind, 0.8),
-                    track_id=idx,
-                )
-            )
-            if obj.kind == "vip":
-                vip_mask = mask
-            else:
-                instance_masks[idx] = mask
 
         frame = PerceptionFrame(
             frame_id=frame_id,
             timestamp=t,
             width=cam.width,
             height=cam.height,
-            depth=depth,
+            depth=DepthMap(width=cam.width, height=cam.height, values=values),
             detections=tuple(detections),
             vip_mask=vip_mask,
             road_mask=road_mask,
@@ -402,12 +429,22 @@ def generate(spec: ScenarioSpec):
 
 
 def write_scenario(directory, spec: ScenarioSpec) -> int:
-    """Write the dataset plus a parallel ground-truth JSONL; returns frame count."""
-    pairs = list(generate(spec))
-    count = write_dataset(directory, (frame for frame, _ in pairs))
+    """Write the dataset plus a parallel ground-truth JSONL; returns frame count.
+
+    Frames stream into the dataset as they are generated: one frame is
+    held at a time, plus the small ground-truth records.
+    """
+    truths = []
+
+    def frames():
+        for frame, truth in generate(spec):
+            truths.append(truth)
+            yield frame
+
+    count = write_dataset(directory, frames())
     path = os.path.join(directory, GROUND_TRUTH_FILE)
     with open(path, "w", encoding="ascii") as fh:
-        for _, truth in pairs:
+        for truth in truths:
             fh.write(json.dumps(asdict(truth), separators=(",", ":")))
             fh.write("\n")
     return count
@@ -435,23 +472,21 @@ def calibration_frames(
     z_values, cam: Camera = Camera()
 ) -> list[tuple[PerceptionFrame, float]]:
     """One frame per distance: a lone labeled wall at known z, for calibration."""
+    ground = _ground_image(cam)
     out = []
     for frame_id, z in enumerate(z_values):
         wall = SceneObject("wall", x=0.0, z=float(z), width=1.5, height=1.5, elevation=0.35)
-        depth, owner = render_scene([wall], cam)
-        bbox = project_bbox(wall, cam)
-        if bbox is None:
+        values, detections, _, instance_masks = _render([wall], cam, ground)
+        if not detections:
             raise ConsistencyError(f"calibration wall at z={z} projects off-frame")
         frame = PerceptionFrame(
             frame_id=frame_id,
             timestamp=float(frame_id),
             width=cam.width,
             height=cam.height,
-            depth=depth,
-            detections=(
-                Detection("wall", bbox, CONFIDENCE["wall"], track_id=0),
-            ),
-            instance_masks={0: _visible_mask(owner, bbox, 0, cam)},
+            depth=DepthMap(width=cam.width, height=cam.height, values=values),
+            detections=tuple(detections),
+            instance_masks=instance_masks,
         )
         out.append((frame, float(z)))
     return out

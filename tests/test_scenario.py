@@ -1,11 +1,14 @@
+import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
 
+from vipguide import scenario
 from vipguide.calibration import fit, predict, region_rev
 from vipguide.errors import ConsistencyError
-from vipguide.perception import rle_decode
+from vipguide.perception import rle_decode, rle_encode
 from vipguide.scenario import (
     CONFIDENCE,
     FREEZE_GAP,
@@ -181,6 +184,111 @@ class TestRender:
                         assert depth.values[y, x] == rev16_from_z(objects[nearest].z)
 
 
+def assert_detections_match_owner_grid(objects, cam):
+    """scenario._render against render_scene's owner grid, the oracle."""
+    ground = np.tile(ground_rev_rows(cam)[:, None], (1, cam.width))
+    before = ground.copy()
+    values, detections, vip_mask, instance_masks = scenario._render(objects, cam, ground)
+    depth, owner = render_scene(objects, cam)
+    assert np.array_equal(ground, before)
+    assert np.array_equal(values, depth.values)
+    expected = [
+        i
+        for i, o in enumerate(objects)
+        if (o.labeled or o.kind == "vip") and (owner == i).any()
+    ]
+    assert [d.track_id for d in detections] == expected
+    for det in detections:
+        obj = objects[det.track_id]
+        assert det.class_label == obj.kind
+        assert det.confidence == CONFIDENCE.get(obj.kind, 0.8)
+        assert det.bbox == project_bbox(obj, cam)
+        mask = vip_mask if obj.kind == "vip" else instance_masks[det.track_id]
+        assert mask == rle_encode(owner == det.track_id)
+    vips = [d.track_id for d in detections if d.class_label == "vip"]
+    assert (vip_mask is None) == (not vips)
+    assert sorted(instance_masks) == [d.track_id for d in detections if d.class_label != "vip"]
+    return detections
+
+
+class TestVisibleWindows:
+    def test_random_scenes(self):
+        rng = np.random.default_rng(17)
+        kinds = ["vip", "person", "car", "tree", "wall"]
+        for n in range(300):
+            cam = CAM if n % 10 == 0 else Camera(width=64, height=48)
+            # at most one VIP, anywhere in the list, as a frame allows
+            objects = [
+                SceneObject(
+                    kinds[int(rng.integers(0, len(kinds)))],
+                    x=float(rng.uniform(-3, 3)),
+                    # few distinct depths, so equal-z ties are common
+                    z=float(rng.choice([1.5, 2.0, 3.0, 4.5, 8.0])),
+                    width=float(rng.uniform(0.3, 3)),
+                    height=float(rng.uniform(0.3, 3)),
+                    elevation=float(rng.uniform(0, 2.5)),
+                    labeled=bool(rng.random() < 0.7),
+                )
+                for _ in range(int(rng.integers(0, 7)))
+            ]
+            vips = [i for i, o in enumerate(objects) if o.kind == "vip"]
+            objects = [o for i, o in enumerate(objects) if o.kind != "vip" or i == vips[0]]
+            assert_detections_match_owner_grid(objects, cam)
+
+    def test_equal_z_later_index_wins(self):
+        objects = [
+            SceneObject("person", x=-0.3, z=4.0, width=1.0, height=2.0),
+            SceneObject("car", x=0.3, z=4.0, width=1.0, height=2.0),
+            SceneObject("wall", x=0.0, z=4.0, width=0.2, height=3.0),
+        ]
+        dets = assert_detections_match_owner_grid(objects, CAM)
+        assert [d.track_id for d in dets] == [0, 1, 2]
+        # columns: person 256-336, car 304-384, wall 312-328; rows 252-372
+        _, owner = render_scene(objects, CAM)
+        assert owner[300, 290] == 0 and owner[300, 306] == 1 and owner[300, 320] == 2
+
+    def test_fully_hidden_object_gets_no_detection(self):
+        objects = [
+            SceneObject("vip", x=0.0, z=VIP_Z, width=VIP_SIZE[0], height=VIP_SIZE[1]),
+            SceneObject("person", x=0.1, z=6.0, width=0.6, height=1.75),
+            SceneObject("wall", x=0.0, z=5.0, width=3.0, height=3.0),
+        ]
+        dets = assert_detections_match_owner_grid(objects, CAM)
+        assert [d.track_id for d in dets] == [0, 2]
+
+    def test_objects_clipped_at_each_frame_edge(self):
+        objects = [
+            SceneObject("car", x=-2.6, z=2.5, width=2.0, height=1.5),  # left
+            SceneObject("car", x=2.6, z=2.5, width=2.0, height=1.5),  # right
+            SceneObject("wall", x=0.0, z=2.0, width=1.0, height=1.0, elevation=3.5),  # top
+            SceneObject("person", x=0.2, z=1.2, width=0.6, height=1.75),  # bottom
+            SceneObject("person", x=-2.3, z=2.2, width=0.6, height=5.0),  # left, top, bottom
+        ]
+        dets = assert_detections_match_owner_grid(objects, CAM)
+        boxes = [d.bbox for d in dets]
+        assert min(b.x1 for b in boxes) == 0 and max(b.x2 for b in boxes) == CAM.width
+        assert min(b.y1 for b in boxes) == 0 and max(b.y2 for b in boxes) == CAM.height
+
+    def test_off_frame_object(self):
+        objects = [
+            SceneObject("car", x=30.0, z=2.0, width=2.0, height=1.5),
+            SceneObject("person", x=0.0, z=4.0, width=0.6, height=1.75),
+        ]
+        dets = assert_detections_match_owner_grid(objects, CAM)
+        assert [d.track_id for d in dets] == [1]
+
+    def test_unlabeled_tree_occludes_person(self):
+        objects = [
+            SceneObject("person", x=0.0, z=5.0, width=0.6, height=1.75),
+            SceneObject("tree", x=0.4, z=3.5, width=2.5, height=2.0, elevation=0.8, labeled=False),
+        ]
+        dets = assert_detections_match_owner_grid(objects, CAM)
+        assert [d.track_id for d in dets] == [0]
+        _, owner = render_scene(objects, CAM)
+        bbox = dets[0].bbox
+        assert 0 < (owner == 0).sum() < bbox.width * bbox.height
+
+
 def test_default_road_mask_band():
     grid = rle_decode(default_road_mask(CAM))
     assert grid[240:, 128:512].all()
@@ -206,6 +314,30 @@ class TestSpecValidation:
     def test_negative_seed(self):
         with pytest.raises(ConsistencyError, match="seed -1 < 0"):
             ScenarioSpec(kind="random", seed=-1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("fps", 0.0),
+            ("fps", -30.0),
+            ("fps", math.nan),
+            ("fps", math.inf),
+            ("walk_speed", -1.2),
+            ("walk_speed", math.nan),
+            ("walk_speed", math.inf),
+            ("rev_jitter_sigma", -40.0),
+            ("rev_jitter_sigma", math.nan),
+            ("rev_jitter_sigma", math.inf),
+        ],
+    )
+    def test_stream_numbers(self, field, value):
+        with pytest.raises(ConsistencyError, match=field):
+            ScenarioSpec(kind="random", seed=1, **{field: value})
+
+    def test_standing_still_is_allowed(self):
+        spec = ScenarioSpec(kind="crowded_street", seed=1, n_frames=3, walk_speed=0.0)
+        frames = [f for f, _ in generate(spec)]
+        assert frames[0].depth == frames[-1].depth
 
     def test_object_validation(self):
         with pytest.raises(ConsistencyError):
@@ -345,6 +477,34 @@ class TestScenarioFiles:
         write_scenario(b, spec)
         for name in ("frames.jsonl", "ground_truth.jsonl", "0.pgm", "2.pgm"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_dataset_bytes_pinned(self, tmp_path):
+        # every file written for one occluded random scene, named and hashed
+        write_scenario(tmp_path, ScenarioSpec(kind="random", seed=5, n_frames=4))
+        digest = hashlib.sha256()
+        names = sorted(os.listdir(tmp_path))
+        assert names == ["0.pgm", "1.pgm", "2.pgm", "3.pgm", "frames.jsonl", "ground_truth.jsonl"]
+        for name in names:
+            digest.update(name.encode("ascii") + b"\n")
+            digest.update((tmp_path / name).read_bytes())
+        assert digest.hexdigest() == (
+            "4d17eabe5f73e36db99c603e0aa8916ca7e00a2e23dc9186d781504d69fa439e"
+        )
+
+    def test_frames_stream_to_disk(self, tmp_path, monkeypatch):
+        # each frame is on disk before the next one is generated
+        real = scenario.generate
+
+        def watched(spec):
+            frames = real(spec)
+            for frame_id in range(spec.n_frames):
+                if frame_id:
+                    assert (tmp_path / f"{frame_id - 1}.pgm").exists()
+                yield next(frames)
+
+        monkeypatch.setattr(scenario, "generate", watched)
+        assert write_scenario(tmp_path, ScenarioSpec(kind="crowded_street", seed=2, n_frames=5)) == 5
+        assert (tmp_path / "4.pgm").exists()
 
 
 class TestCalibrationFrames:
