@@ -30,7 +30,7 @@ from .perception import (
     PerceptionFrame,
     rle_decode,
     rle_encode,
-    rle_encode_window,
+    rle_encode_rect,
 )
 from .geometry import (
     GeometricConfig,

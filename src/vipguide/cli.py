@@ -76,15 +76,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_plan(args) -> int:
+    if args.graph and not (args.src and args.dst):
+        print("plan: --graph requires --src and --dst", file=sys.stderr)
+        return 2
+    if not args.graph and (args.src or args.dst):
+        print("plan: --src and --dst require --graph", file=sys.stderr)
+        return 2
     config = load_config(args.config) if args.config else default_config()
     model = calibration.load_model(args.model) if args.model else default_model()
 
     graph = route = None
     if args.graph:
         graph = load_graph(args.graph)
-        if not (args.src and args.dst):
-            print("plan: --graph requires --src and --dst", file=sys.stderr)
-            return 2
         route = shortest_path(graph, args.src, args.dst)
 
     if args.frames:

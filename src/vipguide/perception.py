@@ -8,8 +8,8 @@ synthetic scenario generator) hands the results over in this form.
 Depth convention: per-pixel 16-bit relative depth values (REV) where a
 *larger* value means *nearer* to the camera. Masks are stored run-length
 encoded; :func:`rle_encode` / :func:`rle_decode` convert to and from dense
-boolean grids, and :func:`rle_encode_window` encodes a frame that is
-background outside one rectangle by scanning that rectangle alone.
+boolean grids, and :func:`rle_encode_rect` builds the mask of a rectangle
+minus the rectangles that cut it from their corners alone.
 """
 from __future__ import annotations
 
@@ -86,10 +86,12 @@ class BitMask:
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
             raise ConsistencyError(f"mask dims {self.width}x{self.height} not positive")
-        try:
-            runs = tuple(np.fromiter(self.runs, dtype=np.int64).tolist())
-        except OverflowError:  # a run beyond int64: Python ints hold it exactly
-            runs = tuple(map(int, self.runs))
+        runs = tuple(self.runs)
+        if not set(map(type, runs)) <= {int}:  # exact ints need no conversion
+            try:
+                runs = tuple(np.fromiter(runs, dtype=np.int64).tolist())
+            except OverflowError:  # a run beyond int64: Python ints hold it exactly
+                runs = tuple(map(int, runs))
         object.__setattr__(self, "runs", runs)
         if runs and min(runs) < 0:
             raise ConsistencyError("negative run length")
@@ -222,47 +224,77 @@ def rle_encode(grid) -> BitMask:
     background run when the grid starts with foreground.
     """
     g = np.asarray(grid, dtype=bool)
-    if g.ndim != 2:
+    if g.ndim != 2 or g.size == 0:
         raise ConsistencyError(f"expected a non-empty 2D grid, got shape {g.shape}")
-    return rle_encode_window(g, 0, 0, g.shape[1], g.shape[0])
+    flat = g.ravel()
+    edges = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+    # foreground at the first pixel has no change point there
+    head = [0, 0] if flat[0] else [0]
+    runs = np.diff(np.concatenate((head, edges, [flat.size])))
+    return BitMask(width=g.shape[1], height=g.shape[0], runs=tuple(runs.tolist()))
 
 
-def rle_encode_window(window, x: int, y: int, width: int, height: int) -> BitMask:
-    """Canonical BitMask of a width x height frame that is background except
-    for the boolean ``window``, whose top-left pixel sits at column x, row y.
+def rle_encode_rect(rect, cuts, width: int, height: int) -> BitMask | None:
+    """Canonical BitMask of a width x height frame whose foreground is the
+    half-open ``rect`` (x1, y1, x2, y2) minus every rect in ``cuts``.
 
-    Costs O(window pixels), not O(frame): only the window is scanned, and
-    its foreground run edges are mapped to flat frame offsets.
+    Built from the corners alone, with no pixel scan: rows that the same
+    cuts cross form a band, and every row of a band repeats one run
+    pattern. Returns None when the cuts cover the whole rect.
     """
-    w = np.asarray(window, dtype=bool)
-    if w.ndim != 2 or w.size == 0:
-        raise ConsistencyError(f"expected a non-empty 2D grid, got shape {w.shape}")
-    rows, cols = w.shape
-    if x < 0 or y < 0 or x + cols > width or y + rows > height:
+    x1, y1, x2, y2 = rect
+    if not (0 <= x1 < x2 <= width and 0 <= y1 < y2 <= height):
         raise ConsistencyError(
-            f"window {cols}x{rows} at ({x},{y}) outside frame {width}x{height}"
+            f"rect {list(rect)} empty or outside frame {width}x{height}"
         )
-    if cols == width:
-        # full-width rows are contiguous in the frame: one flat scan
-        flat = w.ravel()
-        start = y * width
-        edges = np.flatnonzero(flat[1:] != flat[:-1]) + (start + 1)
-    else:
-        # a background column after each row keeps runs from crossing rows
-        padded = np.zeros((rows, cols + 1), dtype=bool)
-        padded[:, :cols] = w
-        flat = padded.ravel()
-        start = y * width + x
-        row, col = np.divmod(np.flatnonzero(flat[1:] != flat[:-1]) + 1, cols + 1)
-        edges = (row + y) * width + (col + x)
-    # foreground at the scan's first or last pixel has no change point there
-    head = [0, start] if flat[0] else [0]
-    tail = [start + flat.size, width * height] if flat[-1] else [width * height]
-    bounds = np.concatenate((head, edges, tail))
-    runs = bounds[1:] - bounds[:-1]
-    if runs[-1] == 0:  # foreground reaches the frame's last pixel
-        runs = runs[:-1]
-    return BitMask(width=width, height=height, runs=tuple(runs.tolist()))
+    # each cut clipped to the rect, in column order; a cut outside is empty
+    clipped = (
+        (max(u1, x1), min(u2, x2), max(v1, y1), min(v2, y2))
+        for u1, v1, u2, v2 in cuts
+    )
+    holes = sorted(h for h in clipped if h[0] < h[1] and h[2] < h[3])
+    ys = sorted({y1, y2, *(v for hole in holes for v in hole[2:])})
+    runs = []  # background, foreground, background, ...
+    end = 0  # flat offset just past the last foreground run
+    for ya, yb in zip(ys, ys[1:]):
+        # the band's foreground columns: [x1, x2) minus the holes over it
+        segs, s = [], x1
+        for u1, u2, v1, v2 in holes:
+            if v1 <= ya < v2:
+                if s < u1:
+                    segs.append((s, u1))
+                s = max(s, u2)
+        if s < x2:
+            segs.append((s, x2))
+        if not segs:
+            continue
+        # one row: foreground, gap, foreground, ..., foreground
+        row = [segs[0][1] - segs[0][0]]
+        for (_, prev_end), (start, stop) in zip(segs, segs[1:]):
+            row += [start - prev_end, stop - start]
+        n = yb - ya
+        wrap = width - segs[-1][1] + segs[0][0]  # background between rows
+        if wrap:
+            band = (row + [wrap]) * n
+            band.pop()
+        elif len(row) == 1:  # full-width rows are one run
+            band = [n * width]
+        else:  # each row's last run joins the next row's first
+            mid = row[1:-1]
+            band = [row[0]] + (mid + [row[-1] + row[0]]) * (n - 1) + mid + [row[-1]]
+        gap = ya * width + segs[0][0] - end
+        if gap or not runs:
+            runs.append(gap)
+            runs += band
+        else:  # the band's first run continues the last one
+            runs[-1] += band[0]
+            runs += band[1:]
+        end = (yb - 1) * width + segs[-1][1]
+    if not runs:
+        return None
+    if end < width * height:
+        runs.append(width * height - end)
+    return BitMask(width=width, height=height, runs=tuple(runs))
 
 
 def rle_decode(mask: BitMask, rows: tuple[int, int] | None = None) -> np.ndarray:

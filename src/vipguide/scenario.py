@@ -30,7 +30,7 @@ from .perception import (
     DepthMap,
     Detection,
     PerceptionFrame,
-    rle_encode_window,
+    rle_encode_rect,
 )
 
 Z_NEAR = 1.0
@@ -197,27 +197,21 @@ def _render(
 
     Returns (depth values, detections, VIP mask, instance masks). Labeled
     objects and the VIP are detected, in index order, when some pixel of
-    theirs is visible. The visible part is the object's rect with the
-    rects painted after it cleared, the same pixels render_scene's owner
-    grid gives it, and only that window is encoded.
+    theirs is visible. The visible part is the object's rect minus the
+    rects painted after it, the same pixels render_scene's owner grid
+    gives it, and its mask is built from those rects alone.
     """
     values = ground.copy()
     layout = _paint(objects, cam, values)
     visible = {}
-    for k, (idx, (x1, y1, x2, y2)) in enumerate(layout):
+    for k, (idx, rect) in enumerate(layout):
         obj = objects[idx]
         if not obj.labeled and obj.kind != "vip":
             continue
-        window = np.ones((y2 - y1, x2 - x1), dtype=bool)
-        for _, (u1, v1, u2, v2) in layout[k + 1 :]:
-            if u1 < x2 and x1 < u2 and v1 < y2 and y1 < v2:
-                window[
-                    max(v1, y1) - y1 : min(v2, y2) - y1,
-                    max(u1, x1) - x1 : min(u2, x2) - x1,
-                ] = False
-        if window.any():
-            mask = rle_encode_window(window, x1, y1, cam.width, cam.height)
-            visible[idx] = (BoundingBox(x1, y1, x2, y2), mask)
+        cuts = [cut for _, cut in layout[k + 1 :]]
+        mask = rle_encode_rect(rect, cuts, cam.width, cam.height)
+        if mask is not None:
+            visible[idx] = (BoundingBox(*rect), mask)
     detections = []
     vip_mask = None
     instance_masks: dict[int, BitMask] = {}
@@ -237,8 +231,7 @@ def default_road_mask(cam: Camera) -> BitMask:
     x1 = _round_px(0.2 * cam.width)
     x2 = _round_px(0.8 * cam.width)
     y1 = cam.height // 2
-    band = np.ones((cam.height - y1, x2 - x1), dtype=bool)
-    return rle_encode_window(band, x1, y1, cam.width, cam.height)
+    return rle_encode_rect((x1, y1, x2, cam.height), (), cam.width, cam.height)
 
 
 # -- scenario authoring ---------------------------------------------------------

@@ -108,6 +108,24 @@ class TestPlan:
         assert code == 2
         assert "--src" in err
 
+    def test_usage_checked_before_graph_loads(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "plan", "--scenario", "random", "--out",
+            str(tmp_path / "t.jsonl"), "--graph", str(tmp_path / "missing.json"),
+        )
+        assert (code, err) == (2, "plan: --graph requires --src and --dst\n")
+
+    @pytest.mark.parametrize(
+        "flags", [("--src", "A", "--dst", "B"), ("--src", "A"), ("--dst", "B")]
+    )
+    def test_endpoints_need_graph(self, tmp_path, capsys, flags):
+        trace = tmp_path / "t.jsonl"
+        code, _, err = run(
+            capsys, "plan", "--scenario", "random", "--out", str(trace), *flags
+        )
+        assert (code, err) == (2, "plan: --src and --dst require --graph\n")
+        assert not trace.exists()
+
     def test_repeated_timestamp_fails_cleanly(self, tmp_path, capsys):
         ds = tmp_path / "ds"
         run(capsys, "simulate", "--scenario", "crowded_street",

@@ -69,6 +69,23 @@ class TestPgm:
         with pytest.raises(FrameDecodeError):
             read_pgm(path)
 
+    def test_truncated_raster_message(self, tmp_path):
+        path = tmp_path / "x.pgm"
+        path.write_bytes(b"P5\n2 2\n65535\n\x00\x01")
+        with pytest.raises(FrameDecodeError, match="raster has 2 bytes, expected 8$"):
+            read_pgm(path)
+        path.write_bytes(b"P5\n2 2\n65535")  # no byte after maxval
+        with pytest.raises(FrameDecodeError, match="raster has 0 bytes, expected 8$"):
+            read_pgm(path)
+
+    def test_trailing_bytes_ignored(self, tmp_path):
+        d = DepthMap(width=3, height=2, values=np.arange(6) * 11000)
+        path = tmp_path / "x.pgm"
+        write_pgm(path, d)
+        with open(path, "ab") as fh:
+            fh.write(b"\xff\xfe trailing")
+        assert read_pgm(path) == d
+
     def test_comments_allowed(self, tmp_path):
         path = tmp_path / "x.pgm"
         path.write_bytes(b"P5\n# a comment\n1 1\n65535\n\x00\x07")

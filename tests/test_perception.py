@@ -11,7 +11,7 @@ from vipguide.perception import (
     mask_from_bbox,
     rle_decode,
     rle_encode,
-    rle_encode_window,
+    rle_encode_rect,
 )
 
 from conftest import det, make_frame
@@ -134,66 +134,153 @@ def reference_runs(grid) -> tuple[int, ...]:
     return tuple(runs)
 
 
+def paint(rect, cuts, width, height):
+    """The oracle grid: the rect set in an empty frame, then each cut cleared."""
+    grid = np.zeros((height, width), dtype=bool)
+    x1, y1, x2, y2 = rect
+    grid[y1:y2, x1:x2] = True
+    for u1, v1, u2, v2 in cuts:
+        grid[max(v1, 0) : max(v2, 0), max(u1, 0) : max(u2, 0)] = False
+    return grid
+
+
+def random_rect(rng, width, height, margin=0):
+    """Half-open rect inside the frame grown by `margin`, often on its edges."""
+    def span(size):
+        lo, hi = -margin, size + margin
+        a = int(rng.choice([lo, hi - 1, rng.integers(lo, hi)]))
+        b = int(rng.choice([a + 1, hi, rng.integers(a + 1, hi + 1)]))
+        return a, b
+
+    x1, x2 = span(width)
+    y1, y2 = span(height)
+    return x1, y1, x2, y2
+
+
 class TestRleEncodeWindow:
+    """rle_encode_rect: the mask of a window (a rect) minus the rects cut from it."""
+
     @staticmethod
-    def check(window, x, y, width, height):
-        window = np.asarray(window, dtype=bool)
-        grid = np.zeros((height, width), dtype=bool)
-        grid[y : y + window.shape[0], x : x + window.shape[1]] = window
-        mask = rle_encode_window(window, x, y, width, height)
+    def check(rect, cuts, width, height):
+        grid = paint(rect, cuts, width, height)
+        mask = rle_encode_rect(rect, cuts, width, height)
+        if not grid.any():
+            assert mask is None
+            return None
         assert mask == rle_encode(grid)
         assert mask.runs == reference_runs(grid)
-        assert (mask.width, mask.height) == (width, height)
+        assert all(type(r) is int for r in mask.runs)
+        return mask
 
     def test_matches_embedded_full_grid(self):
+        # seeded fuzz: 1x1 to 14x14 frames, 0-4 cuts that may leave the frame
         rng = np.random.default_rng(11)
-        sizes = [(1, 1), (1, 9), (9, 1), (1, 2), (2, 1)]
-        sizes += [tuple(int(v) for v in rng.integers(1, 14, size=2)) for _ in range(40)]
+        sizes = [(1, 1), (1, 9), (9, 1), (1, 2), (2, 1), (14, 14)]
+        sizes += [tuple(int(v) for v in rng.integers(1, 15, size=2)) for _ in range(60)]
         for height, width in sizes:
-            for _ in range(12):
-                rows = int(rng.integers(1, height + 1))
-                cols = int(rng.integers(1, width + 1))
-                # left/top edge, right/bottom edge, or anywhere between
-                x = int(rng.choice([0, width - cols, rng.integers(0, width - cols + 1)]))
-                y = int(rng.choice([0, height - rows, rng.integers(0, height - rows + 1)]))
-                p = float(rng.choice([0.0, 0.3, 0.7, 1.0]))
-                self.check(rng.random((rows, cols)) < p, x, y, width, height)
+            for _ in range(40):
+                rect = random_rect(rng, width, height)
+                cuts = [
+                    random_rect(rng, width, height, margin=2)
+                    for _ in range(int(rng.integers(0, 5)))
+                ]
+                self.check(rect, cuts, width, height)
 
     def test_full_width_windows(self):
         rng = np.random.default_rng(12)
-        for _ in range(40):
+        for _ in range(200):
             height, width = (int(v) for v in rng.integers(1, 10, size=2))
-            rows = int(rng.integers(1, height + 1))
-            y = int(rng.integers(0, height - rows + 1))
-            self.check(rng.random((rows, width)) < 0.5, 0, y, width, height)
+            y1 = int(rng.integers(0, height))
+            y2 = int(rng.integers(y1 + 1, height + 1))
+            cuts = [random_rect(rng, width, height) for _ in range(int(rng.integers(0, 3)))]
+            self.check((0, y1, width, y2), cuts, width, height)
+
+    def test_full_width_rows_merge_into_one_run(self):
+        assert self.check((0, 1, 4, 3), [], 4, 4).runs == (4, 8, 4)
+        assert self.check((0, 0, 4, 4), [], 4, 4).runs == (0, 16)
+        # the cut's band stops the run; the full-width bands around it merge
+        assert self.check((0, 0, 4, 4), [(1, 1, 3, 2)], 4, 4).runs == (0, 5, 2, 9)
 
     def test_run_wrapping_into_next_row_is_one_run(self):
         # the last column of row 0 and the first of row 1 are adjacent pixels
-        window = [[False, False, True], [True, False, False]]
-        assert rle_encode_window(window, 0, 0, 3, 2).runs == (2, 2, 2)
-        assert rle_encode_window(window, 0, 1, 3, 3).runs == (5, 2, 2)
+        cuts = [(0, 0, 2, 1), (1, 1, 3, 2)]
+        assert self.check((0, 0, 3, 2), cuts, 3, 2).runs == (2, 2, 2)
+        cuts = [(0, 1, 2, 2), (1, 2, 3, 3)]
+        assert self.check((0, 1, 3, 3), cuts, 3, 3).runs == (5, 2, 2)
         # narrower than the frame, the same window leaves a gap between rows
-        assert rle_encode_window(window, 1, 0, 4, 2).runs == (3, 1, 1, 1, 2)
+        cuts = [(1, 0, 3, 1), (2, 1, 4, 2)]
+        assert self.check((1, 0, 4, 2), cuts, 4, 2).runs == (3, 1, 1, 1, 2)
+
+    def test_band_at_last_column_joins_band_from_column_zero(self):
+        # rows 0-1 end at the last column, rows 2-3 start at column 0
+        assert self.check((0, 0, 6, 4), [(0, 0, 3, 2)], 6, 4).runs == (3, 3, 3, 15)
+        assert self.check((0, 0, 6, 4), [(3, 2, 6, 4)], 6, 4).runs == (0, 15, 3, 3, 3)
+        # a gap row between the bands keeps them apart
+        cuts = [(0, 0, 3, 1), (0, 1, 6, 2)]
+        assert self.check((0, 0, 6, 3), cuts, 6, 3).runs == (3, 3, 6, 6)
+
+    def test_cuts_split_a_row_into_segments(self):
+        cuts = [(2, 1, 3, 2), (5, 1, 7, 2)]
+        assert self.check((0, 0, 10, 3), cuts, 10, 3).runs == (0, 12, 1, 2, 2, 13)
+        # first segment at column 0, last at the last column: each row's
+        # last run joins the next row's first over three rows
+        cuts = [(1, 0, 2, 3), (3, 0, 4, 3)]
+        assert self.check((0, 0, 5, 3), cuts, 5, 3).runs == (0, 1, 1, 1, 1, 2, 1, 1, 1, 2, 1, 1, 1, 1)
+        # overlapping and touching cuts merge into one gap
+        cuts = [(1, 0, 3, 1), (2, 0, 4, 1), (4, 0, 5, 1)]
+        assert self.check((0, 0, 7, 1), cuts, 7, 1).runs == (0, 1, 4, 2)
+
+    def test_cuts_outside_the_rect_change_nothing(self):
+        cuts = [(0, 0, 2, 4), (4, 0, 6, 2), (2, 0, 4, 1), (-3, -3, -1, -1), (3, 1, 3, 3)]
+        assert self.check((2, 1, 4, 3), cuts, 6, 4).runs == (8, 2, 4, 2, 8)
+
+    def test_cuts_covering_the_rect_leave_no_mask(self):
+        assert rle_encode_rect((1, 1, 3, 3), [(0, 0, 4, 4)], 5, 4) is None
+        assert rle_encode_rect((1, 1, 3, 3), [(1, 1, 3, 3)], 5, 4) is None
+        # two cuts that only cover it together
+        assert rle_encode_rect((1, 1, 3, 3), [(1, 1, 3, 2), (0, 2, 5, 4)], 5, 4) is None
+        assert rle_encode_rect((1, 1, 3, 3), [(1, 1, 2, 3), (2, 0, 9, 9)], 5, 4) is None
+
+    def test_rects_on_each_frame_edge(self):
+        for rect, runs in [
+            ((0, 1, 2, 3), (5, 2, 3, 2, 8)),  # left
+            ((3, 1, 5, 3), (8, 2, 3, 2, 5)),  # right
+            ((1, 0, 3, 2), (1, 2, 3, 2, 12)),  # top
+            ((1, 2, 3, 4), (11, 2, 3, 2, 2)),  # bottom
+            ((0, 0, 1, 1), (0, 1, 19)),  # top-left pixel
+            ((4, 3, 5, 4), (19, 1)),  # bottom-right pixel
+        ]:
+            assert self.check(rect, [], 5, 4).runs == runs
+            # a cut through the middle row keeps the edge runs in place
+            cut = (0, rect[1] + 1, 5, rect[1] + 2)
+            self.check(rect, [cut], 5, 4)
 
     def test_empty_and_full_windows(self):
-        assert rle_encode_window(np.zeros((2, 3), bool), 1, 1, 5, 4).runs == (20,)
-        assert rle_encode_window(np.ones((2, 3), bool), 1, 1, 5, 4).runs == (6, 3, 2, 3, 6)
-        assert rle_encode_window(np.ones((4, 5), bool), 0, 0, 5, 4).runs == (0, 20)
-        assert rle_encode_window(np.ones((1, 2), bool), 3, 3, 5, 4).runs == (18, 2)
-        assert rle_encode_window(np.ones((1, 1), bool), 0, 0, 5, 4).runs == (0, 1, 19)
+        assert rle_encode_rect((1, 1, 4, 3), [(1, 1, 4, 3)], 5, 4) is None
+        assert rle_encode_rect((1, 1, 4, 3), [], 5, 4).runs == (6, 3, 2, 3, 6)
+        assert rle_encode_rect((0, 0, 5, 4), [], 5, 4).runs == (0, 20)
+        assert rle_encode_rect((3, 3, 5, 4), [], 5, 4).runs == (18, 2)
+        assert rle_encode_rect((0, 0, 1, 1), [], 5, 4).runs == (0, 1, 19)
 
     @pytest.mark.parametrize(
         "x,y,shape",
         [(-1, 0, (2, 2)), (0, -1, (2, 2)), (4, 0, (2, 2)), (0, 3, (2, 2)), (0, 0, (5, 6))],
     )
     def test_window_outside_frame_rejected(self, x, y, shape):
+        rect = (x, y, x + shape[1], y + shape[0])
         with pytest.raises(ConsistencyError, match="outside frame 5x4"):
-            rle_encode_window(np.ones(shape, dtype=bool), x, y, 5, 4)
+            rle_encode_rect(rect, [], 5, 4)
 
+    @pytest.mark.parametrize("rect", [(2, 1, 2, 3), (2, 1, 4, 1), (3, 1, 2, 3)])
+    def test_empty_rect_rejected(self, rect):
+        with pytest.raises(ConsistencyError, match=r"^rect \[.*\] empty or outside"):
+            rle_encode_rect(rect, [], 5, 4)
+
+    # the grid check moved with the flat scan into rle_encode
     @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (4,), (1, 2, 2)])
     def test_malformed_window_rejected(self, shape):
         with pytest.raises(ConsistencyError, match="non-empty 2D"):
-            rle_encode_window(np.ones(shape, dtype=bool), 0, 0, 5, 4)
+            rle_encode(np.ones(shape, dtype=bool))
 
 
 class TestBitMaskValidation:
@@ -203,6 +290,15 @@ class TestBitMaskValidation:
         assert all(type(r) is int for r in mask.runs)
         runs = np.array([1, 2, 3], dtype=np.int64)
         assert all(type(r) is int for r in BitMask(width=3, height=2, runs=runs).runs)
+
+    def test_list_of_exact_ints_stored_as_tuple(self):
+        mask = BitMask(width=3, height=2, runs=[2, 4])
+        assert mask.runs == (2, 4) and type(mask.runs) is tuple
+
+    def test_bool_run_stored_as_int(self):
+        mask = BitMask(width=3, height=2, runs=(5, True))
+        assert mask.runs == (5, 1)
+        assert [type(r) for r in mask.runs] == [int, int]
 
     def test_floats_truncate_like_int(self):
         assert BitMask(width=3, height=2, runs=(2.7, 4.2)).runs == (2, 4)
