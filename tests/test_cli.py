@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -99,6 +100,30 @@ class TestPlan:
         # heading partition outline (green) and VIP box (blue) both present
         assert (flat == (0, 255, 0)).all(axis=1).any()
         assert (flat == (0, 0, 255)).all(axis=1).any()
+
+    # SHA-256 over the PPMs of frames 0-4, seed 1, in frame order: a change
+    # that moves one annotated pixel changes what the user is shown
+    ANNOTATED_SHA256 = {
+        "footpath_tree": "056efaf3202019cfd07a179af96b941ad4279f0bd79022f36a8ad52057cd6105",
+        "parked_vehicles": "d5ea48b22fe9a4d051f62b5cde6dc1fdc4ea0d36430537fbc8c9f87cf7be29ad",
+        "crowded_street": "5478c8e7c371c1d2527aaaa9db8cca1ac67ff82ec629d21790bff4c531be3b23",
+        "random": "242eabdc3a4b5a1aaf88550494159e97e5e597788af1a3139b3a360f3ac270e9",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(ANNOTATED_SHA256))
+    def test_annotated_frames_byte_stable(self, tmp_path, capsys, kind):
+        ann = tmp_path / "frames"
+        code, _, _ = run(
+            capsys, "plan", "--scenario", kind, "--seed", "1", "--n-frames", "5",
+            "--out", str(tmp_path / "trace.jsonl"), "--annotate", str(ann),
+        )
+        assert code == 0
+        paths = sorted(ann.iterdir())
+        assert [p.name for p in paths] == [f"frame_{i:05d}.ppm" for i in range(5)]
+        digest = hashlib.sha256()
+        for path in paths:
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == self.ANNOTATED_SHA256[kind]
 
     def test_graph_needs_endpoints(self, tmp_path, capsys, campus_graph_path):
         code, _, err = run(

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import os
 from collections import Counter
 from dataclasses import replace
 
@@ -438,38 +440,55 @@ class TestTraceRecords:
         assert max(decoded.values()) == 1
 
 
-def test_benchmark_patch_points_see_every_call(monkeypatch):
-    """The traced benchmark times layers by replacing these module attributes."""
-    calls = Counter()
-    for owner, name in [
-        (global_planner, "shortest_path"),
-        (pipeline_module, "partition_profiles"),
-        (pipeline_module, "road_edge_check"),
-        (pipeline_module, "detection_distance"),
-        (perception, "rle_decode"),
-    ]:
-        real = getattr(owner, name)
+def load_tracer_module():
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
-        def counted(*args, _real=real, _name=name, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
 
-        monkeypatch.setattr(owner, name, counted)
+# tracer layers this test does not drive through the planner: dataset I/O
+# and graph loading happen outside process_frame
+NOT_PLANNER_LAYERS = {
+    "scenario.generate",
+    "frameio.write",
+    "frameio.read",
+    "frameio.record_to_line",
+    "global_planner.load",
+}
 
-    # a routed walk whose first frame fires a replan
+
+def test_benchmark_patch_points_see_every_call():
+    """The traced benchmark times layers by replacing the attributes its
+    tracer lists; every planner-layer one must see the calls it times."""
+    tracer_module = load_tracer_module()
+    planner_layers = {name for name, *_ in tracer_module._targets()} - NOT_PLANNER_LAYERS
+    assert {"tracking.step", "pipeline.process_frame"} <= planner_layers
+
     graph = escort_graph()
     route = global_planner.shortest_path(graph, "A", "C")
     config = default_config()
     config = replace(config, pipeline=replace(config.pipeline, reroute_patience=1))
-    pipe = Pipeline(config, scaled_model(), graph=graph, route=route)
-    _, record = pipe.process_frame(blocked_frame(0, 0.0))
-    assert record["outcome"]["new_route"] == ["A", "C"]
-    assert calls["shortest_path"] == 2  # the initial route and the replan
-
-    calls.clear()
+    routed = Pipeline(config, scaled_model(), graph=graph, route=route)
     frame, _ = next(generate(ScenarioSpec(kind="crowded_street", seed=1, n_frames=1)))
-    make_pipeline().process_frame(frame)
-    assert calls["partition_profiles"] == 1
-    assert calls["road_edge_check"] == 1
-    assert calls["detection_distance"] == len(frame.detections)
-    assert calls["rle_decode"] >= 1
+    street = make_pipeline()
+
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        # a routed walk whose first frame fires a replan
+        _, record = routed.process_frame(blocked_frame(0, 0.0))
+        street.process_frame(frame)
+    finally:
+        tracer.uninstall()
+
+    assert record["outcome"]["new_route"] == ["A", "C"]
+    calls = tracer.calls
+    assert {name for name in planner_layers if calls[name] == 0} == set()
+    assert calls["pipeline.process_frame"] == 2
+    assert calls["tracking.step"] == 2
+    assert calls["global_planner.shortest_path"] == 1  # the replan
+    assert calls["local_planner.partition_profiles"] == 2
+    assert calls["local_planner.road_edge_check"] == 2
+    assert calls["calibration.detection_distance"] == 2 + len(frame.detections)
