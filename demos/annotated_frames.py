@@ -16,7 +16,6 @@ from vipguide import (
     default_config,
     default_model,
     generate,
-    partition_bounds,
     write_ppm,
 )
 
@@ -25,14 +24,12 @@ def main():
     out_dir = sys.argv[1] if len(sys.argv) > 1 else "annotated"
     os.makedirs(out_dir, exist_ok=True)
 
-    config = default_config()
-    pipe = Pipeline(config, default_model())
+    pipe = Pipeline(default_config(), default_model())
     spec = ScenarioSpec(kind="parked_vehicles", seed=1, n_frames=12)
-    partitions = partition_bounds(spec.camera.width, config.planner.n_partitions)
 
     for frame, _ in generate(spec):
         decision, _ = pipe.process_frame(frame)
-        image = annotate_frame(frame, pipe.last_detections, decision, partitions)
+        image = annotate_frame(frame, decision)
         path = os.path.join(out_dir, f"frame_{frame.frame_id:05d}.ppm")
         write_ppm(path, image)
         print(f"wrote {path}")

@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import FrameDecodeError
-from .local_planner import GuidanceDecision, Heading, Partition
-from .perception import Detection, PerceptionFrame
+from .local_planner import GuidanceDecision, Heading
+from .perception import PerceptionFrame
 
 BLUE = (0, 0, 255)
 RED = (255, 0, 0)
@@ -35,30 +35,25 @@ def draw_box(image: np.ndarray, x1: int, y1: int, x2: int, y2: int, color, thick
     image[y1c:y2c, max(x2c - t, x1c) : x2c] = color
 
 
-def annotate_frame(
-    frame: PerceptionFrame,
-    detections: list[Detection],
-    decision: GuidanceDecision,
-    partitions: list[Partition],
-) -> np.ndarray:
-    """Render one frame to an (H, W, 3) uint8 image."""
+def annotate_frame(frame: PerceptionFrame, decision: GuidanceDecision) -> np.ndarray:
+    """Render one frame and its decision to an (H, W, 3) uint8 image."""
     gray = (frame.depth.values >> 8).astype(np.uint8)
     image = np.repeat(gray[:, :, None], 3, axis=2)
 
     severity_by_id = {a.track_id: a.severity for a in decision.assessments}
-    for det in detections:
+    for det in decision.detections:
         if det.class_label == "vip":
             continue
         color = SEVERITY_COLOR.get(severity_by_id.get(det.track_id, "clear"))
         if color is not None:
             draw_box(image, det.bbox.x1, det.bbox.y1, det.bbox.x2, det.bbox.y2, color)
 
-    for det in detections:
+    for det in decision.detections:
         if det.class_label == "vip":
             draw_box(image, det.bbox.x1, det.bbox.y1, det.bbox.x2, det.bbox.y2, BLUE)
 
     if isinstance(decision.outcome, Heading):
-        p = partitions[decision.outcome.partition]
+        p = decision.partitions[decision.outcome.partition]
         draw_box(image, p.x_start, 0, p.x_end, frame.height, GREEN, thickness=3)
     return image
 

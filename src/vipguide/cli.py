@@ -13,7 +13,6 @@ from .config import default_config, load_config
 from .errors import VipGuideError
 from .frameio import read_dataset, record_to_line
 from .global_planner import Route, load_graph, shortest_path
-from .local_planner import partition_bounds
 from .pipeline import Pipeline
 from .scenario import SCENARIO_KINDS, ScenarioSpec, default_model, generate, write_scenario
 
@@ -109,16 +108,9 @@ def run_plan(args) -> int:
             out.write("\n")
             n += 1
             if args.annotate:
-                partitions = partition_bounds(
-                    frame.width, config.planner.n_partitions
-                )
-                # tracked detections: their ids match the assessments
-                image = annotate_frame(
-                    frame, pipeline.last_detections, decision, partitions
-                )
                 write_ppm(
                     os.path.join(args.annotate, f"frame_{frame.frame_id:05d}.ppm"),
-                    image,
+                    annotate_frame(frame, decision),
                 )
 
     summary = pipeline.stats.summary()

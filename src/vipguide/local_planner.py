@@ -72,6 +72,9 @@ class GuidanceDecision:
     outcome: Heading | RerouteNeeded | None  # None = vip lost
     assessments: tuple[ObstacleAssessment, ...]
     edge_status: EdgeStatus
+    detections: tuple[Detection, ...]  # tracked: ids match the assessments
+    partitions: tuple[Partition, ...]
+    new_route: tuple[str, ...] | None  # None = no replan this frame
 
 
 def partition_bounds(width: int, n: int = PlannerConfig.n_partitions) -> list[Partition]:

@@ -2,7 +2,8 @@
 
 Holds the mutable run state (tracker, route, loss/reroute counters,
 latency tallies) and turns each PerceptionFrame into a GuidanceDecision
-plus a JSON-ready trace record. Decisions are emitted strictly in
+plus a JSON-ready trace record; the decision gathers what the named
+stages of `process_frame` found. Decisions are emitted strictly in
 frame_id order; the graph is only touched from here (single writer).
 
 VIP-loss policy: while the VIP is undetected the planner coasts on the
@@ -20,9 +21,9 @@ from __future__ import annotations
 
 import math
 import time
-from collections import deque
+from collections import defaultdict, deque
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from fractions import Fraction
 
 from . import global_planner
@@ -65,40 +66,35 @@ def nearest_rank(values: Sequence[float], q: float) -> float:
 STAGE_SAMPLES = 4096  # latency samples kept per stage; older ones are dropped
 
 
-def _recent_samples() -> deque[float]:
-    return deque(maxlen=STAGE_SAMPLES)
-
-
-@dataclass
 class StageStats:
-    """Per-stage latency samples in milliseconds, the most recent STAGE_SAMPLES.
+    """Latency samples in milliseconds by stage name, the most recent
+    STAGE_SAMPLES of each.
 
     Memory stays bounded over an unbounded stream; `frames` counts every
     frame recorded, so the summary's `n` is the total, not the window.
     """
 
-    decode: deque[float] = field(default_factory=_recent_samples)
-    track: deque[float] = field(default_factory=_recent_samples)
-    plan: deque[float] = field(default_factory=_recent_samples)
-    frames: int = 0
+    def __init__(self):
+        self.samples: defaultdict[str, deque[float]] = defaultdict(
+            lambda: deque(maxlen=STAGE_SAMPLES)
+        )
+        self.frames = 0
 
-    def record(self, decode_ms: float, track_ms: float, plan_ms: float) -> None:
-        self.decode.append(decode_ms)
-        self.track.append(track_ms)
-        self.plan.append(plan_ms)
+    def record(self, latency_ms: dict[str, float]) -> None:
+        for stage, ms in latency_ms.items():
+            self.samples[stage].append(ms)
         self.frames += 1
 
     def summary(self) -> dict:
-        out = {}
-        for stage in ("decode", "track", "plan"):
-            samples = getattr(self, stage)
-            if samples:
-                out[stage] = {
-                    "p50": nearest_rank(samples, 0.50),
-                    "p90": nearest_rank(samples, 0.90),
-                    "n": self.frames,
-                }
-        return out
+        return {
+            stage: {
+                "p50": nearest_rank(samples, 0.50),
+                "p90": nearest_rank(samples, 0.90),
+                "n": self.frames,
+            }
+            for stage, samples in self.samples.items()
+            if samples
+        }
 
 
 class Pipeline:
@@ -128,17 +124,205 @@ class Pipeline:
         self._last_vip_distance: float | None = None
         self._vip_miss_streak = 0
         self._reroute_streak = 0
-        # tracked detections of the frame just processed; ids match the trace
-        self.last_detections: list[Detection] = []
+        self._partitions = ()  # one tiling per frame width, shared by its decisions
+
+    def process_frame(
+        self, frame: PerceptionFrame, decode_ms: float = 0.0
+    ) -> tuple[GuidanceDecision, dict]:
+        self._check_order(frame)
+        t0 = time.perf_counter()
+        tracked = tuple(self.tracker.step(frame.timestamp, list(frame.detections)))
+        t1 = time.perf_counter()
+        vip_index, vip = self._locate_vip(tracked)
+        obstacles, distances, d_prime, assessments = self._assess(
+            frame, tracked, vip_index
+        )
+        self._attach_distances(frame.timestamp, obstacles, distances, vip)
+        edge_status = self._road_edge(frame, vip)
+        partitions, profiles = self._score_partitions(
+            frame, vip, obstacles, distances, d_prime
+        )
+        outcome = self._decide(frame, partitions, profiles)
+        new_route = self._replan(outcome)
+        t2 = time.perf_counter()
+
+        decision = GuidanceDecision(
+            frame_id=frame.frame_id,
+            outcome=outcome,
+            assessments=assessments,
+            edge_status=edge_status,
+            detections=tracked,
+            partitions=partitions,
+            new_route=new_route,
+        )
+        latency_ms = {
+            "decode": decode_ms, "track": (t1 - t0) * 1e3, "plan": (t2 - t1) * 1e3
+        }
+        self.stats.record(latency_ms)
+        return decision, trace_record(decision, latency_ms)
+
+    # -- stages, in the order process_frame runs them ---------------------------
+
+    def _check_order(self, frame: PerceptionFrame) -> None:
+        if self._last_frame_id is not None:
+            if frame.frame_id <= self._last_frame_id:
+                raise ConsistencyError(
+                    f"frame {frame.frame_id} out of order after {self._last_frame_id}"
+                )
+            if frame.timestamp <= self._last_timestamp:
+                raise ConsistencyError(
+                    f"frame {frame.frame_id}: timestamp {frame.timestamp} not after "
+                    f"the previous frame's {self._last_timestamp}"
+                )
+        self._last_frame_id = frame.frame_id
+        self._last_timestamp = frame.timestamp
+
+    def _locate_vip(self, tracked):
+        """The first VIP detection and its index; a miss extends the streak."""
+        for i, det in enumerate(tracked):
+            if det.class_label == "vip":
+                self._vip_miss_streak = 0
+                self._last_vip_bbox = det.bbox
+                return i, det
+        if self._last_vip_bbox is not None:
+            self._vip_miss_streak += 1
+        return None, None
+
+    def _assess(self, frame, tracked, vip_index):
+        """Obstacles, their distances from the VIP, d' and their severities.
+
+        Distances are camera-relative before the VIP's first sighting.
+        """
+        # the frame's own detections: their original ids key the masks
+        cam_distances = [
+            detection_distance(frame, det, self.model) for det in frame.detections
+        ]
+        if vip_index is not None:
+            self._last_vip_distance = cam_distances[vip_index]
+        d_vip = self._last_vip_distance
+        obstacles: list[Detection] = []
+        distances: list[float] = []
+        for i, det in enumerate(tracked):
+            if i == vip_index:
+                continue
+            cam = cam_distances[i]
+            obstacles.append(det)
+            distances.append(cam if d_vip is None else max(0.0, cam - d_vip))
+
+        d_prime = self._safety_distance()
+        planner_cfg = self.config.planner
+        assessments = tuple(
+            ObstacleAssessment(
+                track_id=det.track_id,
+                class_label=det.class_label,
+                distance_m=rel,
+                severity=classify_obstacle(
+                    rel,
+                    d_prime,
+                    danger_mult=planner_cfg.danger_mult,
+                    warning_mult=planner_cfg.warning_mult,
+                ),
+            )
+            for det, rel in zip(obstacles, distances)
+        )
+        return obstacles, distances, d_prime, assessments
+
+    def _attach_distances(self, timestamp, obstacles, distances, vip):
+        """Rewrite the newest history point of each matched track with distance,
+        for approach-rate estimates."""
+        by_id = {det.track_id: rel for det, rel in zip(obstacles, distances)}
+        if vip is not None and self._last_vip_distance is not None:
+            by_id[vip.track_id] = self._last_vip_distance
+        updated = []
+        for track in self.tracker.tracks:
+            if track.track_id in by_id and track.history:
+                last = track.history[-1]
+                if last.timestamp == timestamp and last.distance_m is None:
+                    point = TrackPoint(
+                        timestamp=last.timestamp,
+                        bbox=last.bbox,
+                        distance_m=by_id[track.track_id],
+                    )
+                    track = replace(track, history=track.history[:-1] + (point,))
+            updated.append(track)
+        self.tracker.tracks = updated
+
+    def _road_edge(self, frame: PerceptionFrame, vip: Detection | None) -> str:
+        if vip is None:
+            return "unknown"
+        planner_cfg = self.config.planner
+        return road_edge_check(
+            vip.bbox,
+            frame.road_mask,
+            box_px=planner_cfg.edge_box_px,
+            threshold=planner_cfg.edge_threshold,
+        )
+
+    def _score_partitions(self, frame, vip, obstacles, distances, d_prime):
+        """The frame's partitions and their profiles, the VIP's pixels excluded
+        (its mask when seen this frame, else its remembered bbox)."""
+        if not self._partitions or self._partitions[-1].x_end != frame.width:
+            self._partitions = tuple(
+                partition_bounds(frame.width, self.config.planner.n_partitions)
+            )
+        if vip is not None and frame.vip_mask is not None:
+            exclude = frame.vip_mask
+        else:
+            exclude = self._last_vip_bbox
+        profiles = partition_profiles(
+            frame.depth,
+            self._partitions,
+            obstacles,
+            distances,
+            d_prime,
+            exclude=exclude,
+        )
+        return self._partitions, profiles
+
+    def _decide(self, frame, partitions, profiles) -> Heading | RerouteNeeded | None:
+        """The heading, gated and tie-broken by the latest VIP sighting;
+        None once the VIP has been lost longer than the hold."""
+        if self._vip_miss_streak > self.config.pipeline.vip_hold_frames:
+            return None
+        vip_bbox = self._last_vip_bbox
+        vip_partition = None
+        width_threshold = 0
+        if vip_bbox is not None:
+            cx = vip_bbox.center_x
+            vip_partition = next(
+                (p.index for p in partitions if p.x_start <= cx < p.x_end), None
+            )
+            width_threshold = width_threshold_px(
+                vip_bbox.width, self.config.planner.width_margin
+            )
+        return decide(
+            profiles,
+            vip_partition,
+            width_threshold,
+            self.config.geometry.hfov_deg,
+            frame.width,
+        )
+
+    def _replan(self, outcome) -> tuple[str, ...] | None:
+        """After `reroute_patience` exhausted frames in a row, block the edge
+        being walked and route again; None when no replan fired."""
+        if not isinstance(outcome, RerouteNeeded):
+            self._reroute_streak = 0
+            return None
+        self._reroute_streak += 1
+        if self._reroute_streak < self.config.pipeline.reroute_patience:
+            return None
+        self._reroute_streak = 0
+        if self.route is None:
+            return None
+        current, destination = self.route.nodes[0], self.route.nodes[-1]
+        if len(self.route.nodes) >= 2:
+            self.graph.block_edge(current, self.route.nodes[1])
+        # through the module, so a patched shortest_path sees every replan
+        self.route = global_planner.shortest_path(self.graph, current, destination)
+        return self.route.nodes
 
     # -- helpers ---------------------------------------------------------------
-
-    def _vip_partition(self, bbox: BoundingBox, partitions) -> int | None:
-        cx = bbox.center_x
-        for p in partitions:
-            if p.x_start <= cx < p.x_end:
-                return p.index
-        return None
 
     def _safety_distance(self) -> float:
         geo = self.config.geometry
@@ -157,194 +341,8 @@ class Pipeline:
                 speed = live
         return safety_distance(speed, geo.t_detect, geo.t_react)
 
-    def _fire_replan(self) -> list[str] | None:
-        """Block the edge being walked and recompute; None when no graph/route."""
-        if self.graph is None or self.route is None:
-            return None
-        current, destination = self.route.nodes[0], self.route.nodes[-1]
-        if len(self.route.nodes) >= 2:
-            self.graph.block_edge(current, self.route.nodes[1])
-        # through the module, so a patched shortest_path sees every replan
-        self.route = global_planner.shortest_path(self.graph, current, destination)
-        return list(self.route.nodes)
 
-    # -- main entry point --------------------------------------------------------
-
-    def process_frame(
-        self, frame: PerceptionFrame, decode_ms: float = 0.0
-    ) -> tuple[GuidanceDecision, dict]:
-        if self._last_frame_id is not None:
-            if frame.frame_id <= self._last_frame_id:
-                raise ConsistencyError(
-                    f"frame {frame.frame_id} out of order after {self._last_frame_id}"
-                )
-            if frame.timestamp <= self._last_timestamp:
-                raise ConsistencyError(
-                    f"frame {frame.frame_id}: timestamp {frame.timestamp} not after "
-                    f"the previous frame's {self._last_timestamp}"
-                )
-        self._last_frame_id = frame.frame_id
-        self._last_timestamp = frame.timestamp
-
-        t0 = time.perf_counter()
-        labeled = self.tracker.step(frame.timestamp, list(frame.detections))
-        self.last_detections = labeled
-        t1 = time.perf_counter()
-
-        # -- locate the VIP ------------------------------------------------------
-        vip_det = None
-        vip_index = None
-        for i, det in enumerate(labeled):
-            if det.class_label == "vip":
-                vip_det, vip_index = det, i
-                break
-
-        if vip_det is not None:
-            self._vip_miss_streak = 0
-            self._last_vip_bbox = vip_det.bbox
-        elif self._last_vip_bbox is not None:
-            self._vip_miss_streak += 1
-        vip_lost = self._vip_miss_streak > self.config.pipeline.vip_hold_frames
-
-        # -- per-detection camera distances (original ids key the masks) --------
-        cam_distances: list[float] = []
-        for det in frame.detections:
-            cam_distances.append(detection_distance(frame, det, self.model))
-        if vip_index is not None:
-            self._last_vip_distance = cam_distances[vip_index]
-
-        # distances relative to the VIP; camera-relative before first sighting
-        d_vip = self._last_vip_distance
-        obstacles: list[Detection] = []
-        rel_distances: list[float] = []
-        for i, det in enumerate(labeled):
-            if i == vip_index:
-                continue
-            rel = cam_distances[i] if d_vip is None else max(0.0, cam_distances[i] - d_vip)
-            obstacles.append(det)
-            rel_distances.append(rel)
-
-        d_prime = self._safety_distance()
-        planner_cfg = self.config.planner
-        assessments = tuple(
-            ObstacleAssessment(
-                track_id=det.track_id,
-                class_label=det.class_label,
-                distance_m=rel,
-                severity=classify_obstacle(
-                    rel,
-                    d_prime,
-                    danger_mult=planner_cfg.danger_mult,
-                    warning_mult=planner_cfg.warning_mult,
-                ),
-            )
-            for det, rel in zip(obstacles, rel_distances)
-        )
-
-        # feed distances into track history for approach-rate estimates
-        self._attach_distances(frame.timestamp, obstacles, rel_distances, vip_det)
-
-        # -- road edge ------------------------------------------------------------
-        if vip_det is not None:
-            edge_status = road_edge_check(
-                vip_det.bbox,
-                frame.road_mask,
-                box_px=planner_cfg.edge_box_px,
-                threshold=planner_cfg.edge_threshold,
-            )
-        else:
-            edge_status = "unknown"
-
-        # -- partitions -------------------------------------------------------------
-        partitions = partition_bounds(frame.width, planner_cfg.n_partitions)
-        reference_bbox = vip_det.bbox if vip_det is not None else self._last_vip_bbox
-        if vip_det is not None and frame.vip_mask is not None:
-            exclude = frame.vip_mask
-        else:
-            exclude = reference_bbox
-        vip_partition = (
-            self._vip_partition(reference_bbox, partitions)
-            if reference_bbox is not None
-            else None
-        )
-        width_threshold = (
-            width_threshold_px(reference_bbox.width, planner_cfg.width_margin)
-            if reference_bbox is not None
-            else 0
-        )
-
-        profiles = partition_profiles(
-            frame.depth,
-            partitions,
-            obstacles,
-            rel_distances,
-            d_prime,
-            exclude=exclude,
-        )
-
-        outcome: Heading | RerouteNeeded | None
-        new_route: list[str] | None = None
-        if vip_lost:
-            outcome = None
-            self._reroute_streak = 0
-        else:
-            outcome = decide(
-                profiles,
-                vip_partition,
-                width_threshold,
-                self.config.geometry.hfov_deg,
-                frame.width,
-            )
-            if isinstance(outcome, RerouteNeeded):
-                self._reroute_streak += 1
-                if self._reroute_streak >= self.config.pipeline.reroute_patience:
-                    new_route = self._fire_replan()
-                    self._reroute_streak = 0
-            else:
-                self._reroute_streak = 0
-        t2 = time.perf_counter()
-
-        decision = GuidanceDecision(
-            frame_id=frame.frame_id,
-            outcome=outcome,
-            assessments=assessments,
-            edge_status=edge_status,
-        )
-
-        track_ms = (t1 - t0) * 1000.0
-        plan_ms = (t2 - t1) * 1000.0
-        self.stats.record(decode_ms, track_ms, plan_ms)
-
-        record = trace_record(decision, new_route, decode_ms, track_ms, plan_ms)
-        return decision, record
-
-    def _attach_distances(self, timestamp, obstacles, rel_distances, vip_det):
-        """Rewrite the newest history point of each matched track with distance."""
-        by_id = {det.track_id: rel for det, rel in zip(obstacles, rel_distances)}
-        if vip_det is not None and self._last_vip_distance is not None:
-            by_id[vip_det.track_id] = self._last_vip_distance
-        updated = []
-        for track in self.tracker.tracks:
-            if track.track_id in by_id and track.history:
-                last = track.history[-1]
-                if last.timestamp == timestamp and last.distance_m is None:
-                    point = TrackPoint(
-                        timestamp=last.timestamp,
-                        bbox=last.bbox,
-                        distance_m=by_id[track.track_id],
-                    )
-                    track = replace(track, history=track.history[:-1] + (point,))
-            updated.append(track)
-        self.tracker.tracks = updated
-
-
-def trace_record(
-    decision: GuidanceDecision,
-    new_route: list[str] | None,
-    decode_ms: float,
-    track_ms: float,
-    plan_ms: float,
-) -> dict:
+def trace_record(decision: GuidanceDecision, latency_ms: dict[str, float]) -> dict:
     if decision.outcome is None:
         outcome: dict = {"type": "vip_lost"}
     elif isinstance(decision.outcome, Heading):
@@ -354,7 +352,11 @@ def trace_record(
             "angle_deg": decision.outcome.angle_deg,
         }
     else:
-        outcome = {"type": "reroute", "new_route": new_route}
+        new_route = decision.new_route
+        outcome = {
+            "type": "reroute",
+            "new_route": None if new_route is None else list(new_route),
+        }
     return {
         "frame_id": decision.frame_id,
         "outcome": outcome,
@@ -368,9 +370,5 @@ def trace_record(
             for a in decision.assessments
         ],
         "edge_status": decision.edge_status,
-        "latency_ms": {
-            "decode": round(decode_ms, 3),
-            "track": round(track_ms, 3),
-            "plan": round(plan_ms, 3),
-        },
+        "latency_ms": {stage: round(ms, 3) for stage, ms in latency_ms.items()},
     }

@@ -376,7 +376,7 @@ def test_planner_latency_budget():
             for frame, _ in generate(ScenarioSpec(kind=kind, seed=1, n_frames=n)):
                 assert frame.width == 640 and frame.height == 480
                 pipe.process_frame(frame)
-            plan_samples.extend(pipe.stats.plan)
+            plan_samples.extend(pipe.stats.samples["plan"])
         assert len(plan_samples) == 650
         p90 = nearest_rank(plan_samples, 0.90)
         assert p90 < 10.0, f"plan p90 {p90:.3f} ms"

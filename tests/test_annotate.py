@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -64,39 +66,40 @@ class TestAnnotateFrame:
                 ObstacleAssessment(2, "person", 2.0, "warning"),
             ),
             edge_status="safe",
+            detections=tuple(dets),
+            partitions=tuple(partition_bounds(90, 3)),
+            new_route=None,
         )
-        return frame, dets, decision
+        return frame, decision
 
     def test_all_overlays_present(self):
-        frame, dets, decision = self.scene()
-        image = annotate_frame(frame, dets, decision, partition_bounds(90, 3))
+        frame, decision = self.scene()
+        image = annotate_frame(frame, decision)
         colors = flat_colors(image)
         assert {BLUE, RED, YELLOW, GREEN} <= colors
         assert (128, 128, 128) in colors  # depth backdrop survives
 
     def test_gray_backdrop_from_high_byte(self):
-        frame, dets, decision = self.scene()
-        image = annotate_frame(frame, dets, decision, partition_bounds(90, 3))
+        frame, decision = self.scene()
+        image = annotate_frame(frame, decision)
         assert tuple(image[58, 35]) == (128, 128, 128)
 
     def test_clear_obstacles_not_boxed(self):
-        frame, dets, _ = self.scene()
-        decision = GuidanceDecision(
-            frame_id=0,
+        frame, decision = self.scene()
+        decision = replace(
+            decision,
             outcome=None,
             assessments=(ObstacleAssessment(1, "car", 9.0, "clear"),),
-            edge_status="safe",
         )
-        image = annotate_frame(frame, dets, decision, partition_bounds(90, 3))
+        image = annotate_frame(frame, decision)
         colors = flat_colors(image)
         assert RED not in colors and YELLOW not in colors
         assert GREEN not in colors  # no heading either
         assert BLUE in colors       # the pedestrian box always draws
 
     def test_heading_partition_outlined(self):
-        frame, dets, decision = self.scene()
-        parts = partition_bounds(90, 3)
-        image = annotate_frame(frame, dets, decision, parts)
+        frame, decision = self.scene()
+        image = annotate_frame(frame, decision)
         assert tuple(image[0, 15]) == GREEN    # top edge of partition 0
         assert tuple(image[59, 15]) == GREEN   # bottom edge
 

@@ -413,8 +413,10 @@ class TestTraceRecords:
         pipe = make_pipeline()
         for k in range(10):
             pipe.process_frame(world_frame(k, k / 30), decode_ms=float(k))
-        assert list(pipe.stats.decode) == [6.0, 7.0, 8.0, 9.0]
-        assert len(pipe.stats.plan) == len(pipe.stats.track) == 4
+        samples = pipe.stats.samples
+        assert list(samples) == ["decode", "track", "plan"]
+        assert list(samples["decode"]) == [6.0, 7.0, 8.0, 9.0]
+        assert len(samples["plan"]) == len(samples["track"]) == 4
         summary = pipe.stats.summary()
         assert summary["decode"]["n"] == 10
         assert summary["decode"]["p50"] == 7.0
