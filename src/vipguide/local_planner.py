@@ -74,7 +74,7 @@ class GuidanceDecision:
     edge_status: EdgeStatus
     detections: tuple[Detection, ...]  # tracked: ids match the assessments
     partitions: tuple[Partition, ...]
-    new_route: tuple[str, ...] | None  # None = no replan this frame
+    new_route: tuple[str, ...] | None  # None = no replan; () = no route left
 
 
 def partition_bounds(width: int, n: int = PlannerConfig.n_partitions) -> list[Partition]:

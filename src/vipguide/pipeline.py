@@ -14,8 +14,13 @@ records carrying no heading. Before the first sighting there is nothing
 to coast on: frames are planned with no exclusion and no width gate.
 
 Reroute policy: a single exhausted frame does not rewrite the map. Only
-after `reroute_patience` consecutive RerouteNeeded frames is the route's
-current edge blocked and a fresh route computed from the current node.
+after `reroute_patience` consecutive RerouteNeeded frames is an edge
+blocked and a fresh route computed. Progress along the route is not
+tracked yet, so the walk is taken to be at the route's start: the
+blocked edge is the route's first, and the new route starts from the
+same node. When no unblocked path remains, that frame's record carries
+an empty `new_route`, the pipeline drops its route and keeps guiding
+locally; later exhausted frames only signal, as with no graph.
 """
 from __future__ import annotations
 
@@ -29,7 +34,12 @@ from fractions import Fraction
 from . import global_planner
 from .calibration import CalibrationModel, detection_distance
 from .config import Config
-from .errors import ConfigError, ConsistencyError, InsufficientHistoryError
+from .errors import (
+    ConfigError,
+    ConsistencyError,
+    InsufficientHistoryError,
+    UnreachableError,
+)
 from .geometry import safety_distance
 from .global_planner import NavGraph, Route
 from .local_planner import (
@@ -304,8 +314,9 @@ class Pipeline:
         )
 
     def _replan(self, outcome) -> tuple[str, ...] | None:
-        """After `reroute_patience` exhausted frames in a row, block the edge
-        being walked and route again; None when no replan fired."""
+        """After `reroute_patience` exhausted frames in a row, block the route's
+        first edge and route again from its start; None when no replan fired,
+        () when no path is left."""
         if not isinstance(outcome, RerouteNeeded):
             self._reroute_streak = 0
             return None
@@ -318,8 +329,12 @@ class Pipeline:
         current, destination = self.route.nodes[0], self.route.nodes[-1]
         if len(self.route.nodes) >= 2:
             self.graph.block_edge(current, self.route.nodes[1])
-        # through the module, so a patched shortest_path sees every replan
-        self.route = global_planner.shortest_path(self.graph, current, destination)
+        try:
+            # through the module, so a patched shortest_path sees every replan
+            self.route = global_planner.shortest_path(self.graph, current, destination)
+        except UnreachableError:
+            self.route = None
+            return ()
         return self.route.nodes
 
     # -- helpers ---------------------------------------------------------------

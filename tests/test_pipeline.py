@@ -326,6 +326,27 @@ class TestReroute:
         assert record["outcome"]["new_route"] is None
         assert not graph.is_blocked("A", "B")
 
+    def test_no_path_left_keeps_guiding(self, campus_graph_path):
+        # each replan blocks another of F's edges; at frame 19 none is left
+        graph = global_planner.load_graph(campus_graph_path)
+        route = shortest_path(graph, "F", "L")
+        pipe = Pipeline(default_config(), scaled_model(), graph=graph, route=route)
+        records = [pipe.process_frame(blocked_frame(k, k / 30))[1] for k in range(25)]
+        assert all(r["outcome"]["type"] == "reroute" for r in records)
+        new_routes = {
+            r["frame_id"]: r["outcome"]["new_route"]
+            for r in records
+            if r["outcome"]["new_route"] is not None
+        }
+        assert new_routes == {
+            4: ["F", "J", "K", "L"],
+            9: ["F", "B", "C", "D", "H", "L"],
+            14: ["F", "E", "I", "J", "K", "L"],
+            19: [],
+        }
+        # with no route left, frame 24's full streak only signals
+        assert pipe.route is None
+
     def test_no_graph_reroute_is_advisory(self):
         pipe = make_pipeline(reroute_patience=1)
         _, record = pipe.process_frame(blocked_frame(0, 0.0))
