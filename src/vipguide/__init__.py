@@ -84,7 +84,7 @@ from .scenario import (
 )
 from .config import Config, PlannerConfig, PipelineTuning, default_config, load_config
 from .pipeline import Pipeline, StageStats
-from .annotate import annotate_frame, read_ppm, write_ppm
+from .annotate import annotate_frame, write_ppm
 from .frameio import read_dataset, write_dataset
 
 __version__ = "0.1.0"

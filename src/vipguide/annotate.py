@@ -68,23 +68,3 @@ def write_ppm(path, image: np.ndarray) -> None:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(arr.tobytes())
 
-
-def read_ppm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    parts = data.split(b"\n", 3)
-    if len(parts) < 4 or parts[0] != b"P6":
-        raise FrameDecodeError(f"{path}: not a binary PPM")
-    try:
-        w, h = (int(tok) for tok in parts[1].split())
-        maxval = int(parts[2])
-    except ValueError as exc:
-        raise FrameDecodeError(f"{path}: bad PPM header") from exc
-    if maxval != 255:
-        raise FrameDecodeError(f"{path}: maxval {maxval}, expected 255")
-    raster = parts[3]
-    if len(raster) != w * h * 3:
-        raise FrameDecodeError(
-            f"{path}: raster has {len(raster)} bytes, expected {w * h * 3}"
-        )
-    return np.frombuffer(raster, dtype=np.uint8).reshape(h, w, 3).copy()

@@ -152,11 +152,3 @@ def load_samples_csv(path) -> list[CalibrationSample]:
         except (TypeError, ValueError, CalibrationError) as exc:
             raise CalibrationError(f"{path}: bad row {row}: {exc}") from exc
     return samples
-
-
-def save_samples_csv(path, samples: list[CalibrationSample]) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rev", "distance_m"])
-        for s in samples:
-            writer.writerow([repr(s.rev), repr(s.distance)])

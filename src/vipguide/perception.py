@@ -318,14 +318,3 @@ def rle_decode(mask: BitMask, rows: tuple[int, int] | None = None) -> np.ndarray
     flat = np.repeat(pattern, runs)
     return flat.reshape(y1 - y0, mask.width)
 
-
-def mask_from_bbox(bbox: BoundingBox, width: int, height: int) -> np.ndarray:
-    """Boolean grid with the (clipped) bbox interior set."""
-    grid = np.zeros((height, width), dtype=bool)
-    x1 = max(0, min(width, bbox.x1))
-    x2 = max(0, min(width, bbox.x2))
-    y1 = max(0, min(height, bbox.y1))
-    y2 = max(0, min(height, bbox.y2))
-    grid[y1:y2, x1:x2] = True
-    return grid
-

@@ -163,12 +163,6 @@ class Tracker:
         self.tracks = new_tracks
         return labeled
 
-    def get(self, track_id: int) -> Track | None:
-        for track in self.tracks:
-            if track.track_id == track_id:
-                return track
-        return None
-
 
 def approach_rate(track: Track, window: float) -> float:
     """Closing speed (m/s, positive = approaching) from recent distances.

@@ -10,7 +10,6 @@ from vipguide.annotate import (
     YELLOW,
     annotate_frame,
     draw_box,
-    read_ppm,
     write_ppm,
 )
 from vipguide.errors import FrameDecodeError
@@ -21,7 +20,7 @@ from vipguide.local_planner import (
     partition_bounds,
 )
 
-from conftest import det, make_frame
+from conftest import det, make_frame, read_ppm
 
 
 class TestDrawBox:

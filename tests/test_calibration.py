@@ -11,12 +11,11 @@ from vipguide.calibration import (
     predict,
     region_rev,
     save_model,
-    save_samples_csv,
 )
 from vipguide.errors import CalibrationError, EmptyRegionError
 from vipguide.perception import rle_encode
 
-from conftest import det, make_frame
+from conftest import det, make_frame, save_samples_csv
 
 
 def quad_samples(a, b, c, revs):

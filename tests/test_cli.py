@@ -7,9 +7,10 @@ import sys
 import numpy as np
 import pytest
 
-from vipguide.annotate import read_ppm
-from vipguide.calibration import load_model, save_samples_csv, CalibrationSample
+from vipguide.calibration import load_model, CalibrationSample
 from vipguide.cli import main
+
+from conftest import read_ppm, save_samples_csv
 
 
 def run(capsys, *argv):

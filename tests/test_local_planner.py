@@ -18,9 +18,9 @@ from vipguide.local_planner import (
     road_edge_check,
     width_threshold_px,
 )
-from vipguide.perception import BoundingBox, DepthMap, mask_from_bbox, rle_encode
+from vipguide.perception import BoundingBox, DepthMap, rle_encode
 
-from conftest import det
+from conftest import det, mask_from_bbox
 
 
 def oracle_free_segments(boxes, distances, d_filter, width):

@@ -8,13 +8,12 @@ from vipguide.perception import (
     DepthMap,
     Detection,
     PerceptionFrame,
-    mask_from_bbox,
     rle_decode,
     rle_encode,
     rle_encode_rect,
 )
 
-from conftest import det, make_frame
+from conftest import det, make_frame, mask_from_bbox
 
 
 class TestBoundingBox:

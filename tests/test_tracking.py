@@ -19,6 +19,13 @@ def box(x1, y1, x2, y2):
     return BoundingBox(x1, y1, x2, y2)
 
 
+def track_by_id(tracker, track_id):
+    for track in tracker.tracks:
+        if track.track_id == track_id:
+            return track
+    return None
+
+
 class TestIou:
     def test_identical(self):
         b = box(3, 4, 10, 12)
@@ -50,7 +57,7 @@ class TestAssociate:
         tracker.step(0.0, [det("car", 0, 0, 10, 10)])
         labeled = tracker.step(1 / 30, [det("car", 1, 0, 11, 10)])  # IoU ~0.82
         assert labeled[0].track_id == 0
-        track = tracker.get(0)
+        track = track_by_id(tracker, 0)
         assert len(track.history) == 2
         assert track.misses == 0
 
@@ -79,22 +86,22 @@ class TestAssociate:
         tracker = Tracker()
         tracker.step(0.0, [det("car", 0, 0, 10, 10)])
         tracker.step(1 / 30, [])
-        track = tracker.get(0)
+        track = track_by_id(tracker, 0)
         assert track.misses == 1
         assert track.last_bbox == box(0, 0, 10, 10)
         # a detection overlapping the held bbox re-attaches
         labeled = tracker.step(2 / 30, [det("car", 1, 0, 11, 10)])
         assert labeled[0].track_id == 0
-        assert tracker.get(0).misses == 0
+        assert track_by_id(tracker, 0).misses == 0
 
     def test_retirement_boundary(self):
         tracker = Tracker(max_misses=3)
         tracker.step(0.0, [det("car", 0, 0, 10, 10)])
         for k in range(3):
             tracker.step((k + 1) / 30, [])
-        assert tracker.get(0) is not None  # misses == max_misses: still held
+        assert track_by_id(tracker, 0) is not None  # misses == max_misses: still held
         tracker.step(4 / 30, [])
-        assert tracker.get(0) is None  # misses exceeded: retired
+        assert track_by_id(tracker, 0) is None  # misses exceeded: retired
 
     def test_ids_never_reused(self):
         tracker = Tracker(max_misses=0)
@@ -114,7 +121,7 @@ class TestAssociate:
         for t in (1.0, 0.5):
             with pytest.raises(ConsistencyError, match="track 0"):
                 tracker.step(t, [det("car", 0, 0, 10, 10)])
-        assert len(tracker.get(0).history) == 1  # state untouched
+        assert len(track_by_id(tracker, 0).history) == 1  # state untouched
 
     def test_deterministic(self):
         def run():
