@@ -67,4 +67,3 @@ def write_ppm(path, image: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(arr.tobytes())
-

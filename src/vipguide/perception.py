@@ -317,4 +317,3 @@ def rle_decode(mask: BitMask, rows: tuple[int, int] | None = None) -> np.ndarray
         runs = np.maximum(np.minimum(ends, hi) - np.maximum(ends - runs, lo), 0)
     flat = np.repeat(pattern, runs)
     return flat.reshape(y1 - y0, mask.width)
-
