@@ -11,7 +11,6 @@ from vipguide import (
     default_config,
     default_model,
     detection_distance,
-    free_space,
     generate,
     heading_angle,
     partition_bounds,
@@ -49,11 +48,11 @@ def main():
     partitions = partition_bounds(frame.width, cfg.planner.n_partitions)
     profiles = partition_profiles(frame.depth, partitions, obstacles, rel,
                                   d_prime, exclude=frame.vip_mask)
-    gaps = free_space(obstacles, rel, d_prime, frame.width, partitions)
     print("  partition   columns      depth score   widest gap")
-    for p, prof, (segs, widest) in zip(partitions, profiles, gaps):
+    for p, prof in zip(partitions, profiles):
         print(f"  {p.index:^9}   [{p.x_start:3d},{p.x_end:3d})"
-              f"   {prof.h_score:11.1f}   {widest:4d} px  {list(segs)}")
+              f"   {prof.h_score:11.1f}   {prof.max_free_width:4d} px"
+              f"  {list(prof.free_segments)}")
     print()
 
     threshold = width_threshold_px(vip.bbox.width, cfg.planner.width_margin)

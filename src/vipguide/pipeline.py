@@ -10,8 +10,9 @@ VIP-loss policy: while the VIP is undetected the planner coasts on the
 last sighting for a bounded number of frames (exclusion, clearance width
 and partition tie-breaks keep using the remembered bbox, though the road
 edge is reported unknown); past that the trace switches to vip_lost
-records carrying no heading. Before the first sighting there is nothing
-to coast on: frames are planned with no exclusion and no width gate.
+records carrying no heading, and no partition is scored. Before the
+first sighting there is nothing to coast on: frames are planned with no
+exclusion and no width gate.
 
 Reroute policy: a single exhausted frame does not rewrite the map. Only
 after `reroute_patience` consecutive RerouteNeeded frames is an edge
@@ -28,7 +29,6 @@ import math
 import time
 from collections import defaultdict, deque
 from collections.abc import Sequence
-from dataclasses import replace
 from fractions import Fraction
 
 from . import global_planner
@@ -55,7 +55,7 @@ from .local_planner import (
     width_threshold_px,
 )
 from .perception import BoundingBox, Detection, PerceptionFrame
-from .tracking import APPROACH_WINDOW_S, Tracker, TrackPoint, approach_rate
+from .tracking import APPROACH_WINDOW_S, Tracker, approach_rate
 
 
 def nearest_rank(values: Sequence[float], q: float) -> float:
@@ -147,12 +147,18 @@ class Pipeline:
         obstacles, distances, d_prime, assessments = self._assess(
             frame, tracked, vip_index
         )
-        self._attach_distances(frame.timestamp, obstacles, distances, vip)
-        edge_status = self._road_edge(frame, vip)
-        partitions, profiles = self._score_partitions(
-            frame, vip, obstacles, distances, d_prime
+        self.tracker.attach_distances(
+            frame.timestamp, {det.track_id: d for det, d in zip(obstacles, distances)}
         )
-        outcome = self._decide(frame, partitions, profiles)
+        edge_status = self._road_edge(frame, vip)
+        partitions = self._tiling(frame.width)
+        if self._vip_miss_streak > self.config.pipeline.vip_hold_frames:
+            outcome = None  # lost past the hold
+        else:
+            profiles = self._score_partitions(
+                frame, vip, partitions, obstacles, distances, d_prime
+            )
+            outcome = self._decide(frame, partitions, profiles)
         new_route = self._replan(outcome)
         t2 = time.perf_counter()
 
@@ -237,26 +243,6 @@ class Pipeline:
         )
         return obstacles, distances, d_prime, assessments
 
-    def _attach_distances(self, timestamp, obstacles, distances, vip):
-        """Rewrite the newest history point of each matched track with distance,
-        for approach-rate estimates."""
-        by_id = {det.track_id: rel for det, rel in zip(obstacles, distances)}
-        if vip is not None and self._last_vip_distance is not None:
-            by_id[vip.track_id] = self._last_vip_distance
-        updated = []
-        for track in self.tracker.tracks:
-            if track.track_id in by_id and track.history:
-                last = track.history[-1]
-                if last.timestamp == timestamp and last.distance_m is None:
-                    point = TrackPoint(
-                        timestamp=last.timestamp,
-                        bbox=last.bbox,
-                        distance_m=by_id[track.track_id],
-                    )
-                    track = replace(track, history=track.history[:-1] + (point,))
-            updated.append(track)
-        self.tracker.tracks = updated
-
     def _road_edge(self, frame: PerceptionFrame, vip: Detection | None) -> str:
         if vip is None:
             return "unknown"
@@ -268,32 +254,32 @@ class Pipeline:
             threshold=planner_cfg.edge_threshold,
         )
 
-    def _score_partitions(self, frame, vip, obstacles, distances, d_prime):
-        """The frame's partitions and their profiles, the VIP's pixels excluded
-        (its mask when seen this frame, else its remembered bbox)."""
-        if not self._partitions or self._partitions[-1].x_end != frame.width:
+    def _tiling(self, width: int):
+        """The partitions of a frame `width` wide, built once per width."""
+        if not self._partitions or self._partitions[-1].x_end != width:
             self._partitions = tuple(
-                partition_bounds(frame.width, self.config.planner.n_partitions)
+                partition_bounds(width, self.config.planner.n_partitions)
             )
+        return self._partitions
+
+    def _score_partitions(self, frame, vip, partitions, obstacles, distances, d_prime):
+        """The partitions' profiles, the VIP's pixels excluded (its mask when
+        seen this frame, else its remembered bbox)."""
         if vip is not None and frame.vip_mask is not None:
             exclude = frame.vip_mask
         else:
             exclude = self._last_vip_bbox
-        profiles = partition_profiles(
+        return partition_profiles(
             frame.depth,
-            self._partitions,
+            partitions,
             obstacles,
             distances,
             d_prime,
             exclude=exclude,
         )
-        return self._partitions, profiles
 
-    def _decide(self, frame, partitions, profiles) -> Heading | RerouteNeeded | None:
-        """The heading, gated and tie-broken by the latest VIP sighting;
-        None once the VIP has been lost longer than the hold."""
-        if self._vip_miss_streak > self.config.pipeline.vip_hold_frames:
-            return None
+    def _decide(self, frame, partitions, profiles) -> Heading | RerouteNeeded:
+        """The heading, gated and tie-broken by the latest VIP sighting."""
         vip_bbox = self._last_vip_bbox
         vip_partition = None
         width_threshold = 0

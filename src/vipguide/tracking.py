@@ -1,9 +1,9 @@
 """Greedy IoU tracking with constant-position hold.
 
-Gives detections stable ids across frames and, once per-track distances
-are attached, estimates how fast the VIP closes on each obstacle. A full
-motion-model tracker can be swapped in behind the same interface; id
-stability and approach rate are all the planner needs.
+Gives detections stable ids across frames and, from the distances
+`Tracker.attach_distances` writes, estimates how fast the VIP closes on
+each obstacle. A full motion-model tracker can be swapped in behind the
+same interface; id stability and approach rate are all the planner needs.
 
 Each track keeps one approach-rate window of history (APPROACH_WINDOW_S
 seconds back from its newest point), which is all `approach_rate` reads
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .config import PipelineTuning
-from .errors import ConsistencyError, InsufficientHistoryError
+from .errors import ConfigError, ConsistencyError, InsufficientHistoryError
 from .perception import BoundingBox, Detection
 
 APPROACH_WINDOW_S = 1.0  # history kept per track; the planner's rate window
@@ -28,19 +28,23 @@ class TrackPoint:
     distance_m: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass
 class Track:
+    """One tracked object, live: `Tracker.step` updates its history and
+    misses in place each frame, so a track read from `Tracker.tracks` is
+    the tracker's own state, not a snapshot."""
+
     track_id: int
     class_label: str
-    history: tuple[TrackPoint, ...]
+    history: list[TrackPoint]
     misses: int = 0
 
     def __post_init__(self):
         if self.misses < 0:
-            raise ValueError(f"negative misses {self.misses}")
+            raise ConsistencyError(f"negative misses {self.misses}")
         times = [p.timestamp for p in self.history]
         if any(t1 >= t2 for t1, t2 in zip(times, times[1:])):
-            raise ValueError("history timestamps not strictly increasing")
+            raise ConsistencyError("history timestamps not strictly increasing")
 
     @property
     def last_bbox(self) -> BoundingBox:
@@ -67,32 +71,25 @@ class Tracker:
         max_misses: int = PipelineTuning.max_misses,
     ):
         if not 0.0 < iou_threshold < 1.0:
-            raise ValueError(f"iou_threshold {iou_threshold} outside (0,1)")
+            raise ConfigError(f"iou_threshold {iou_threshold} outside (0,1)")
         self.iou_threshold = iou_threshold
         self.max_misses = max_misses
         self.tracks: list[Track] = []
         self._next_id = 0
 
-    def step(
-        self,
-        timestamp: float,
-        detections: list[Detection],
-        distances: list[float | None] | None = None,
-    ) -> list[Detection]:
+    def step(self, timestamp: float, detections: list[Detection]) -> list[Detection]:
         """Associate one frame's detections; returns them with track_ids set.
 
         Matching is greedy over same-class (track, detection) pairs in
         descending IoU at or above the threshold; ties broken toward the
         lower detection index, then the older track. Unmatched detections
-        open new tracks. Unmatched tracks accrue a miss, hold their last
-        bbox, and retire once misses exceed max_misses. A matched track
-        gains a point at `timestamp` and drops the points older than
-        APPROACH_WINDOW_S before it; a `timestamp` not after the track's
-        newest point raises ConsistencyError.
+        open new tracks. Tracks are updated in place: an unmatched track
+        accrues a miss, holds its last bbox, and retires once misses exceed
+        max_misses; a matched track drops the points older than
+        APPROACH_WINDOW_S before `timestamp` and gains a point there. A
+        `timestamp` not after a matched track's newest point raises
+        ConsistencyError before any track is touched.
         """
-        if distances is None:
-            distances = [None] * len(detections)
-
         candidates = []
         for t_pos, track in enumerate(self.tracks):
             for d_idx, det in enumerate(detections):
@@ -104,39 +101,38 @@ class Tracker:
         candidates.sort()
 
         det_match: dict[int, int] = {}  # det idx -> track position
-        used_tracks: set[int] = set()
+        track_match: dict[int, int] = {}  # track position -> det idx
         for neg_overlap, d_idx, t_pos in candidates:
-            if d_idx in det_match or t_pos in used_tracks:
+            if d_idx in det_match or t_pos in track_match:
                 continue
             det_match[d_idx] = t_pos
-            used_tracks.add(t_pos)
+            track_match[t_pos] = d_idx
 
-        new_tracks: list[Track] = []
-        matched_by_pos = {t_pos: d_idx for d_idx, t_pos in det_match.items()}
+        for t_pos in sorted(track_match):
+            track = self.tracks[t_pos]
+            newest = track.history[-1].timestamp
+            if timestamp <= newest:
+                raise ConsistencyError(
+                    f"track {track.track_id}: timestamp {timestamp} "
+                    f"not after its last point at {newest}"
+                )
+
+        # same cut-off expression as approach_rate's window filter
+        horizon = timestamp - APPROACH_WINDOW_S
+        kept: list[Track] = []
         for t_pos, track in enumerate(self.tracks):
-            if t_pos in matched_by_pos:
-                newest = track.history[-1].timestamp
-                if timestamp <= newest:
-                    raise ConsistencyError(
-                        f"track {track.track_id}: timestamp {timestamp} "
-                        f"not after its last point at {newest}"
-                    )
-                d_idx = matched_by_pos[t_pos]
-                point = TrackPoint(
-                    timestamp=timestamp,
-                    bbox=detections[d_idx].bbox,
-                    distance_m=distances[d_idx],
-                )
-                # same cut-off expression as approach_rate's window filter
-                horizon = timestamp - APPROACH_WINDOW_S
-                kept = tuple(p for p in track.history if p.timestamp >= horizon)
-                new_tracks.append(
-                    Track(track.track_id, track.class_label, kept + (point,))
-                )
-            else:
-                if track.misses + 1 > self.max_misses:
+            d_idx = track_match.get(t_pos)
+            if d_idx is None:
+                if track.misses >= self.max_misses:
                     continue  # retired
-                new_tracks.append(replace(track, misses=track.misses + 1))
+                track.misses += 1
+            else:
+                history = track.history
+                while history and history[0].timestamp < horizon:
+                    del history[0]
+                history.append(TrackPoint(timestamp, detections[d_idx].bbox))
+                track.misses = 0
+            kept.append(track)
 
         labeled: list[Detection] = []
         for d_idx, det in enumerate(detections):
@@ -145,23 +141,24 @@ class Tracker:
             else:
                 tid = self._next_id
                 self._next_id += 1
-                new_tracks.append(
-                    Track(
-                        track_id=tid,
-                        class_label=det.class_label,
-                        history=(
-                            TrackPoint(
-                                timestamp=timestamp,
-                                bbox=det.bbox,
-                                distance_m=distances[d_idx],
-                            ),
-                        ),
-                    )
+                kept.append(
+                    Track(tid, det.class_label, [TrackPoint(timestamp, det.bbox)])
                 )
             labeled.append(replace(det, track_id=tid))
 
-        self.tracks = new_tracks
+        self.tracks = kept
         return labeled
+
+    def attach_distances(self, timestamp: float, distances: dict[int, float]) -> None:
+        """Write `distances` (metres by track id) into each track's point at
+        `timestamp`, for approach-rate estimates. Tracks coasting past this
+        frame, or with no entry, are left as they are."""
+        for track in self.tracks:
+            last = track.history[-1]
+            if track.track_id in distances and last.timestamp == timestamp:
+                track.history[-1] = TrackPoint(
+                    timestamp, last.bbox, distances[track.track_id]
+                )
 
 
 def approach_rate(track: Track, window: float) -> float:

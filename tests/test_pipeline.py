@@ -10,6 +10,7 @@ import pytest
 from vipguide.calibration import CalibrationModel
 from vipguide.config import default_config
 from vipguide.errors import ConfigError, ConsistencyError
+from vipguide.frameio import record_to_line
 from vipguide.global_planner import NavGraph, shortest_path
 from vipguide.local_planner import Heading, RerouteNeeded
 from vipguide import global_planner, perception
@@ -246,6 +247,41 @@ class TestVipLoss:
         decision, record = pipe.process_frame(world_frame(4, 4 / 30, vip=False))
         assert decision.outcome is None
         assert record["outcome"] == {"type": "vip_lost"}
+
+    def test_lost_frames_score_no_partition(self, monkeypatch):
+        hold = 3
+        frames = [
+            world_frame(
+                k, k / 30, vip=k == 0, obstacles=[("car", (40, 100, 140, 300), 2.5)]
+            )
+            for k in range(hold + 6)
+        ]
+
+        def trace():
+            pipe = make_pipeline(vip_hold_frames=hold)
+            for frame in frames:
+                decision, record = pipe.process_frame(frame)
+                del record["latency_ms"]
+                yield decision, record_to_line(record)
+
+        unpatched = [line for _, line in trace()]
+        calls = []
+        real_profiles = pipeline_module.partition_profiles
+
+        def counting_profiles(*args, **kwargs):
+            calls.append(1)
+            return real_profiles(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline_module, "partition_profiles", counting_profiles)
+        lines = []
+        for k, (decision, line) in enumerate(trace()):
+            lost = k > hold
+            assert len(calls) == (0 if lost else 1), f"frame {k}"
+            assert (decision.outcome is None) == lost
+            assert len(decision.partitions) == 3  # the tiling is kept when lost
+            calls.clear()
+            lines.append(line)
+        assert lines == unpatched
 
     def test_reacquisition_resets(self):
         pipe = make_pipeline(vip_hold_frames=2)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vipguide.errors import ConsistencyError, InsufficientHistoryError
+from vipguide.errors import ConfigError, ConsistencyError, InsufficientHistoryError
 from vipguide.perception import BoundingBox
 from vipguide.tracking import (
     APPROACH_WINDOW_S,
@@ -223,7 +223,15 @@ def test_window_trim_matches_untrimmed_oracle():
             detections.append(det(label, x, 50, x + 40, 150))
             d = 30.0 - 0.5 * t + float(rng.normal(0.0, 0.2))
             distances.append(None if rng.random() < 0.1 else d)
-        labeled = tracker.step(t, detections, distances=distances)
+        labeled = tracker.step(t, detections)
+        tracker.attach_distances(
+            t,
+            {
+                d_obj.track_id: dist
+                for d_obj, dist in zip(labeled, distances)
+                if dist is not None
+            },
+        )
         for d_obj, dist in zip(labeled, distances):
             full.setdefault(d_obj.track_id, []).append(
                 TrackPoint(timestamp=t, bbox=d_obj.bbox, distance_m=dist)
@@ -235,7 +243,7 @@ def test_window_trim_matches_untrimmed_oracle():
             assert history[-1].timestamp - history[0].timestamp <= APPROACH_WINDOW_S
             points = full[track.track_id]
             assert history[-1] == points[-1]
-            oracle = Track(track.track_id, track.class_label, tuple(points))
+            oracle = Track(track.track_id, track.class_label, points)
             expected = rate_or_none(oracle, APPROACH_WINDOW_S)
             assert rate_or_none(track, APPROACH_WINDOW_S) == expected
             rated += expected is not None
@@ -248,12 +256,65 @@ def test_window_trim_matches_untrimmed_oracle():
 
 
 def test_history_timestamps_must_increase():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConsistencyError, match="strictly increasing"):
         Track(
             track_id=0,
             class_label="car",
-            history=(
+            history=[
                 TrackPoint(1.0, box(0, 0, 2, 2), None),
                 TrackPoint(1.0, box(0, 0, 2, 2), None),
-            ),
+            ],
         )
+
+
+def test_negative_misses_rejected():
+    with pytest.raises(ConsistencyError, match="negative misses"):
+        Track(0, "car", [TrackPoint(0.0, box(0, 0, 2, 2))], misses=-1)
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1.0, -0.5])
+def test_iou_threshold_outside_unit_interval_rejected(threshold):
+    with pytest.raises(ConfigError, match="iou_threshold"):
+        Tracker(iou_threshold=threshold)
+
+
+class TestInPlace:
+    def test_step_updates_the_same_track_objects(self):
+        tracker = Tracker()
+        tracker.step(0.0, [det("car", 0, 0, 10, 10)])
+        track = tracker.tracks[0]
+        tracker.step(1 / 30, [det("car", 1, 0, 11, 10)])
+        assert tracker.tracks == [track] and tracker.tracks[0] is track
+        assert [p.timestamp for p in track.history] == [0.0, 1 / 30]
+        tracker.step(2 / 30, [])
+        assert track.misses == 1
+
+    def test_raise_leaves_every_track_as_it_was(self):
+        """A (coasting, newest point at t=0) comes before B (newest at t=1)
+        in the track list; a step at t=0.5 matching both must raise on B
+        without having touched A."""
+        a_box, b_box = (0, 0, 10, 10), (50, 0, 60, 10)
+        tracker = Tracker()
+        tracker.step(0.0, [det("car", *a_box)])
+        tracker.step(1.0, [det("person", *b_box)])
+        track_a = track_by_id(tracker, 0)
+        assert track_a.misses == 1
+        history_a = list(track_a.history)
+        with pytest.raises(ConsistencyError, match="track 1"):
+            tracker.step(0.5, [det("car", *a_box), det("person", *b_box)])
+        assert track_a.history == history_a
+        assert track_a.misses == 1
+        assert [t.track_id for t in tracker.tracks] == [0, 1]
+
+    def test_attach_distances_writes_only_this_frames_points(self):
+        tracker = Tracker()
+        tracker.step(0.0, [det("car", 0, 0, 10, 10), det("person", 50, 0, 60, 10)])
+        tracker.step(1 / 30, [det("car", 0, 0, 10, 10)])  # person coasts
+        car, person = track_by_id(tracker, 0), track_by_id(tracker, 1)
+        # the person has no point at 1/30; id 99 has no track at all
+        tracker.attach_distances(1 / 30, {0: 2.0, 1: 3.0, 99: 4.0})
+        assert [p.distance_m for p in car.history] == [None, 2.0]
+        assert [p.distance_m for p in person.history] == [None]
+        # only a track's newest point is written: the car's at 0.0 is not
+        tracker.attach_distances(0.0, {0: 9.0})
+        assert [p.distance_m for p in car.history] == [None, 2.0]
