@@ -255,45 +255,50 @@ def write_dataset(directory, frames: Iterable[PerceptionFrame]) -> int:
     return count
 
 
-def read_dataset(directory) -> Iterator[PerceptionFrame]:
-    """Yield frames from a dataset directory in file order."""
-    frames_path = os.path.join(directory, FRAMES_FILE)
-    last_id = None
+def _json_records(path) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, object) for each non-blank line of a JSONL file.
+
+    Raises FrameDecodeError naming ``path:line`` for a non-ASCII byte,
+    malformed JSON or a line that is not a JSON object.
+    """
     # non-ASCII bytes decode to lone surrogates, which isascii() (O(1)) flags
-    with open(frames_path, "r", encoding="ascii", errors="surrogateescape") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.isascii():
-                raise FrameDecodeError(f"{frames_path}:{lineno}: non-ASCII byte")
+                raise FrameDecodeError(f"{path}:{lineno}: non-ASCII byte")
             line = line.strip()
             if not line:
                 continue
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise FrameDecodeError(
-                    f"{frames_path}:{lineno}: malformed JSON: {exc}"
-                ) from exc
+                raise FrameDecodeError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
             if not isinstance(record, dict):
-                raise FrameDecodeError(
-                    f"{frames_path}:{lineno}: expected a JSON object"
-                )
-            depth_file = record.get("depth_file")
-            if not isinstance(depth_file, str):
-                raise FrameDecodeError("field 'depth_file': expected str")
-            # a bare name keeps every sidecar read inside the dataset directory
-            if (
-                depth_file in ("", ".", "..")
-                or os.path.basename(depth_file) != depth_file
-                or "\0" in depth_file
-            ):
-                raise FrameDecodeError(
-                    f"field 'depth_file': {depth_file!r} is not a bare file name"
-                )
-            depth = read_pgm(os.path.join(directory, depth_file))
-            frame = decode_record(record, depth)
-            if last_id is not None and frame.frame_id <= last_id:
-                raise ConsistencyError(
-                    f"frame_id {frame.frame_id} not greater than {last_id}"
-                )
-            last_id = frame.frame_id
-            yield frame
+                raise FrameDecodeError(f"{path}:{lineno}: expected a JSON object")
+            yield lineno, record
+
+
+def read_dataset(directory) -> Iterator[PerceptionFrame]:
+    """Yield frames from a dataset directory in file order."""
+    last_id = None
+    for _, record in _json_records(os.path.join(directory, FRAMES_FILE)):
+        depth_file = record.get("depth_file")
+        if not isinstance(depth_file, str):
+            raise FrameDecodeError("field 'depth_file': expected str")
+        # a bare name keeps every sidecar read inside the dataset directory
+        if (
+            depth_file in ("", ".", "..")
+            or os.path.basename(depth_file) != depth_file
+            or "\0" in depth_file
+        ):
+            raise FrameDecodeError(
+                f"field 'depth_file': {depth_file!r} is not a bare file name"
+            )
+        depth = read_pgm(os.path.join(directory, depth_file))
+        frame = decode_record(record, depth)
+        if last_id is not None and frame.frame_id <= last_id:
+            raise ConsistencyError(
+                f"frame_id {frame.frame_id} not greater than {last_id}"
+            )
+        last_id = frame.frame_id
+        yield frame

@@ -103,7 +103,7 @@ def partition_scores(
 ) -> list[tuple[float, bool]]:
     """H(i) for every partition from one column sum of the whole frame.
 
-    The excluded pixels (the VIP's mask, decoded over the rows it spans,
+    The excluded pixels (the VIP's mask, cut to the rows it spans,
     or its clipped bbox) are subtracted from the column sums and counts;
     each partition's total and count are then exact Python ints divided
     once, so every score is bit-identical to a naive wide-integer loop.
@@ -129,7 +129,7 @@ def partition_scores(
                 f"exclusion mask {exclude.width}x{exclude.height} != depth {w}x{h}"
             )
         y1, y2 = exclude.foreground_rows()
-        grid = exclude.decode(rows=(y1, y2))
+        grid = exclude.decode()[y1:y2]
         cols = np.flatnonzero(grid.any(axis=0))
         if cols.size:
             x1, x2 = int(cols[0]), int(cols[-1]) + 1

@@ -14,6 +14,7 @@ minus the rectangles that cut it from their corners alone.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,10 +89,10 @@ class BitMask:
             raise ConsistencyError(f"mask dims {self.width}x{self.height} not positive")
         runs = tuple(self.runs)
         if not set(map(type, runs)) <= {int}:  # exact ints need no conversion
-            try:
-                runs = tuple(np.fromiter(runs, dtype=np.int64).tolist())
-            except OverflowError:  # a run beyond int64: Python ints hold it exactly
-                runs = tuple(map(int, runs))
+            try:  # numpy ints and bools convert exactly; floats are not truncated
+                runs = tuple(map(operator.index, runs))
+            except TypeError:
+                raise ConsistencyError("run lengths must be integers") from None
         object.__setattr__(self, "runs", runs)
         if runs and min(runs) < 0:
             raise ConsistencyError("negative run length")
@@ -101,9 +102,9 @@ class BitMask:
                 f"runs sum {total} != {self.width}x{self.height} pixels"
             )
 
-    def decode(self, rows: tuple[int, int] | None = None) -> np.ndarray:
-        """Expand to a boolean grid: all rows, or the half-open span ``rows``."""
-        return rle_decode(self, rows)
+    def decode(self) -> np.ndarray:
+        """Expand to a boolean (height, width) grid."""
+        return rle_decode(self)
 
     def foreground_rows(self) -> tuple[int, int]:
         """Half-open row span holding every foreground pixel; (0, 0) when none.
@@ -297,23 +298,13 @@ def rle_encode_rect(rect, cuts, width: int, height: int) -> BitMask | None:
     return BitMask(width=width, height=height, runs=tuple(runs))
 
 
-def rle_decode(mask: BitMask, rows: tuple[int, int] | None = None) -> np.ndarray:
+def rle_decode(mask: BitMask) -> np.ndarray:
     """Expand a BitMask to a boolean (height, width) grid.
 
-    With ``rows = (y0, y1)`` only that half-open row span is expanded, into
-    a (y1 - y0, width) grid: each run is clipped to the span, so the cost
-    is O(runs) plus the pixels returned. Run lengths are validated at
-    construction, so decoding never writes out of bounds.
+    Run lengths are validated at construction, so decoding never writes
+    out of bounds.
     """
     runs = np.fromiter(mask.runs, dtype=np.int64, count=len(mask.runs))
     pattern = np.zeros(runs.size, dtype=bool)
     pattern[1::2] = True
-    y0, y1 = (0, mask.height) if rows is None else rows
-    if not 0 <= y0 <= y1 <= mask.height:
-        raise ConsistencyError(f"rows [{y0},{y1}) outside mask height {mask.height}")
-    if (y0, y1) != (0, mask.height):
-        ends = np.cumsum(runs)
-        lo, hi = y0 * mask.width, y1 * mask.width
-        runs = np.maximum(np.minimum(ends, hi) - np.maximum(ends - runs, lo), 0)
-    flat = np.repeat(pattern, runs)
-    return flat.reshape(y1 - y0, mask.width)
+    return np.repeat(pattern, runs).reshape(mask.height, mask.width)

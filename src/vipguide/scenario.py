@@ -17,12 +17,13 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, replace
+from typing import Iterator
 
 import numpy as np
 
 from .calibration import CalibrationModel, CalibrationSample, fit, region_rev
-from .errors import ConsistencyError
-from .frameio import write_dataset
+from .errors import ConsistencyError, FrameDecodeError
+from .frameio import _json_records, _require, write_dataset
 from .local_planner import partition_bounds
 from .perception import (
     BitMask,
@@ -444,29 +445,32 @@ def write_scenario(directory, spec: ScenarioSpec) -> int:
 
 
 def read_ground_truth(directory) -> list[GroundTruth]:
+    """Read the ground-truth JSONL; FrameDecodeError names path:line and field."""
+    path = os.path.join(directory, GROUND_TRUTH_FILE)
     out = []
-    with open(os.path.join(directory, GROUND_TRUTH_FILE), "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
+    for lineno, obj in _json_records(path):
+        try:
             out.append(
                 GroundTruth(
-                    frame_id=obj["frame_id"],
-                    expected_partition=obj["expected_partition"],
-                    expected_direction=obj["expected_direction"],
+                    frame_id=_require(obj, "frame_id", int, "int"),
+                    expected_partition=_require(obj, "expected_partition", int, "int"),
+                    expected_direction=_require(obj, "expected_direction", str, "str"),
                 )
             )
+        except FrameDecodeError as exc:
+            raise FrameDecodeError(f"{path}:{lineno}: {exc}") from None
     return out
 
 
 def calibration_frames(
     z_values, cam: Camera = Camera()
-) -> list[tuple[PerceptionFrame, float]]:
-    """One frame per distance: a lone labeled wall at known z, for calibration."""
+) -> Iterator[tuple[PerceptionFrame, float]]:
+    """Yield one frame per distance: a lone labeled wall at known z, for calibration.
+
+    Frames are rendered as the iterator reaches them, so one is held at a
+    time; a wall that projects off-frame raises when iteration reaches it.
+    """
     ground = _ground_image(cam)
-    out = []
     for frame_id, z in enumerate(z_values):
         wall = SceneObject("wall", x=0.0, z=float(z), width=1.5, height=1.5, elevation=0.35)
         values, detections, _, instance_masks = _render([wall], cam, ground)
@@ -481,8 +485,7 @@ def calibration_frames(
             detections=tuple(detections),
             instance_masks=instance_masks,
         )
-        out.append((frame, float(z)))
-    return out
+        yield frame, float(z)
 
 
 def default_model() -> CalibrationModel:

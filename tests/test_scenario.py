@@ -1,13 +1,16 @@
 import hashlib
 import math
 import os
+import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
 
 from vipguide import scenario
 from vipguide.calibration import fit, predict, region_rev
-from vipguide.errors import ConsistencyError
+from vipguide.errors import ConsistencyError, FrameDecodeError
+from vipguide.frameio import read_dataset
 from vipguide.perception import rle_decode, rle_encode
 from vipguide.scenario import (
     CONFIDENCE,
@@ -507,12 +510,98 @@ class TestScenarioFiles:
         assert (tmp_path / "4.pgm").exists()
 
 
+class TestReadGroundTruth:
+    GOOD = '{"frame_id":0,"expected_partition":1,"expected_direction":"center"}\n'
+
+    def read(self, tmp_path, second_line):
+        (tmp_path / "ground_truth.jsonl").write_text(self.GOOD + second_line, encoding="latin-1")
+        return read_ground_truth(tmp_path)
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ('{"frame_id":1,"expected_partition":1}', "field 'expected_direction': missing"),
+            ('{"frame_id": 1,', "malformed JSON: .*"),
+            ('[1, 1, "center"]', "expected a JSON object"),
+            ('{"frame_id":1,"expected_partition":1,"expected_direction":"\xe9"}', "non-ASCII byte"),
+            ('{"frame_id":"x","expected_partition":1,"expected_direction":"left"}',
+             "field 'frame_id': expected int"),
+            ('{"frame_id":1.0,"expected_partition":1,"expected_direction":"left"}',
+             "field 'frame_id': expected int"),
+            ('{"frame_id":1,"expected_partition":2.5,"expected_direction":"left"}',
+             "field 'expected_partition': expected int"),
+            ('{"frame_id":1,"expected_partition":true,"expected_direction":"left"}',
+             "field 'expected_partition': expected int"),
+            ('{"frame_id":1,"expected_partition":1,"expected_direction":7}',
+             "field 'expected_direction': expected str"),
+        ],
+    )
+    def test_bad_line_names_path_line_and_field(self, tmp_path, line, message):
+        with pytest.raises(FrameDecodeError, match=rf"ground_truth\.jsonl:2: {message}$"):
+            self.read(tmp_path, line)
+
+    def test_good_lines_read(self, tmp_path):
+        line = '{"frame_id":1,"expected_partition":0,"expected_direction":"left"}\n\n'
+        assert self.read(tmp_path, line) == [
+            GroundTruth(frame_id=0, expected_partition=1, expected_direction="center"),
+            GroundTruth(frame_id=1, expected_partition=0, expected_direction="left"),
+        ]
+
+
+def traced_peak_mib(run) -> float:
+    """Peak traced heap, in MiB, while `run()` executes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def drain(stream) -> None:
+    """Iterate `stream`, keeping no item."""
+    deque(stream, maxlen=0)
+
+
+class TestBoundedMemory:
+    # a 640x480 frame holds about 0.9 MiB; a stream that kept its frames
+    # would pass this bound within five of them
+    BOUND_MIB = 4.0
+
+    def test_generate(self):
+        drain(generate(ScenarioSpec("crowded_street", 3, n_frames=1)))  # fill caches first
+        peaks = [
+            traced_peak_mib(lambda n=n: drain(generate(ScenarioSpec("crowded_street", 3, n_frames=n))))
+            for n in (40, 80)
+        ]
+        assert max(peaks) < self.BOUND_MIB
+        assert peaks[1] < peaks[0] + 0.25  # twice the frames, no more memory
+
+    def test_read_dataset(self, tmp_path):
+        write_scenario(tmp_path, ScenarioSpec("crowded_street", 3, n_frames=40))
+        assert traced_peak_mib(lambda: drain(read_dataset(tmp_path))) < self.BOUND_MIB
+
+    def test_write_scenario(self, tmp_path):
+        spec = ScenarioSpec("crowded_street", 3, n_frames=40)
+        assert traced_peak_mib(lambda: write_scenario(tmp_path, spec)) < self.BOUND_MIB
+
+    def test_calibration_frames(self):
+        z_values = [1.0 + 0.5 * i for i in range(19)]  # as default_model
+        assert traced_peak_mib(lambda: drain(calibration_frames(z_values))) < self.BOUND_MIB
+
+
 class TestCalibrationFrames:
     def test_wall_rev_is_exact(self):
         for (frame, z) in calibration_frames([2.0, 5.0, 9.0]):
             det = frame.detections[0]
             rev = region_rev(frame, det)
             assert rev == rev16_from_z(z)
+
+    def test_off_frame_wall_raises_when_reached(self):
+        frames = calibration_frames([4.0, 0.01])
+        assert next(frames)[1] == 4.0  # walls before the bad one still render
+        with pytest.raises(ConsistencyError, match=r"^calibration wall at z=0\.01 projects off-frame$"):
+            next(frames)
 
     def test_centered_bbox(self):
         (frame, _), = calibration_frames([4.0])
