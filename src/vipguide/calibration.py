@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import CalibrationError, EmptyRegionError
+from .errors import CalibrationError, EmptyRegionError, FrameDecodeError
+from .frameio import _require, load_json, record_to_line
 from .perception import Detection, PerceptionFrame, REV_MAX
 
 
@@ -106,25 +106,20 @@ def detection_distance(
 
 def save_model(path, model: CalibrationModel) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(asdict(model), fh, separators=(",", ":"))
+        fh.write(record_to_line(asdict(model)))
         fh.write("\n")
 
 
 def load_model(path) -> CalibrationModel:
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            obj = json.load(fh)
-        except ValueError as exc:  # bad JSON or a non-ASCII byte
-            raise CalibrationError(f"{path}: malformed JSON: {exc}") from exc
+    obj = load_json(path, CalibrationError)
+    if not isinstance(obj, dict):
+        raise CalibrationError(f"bad model file {path}: expected a JSON object")
     try:
-        return CalibrationModel(
-            a=float(obj["a"]),
-            b=float(obj["b"]),
-            c=float(obj["c"]),
-            rmse=float(obj["rmse"]),
-            n_samples=int(obj["n_samples"]),
+        a, b, c, rmse = (
+            float(_require(obj, key, (int, float), "number")) for key in ("a", "b", "c", "rmse")
         )
-    except (KeyError, TypeError, ValueError, OverflowError, CalibrationError) as exc:
+        return CalibrationModel(a, b, c, rmse, _require(obj, "n_samples", int, "int"))
+    except (FrameDecodeError, OverflowError, CalibrationError) as exc:
         raise CalibrationError(f"bad model file {path}: {exc}") from exc
 
 

@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
+from .frameio import load_json
 from .geometry import GeometricConfig, GeometryError
 
 GEOMETRY_KEYS = {
@@ -146,9 +147,4 @@ def config_from_dict(obj: dict) -> Config:
 
 
 def load_config(path) -> Config:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except ValueError as exc:  # bad JSON or bytes that are not UTF-8
-        raise ConfigError(f"{path}: malformed JSON: {exc}") from exc
-    return config_from_dict(obj)
+    return config_from_dict(load_json(path, ConfigError))

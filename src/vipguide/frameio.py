@@ -1,4 +1,5 @@
-"""Frame record serialization: JSONL metadata plus binary PGM depth sidecars.
+"""Frame record serialization: JSONL metadata plus binary PGM depth sidecars,
+and the one reader of outside JSON, whole files and JSONL records alike.
 
 One dataset = a ``frames.jsonl`` stream (one JSON object per line, compact
 separators so output is byte-stable) plus one 16-bit PGM per frame named
@@ -9,11 +10,11 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .errors import ConsistencyError, FrameDecodeError
+from .errors import ConsistencyError, FrameDecodeError, VipGuideError
 from .perception import (
     BitMask,
     BoundingBox,
@@ -96,14 +97,11 @@ def _mask_to_json(mask: BitMask) -> dict:
 
 
 def _mask_from_json(obj, width: int, height: int, field: str) -> BitMask:
-    if not isinstance(obj, dict) or "runs" not in obj:
+    if not isinstance(obj, dict):
         raise FrameDecodeError(f"field '{field}': expected an object with 'runs'")
-    runs = obj["runs"]
-    # JSON yields exact ints, so `type is int` also rules out bools
-    if not isinstance(runs, list) or not set(map(type, runs)) <= {int}:
-        raise FrameDecodeError(f"field '{field}.runs': expected a list of ints")
-    try:
-        return BitMask(width=width, height=height, runs=tuple(runs))
+    runs = _require(obj, "runs", list, "a list of ints", f"{field}.")
+    try:  # BitMask checks that each run is an int
+        return BitMask(width=width, height=height, runs=runs)
     except ConsistencyError as exc:
         raise FrameDecodeError(f"field '{field}': {exc}") from exc
 
@@ -255,11 +253,22 @@ def write_dataset(directory, frames: Iterable[PerceptionFrame]) -> int:
     return count
 
 
-def _json_records(path) -> Iterator[tuple[int, dict]]:
-    """Yield (line number, object) for each non-blank line of a JSONL file.
+def load_json(path, error: type[VipGuideError]):
+    """The JSON value in a whole ASCII file; raises ``error`` naming ``path``
+    for malformed JSON or a non-ASCII byte."""
+    with open(path, "r", encoding="ascii") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # bad JSON or a non-ASCII byte
+            raise error(f"{path}: malformed JSON: {exc}") from exc
+
+
+def _json_records(path, parse: Callable[[dict], object]) -> Iterator:
+    """Yield ``parse(record)`` for each non-blank line of a JSONL file.
 
     Raises FrameDecodeError naming ``path:line`` for a non-ASCII byte,
-    malformed JSON or a line that is not a JSON object.
+    malformed JSON or a line that is not a JSON object, and prefixes
+    ``path:line`` to any VipGuideError that ``parse`` raises, keeping its class.
     """
     # non-ASCII bytes decode to lone surrogates, which isascii() (O(1)) flags
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
@@ -275,16 +284,20 @@ def _json_records(path) -> Iterator[tuple[int, dict]]:
                 raise FrameDecodeError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
             if not isinstance(record, dict):
                 raise FrameDecodeError(f"{path}:{lineno}: expected a JSON object")
-            yield lineno, record
+            try:
+                parsed = parse(record)
+            except VipGuideError as exc:
+                raise type(exc)(f"{path}:{lineno}: {exc}") from None
+            yield parsed
 
 
 def read_dataset(directory) -> Iterator[PerceptionFrame]:
     """Yield frames from a dataset directory in file order."""
     last_id = None
-    for _, record in _json_records(os.path.join(directory, FRAMES_FILE)):
-        depth_file = record.get("depth_file")
-        if not isinstance(depth_file, str):
-            raise FrameDecodeError("field 'depth_file': expected str")
+
+    def frame_from(record: dict) -> PerceptionFrame:
+        nonlocal last_id
+        depth_file = _require(record, "depth_file", str, "str")
         # a bare name keeps every sidecar read inside the dataset directory
         if (
             depth_file in ("", ".", "..")
@@ -301,4 +314,6 @@ def read_dataset(directory) -> Iterator[PerceptionFrame]:
                 f"frame_id {frame.frame_id} not greater than {last_id}"
             )
         last_id = frame.frame_id
-        yield frame
+        return frame
+
+    return _json_records(os.path.join(directory, FRAMES_FILE), frame_from)

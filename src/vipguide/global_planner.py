@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import GraphError, UnreachableError
+from .frameio import load_json
 
 
 @dataclass(frozen=True)
@@ -196,12 +197,7 @@ def shortest_path(graph: NavGraph, src: str, dst: str) -> Route:
 
 def load_graph(path) -> NavGraph:
     """Read a graph JSON file: nodes with planar positions, weighted edges."""
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            obj = json.load(fh)
-        except ValueError as exc:  # bad JSON or a non-ASCII byte
-            raise GraphError(f"{path}: malformed JSON: {exc}") from exc
-    return graph_from_dict(obj)
+    return graph_from_dict(load_json(path, GraphError))
 
 
 # JSON yields exact ints and floats, so an exact type test also rules out bools

@@ -88,8 +88,11 @@ class BitMask:
         if self.width <= 0 or self.height <= 0:
             raise ConsistencyError(f"mask dims {self.width}x{self.height} not positive")
         runs = tuple(self.runs)
-        if not set(map(type, runs)) <= {int}:  # exact ints need no conversion
-            try:  # numpy ints and bools convert exactly; floats are not truncated
+        kinds = set(map(type, runs))
+        if bool in kinds:  # operator.index would take True as 1
+            raise ConsistencyError("run lengths must be integers")
+        if not kinds <= {int}:  # exact ints need no conversion
+            try:  # numpy ints convert exactly; floats are not truncated
                 runs = tuple(map(operator.index, runs))
             except TypeError:
                 raise ConsistencyError("run lengths must be integers") from None

@@ -13,7 +13,6 @@ quadratic in normalized REV and a quadratic calibration can invert it.
 """
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import asdict, dataclass, replace
@@ -22,8 +21,8 @@ from typing import Iterator
 import numpy as np
 
 from .calibration import CalibrationModel, CalibrationSample, fit, region_rev
-from .errors import ConsistencyError, FrameDecodeError
-from .frameio import _json_records, _require, write_dataset
+from .errors import ConsistencyError
+from .frameio import _json_records, _require, record_to_line, write_dataset
 from .local_planner import partition_bounds
 from .perception import (
     BitMask,
@@ -439,27 +438,22 @@ def write_scenario(directory, spec: ScenarioSpec) -> int:
     path = os.path.join(directory, GROUND_TRUTH_FILE)
     with open(path, "w", encoding="ascii") as fh:
         for truth in truths:
-            fh.write(json.dumps(asdict(truth), separators=(",", ":")))
+            fh.write(record_to_line(asdict(truth)))
             fh.write("\n")
     return count
 
 
 def read_ground_truth(directory) -> list[GroundTruth]:
     """Read the ground-truth JSONL; FrameDecodeError names path:line and field."""
-    path = os.path.join(directory, GROUND_TRUTH_FILE)
-    out = []
-    for lineno, obj in _json_records(path):
-        try:
-            out.append(
-                GroundTruth(
-                    frame_id=_require(obj, "frame_id", int, "int"),
-                    expected_partition=_require(obj, "expected_partition", int, "int"),
-                    expected_direction=_require(obj, "expected_direction", str, "str"),
-                )
-            )
-        except FrameDecodeError as exc:
-            raise FrameDecodeError(f"{path}:{lineno}: {exc}") from None
-    return out
+
+    def truth_from(obj: dict) -> GroundTruth:
+        return GroundTruth(
+            frame_id=_require(obj, "frame_id", int, "int"),
+            expected_partition=_require(obj, "expected_partition", int, "int"),
+            expected_direction=_require(obj, "expected_direction", str, "str"),
+        )
+
+    return list(_json_records(os.path.join(directory, GROUND_TRUTH_FILE), truth_from))
 
 
 def calibration_frames(

@@ -18,6 +18,18 @@ from vipguide.perception import rle_encode
 from conftest import det, make_frame, save_samples_csv
 
 
+# a model file with one mistyped field -> the end of the message that rejects it
+MISTYPED_MODELS = {
+    '{"a": "1.5", "b": 1, "c": 1, "rmse": 0, "n_samples": 3}': "field 'a': expected number",
+    '{"a": true, "b": 1, "c": 1, "rmse": 0, "n_samples": 3}': "field 'a': expected number",
+    '{"a": 1, "b": 1, "c": 1, "rmse": 0, "n_samples": 3.9}': "field 'n_samples': expected int",
+    '{"a": 1, "b": 1, "c": 1, "rmse": 0, "n_samples": "7"}': "field 'n_samples': expected int",
+    '{"a": 1, "b": 1, "c": 1, "rmse": 0, "n_samples": true}': "field 'n_samples': expected int",
+    '{"a": 1, "b": 1, "c": 1, "rmse": null, "n_samples": 3}': "field 'rmse': expected number",
+    '"a b c"': "expected a JSON object",
+}
+
+
 def quad_samples(a, b, c, revs):
     return [CalibrationSample(rev=r, distance=a * r * r + b * r + c) for r in revs]
 
@@ -223,12 +235,14 @@ class TestPersistence:
         assert path.read_text().splitlines()[0] == "rev,distance_m"
         assert load_samples_csv(path) == samples
 
-    @pytest.mark.parametrize("text", ['{"a": 1', "\xff", "[1, 2]"])
+    @pytest.mark.parametrize("text", ['{"a": 1', "\xff", "[1, 2]", *MISTYPED_MODELS])
     def test_malformed_model_file(self, tmp_path, text):
         path = tmp_path / "model.json"
         path.write_bytes(text.encode("latin-1"))
-        with pytest.raises(CalibrationError, match="model.json"):
+        with pytest.raises(CalibrationError, match="model.json") as info:
             load_model(path)
+        if text in MISTYPED_MODELS:  # strings, bools and fractions are not coerced
+            assert str(info.value).endswith(f"model.json: {MISTYPED_MODELS[text]}")
 
     def test_non_finite_model_file(self, tmp_path):
         path = tmp_path / "model.json"

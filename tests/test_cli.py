@@ -249,8 +249,24 @@ class TestPlan:
             ('{"a": 1', "model.json: malformed JSON"),
             ('{"a": NaN, "b": 1, "c": 1, "rmse": 0, "n_samples": 3}', "a nan not finite"),
             ('{"a": 1, "b": 1, "c": Infinity, "rmse": 0, "n_samples": 3}', "c inf not finite"),
+            (
+                '{"a": "1.5", "b": 1, "c": 1, "rmse": 0, "n_samples": 3}',
+                "model.json: field 'a': expected number",
+            ),
+            (
+                '{"a": true, "b": 1, "c": 1, "rmse": 0, "n_samples": 3}',
+                "model.json: field 'a': expected number",
+            ),
+            (
+                '{"a": 1, "b": 1, "c": 1, "rmse": 0, "n_samples": 3.9}',
+                "model.json: field 'n_samples': expected int",
+            ),
+            (
+                '{"a": 1, "b": 1, "c": 1, "rmse": 0, "n_samples": "7"}',
+                "model.json: field 'n_samples': expected int",
+            ),
         ],
-        ids=["malformed", "nan", "inf"],
+        ids=["malformed", "nan", "inf", "a_str", "a_bool", "n_samples_float", "n_samples_str"],
     )
     def test_bad_model_file_fails_cleanly(self, tmp_path, capsys, text, needle):
         model = tmp_path / "model.json"

@@ -122,11 +122,20 @@ class TestRecordCodec:
             (lambda r: r["detections"][0].update(confidence="high"), "confidence"),
             (lambda r: r["detections"][1].update(bbox=[1, 2, 3]), "bbox"),
             (lambda r: r.update(vip_mask={"runs": [1, "x"]}), "vip_mask"),
-            (lambda r: r.update(vip_mask={"runs": [1.0, 47]}), "vip_mask.runs"),
-            (lambda r: r.update(vip_mask={"runs": [True, 47]}), "vip_mask.runs"),
+            (
+                lambda r: r.update(vip_mask={"runs": [1.0, 47]}),
+                "vip_mask': run lengths must be integers",
+            ),
+            (
+                lambda r: r.update(vip_mask={"runs": [True, 47]}),
+                "vip_mask': run lengths must be integers",
+            ),
             (lambda r: r.update(vip_mask={"runs": [49, -1]}), "vip_mask': negative run"),
             (lambda r: r.update(vip_mask={"runs": [2**63]}), "vip_mask': runs sum"),
             (lambda r: r.update(instance_masks={"ten": {"runs": [48]}}), "instance_masks"),
+            (lambda r: r.update(road_mask={}), r"^field 'road_mask\.runs': missing$"),
+            (lambda r: r.update(road_mask=[48]), r"^field 'road_mask': expected an object"),
+            (lambda r: r.update(vip_mask={"runs": 48}), r"^field 'vip_mask\.runs': expected a list"),
             (lambda r: r.update(timestamp=10**400), "timestamp"),
             (
                 lambda r: r["detections"][0].update({"class": 7}),
@@ -205,6 +214,54 @@ class TestDataset:
         assert next(frames) == sample_frame(0)
         with pytest.raises(FrameDecodeError, match="frames.jsonl:2: non-ASCII byte"):
             next(frames)
+
+    @pytest.mark.parametrize(
+        "fault,error,rest",
+        [
+            ("width", FrameDecodeError, "field 'width': missing"),
+            ("bbox", ConsistencyError, "bbox [3, 2, 9, 5] exceeds frame 8x6"),
+            ("pgm", FrameDecodeError, "{ds}/1.pgm: raster has 2 bytes, expected 96"),
+        ],
+    )
+    def test_record_fault_names_path_and_line(self, tmp_path, fault, error, rest):
+        write_dataset(tmp_path, [sample_frame(i) for i in range(3)])
+        path = tmp_path / "frames.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        if fault == "width":
+            del records[1]["width"]
+        elif fault == "bbox":
+            records[1]["detections"][0]["bbox"] = [3, 2, 9, 5]
+        else:
+            (tmp_path / "1.pgm").write_bytes(b"P5\n8 6\n65535\n\x00\x01")
+        path.write_text("".join(record_to_line(r) + "\n" for r in records))
+        frames = read_dataset(tmp_path)
+        assert next(frames) == sample_frame(0)
+        with pytest.raises(error) as info:
+            next(frames)
+        assert type(info.value) is error
+        assert str(info.value) == f"{path}:2: " + rest.format(ds=tmp_path)
+
+    @pytest.mark.parametrize(
+        "line,rest",
+        [(b"\xff\n", "non-ASCII byte"), (b"[1]\n", "expected a JSON object")],
+        ids=["0xff", "not_object"],
+    )
+    def test_line_fault_has_one_prefix(self, tmp_path, line, rest):
+        write_dataset(tmp_path, [sample_frame(0), sample_frame(1)])
+        path = tmp_path / "frames.jsonl"
+        with open(path, "ab") as fh:
+            fh.write(line)
+        with pytest.raises(FrameDecodeError) as info:
+            list(read_dataset(tmp_path))
+        assert str(info.value) == f"{path}:3: {rest}"
+
+    def test_id_order_names_path_and_line(self, tmp_path):
+        write_dataset(tmp_path, [sample_frame(4), sample_frame(5)])
+        path = tmp_path / "frames.jsonl"
+        first = path.read_text().splitlines()[0]
+        path.write_text(f"{first}\n{first}\n")
+        with pytest.raises(ConsistencyError, match=r"frames\.jsonl:2: frame_id 4 not greater than 4$"):
+            list(read_dataset(tmp_path))
 
     def test_malformed_line(self, tmp_path):
         write_dataset(tmp_path, [sample_frame(0)])

@@ -276,14 +276,11 @@ class TestBitMaskValidation:
         mask = BitMask(width=3, height=2, runs=[2, 4])
         assert mask.runs == (2, 4) and type(mask.runs) is tuple
 
-    def test_bool_run_stored_as_int(self):
-        mask = BitMask(width=3, height=2, runs=(5, True))
-        assert mask.runs == (5, 1)
-        assert [type(r) for r in mask.runs] == [int, int]
-
     def test_non_integer_runs_rejected(self):
-        # floats used to truncate: (2.7, 4.2) passed as (2, 4)
-        for runs in [(2.7, 4.2), (2.5, 3.5), (-0.5, 6.9), (2.0, 4), (np.bool_(True), 5), ("6",)]:
+        # floats used to truncate: (2.7, 4.2) passed as (2, 4); bools passed as 0 or 1
+        for runs in [
+            (2.7, 4.2), (2.5, 3.5), (-0.5, 6.9), (2.0, 4), (np.bool_(True), 5), ("6",), (5, True)
+        ]:
             with pytest.raises(ConsistencyError, match=r"^run lengths must be integers$"):
                 BitMask(width=3, height=2, runs=runs)
 
