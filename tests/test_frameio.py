@@ -122,13 +122,16 @@ class TestRecordCodec:
             (lambda r: r["detections"][0].update(confidence="high"), "confidence"),
             (lambda r: r["detections"][1].update(bbox=[1, 2, 3]), "bbox"),
             (lambda r: r.update(vip_mask={"runs": [1, "x"]}), "vip_mask"),
-            (
+            # these two keep the ids of their earlier 'vip_mask.runs' needle
+            pytest.param(
                 lambda r: r.update(vip_mask={"runs": [1.0, 47]}),
                 "vip_mask': run lengths must be integers",
+                id="<lambda>-vip_mask.runs0",
             ),
-            (
+            pytest.param(
                 lambda r: r.update(vip_mask={"runs": [True, 47]}),
                 "vip_mask': run lengths must be integers",
+                id="<lambda>-vip_mask.runs1",
             ),
             (lambda r: r.update(vip_mask={"runs": [49, -1]}), "vip_mask': negative run"),
             (lambda r: r.update(vip_mask={"runs": [2**63]}), "vip_mask': runs sum"),
