@@ -7,6 +7,7 @@ REV->distance model, then check the fit against held-out distances the
 fit never saw.
 """
 from vipguide import CalibrationSample, calibration_frames, detection_distance, fit, region_rev
+from vipguide.scenario import CALIBRATION_Z
 
 
 def samples_at(z_values):
@@ -18,8 +19,7 @@ def samples_at(z_values):
 
 
 def main():
-    train_z = [1.0 + 0.5 * i for i in range(19)]  # 1.0 .. 10.0 m
-    model = fit(samples_at(train_z))
+    model = fit(samples_at(CALIBRATION_Z))  # walls at 1.0 .. 10.0 m
     print(f"fit on {model.n_samples} walls: "
           f"d = {model.a:.3f} rev^2 + {model.b:.3f} rev + {model.c:.3f}")
     print(f"training rmse = {model.rmse * 100:.2f} cm")

@@ -11,6 +11,7 @@ from vipguide import (
     default_config,
     default_model,
     detection_distance,
+    free_segments,
     generate,
     heading_angle,
     partition_bounds,
@@ -48,11 +49,12 @@ def main():
     partitions = partition_bounds(frame.width, cfg.planner.n_partitions)
     profiles = partition_profiles(frame.depth, partitions, obstacles, rel,
                                   d_prime, exclude=frame.vip_mask)
+    segments = free_segments(obstacles, rel, d_prime, frame.width)
+    print(f"  free column runs across the frame: {segments}")
     print("  partition   columns      depth score   widest gap")
     for p, prof in zip(partitions, profiles):
         print(f"  {p.index:^9}   [{p.x_start:3d},{p.x_end:3d})"
-              f"   {prof.h_score:11.1f}   {prof.max_free_width:4d} px"
-              f"  {list(prof.free_segments)}")
+              f"   {prof.h_score:11.1f}   {prof.max_free_width:4d} px")
     print()
 
     threshold = width_threshold_px(vip.bbox.width, cfg.planner.width_margin)

@@ -61,7 +61,6 @@ from .local_planner import (
     classify_obstacle,
     decide,
     free_segments,
-    free_space,
     heading_angle,
     partition_bounds,
     partition_profiles,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import CalibrationError, EmptyRegionError, FrameDecodeError
-from .frameio import _require, load_json, record_to_line
+from .frameio import load_json, record_to_line, require_field
 from .perception import Detection, PerceptionFrame, REV_MAX
 
 
@@ -116,9 +116,9 @@ def load_model(path) -> CalibrationModel:
         raise CalibrationError(f"bad model file {path}: expected a JSON object")
     try:
         a, b, c, rmse = (
-            float(_require(obj, key, (int, float), "number")) for key in ("a", "b", "c", "rmse")
+            float(require_field(obj, key, (int, float), "number")) for key in ("a", "b", "c", "rmse")
         )
-        return CalibrationModel(a, b, c, rmse, _require(obj, "n_samples", int, "int"))
+        return CalibrationModel(a, b, c, rmse, require_field(obj, "n_samples", int, "int"))
     except (FrameDecodeError, OverflowError, CalibrationError) as exc:
         raise CalibrationError(f"bad model file {path}: {exc}") from exc
 

@@ -39,10 +39,14 @@ def read_pgm(path) -> DepthMap:
     """Read a binary 16-bit PGM written by :func:`write_pgm`.
 
     Accepts whitespace/comment variation in the header (the format allows
-    it) but requires magic P5 and maxval 65535.
+    it) but requires magic P5 and maxval 65535. A file that cannot be
+    read raises FrameDecodeError naming it.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise FrameDecodeError(f"{path}: cannot read: {exc.strerror}") from exc
     pos = 0
 
     def next_token() -> bytes:
@@ -99,7 +103,7 @@ def _mask_to_json(mask: BitMask) -> dict:
 def _mask_from_json(obj, width: int, height: int, field: str) -> BitMask:
     if not isinstance(obj, dict):
         raise FrameDecodeError(f"field '{field}': expected an object with 'runs'")
-    runs = _require(obj, "runs", list, "a list of ints", f"{field}.")
+    runs = require_field(obj, "runs", list, "a list of ints", f"{field}.")
     try:  # BitMask checks that each run is an int
         return BitMask(width=width, height=height, runs=runs)
     except ConsistencyError as exc:
@@ -139,7 +143,7 @@ def record_to_line(record: dict) -> str:
     return json.dumps(record, separators=(",", ":"))
 
 
-def _require(record: dict, field: str, kinds, kind_name: str, where: str = ""):
+def require_field(record: dict, field: str, kinds, kind_name: str, where: str = ""):
     """record[field] when it is one of ``kinds`` and not a bool; ``where``
     prefixes the field's path in the error message."""
     if field not in record:
@@ -156,29 +160,29 @@ def decode_record(record: dict, depth: DepthMap) -> PerceptionFrame:
     Raises FrameDecodeError naming the offending field on malformed input
     and ConsistencyError on dimension mismatches.
     """
-    frame_id = _require(record, "frame_id", int, "int")
-    timestamp = _require(record, "timestamp", (int, float), "number")
+    frame_id = require_field(record, "frame_id", int, "int")
+    timestamp = require_field(record, "timestamp", (int, float), "number")
     try:
         timestamp = float(timestamp)
     except OverflowError as exc:
         raise FrameDecodeError("field 'timestamp': beyond float range") from exc
-    width = _require(record, "width", int, "int")
-    height = _require(record, "height", int, "int")
-    raw_dets = _require(record, "detections", list, "list")
+    width = require_field(record, "width", int, "int")
+    height = require_field(record, "height", int, "int")
+    raw_dets = require_field(record, "detections", list, "list")
 
     detections = []
     for i, obj in enumerate(raw_dets):
         if not isinstance(obj, dict):
             raise FrameDecodeError(f"field 'detections[{i}]': expected an object")
         where = f"detections[{i}]."
-        label = _require(obj, "class", str, "str", where)
-        bbox = _require(obj, "bbox", list, "[x1,y1,x2,y2] ints", where)
+        label = require_field(obj, "class", str, "str", where)
+        bbox = require_field(obj, "bbox", list, "[x1,y1,x2,y2] ints", where)
         if len(bbox) != 4 or not set(map(type, bbox)) <= {int}:  # no bools
             raise FrameDecodeError(f"field '{where}bbox': expected [x1,y1,x2,y2] ints")
-        confidence = _require(obj, "confidence", (int, float), "number", where)
+        confidence = require_field(obj, "confidence", (int, float), "number", where)
         track_id = obj.get("track_id")
         if track_id is not None:
-            _require(obj, "track_id", int, "int or null", where)
+            require_field(obj, "track_id", int, "int or null", where)
         try:
             detections.append(
                 Detection(
@@ -205,10 +209,14 @@ def decode_record(record: dict, depth: DepthMap) -> PerceptionFrame:
         for key, obj in raw_instances.items():
             try:
                 tid = int(key)
-            except ValueError as exc:
+            except ValueError:
+                tid = -1
+            # one spelling per track id, so no two keys name the same track
+            if tid < 0 or str(tid) != key:
                 raise FrameDecodeError(
-                    f"field 'instance_masks.{key}': key is not an int"
-                ) from exc
+                    f"field 'instance_masks.{key}': key is not a non-negative int "
+                    "in canonical decimal form"
+                )
             instance_masks[tid] = _mask_from_json(
                 obj, width, height, f"instance_masks.{key}"
             )
@@ -263,7 +271,7 @@ def load_json(path, error: type[VipGuideError]):
             raise error(f"{path}: malformed JSON: {exc}") from exc
 
 
-def _json_records(path, parse: Callable[[dict], object]) -> Iterator:
+def json_records(path, parse: Callable[[dict], object]) -> Iterator:
     """Yield ``parse(record)`` for each non-blank line of a JSONL file.
 
     Raises FrameDecodeError naming ``path:line`` for a non-ASCII byte,
@@ -297,7 +305,7 @@ def read_dataset(directory) -> Iterator[PerceptionFrame]:
 
     def frame_from(record: dict) -> PerceptionFrame:
         nonlocal last_id
-        depth_file = _require(record, "depth_file", str, "str")
+        depth_file = require_field(record, "depth_file", str, "str")
         # a bare name keeps every sidecar read inside the dataset directory
         if (
             depth_file in ("", ".", "..")
@@ -316,4 +324,4 @@ def read_dataset(directory) -> Iterator[PerceptionFrame]:
         last_id = frame.frame_id
         return frame
 
-    return _json_records(os.path.join(directory, FRAMES_FILE), frame_from)
+    return json_records(os.path.join(directory, FRAMES_FILE), frame_from)

@@ -27,9 +27,6 @@ class Route:
     nodes: tuple[str, ...]
     total_cost: float
 
-    def edges(self):
-        return list(zip(self.nodes, self.nodes[1:]))
-
 
 # The distance map is shrunk by this factor, so a search key rises by at
 # least 1e-9 * w along each edge of weight w. That margin outweighs float
@@ -115,10 +112,6 @@ class NavGraph:
 
     def is_blocked(self, u: str, v: str) -> bool:
         return _key(u, v) in self._blocked
-
-    def neighbors(self, u: str):
-        """(neighbor, weight) pairs over unblocked edges, as a dict view."""
-        return self._adj[u].items()
 
     # -- mutation (single logical writer) --------------------------------------
 

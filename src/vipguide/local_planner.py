@@ -43,8 +43,7 @@ class PartitionProfile:
     partition: Partition
     h_score: float
     empty: bool  # every pixel excluded -> score forced to 0
-    free_segments: tuple[tuple[int, int], ...]
-    max_free_width: int
+    max_free_width: int  # widest free column run inside the partition
 
 
 @dataclass(frozen=True)
@@ -187,27 +186,6 @@ def free_segments(
     return segments
 
 
-def free_space(
-    detections: list[Detection],
-    distances: list[float],
-    d_filter: float,
-    width: int,
-    partitions: list[Partition],
-) -> list[tuple[tuple[tuple[int, int], ...], int]]:
-    """Per-partition (free segments, max free width), clipped from frame runs."""
-    frame_segments = free_segments(detections, distances, d_filter, width)
-    out = []
-    for p in partitions:
-        clipped = []
-        for s, e in frame_segments:
-            cs, ce = max(s, p.x_start), min(e, p.x_end)
-            if cs < ce:
-                clipped.append((cs, ce))
-        max_width = max((e - s for s, e in clipped), default=0)
-        out.append((tuple(clipped), max_width))
-    return out
-
-
 def partition_profiles(
     depth: DepthMap,
     partitions: list[Partition],
@@ -217,20 +195,19 @@ def partition_profiles(
     exclude: Exclusion = None,
 ) -> list[PartitionProfile]:
     """Bundle H(i) scores and free space into one profile per partition."""
-    spaces = free_space(detections, distances, d_filter, depth.width, partitions)
+    segments = free_segments(detections, distances, d_filter, depth.width)
     scores = partition_scores(depth, partitions, exclude)
-    profiles = []
-    for p, (segments, max_width), (score, empty) in zip(partitions, spaces, scores):
-        profiles.append(
-            PartitionProfile(
-                partition=p,
-                h_score=score,
-                empty=empty,
-                free_segments=segments,
-                max_free_width=max_width,
-            )
+    return [
+        PartitionProfile(
+            partition=p,
+            h_score=score,
+            empty=empty,
+            max_free_width=max(
+                [0] + [min(e, p.x_end) - max(s, p.x_start) for s, e in segments]
+            ),
         )
-    return profiles
+        for p, (score, empty) in zip(partitions, scores)
+    ]
 
 
 def classify_obstacle(

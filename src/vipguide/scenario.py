@@ -22,9 +22,10 @@ import numpy as np
 
 from .calibration import CalibrationModel, CalibrationSample, fit, region_rev
 from .errors import ConsistencyError
-from .frameio import _json_records, _require, record_to_line, write_dataset
+from .frameio import json_records, record_to_line, require_field, write_dataset
 from .local_planner import partition_bounds
 from .perception import (
+    REV_MAX,
     BitMask,
     BoundingBox,
     DepthMap,
@@ -36,8 +37,6 @@ from .perception import (
 Z_NEAR = 1.0
 Z_FAR = 50.0
 GROUND_ATTENUATION = 0.55  # matte ground reads farther than solid objects
-
-SCENARIO_KINDS = ("footpath_tree", "parked_vehicles", "crowded_street", "random")
 
 GROUND_TRUTH_FILE = "ground_truth.jsonl"
 
@@ -100,6 +99,7 @@ def rev_from_z(z: float) -> float:
 
 
 def z_from_rev(rev: float) -> float:
+    """Inverse of :func:`rev_from_z` on [Z_NEAR, Z_FAR]; the tests' oracle for it."""
     return Z_FAR - (Z_FAR - Z_NEAR) * rev * rev
 
 
@@ -113,8 +113,6 @@ def _round_px(v: float) -> int:
 
 def _pixel_rect(obj: SceneObject, cam: Camera) -> tuple[int, int, int, int] | None:
     """Projected, rounded, frame-clipped (x1, y1, x2, y2); None if off-frame."""
-    if obj.z <= 0:
-        return None
     y_bottom = cam.ground_height - obj.elevation          # camera frame, y down
     y_top = y_bottom - obj.height
     u_lo = cam.cx + cam.fx * (obj.x - obj.width / 2.0) / obj.z
@@ -236,11 +234,40 @@ def default_road_mask(cam: Camera) -> BitMask:
 
 # -- scenario authoring ---------------------------------------------------------
 
+CAMERA = Camera()  # every generated stream and calibration frame uses it
+FPS = 30.0
+
 CONFIDENCE = {"vip": 0.98, "person": 0.91, "car": 0.93, "tree": 0.85, "wall": 0.8}
 
 VIP_SIZE = (0.5, 1.7)
 VIP_Z = 3.0
 FREEZE_GAP = 0.3  # scene stops advancing this close to the nearest obstacle
+
+# (width, height) in meters; random scenes draw kinds in this order
+SIZES = {"person": (0.6, 1.75), "car": (2.0, 1.5), "wall": (1.5, 2.0), "tree": (2.5, 2.0)}
+
+# kind -> (expected partition, obstacles at their first-frame positions).
+# Obstacle z is relative to the VIP, who stands VIP_Z ahead of the camera;
+# the walk closes that gap over the stream. Each x is jittered in list order.
+AUTHORED = {
+    # low canopy over the left/center walkway; no detector class for it
+    "footpath_tree": (2, (
+        SceneObject("tree", -1.5, 1.5, 3.5, 2.5, elevation=3.0, labeled=False),
+    )),
+    "parked_vehicles": (2, (
+        SceneObject("car", -1.1, 1.5, *SIZES["car"]),
+        SceneObject("car", -1.8, 2.6, *SIZES["car"]),
+    )),
+    "crowded_street": (0, (
+        SceneObject("person", 0.8, 1.6, *SIZES["person"]),
+        SceneObject("person", 2.0, 2.0, *SIZES["person"]),
+        SceneObject("person", 0.45, 2.2, *SIZES["person"]),
+    )),
+}
+
+SCENARIO_KINDS = (*AUTHORED, "random")
+
+CALIBRATION_Z = tuple(1.0 + 0.5 * i for i in range(19))  # wall distances, 1.0 .. 10.0 m
 
 
 @dataclass(frozen=True)
@@ -255,9 +282,7 @@ class ScenarioSpec:
     kind: str
     seed: int
     n_frames: int = 30
-    camera: Camera = Camera()
     walk_speed: float = 1.2  # m/s
-    fps: float = 30.0
     rev_jitter_sigma: float = 0.0  # optional Gaussian REV noise, 16-bit units
 
     def __post_init__(self):
@@ -269,8 +294,6 @@ class ScenarioSpec:
             raise ConsistencyError(f"n_frames {self.n_frames} < 1")
         if self.seed < 0:
             raise ConsistencyError(f"seed {self.seed} < 0")
-        if not (math.isfinite(self.fps) and self.fps > 0):
-            raise ConsistencyError(f"fps {self.fps} not finite and > 0")
         for name in ("walk_speed", "rev_jitter_sigma"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
@@ -286,65 +309,27 @@ def direction_name(partition_index: int, n_partitions: int = 3) -> str:
     return "center"
 
 
-def _jitter(rng: np.random.Generator, amount: float = 0.05) -> float:
-    return float(rng.uniform(-amount, amount))
+def _jitter(rng: np.random.Generator) -> float:
+    return float(rng.uniform(-0.05, 0.05))
 
 
 def _base_scene(spec: ScenarioSpec, rng: np.random.Generator):
-    """Obstacles at their first-frame positions, plus the expected partition.
-
-    Obstacle z is expressed relative to the VIP (who stands VIP_Z ahead of
-    the camera); the walk closes that gap over the stream.
-    """
-    j = lambda: _jitter(rng)
-    if spec.kind == "footpath_tree":
-        # low canopy over the left/center walkway; no detector class for it
-        obstacles = [
-            SceneObject(
-                "tree",
-                x=-1.5 + j(),
-                z=1.5,
-                width=3.5,
-                height=2.5,
-                elevation=3.0,
-                labeled=False,
-            )
-        ]
-        expected = 2
-    elif spec.kind == "parked_vehicles":
-        obstacles = [
-            SceneObject("car", x=-1.1 + j(), z=1.5, width=2.0, height=1.5),
-            SceneObject("car", x=-1.8 + j(), z=2.6, width=2.0, height=1.5),
-        ]
-        expected = 2
-    elif spec.kind == "crowded_street":
-        obstacles = [
-            SceneObject("person", x=0.8 + j(), z=1.6, width=0.6, height=1.75),
-            SceneObject("person", x=2.0 + j(), z=2.0, width=0.6, height=1.75),
-            SceneObject("person", x=0.45 + j(), z=2.2, width=0.6, height=1.75),
-        ]
-        expected = 0
-    else:
-        obstacles, expected = _random_scene(spec, rng)
-    return obstacles, expected
+    """Obstacles at their first-frame positions, plus the expected partition."""
+    if spec.kind not in AUTHORED:
+        return _random_scene(spec, rng)
+    expected, obstacles = AUTHORED[spec.kind]
+    return [replace(o, x=o.x + _jitter(rng)) for o in obstacles], expected
 
 
 def _random_scene(spec: ScenarioSpec, rng: np.random.Generator):
     """Scatter obstacles while keeping one randomly chosen partition clear."""
-    cam = spec.camera
     expected = int(rng.integers(0, 3))
-    keep = partition_bounds(cam.width, 3)[expected]
-    kinds = ["person", "car", "wall", "tree"]
-    sizes = {
-        "person": (0.6, 1.75),
-        "car": (2.0, 1.5),
-        "wall": (1.5, 2.0),
-        "tree": (2.5, 2.0),
-    }
+    keep = partition_bounds(CAMERA.width, 3)[expected]
+    kinds = list(SIZES)
     obstacles = []
     for _ in range(int(rng.integers(1, 6))):
         kind = kinds[int(rng.integers(0, len(kinds)))]
-        w, h = sizes[kind]
+        w, h = SIZES[kind]
         z_rel = float(rng.uniform(1.2, 3.0))
         elevation = 3.0 if kind == "tree" else 0.0
         for _attempt in range(20):
@@ -362,7 +347,7 @@ def _random_scene(spec: ScenarioSpec, rng: np.random.Generator):
             # at the first- and last-frame depths
             clear = True
             for z_rel_t in (z_rel, max(FREEZE_GAP, z_rel - _max_advance(spec, obstacles + [candidate]))):
-                rect = _pixel_rect(replace(candidate, z=VIP_Z + z_rel_t), cam)
+                rect = _pixel_rect(replace(candidate, z=VIP_Z + z_rel_t), CAMERA)
                 if rect is not None and rect[0] < keep.x_end and rect[2] > keep.x_start:
                     clear = False
                     break
@@ -375,45 +360,56 @@ def _random_scene(spec: ScenarioSpec, rng: np.random.Generator):
 def _max_advance(spec: ScenarioSpec, obstacles: list[SceneObject]) -> float:
     """Total forward walk distance before the scene freezes."""
     if not obstacles:
-        return spec.walk_speed * (spec.n_frames - 1) / spec.fps
+        return spec.walk_speed * (spec.n_frames - 1) / FPS
     cap = min(o.z for o in obstacles) - FREEZE_GAP
     return max(0.0, cap)
+
+
+def _frame(
+    frame_id: int,
+    timestamp: float,
+    values: np.ndarray,
+    detections: list[Detection],
+    vip_mask: BitMask | None,
+    instance_masks: dict[int, BitMask],
+    road_mask: BitMask | None = None,
+) -> PerceptionFrame:
+    """One CAMERA frame from a rendered depth raster and its detections."""
+    return PerceptionFrame(
+        frame_id=frame_id,
+        timestamp=timestamp,
+        width=CAMERA.width,
+        height=CAMERA.height,
+        depth=DepthMap(width=CAMERA.width, height=CAMERA.height, values=values),
+        detections=tuple(detections),
+        vip_mask=vip_mask,
+        road_mask=road_mask,
+        instance_masks=instance_masks,
+    )
 
 
 def generate(spec: ScenarioSpec):
     """Yield (PerceptionFrame, GroundTruth) pairs, a pure function of `spec`."""
     rng = np.random.default_rng(spec.seed)
-    cam = spec.camera
     obstacles, expected = _base_scene(spec, rng)
     cap = _max_advance(spec, obstacles)
-    road_mask = default_road_mask(cam)
-    vip_x = _jitter(rng, 0.05)
+    road_mask = default_road_mask(CAMERA)
+    vip_x = _jitter(rng)
     direction = direction_name(expected)
-    ground = _ground_image(cam)
+    ground = _ground_image(CAMERA)
     vip = SceneObject("vip", x=vip_x, z=VIP_Z, width=VIP_SIZE[0], height=VIP_SIZE[1])
 
     for frame_id in range(spec.n_frames):
-        t = frame_id / spec.fps
+        t = frame_id / FPS
         advance = min(spec.walk_speed * t, cap)
         objects = [vip] + [replace(o, z=VIP_Z + o.z - advance) for o in obstacles]
-        values, detections, vip_mask, instance_masks = _render(objects, cam, ground)
+        values, detections, vip_mask, instance_masks = _render(objects, CAMERA, ground)
         if spec.rev_jitter_sigma > 0:
             noise = rng.normal(0.0, spec.rev_jitter_sigma, values.shape)
             values = np.clip(
                 np.floor(values.astype(np.float64) + noise + 0.5), 0, 65535
             ).astype(np.uint16)
-
-        frame = PerceptionFrame(
-            frame_id=frame_id,
-            timestamp=t,
-            width=cam.width,
-            height=cam.height,
-            depth=DepthMap(width=cam.width, height=cam.height, values=values),
-            detections=tuple(detections),
-            vip_mask=vip_mask,
-            road_mask=road_mask,
-            instance_masks=instance_masks,
-        )
+        frame = _frame(frame_id, t, values, detections, vip_mask, instance_masks, road_mask)
         yield frame, GroundTruth(
             frame_id=frame_id,
             expected_partition=expected,
@@ -448,47 +444,34 @@ def read_ground_truth(directory) -> list[GroundTruth]:
 
     def truth_from(obj: dict) -> GroundTruth:
         return GroundTruth(
-            frame_id=_require(obj, "frame_id", int, "int"),
-            expected_partition=_require(obj, "expected_partition", int, "int"),
-            expected_direction=_require(obj, "expected_direction", str, "str"),
+            frame_id=require_field(obj, "frame_id", int, "int"),
+            expected_partition=require_field(obj, "expected_partition", int, "int"),
+            expected_direction=require_field(obj, "expected_direction", str, "str"),
         )
 
-    return list(_json_records(os.path.join(directory, GROUND_TRUTH_FILE), truth_from))
+    return list(json_records(os.path.join(directory, GROUND_TRUTH_FILE), truth_from))
 
 
-def calibration_frames(
-    z_values, cam: Camera = Camera()
-) -> Iterator[tuple[PerceptionFrame, float]]:
+def calibration_frames(z_values) -> Iterator[tuple[PerceptionFrame, float]]:
     """Yield one frame per distance: a lone labeled wall at known z, for calibration.
 
     Frames are rendered as the iterator reaches them, so one is held at a
     time; a wall that projects off-frame raises when iteration reaches it.
     """
-    ground = _ground_image(cam)
+    ground = _ground_image(CAMERA)
     for frame_id, z in enumerate(z_values):
         wall = SceneObject("wall", x=0.0, z=float(z), width=1.5, height=1.5, elevation=0.35)
-        values, detections, _, instance_masks = _render([wall], cam, ground)
+        values, detections, vip_mask, instance_masks = _render([wall], CAMERA, ground)
         if not detections:
             raise ConsistencyError(f"calibration wall at z={z} projects off-frame")
-        frame = PerceptionFrame(
-            frame_id=frame_id,
-            timestamp=float(frame_id),
-            width=cam.width,
-            height=cam.height,
-            depth=DepthMap(width=cam.width, height=cam.height, values=values),
-            detections=tuple(detections),
-            instance_masks=instance_masks,
-        )
+        frame = _frame(frame_id, float(frame_id), values, detections, vip_mask, instance_masks)
         yield frame, float(z)
 
 
 def default_model() -> CalibrationModel:
     """Calibration fit against the synthetic depth law (for generated frames)."""
-    frames = calibration_frames([1.0 + 0.5 * i for i in range(19)])
     samples = [
-        CalibrationSample(
-            rev=region_rev(frame, frame.detections[0]) / 65535.0, distance=z
-        )
-        for frame, z in frames
+        CalibrationSample(rev=region_rev(frame, frame.detections[0]) / REV_MAX, distance=z)
+        for frame, z in calibration_frames(CALIBRATION_Z)
     ]
     return fit(samples)

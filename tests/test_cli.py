@@ -236,6 +236,18 @@ class TestPlan:
         assert err.startswith("plan: ") and err.count("\n") == 1
         assert "'depth_file'" in err and "../outside.pgm" in err
 
+    def test_missing_depth_sidecar_fails_cleanly(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        run(capsys, "simulate", "--scenario", "random",
+            "--seed", "1", "--n-frames", "3", "--out", str(ds))
+        (ds / "1.pgm").unlink()
+        result = run(
+            capsys, "plan", "--frames", str(ds), "--out", str(tmp_path / "t.jsonl")
+        )
+        assert_fails_cleanly(
+            result, "plan", f"frames.jsonl:2: {ds / '1.pgm'}: cannot read: No such file"
+        )
+
     def test_negative_seed_fails_cleanly(self, tmp_path, capsys):
         result = run(
             capsys, "plan", "--scenario", "random", "--seed", "-1",

@@ -136,6 +136,27 @@ class TestRecordCodec:
             (lambda r: r.update(vip_mask={"runs": [49, -1]}), "vip_mask': negative run"),
             (lambda r: r.update(vip_mask={"runs": [2**63]}), "vip_mask': runs sum"),
             (lambda r: r.update(instance_masks={"ten": {"runs": [48]}}), "instance_masks"),
+            # keys that int() reads, each in a spelling encode_record never writes
+            (
+                lambda r: r.update(instance_masks={"7": {"runs": [48]}, "07": {"runs": [48]}}),
+                r"^field 'instance_masks\.07': key is not a non-negative int in canonical",
+            ),
+            (
+                lambda r: r.update(instance_masks={"1_0": {"runs": [48]}}),
+                r"^field 'instance_masks\.1_0': key is not a non-negative int in canonical",
+            ),
+            (
+                lambda r: r.update(instance_masks={" 3 ": {"runs": [48]}}),
+                r"^field 'instance_masks\. 3 ': key is not a non-negative int in canonical",
+            ),
+            (
+                lambda r: r.update(instance_masks={"+2": {"runs": [48]}}),
+                r"^field 'instance_masks\.\+2': key is not a non-negative int in canonical",
+            ),
+            (
+                lambda r: r.update(instance_masks={"-1": {"runs": [48]}}),
+                r"^field 'instance_masks\.-1': key is not a non-negative int in canonical",
+            ),
             (lambda r: r.update(road_mask={}), r"^field 'road_mask\.runs': missing$"),
             (lambda r: r.update(road_mask=[48]), r"^field 'road_mask': expected an object"),
             (lambda r: r.update(vip_mask={"runs": 48}), r"^field 'vip_mask\.runs': expected a list"),
@@ -224,6 +245,7 @@ class TestDataset:
             ("width", FrameDecodeError, "field 'width': missing"),
             ("bbox", ConsistencyError, "bbox [3, 2, 9, 5] exceeds frame 8x6"),
             ("pgm", FrameDecodeError, "{ds}/1.pgm: raster has 2 bytes, expected 96"),
+            ("missing", FrameDecodeError, "{ds}/1.pgm: cannot read: No such file or directory"),
         ],
     )
     def test_record_fault_names_path_and_line(self, tmp_path, fault, error, rest):
@@ -234,8 +256,10 @@ class TestDataset:
             del records[1]["width"]
         elif fault == "bbox":
             records[1]["detections"][0]["bbox"] = [3, 2, 9, 5]
-        else:
+        elif fault == "pgm":
             (tmp_path / "1.pgm").write_bytes(b"P5\n8 6\n65535\n\x00\x01")
+        else:
+            (tmp_path / "1.pgm").unlink()
         path.write_text("".join(record_to_line(r) + "\n" for r in records))
         frames = read_dataset(tmp_path)
         assert next(frames) == sample_frame(0)

@@ -23,14 +23,19 @@ import os
 
 import pytest
 
-from vipguide.scenario import SCENARIO_KINDS, ScenarioSpec, calibration_frames, generate
+from vipguide.scenario import (
+    CALIBRATION_Z,
+    SCENARIO_KINDS,
+    ScenarioSpec,
+    calibration_frames,
+    generate,
+)
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_frames.json")
 SEEDS = (1, 2, 3, 4, 5)
 N_FRAMES = 60
 JITTER_SEED = 1
 JITTER_SIGMA = 400.0
-CALIBRATION_Z = tuple(1.0 + 0.5 * i for i in range(19))  # as scenario.default_model
 
 
 def frame_bytes(frame) -> bytes:

@@ -10,7 +10,6 @@ from vipguide.local_planner import (
     classify_obstacle,
     decide,
     free_segments,
-    free_space,
     heading_angle,
     partition_bounds,
     partition_profiles,
@@ -211,15 +210,16 @@ class TestPartitionScores:
             partition_scores(depth, [Partition(0, 0, 4)], tall)
 
 
+def free_widths(dets, dists, d_filter, width, n=3):
+    """max_free_width of each partition_profiles entry, on a flat depth map."""
+    depth = DepthMap(width=width, height=2, values=np.zeros((2, width)))
+    profiles = partition_profiles(depth, partition_bounds(width, n), dets, dists, d_filter)
+    return [p.max_free_width for p in profiles]
+
+
 class TestFreeSpace:
     def test_no_detections(self):
-        parts = partition_bounds(600, 3)
-        out = free_space([], [], 2.0, 600, parts)
-        assert out == [
-            (((0, 200),), 200),
-            (((200, 400),), 200),
-            (((400, 600),), 200),
-        ]
+        assert free_widths([], [], 2.0, 600) == [200, 200, 200]
 
     def test_two_boxes(self):
         dets = [det("car", 100, 0, 200, 50), det("car", 350, 0, 400, 50)]
@@ -254,17 +254,36 @@ class TestFreeSpace:
             )
 
     def test_partition_clipping(self):
-        parts = partition_bounds(600, 3)
         dets = [det("car", 150, 0, 250, 50)]
-        out = free_space(dets, [0.5], 2.0, 600, parts)
-        assert out[0] == (((0, 150),), 150)
-        assert out[1] == (((250, 400),), 150)
-        assert out[2] == (((400, 600),), 200)
+        assert free_widths(dets, [0.5], 2.0, 600) == [150, 150, 200]
 
     def test_box_spanning_everything(self):
-        parts = partition_bounds(600, 3)
-        out = free_space([det("car", 0, 0, 600, 50)], [0.1], 2.0, 600, parts)
-        assert all(segments == () and width == 0 for segments, width in out)
+        assert free_widths([det("car", 0, 0, 600, 50)], [0.1], 2.0, 600) == [0, 0, 0]
+
+    def test_profile_widths_match_column_oracle_randomized(self):
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            n = int(rng.choice([1, 3, 5, 7]))
+            width = int(rng.integers(n, 1280))
+            dets, dists = [], []
+            for _ in range(int(rng.integers(0, 9))):
+                x1 = int(rng.integers(0, width))
+                x2 = int(rng.integers(x1 + 1, width + 1))
+                dets.append(det("car", x1, 0, x2, 2))
+                dists.append(float(rng.uniform(0, 4)))
+            d_filter = float(rng.uniform(0.5, 3.5))
+            occupied = np.zeros(width, dtype=bool)
+            for d, dist in zip(dets, dists):
+                if dist <= d_filter:
+                    occupied[d.bbox.x1 : d.bbox.x2] = True
+            expected = []
+            for p in partition_bounds(width, n):
+                longest = run = 0
+                for x in range(p.x_start, p.x_end):
+                    run = 0 if occupied[x] else run + 1
+                    longest = max(longest, run)
+                expected.append(longest)
+            assert free_widths(dets, dists, d_filter, width, n) == expected
 
 
 class TestClassifyObstacle:
@@ -372,12 +391,10 @@ class TestRoadEdge:
 
 class TestDecide:
     def prof(self, index, score, width=200, span=(0, 600), empty=False):
-        segments = ((span[0], span[0] + width),) if width else ()
         return PartitionProfile(
             partition=Partition(index, *span),
             h_score=score,
             empty=empty,
-            free_segments=segments,
             max_free_width=width,
         )
 

@@ -13,6 +13,7 @@ from vipguide.errors import ConsistencyError, FrameDecodeError
 from vipguide.frameio import read_dataset
 from vipguide.perception import rle_decode, rle_encode
 from vipguide.scenario import (
+    CALIBRATION_Z,
     CONFIDENCE,
     FREEZE_GAP,
     GROUND_ATTENUATION,
@@ -321,10 +322,6 @@ class TestSpecValidation:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("fps", 0.0),
-            ("fps", -30.0),
-            ("fps", math.nan),
-            ("fps", math.inf),
             ("walk_speed", -1.2),
             ("walk_speed", math.nan),
             ("walk_speed", math.inf),
@@ -586,8 +583,7 @@ class TestBoundedMemory:
         assert traced_peak_mib(lambda: write_scenario(tmp_path, spec)) < self.BOUND_MIB
 
     def test_calibration_frames(self):
-        z_values = [1.0 + 0.5 * i for i in range(19)]  # as default_model
-        assert traced_peak_mib(lambda: drain(calibration_frames(z_values))) < self.BOUND_MIB
+        assert traced_peak_mib(lambda: drain(calibration_frames(CALIBRATION_Z))) < self.BOUND_MIB
 
 
 class TestCalibrationFrames:
