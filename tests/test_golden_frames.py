@@ -7,7 +7,9 @@ of each frame's id, timestamp, detections, masks (width, height and runs
 of the VIP, road and instance masks) and raw depth bytes must match
 `tests/data/golden_frames.json`. Streams cover every scenario kind x seeds
 1-5 at N_FRAMES frames, one REV-jittered stream per kind, and the default
-calibration frames (a lone wall at each of 19 distances).
+calibration frames (a lone wall at each of 19 distances). The same
+kind x seed streams also pin their ground truth: the SHA-256 of the
+`ground_truth.jsonl` lines `write_scenario` writes for them.
 
 A change that moves a hash changes what the generator emits: it is a
 behaviour change, not a speed-up. Regenerate the file, only for a
@@ -20,9 +22,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from dataclasses import asdict
 
 import pytest
 
+from vipguide.frameio import record_to_line
 from vipguide.scenario import (
     CALIBRATION_Z,
     SCENARIO_KINDS,
@@ -76,6 +80,14 @@ def scenario_hash(kind: str, seed: int, rev_jitter_sigma: float = 0.0) -> str:
     return stream_hash(frame for frame, _ in generate(spec))
 
 
+def truth_hash(kind: str, seed: int) -> str:
+    """SHA-256 of the ground-truth lines write_scenario writes for the stream."""
+    digest = hashlib.sha256()
+    for _, truth in generate(ScenarioSpec(kind=kind, seed=seed, n_frames=N_FRAMES)):
+        digest.update(record_to_line(asdict(truth)).encode("ascii") + b"\n")
+    return digest.hexdigest()
+
+
 def calibration_hash() -> str:
     return stream_hash(frame for frame, _ in calibration_frames(CALIBRATION_Z))
 
@@ -86,6 +98,8 @@ def all_hashes() -> dict[str, str]:
         for seed in SEEDS:
             out[f"{kind}/seed{seed}"] = scenario_hash(kind, seed)
         out[f"{kind}/seed{JITTER_SEED}/jitter"] = scenario_hash(kind, JITTER_SEED, JITTER_SIGMA)
+        for seed in SEEDS:
+            out[f"{kind}/seed{seed}/truth"] = truth_hash(kind, seed)
     out["calibration"] = calibration_hash()
     return out
 
@@ -113,6 +127,13 @@ def test_jittered_frames_unchanged(golden, kind):
     assert got == golden[key], f"frames of {key} changed"
 
 
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_ground_truth_unchanged(golden, kind, seed):
+    key = f"{kind}/seed{seed}/truth"
+    assert truth_hash(kind, seed) == golden[key], f"ground truth of {key} changed"
+
+
 def test_calibration_frames_unchanged(golden):
     assert calibration_hash() == golden["calibration"]
 
@@ -120,6 +141,7 @@ def test_calibration_frames_unchanged(golden):
 def test_golden_file_covers_every_stream(golden):
     keys = {f"{k}/seed{s}" for k in SCENARIO_KINDS for s in SEEDS}
     keys |= {f"{k}/seed{JITTER_SEED}/jitter" for k in SCENARIO_KINDS}
+    keys |= {f"{k}/seed{s}/truth" for k in SCENARIO_KINDS for s in SEEDS}
     assert set(golden) == keys | {"calibration"}
 
 
