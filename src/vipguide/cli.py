@@ -39,8 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
     src = plan.add_mutually_exclusive_group(required=True)
     src.add_argument("--frames", help="dataset directory (frames.jsonl + PGM sidecars)")
     src.add_argument("--scenario", choices=SCENARIO_KINDS, help="generate frames on the fly")
-    plan.add_argument("--seed", type=int, default=1)
-    plan.add_argument("--n-frames", type=int, default=30)
+    plan.add_argument("--seed", type=int, help="with --scenario (default 1)")
+    plan.add_argument("--n-frames", type=int, help="with --scenario (default 30)")
     plan.add_argument("--config", help="config JSON (defaults apply when omitted)")
     plan.add_argument("--model", help="calibration model JSON (defaults to the synthetic-depth fit)")
     plan.add_argument("--out", required=True, help="trace JSONL output path")
@@ -81,6 +81,9 @@ def run_plan(args) -> int:
     if not args.graph and (args.src or args.dst):
         print("plan: --src and --dst require --graph", file=sys.stderr)
         return 2
+    if args.frames and (args.seed is not None or args.n_frames is not None):
+        print("plan: --seed and --n-frames require --scenario", file=sys.stderr)
+        return 2
     config = load_config(args.config) if args.config else default_config()
     model = calibration.load_model(args.model) if args.model else default_model()
 
@@ -92,8 +95,10 @@ def run_plan(args) -> int:
     if args.frames:
         frames = read_dataset(args.frames)
     else:
+        seed = 1 if args.seed is None else args.seed
+        n_frames = 30 if args.n_frames is None else args.n_frames
         frames = (frame for frame, _ in generate(
-            ScenarioSpec(kind=args.scenario, seed=args.seed, n_frames=args.n_frames)
+            ScenarioSpec(kind=args.scenario, seed=seed, n_frames=n_frames)
         ))
 
     pipeline = Pipeline(config, model, graph=graph, route=route)

@@ -189,39 +189,50 @@ def render_scene(
 
 
 def _render(
-    objects: list[SceneObject], cam: Camera, ground: np.ndarray
-) -> tuple[np.ndarray, list[Detection], BitMask | None, dict[int, BitMask]]:
-    """Paint `objects` over a copy of `ground`; detect what stays in view.
+    objects: list[SceneObject],
+    cam: Camera,
+    ground: np.ndarray,
+    frame_id: int,
+    timestamp: float,
+    road_mask: BitMask | None = None,
+) -> PerceptionFrame:
+    """One frame of `objects` painted over a copy of `ground`, and what stays in view.
 
-    Returns (depth values, detections, VIP mask, instance masks). Labeled
-    objects and the VIP are detected, in index order, when some pixel of
-    theirs is visible. The visible part is the object's rect minus the
-    rects painted after it, the same pixels render_scene's owner grid
+    Labeled objects and the VIP are detected, in index order, when some
+    pixel of theirs is visible. The visible part is the object's rect minus
+    the rects painted after it, the same pixels render_scene's owner grid
     gives it, and its mask is built from those rects alone.
     """
     values = ground.copy()
     layout = _paint(objects, cam, values)
-    visible = {}
-    for k, (idx, rect) in enumerate(layout):
-        obj = objects[idx]
-        if not obj.labeled and obj.kind != "vip":
-            continue
-        cuts = [cut for _, cut in layout[k + 1 :]]
-        mask = rle_encode_rect(rect, cuts, cam.width, cam.height)
-        if mask is not None:
-            visible[idx] = (BoundingBox(*rect), mask)
     detections = []
     vip_mask = None
     instance_masks: dict[int, BitMask] = {}
-    for idx in sorted(visible):
-        bbox, mask = visible[idx]
+    for k in sorted(range(len(layout)), key=lambda k: layout[k][0]):  # index order
+        idx, rect = layout[k]
         kind = objects[idx].kind
-        detections.append(Detection(kind, bbox, CONFIDENCE.get(kind, 0.8), track_id=idx))
+        if not objects[idx].labeled and kind != "vip":
+            continue
+        cuts = [cut for _, cut in layout[k + 1 :]]
+        mask = rle_encode_rect(rect, cuts, cam.width, cam.height)
+        if mask is None:
+            continue
+        detections.append(Detection(kind, BoundingBox(*rect), CONFIDENCE.get(kind, 0.8), track_id=idx))
         if kind == "vip":
             vip_mask = mask
         else:
             instance_masks[idx] = mask
-    return values, detections, vip_mask, instance_masks
+    return PerceptionFrame(
+        frame_id=frame_id,
+        timestamp=timestamp,
+        width=cam.width,
+        height=cam.height,
+        depth=DepthMap(width=cam.width, height=cam.height, values=values),
+        detections=detections,
+        vip_mask=vip_mask,
+        road_mask=road_mask,
+        instance_masks=instance_masks,
+    )
 
 
 def default_road_mask(cam: Camera) -> BitMask:
@@ -246,9 +257,8 @@ FREEZE_GAP = 0.3  # scene stops advancing this close to the nearest obstacle
 # (width, height) in meters; random scenes draw kinds in this order
 SIZES = {"person": (0.6, 1.75), "car": (2.0, 1.5), "wall": (1.5, 2.0), "tree": (2.5, 2.0)}
 
-# kind -> (expected partition, obstacles at their first-frame positions).
-# Obstacle z is relative to the VIP, who stands VIP_Z ahead of the camera;
-# the walk closes that gap over the stream. Each x is jittered in list order.
+# kind -> (expected partition, obstacles at their first-frame positions, z
+# relative to the VIP as in World). Each x is jittered in list order.
 AUTHORED = {
     # low canopy over the left/center walkway; no detector class for it
     "footpath_tree": (2, (
@@ -300,11 +310,10 @@ class ScenarioSpec:
                 raise ConsistencyError(f"{name} {value} not finite and >= 0")
 
 
-def direction_name(partition_index: int, n_partitions: int = 3) -> str:
-    center = (n_partitions - 1) // 2
-    if partition_index < center:
+def direction_name(partition_index: int) -> str:
+    if partition_index < 1:
         return "left"
-    if partition_index > center:
+    if partition_index > 1:
         return "right"
     return "center"
 
@@ -313,15 +322,41 @@ def _jitter(rng: np.random.Generator) -> float:
     return float(rng.uniform(-0.05, 0.05))
 
 
-def _base_scene(spec: ScenarioSpec, rng: np.random.Generator):
-    """Obstacles at their first-frame positions, plus the expected partition."""
-    if spec.kind not in AUTHORED:
-        return _random_scene(spec, rng)
-    expected, obstacles = AUTHORED[spec.kind]
-    return [replace(o, x=o.x + _jitter(rng)) for o in obstacles], expected
+def _freeze_distance(obstacles) -> float:
+    """How far the walk advances before the nearest obstacle is FREEZE_GAP away."""
+    return min((o.z for o in obstacles), default=math.inf) - FREEZE_GAP
 
 
-def _random_scene(spec: ScenarioSpec, rng: np.random.Generator):
+@dataclass(frozen=True)
+class World:
+    """One stream's scene and walk. Obstacle z is relative to the VIP, who
+    stands VIP_Z ahead of the camera; the walk closes every gap at
+    `walk_speed` until it has gone `freeze_distance`, then holds still."""
+
+    vip: SceneObject
+    obstacles: tuple[SceneObject, ...]  # at their first-frame offsets
+    expected_partition: int  # the partition kept clear
+    walk_speed: float
+    freeze_distance: float  # _freeze_distance(obstacles), once per stream
+
+    def objects_at(self, t: float) -> list[SceneObject]:
+        """The VIP, then each obstacle, in camera space at time `t`."""
+        advance = min(self.walk_speed * t, self.freeze_distance)
+        return [self.vip] + [replace(o, z=VIP_Z + o.z - advance) for o in self.obstacles]
+
+
+def _build_world(spec: ScenarioSpec, rng: np.random.Generator) -> World:
+    """Draw the stream's world from `rng`: the obstacles, then the VIP's jitter."""
+    if spec.kind in AUTHORED:
+        expected, base = AUTHORED[spec.kind]
+        obstacles = [replace(o, x=o.x + _jitter(rng)) for o in base]
+    else:
+        obstacles, expected = _random_scene(rng)
+    vip = SceneObject("vip", x=_jitter(rng), z=VIP_Z, width=VIP_SIZE[0], height=VIP_SIZE[1])
+    return World(vip, tuple(obstacles), expected, spec.walk_speed, _freeze_distance(obstacles))
+
+
+def _random_scene(rng: np.random.Generator):
     """Scatter obstacles while keeping one randomly chosen partition clear."""
     expected = int(rng.integers(0, 3))
     keep = partition_bounds(CAMERA.width, 3)[expected]
@@ -344,75 +379,35 @@ def _random_scene(spec: ScenarioSpec, rng: np.random.Generator):
                 labeled=bool(rng.random() < 0.8) if kind != "tree" else False,
             )
             # edge columns are monotone in z, so overlap extremes happen
-            # at the first- and last-frame depths
-            clear = True
-            for z_rel_t in (z_rel, max(FREEZE_GAP, z_rel - _max_advance(spec, obstacles + [candidate]))):
+            # at the first depth and at the freeze
+            for z_rel_t in (z_rel, max(FREEZE_GAP, z_rel - _freeze_distance(obstacles + [candidate]))):
                 rect = _pixel_rect(replace(candidate, z=VIP_Z + z_rel_t), CAMERA)
                 if rect is not None and rect[0] < keep.x_end and rect[2] > keep.x_start:
-                    clear = False
-                    break
-            if clear:
+                    break  # overlaps the kept partition: draw x again
+            else:
                 obstacles.append(candidate)
                 break
     return obstacles, expected
 
 
-def _max_advance(spec: ScenarioSpec, obstacles: list[SceneObject]) -> float:
-    """Total forward walk distance before the scene freezes."""
-    if not obstacles:
-        return spec.walk_speed * (spec.n_frames - 1) / FPS
-    cap = min(o.z for o in obstacles) - FREEZE_GAP
-    return max(0.0, cap)
-
-
-def _frame(
-    frame_id: int,
-    timestamp: float,
-    values: np.ndarray,
-    detections: list[Detection],
-    vip_mask: BitMask | None,
-    instance_masks: dict[int, BitMask],
-    road_mask: BitMask | None = None,
-) -> PerceptionFrame:
-    """One CAMERA frame from a rendered depth raster and its detections."""
-    return PerceptionFrame(
-        frame_id=frame_id,
-        timestamp=timestamp,
-        width=CAMERA.width,
-        height=CAMERA.height,
-        depth=DepthMap(width=CAMERA.width, height=CAMERA.height, values=values),
-        detections=tuple(detections),
-        vip_mask=vip_mask,
-        road_mask=road_mask,
-        instance_masks=instance_masks,
-    )
-
-
 def generate(spec: ScenarioSpec):
     """Yield (PerceptionFrame, GroundTruth) pairs, a pure function of `spec`."""
     rng = np.random.default_rng(spec.seed)
-    obstacles, expected = _base_scene(spec, rng)
-    cap = _max_advance(spec, obstacles)
+    world = _build_world(spec, rng)
     road_mask = default_road_mask(CAMERA)
-    vip_x = _jitter(rng)
-    direction = direction_name(expected)
+    direction = direction_name(world.expected_partition)
     ground = _ground_image(CAMERA)
-    vip = SceneObject("vip", x=vip_x, z=VIP_Z, width=VIP_SIZE[0], height=VIP_SIZE[1])
 
     for frame_id in range(spec.n_frames):
         t = frame_id / FPS
-        advance = min(spec.walk_speed * t, cap)
-        objects = [vip] + [replace(o, z=VIP_Z + o.z - advance) for o in obstacles]
-        values, detections, vip_mask, instance_masks = _render(objects, CAMERA, ground)
+        frame = _render(world.objects_at(t), CAMERA, ground, frame_id, t, road_mask)
         if spec.rev_jitter_sigma > 0:
-            noise = rng.normal(0.0, spec.rev_jitter_sigma, values.shape)
-            values = np.clip(
-                np.floor(values.astype(np.float64) + noise + 0.5), 0, 65535
-            ).astype(np.uint16)
-        frame = _frame(frame_id, t, values, detections, vip_mask, instance_masks, road_mask)
+            noise = rng.normal(0.0, spec.rev_jitter_sigma, frame.depth.values.shape)
+            values = np.clip(np.floor(frame.depth.values + noise + 0.5), 0, REV_MAX)
+            frame = replace(frame, depth=DepthMap(CAMERA.width, CAMERA.height, values))
         yield frame, GroundTruth(
             frame_id=frame_id,
-            expected_partition=expected,
+            expected_partition=world.expected_partition,
             expected_direction=direction,
         )
 
@@ -461,10 +456,9 @@ def calibration_frames(z_values) -> Iterator[tuple[PerceptionFrame, float]]:
     ground = _ground_image(CAMERA)
     for frame_id, z in enumerate(z_values):
         wall = SceneObject("wall", x=0.0, z=float(z), width=1.5, height=1.5, elevation=0.35)
-        values, detections, vip_mask, instance_masks = _render([wall], CAMERA, ground)
-        if not detections:
+        frame = _render([wall], CAMERA, ground, frame_id, float(frame_id))
+        if not frame.detections:
             raise ConsistencyError(f"calibration wall at z={z} projects off-frame")
-        frame = _frame(frame_id, float(frame_id), values, detections, vip_mask, instance_masks)
         yield frame, float(z)
 
 

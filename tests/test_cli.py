@@ -152,6 +152,18 @@ class TestPlan:
         assert (code, err) == (2, "plan: --src and --dst require --graph\n")
         assert not trace.exists()
 
+    @pytest.mark.parametrize(
+        "flags", [("--seed", "9"), ("--n-frames", "500"), ("--seed", "0", "--n-frames", "30")]
+    )
+    def test_stream_flags_need_scenario(self, tmp_path, capsys, flags):
+        # the dataset does not exist: the usage check runs before any read
+        trace = tmp_path / "t.jsonl"
+        code, _, err = run(
+            capsys, "plan", "--frames", str(tmp_path / "missing"), "--out", str(trace), *flags
+        )
+        assert (code, err) == (2, "plan: --seed and --n-frames require --scenario\n")
+        assert not trace.exists()
+
     def test_repeated_timestamp_fails_cleanly(self, tmp_path, capsys):
         ds = tmp_path / "ds"
         run(capsys, "simulate", "--scenario", "crowded_street",

@@ -192,10 +192,11 @@ def assert_detections_match_owner_grid(objects, cam):
     """scenario._render against render_scene's owner grid, the oracle."""
     ground = np.tile(ground_rev_rows(cam)[:, None], (1, cam.width))
     before = ground.copy()
-    values, detections, vip_mask, instance_masks = scenario._render(objects, cam, ground)
+    frame = scenario._render(objects, cam, ground, 0, 0.0)
+    detections, vip_mask, instance_masks = frame.detections, frame.vip_mask, frame.instance_masks
     depth, owner = render_scene(objects, cam)
     assert np.array_equal(ground, before)
-    assert np.array_equal(values, depth.values)
+    assert np.array_equal(frame.depth.values, depth.values)
     expected = [
         i
         for i, o in enumerate(objects)
@@ -303,7 +304,6 @@ def test_direction_name():
     assert direction_name(0) == "left"
     assert direction_name(1) == "center"
     assert direction_name(2) == "right"
-    assert direction_name(3, n_partitions=7) == "center"
 
 
 class TestSpecValidation:
@@ -457,6 +457,25 @@ class TestGroundTruthSoundness:
                 if d.class_label == "vip":
                     continue
                 assert d.bbox.x2 <= lo or d.bbox.x1 >= hi
+
+    def test_random_worlds_keep_partition_clear_every_frame(self):
+        # the generator checks each obstacle at its first depth and at the
+        # freeze alone; every frame between must stay clear too, unlabeled
+        # obstacles included
+        bounds = [(0, 214), (214, 427), (427, 640)]
+        unlabeled = 0
+        for seed in range(1, 301):
+            spec = ScenarioSpec(kind="random", seed=seed, n_frames=90)
+            world = scenario._build_world(spec, np.random.default_rng(seed))
+            lo, hi = bounds[world.expected_partition]
+            for frame_id in range(spec.n_frames):
+                vip, *obstacles = world.objects_at(frame_id / scenario.FPS)
+                assert vip.kind == "vip"
+                for obj in obstacles:
+                    unlabeled += not obj.labeled
+                    rect = scenario._pixel_rect(obj, CAM)
+                    assert rect is None or rect[2] <= lo or rect[0] >= hi, (seed, frame_id)
+        assert unlabeled > 0
 
 
 class TestScenarioFiles:
