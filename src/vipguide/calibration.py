@@ -84,8 +84,8 @@ def region_rev(frame: PerceptionFrame, det: Detection) -> int:
     bbox = det.bbox
     patch = frame.depth.values[bbox.y1 : bbox.y2, bbox.x1 : bbox.x2]
     if det.track_id is not None and det.track_id in frame.instance_masks:
-        mask = frame.instance_masks[det.track_id].decode()
-        patch = patch[mask[bbox.y1 : bbox.y2, bbox.x1 : bbox.x2]]
+        mask = frame.instance_masks[det.track_id].decode((bbox.y1, bbox.y2))
+        patch = patch[mask[:, bbox.x1 : bbox.x2]]
     values = np.sort(patch, axis=None)
     if values.size == 0:
         raise EmptyRegionError(

@@ -28,6 +28,18 @@ def _timed(iterator):
         yield item, (time.perf_counter() - t0) * 1000.0
 
 
+def _add_stream_flags(parser, when: str = "") -> None:
+    """--seed and --n-frames, None unless given; ScenarioSpec holds the defaults."""
+    for flag, default in (("--seed", ScenarioSpec.seed), ("--n-frames", ScenarioSpec.n_frames)):
+        parser.add_argument(flag, type=int, help=f"{when}(default {default})")
+
+
+def _stream_spec(args) -> ScenarioSpec:
+    """The --scenario stream; an unset flag takes ScenarioSpec's default."""
+    flags = {"seed": args.seed, "n_frames": args.n_frames}
+    return ScenarioSpec(args.scenario, **{k: v for k, v in flags.items() if v is not None})
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vipguide",
@@ -39,8 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     src = plan.add_mutually_exclusive_group(required=True)
     src.add_argument("--frames", help="dataset directory (frames.jsonl + PGM sidecars)")
     src.add_argument("--scenario", choices=SCENARIO_KINDS, help="generate frames on the fly")
-    plan.add_argument("--seed", type=int, help="with --scenario (default 1)")
-    plan.add_argument("--n-frames", type=int, help="with --scenario (default 30)")
+    _add_stream_flags(plan, "with --scenario ")
     plan.add_argument("--config", help="config JSON (defaults apply when omitted)")
     plan.add_argument("--model", help="calibration model JSON (defaults to the synthetic-depth fit)")
     plan.add_argument("--out", required=True, help="trace JSONL output path")
@@ -67,8 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="write a synthetic scenario dataset")
     sim.add_argument("--scenario", required=True, choices=SCENARIO_KINDS)
-    sim.add_argument("--seed", type=int, default=1)
-    sim.add_argument("--n-frames", type=int, default=30)
+    _add_stream_flags(sim)
     sim.add_argument("--out", required=True, help="output dataset directory")
 
     return parser
@@ -95,11 +105,7 @@ def run_plan(args) -> int:
     if args.frames:
         frames = read_dataset(args.frames)
     else:
-        seed = 1 if args.seed is None else args.seed
-        n_frames = 30 if args.n_frames is None else args.n_frames
-        frames = (frame for frame, _ in generate(
-            ScenarioSpec(kind=args.scenario, seed=seed, n_frames=n_frames)
-        ))
+        frames = (frame for frame, _ in generate(_stream_spec(args)))
 
     pipeline = Pipeline(config, model, graph=graph, route=route)
     if args.annotate:
@@ -153,8 +159,7 @@ def run_calibrate(args) -> int:
 
 
 def run_simulate(args) -> int:
-    spec = ScenarioSpec(kind=args.scenario, seed=args.seed, n_frames=args.n_frames)
-    n = write_scenario(args.out, spec)
+    n = write_scenario(args.out, _stream_spec(args))
     print(f"wrote {n} frames to {args.out}")
     return 0
 

@@ -128,7 +128,7 @@ def partition_scores(
                 f"exclusion mask {exclude.width}x{exclude.height} != depth {w}x{h}"
             )
         y1, y2 = exclude.foreground_rows()
-        grid = exclude.decode()[y1:y2]
+        grid = exclude.decode((y1, y2))
         cols = np.flatnonzero(grid.any(axis=0))
         if cols.size:
             x1, x2 = int(cols[0]), int(cols[-1]) + 1
@@ -197,17 +197,13 @@ def partition_profiles(
     """Bundle H(i) scores and free space into one profile per partition."""
     segments = free_segments(detections, distances, d_filter, depth.width)
     scores = partition_scores(depth, partitions, exclude)
-    return [
-        PartitionProfile(
-            partition=p,
-            h_score=score,
-            empty=empty,
-            max_free_width=max(
-                [0] + [min(e, p.x_end) - max(s, p.x_start) for s, e in segments]
-            ),
-        )
-        for p, (score, empty) in zip(partitions, scores)
-    ]
+    profiles = []
+    for p, (score, empty) in zip(partitions, scores):
+        widest = 0
+        for s, e in segments:
+            widest = max(widest, min(e, p.x_end) - max(s, p.x_start))
+        profiles.append(PartitionProfile(p, score, empty, widest))
+    return profiles
 
 
 def classify_obstacle(

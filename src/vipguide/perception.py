@@ -105,9 +105,9 @@ class BitMask:
                 f"runs sum {total} != {self.width}x{self.height} pixels"
             )
 
-    def decode(self) -> np.ndarray:
-        """Expand to a boolean (height, width) grid."""
-        return rle_decode(self)
+    def decode(self, rows: tuple[int, int] | None = None) -> np.ndarray:
+        """Expand to a boolean (height, width) grid, or only rows [y1, y2)."""
+        return rle_decode(self, rows)
 
     def foreground_rows(self) -> tuple[int, int]:
         """Half-open row span holding every foreground pixel; (0, 0) when none.
@@ -301,13 +301,28 @@ def rle_encode_rect(rect, cuts, width: int, height: int) -> BitMask | None:
     return BitMask(width=width, height=height, runs=tuple(runs))
 
 
-def rle_decode(mask: BitMask) -> np.ndarray:
-    """Expand a BitMask to a boolean (height, width) grid.
+def rle_decode(mask: BitMask, rows: tuple[int, int] | None = None) -> np.ndarray:
+    """Expand a BitMask to a boolean (height, width) grid, or with
+    ``rows=(y1, y2)`` to its band of rows [y1, y2) alone.
 
-    Run lengths are validated at construction, so decoding never writes
-    out of bounds.
+    When the rows above the band lie in the first run and the rows below
+    it in the last run (as when no foreground lies outside the band), the
+    band is expanded alone: those two runs are shortened, in constant
+    work. Any other band is cut from the whole expanded grid. Run lengths
+    are validated at construction, so decoding never writes out of bounds.
     """
+    w, h = mask.width, mask.height
     runs = np.fromiter(mask.runs, dtype=np.int64, count=len(mask.runs))
     pattern = np.zeros(runs.size, dtype=bool)
     pattern[1::2] = True
-    return np.repeat(pattern, runs).reshape(mask.height, mask.width)
+    if rows is None:
+        return np.repeat(pattern, runs).reshape(h, w)
+    y1, y2 = rows
+    if not 0 <= y1 <= y2 <= h:
+        raise ConsistencyError(f"rows [{y1}, {y2}) outside mask height {h}")
+    lead, tail = y1 * w, (h - y2) * w
+    if mask.runs[0] >= lead and mask.runs[-1] >= tail:
+        runs[0] -= lead  # one run alone is both first and last
+        runs[-1] -= tail
+        return np.repeat(pattern, runs).reshape(y2 - y1, w)
+    return np.repeat(pattern, runs).reshape(h, w)[y1:y2]

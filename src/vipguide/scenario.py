@@ -290,7 +290,7 @@ class GroundTruth:
 @dataclass(frozen=True)
 class ScenarioSpec:
     kind: str
-    seed: int
+    seed: int = 1  # seed and n_frames: the CLI defaults for unset --seed, --n-frames
     n_frames: int = 30
     walk_speed: float = 1.2  # m/s
     rev_jitter_sigma: float = 0.0  # optional Gaussian REV noise, 16-bit units

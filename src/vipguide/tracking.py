@@ -12,7 +12,7 @@ the stream runs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .config import PipelineTuning
 from .errors import ConfigError, ConsistencyError, InsufficientHistoryError
@@ -92,10 +92,11 @@ class Tracker:
         """
         candidates = []
         for t_pos, track in enumerate(self.tracks):
+            label, last_bbox = track.class_label, track.last_bbox
             for d_idx, det in enumerate(detections):
-                if det.class_label != track.class_label:
+                if det.class_label != label:
                     continue
-                overlap = iou(track.last_bbox, det.bbox)
+                overlap = iou(last_bbox, det.bbox)
                 if overlap >= self.iou_threshold:
                     candidates.append((-overlap, d_idx, t_pos))
         candidates.sort()
@@ -144,7 +145,8 @@ class Tracker:
                 kept.append(
                     Track(tid, det.class_label, [TrackPoint(timestamp, det.bbox)])
                 )
-            labeled.append(replace(det, track_id=tid))
+            # cheaper than dataclasses.replace, and __post_init__ still checks it
+            labeled.append(Detection(det.class_label, det.bbox, det.confidence, tid))
 
         self.tracks = kept
         return labeled

@@ -9,6 +9,7 @@ import pytest
 
 from vipguide.calibration import load_model, CalibrationSample
 from vipguide.cli import main
+from vipguide.scenario import ScenarioSpec
 
 from conftest import read_ppm, save_samples_csv
 
@@ -74,6 +75,26 @@ class TestPlan:
             assert record["edge_status"] in (
                 "safe", "warn_left", "warn_right", "warn_both", "unknown",
             )
+
+    @pytest.mark.parametrize("kind", ["crowded_street", "random"])
+    def test_unset_stream_flags_plan_one_stream(self, tmp_path, capsys, kind):
+        # simulate and plan --scenario share one seed and frame-count default
+        ds, from_dataset, on_the_fly = (
+            tmp_path / "ds", tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        )
+        assert run(capsys, "simulate", "--scenario", kind, "--out", str(ds))[0] == 0
+        assert run(capsys, "plan", "--frames", str(ds), "--out", str(from_dataset))[0] == 0
+        assert run(capsys, "plan", "--scenario", kind, "--out", str(on_the_fly))[0] == 0
+
+        def decisions(path):
+            records = [json.loads(line) for line in path.read_text().splitlines()]
+            for record in records:
+                del record["latency_ms"]
+            return records
+
+        records = decisions(on_the_fly)
+        assert len(records) == ScenarioSpec.n_frames
+        assert decisions(from_dataset) == records
 
     def test_on_the_fly_scenario(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"

@@ -102,6 +102,102 @@ class TestRle:
         assert BitMask(width=3, height=2, runs=(2, 0, 4)).foreground_rows() == (0, 0)
 
 
+def with_zero_runs(rng, runs) -> tuple[int, ...]:
+    """The same pixels with zero-length runs spliced in: runs split around
+    an empty run of the other kind, and maybe an empty last run."""
+    out = []
+    for run in runs:
+        if rng.random() < 0.3:
+            cut = int(rng.integers(0, run + 1))
+            out += [cut, 0, run - cut]
+        else:
+            out.append(run)
+    if rng.random() < 0.3:
+        out.append(0)
+    return tuple(out)
+
+
+def expanded_pixels(grid) -> int:
+    """Pixels rle_decode expanded to return `grid` (the array it views)."""
+    return grid.base.size
+
+
+class TestRleDecodeRows:
+    def test_every_band_matches_full_decode(self):
+        rng = np.random.default_rng(17)
+        for _ in range(120):
+            h = int(rng.integers(1, 9))
+            w = int(rng.integers(1, 9))
+            grid = rng.random((h, w)) < float(rng.choice([0.0, 0.05, 0.3, 1.0]))
+            canonical = rle_encode(grid)
+            padded = BitMask(w, h, with_zero_runs(rng, canonical.runs))
+            for mask in (canonical, padded):
+                for y1 in range(h + 1):
+                    for y2 in range(y1, h + 1):
+                        band = rle_decode(mask, (y1, y2))
+                        assert band.dtype == bool
+                        assert np.array_equal(band, grid[y1:y2])
+                        assert np.array_equal(mask.decode((y1, y2)), band)
+
+    @pytest.mark.parametrize("fill", [False, True])
+    @pytest.mark.parametrize("rows", [(0, 4), (1, 3), (2, 2), (0, 0), (4, 4)])
+    def test_uniform_masks(self, fill, rows):
+        grid = np.full((4, 5), fill)
+        band = rle_decode(rle_encode(grid), rows)
+        assert np.array_equal(band, grid[rows[0] : rows[1]])
+        # all background is one run; all foreground is an empty first run
+        # and one foreground run, so only bands from the top fit it
+        alone = not fill or rows[0] == 0
+        assert expanded_pixels(band) == (band.size if alone else grid.size)
+
+    @pytest.mark.parametrize("flat", [0, 19])
+    def test_foreground_on_first_or_last_pixel(self, flat):
+        grid = np.zeros((4, 5), dtype=bool)
+        grid.flat[flat] = True
+        mask = rle_encode(grid)
+        y = flat // 5
+        for y1 in range(5):
+            for y2 in range(y1, 5):
+                assert np.array_equal(rle_decode(mask, (y1, y2)), grid[y1:y2])
+        # the band around that pixel needs no full expansion
+        assert expanded_pixels(rle_decode(mask, (y, y + 1))) == 5
+
+    def test_band_holding_all_foreground_expands_alone(self):
+        grid = np.zeros((6, 4), dtype=bool)
+        grid[2:4, 1:3] = True
+        band = rle_decode(rle_encode(grid), (1, 5))
+        assert np.array_equal(band, grid[1:5])
+        assert expanded_pixels(band) == 16
+
+    def test_foreground_last_run_past_band_is_shortened(self):
+        grid = np.zeros((6, 4), dtype=bool)
+        grid[4:] = True  # the last run is foreground, from row 4 on
+        grid[1, 2] = True
+        band = rle_decode(rle_encode(grid), (1, 5))
+        assert np.array_equal(band, grid[1:5])
+        assert expanded_pixels(band) == 16
+
+    @pytest.mark.parametrize("rows", [(2, 4), (3, 5), (3, 4)])
+    def test_foreground_outside_band_falls_back(self, rows):
+        grid = np.zeros((6, 4), dtype=bool)
+        grid[2, 1] = grid[4, 2] = True  # above, below or both outside the band
+        band = rle_decode(rle_encode(grid), rows)
+        assert np.array_equal(band, grid[rows[0] : rows[1]])
+        assert expanded_pixels(band) == 24
+
+    @pytest.mark.parametrize("y", [0, 2, 6])
+    def test_empty_band(self, y):
+        grid = np.zeros((6, 4), dtype=bool)
+        grid[2:4, 1:3] = True
+        assert rle_decode(rle_encode(grid), (y, y)).shape == (0, 4)
+
+    @pytest.mark.parametrize("rows", [(-1, 2), (3, 2), (0, 7)])
+    def test_rows_outside_mask_rejected(self, rows):
+        mask = rle_encode(np.zeros((6, 4), dtype=bool))
+        with pytest.raises(ConsistencyError, match="outside mask height 6"):
+            rle_decode(mask, rows)
+
+
 def reference_runs(grid) -> tuple[int, ...]:
     """Canonical runs of a grid, one pixel at a time."""
     runs, current, length = [], False, 0

@@ -498,6 +498,31 @@ class TestTraceRecords:
         assert set(decoded) <= {id(m) for m in masks}
         assert max(decoded.values()) == 1
 
+    def test_each_mask_expanded_only_over_its_readers_rows(self, monkeypatch):
+        spec = ScenarioSpec(kind="crowded_street", seed=1, n_frames=2)
+        frames = [frame for frame, _ in generate(spec)]
+        pipe = make_pipeline()
+        pipe.process_frame(frames[0])
+        shapes = {}
+        real_decode = perception.rle_decode
+
+        def recording_decode(mask, *args, **kwargs):
+            grid = real_decode(mask, *args, **kwargs)
+            shapes[id(mask)] = grid.shape
+            return grid
+
+        monkeypatch.setattr(perception, "rle_decode", recording_decode)
+        frame = frames[1]
+        pipe.process_frame(frame)
+        vip_y1, vip_y2 = frame.vip_mask.foreground_rows()
+        assert shapes.pop(id(frame.vip_mask)) == (vip_y2 - vip_y1, W)
+        assert shapes.pop(id(frame.road_mask)) == (H, W)
+        boxes = {d.track_id: d.bbox for d in frame.detections}
+        assert len(frame.instance_masks) == 3
+        for track_id, mask in frame.instance_masks.items():
+            assert shapes.pop(id(mask)) == (boxes[track_id].height, W)
+        assert shapes == {}
+
 
 def load_tracer_module():
     path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracer.py")
