@@ -36,21 +36,26 @@ def draw_box(image: np.ndarray, x1: int, y1: int, x2: int, y2: int, color, thick
 
 
 def annotate_frame(frame: PerceptionFrame, decision: GuidanceDecision) -> np.ndarray:
-    """Render one frame and its decision to an (H, W, 3) uint8 image."""
+    """Render one frame and its decision to an (H, W, 3) uint8 image.
+
+    The k-th non-VIP detection of `frame` takes the severity of
+    `decision.assessments[k]`, the order the pipeline assesses them in;
+    one with no assessment left draws as clear.
+    """
     gray = (frame.depth.values >> 8).astype(np.uint8)
     image = np.repeat(gray[:, :, None], 3, axis=2)
 
-    severity_by_id = {a.track_id: a.severity for a in decision.assessments}
-    for det in decision.detections:
+    severities = (a.severity for a in decision.assessments)
+    for det in frame.detections:
         if det.class_label == "vip":
             continue
-        color = SEVERITY_COLOR.get(severity_by_id.get(det.track_id, "clear"))
+        color = SEVERITY_COLOR.get(next(severities, "clear"))
         if color is not None:
             draw_box(image, det.bbox.x1, det.bbox.y1, det.bbox.x2, det.bbox.y2, color)
 
-    for det in decision.detections:
-        if det.class_label == "vip":
-            draw_box(image, det.bbox.x1, det.bbox.y1, det.bbox.x2, det.bbox.y2, BLUE)
+    vip = frame.vip_detection
+    if vip is not None:
+        draw_box(image, vip.bbox.x1, vip.bbox.y1, vip.bbox.x2, vip.bbox.y2, BLUE)
 
     if isinstance(decision.outcome, Heading):
         p = decision.partitions[decision.outcome.partition]

@@ -30,10 +30,6 @@ class Partition:
     x_end: int
 
     @property
-    def width(self) -> int:
-        return self.x_end - self.x_start
-
-    @property
     def center_column(self) -> float:
         return (self.x_start + self.x_end) / 2.0
 
@@ -71,7 +67,6 @@ class GuidanceDecision:
     outcome: Heading | RerouteNeeded | None  # None = vip lost
     assessments: tuple[ObstacleAssessment, ...]
     edge_status: EdgeStatus
-    detections: tuple[Detection, ...]  # tracked: ids match the assessments
     partitions: tuple[Partition, ...]
     new_route: tuple[str, ...] | None  # None = no replan; () = no route left
 
@@ -155,8 +150,8 @@ def free_segments(
     """Frame-level maximal free column runs.
 
     A column is occupied when any detection within d_filter covers it;
-    occupied intervals are merged and the gaps returned as half-open
-    (start, end) pairs.
+    the gaps between occupied intervals, taken in sorted order with a
+    running end, are returned as half-open (start, end) pairs.
     """
     if d_filter <= 0:
         raise PlannerError(f"d_filter {d_filter} not positive")
@@ -169,18 +164,12 @@ def free_segments(
         if x1 < x2:
             intervals.append((x1, x2))
     intervals.sort()
-    merged: list[list[int]] = []
-    for x1, x2 in intervals:
-        if merged and x1 <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], x2)
-        else:
-            merged.append([x1, x2])
     segments = []
-    cursor = 0
-    for x1, x2 in merged:
+    cursor = 0  # end of the occupied columns so far
+    for x1, x2 in intervals:
         if cursor < x1:
             segments.append((cursor, x1))
-        cursor = x2
+        cursor = max(cursor, x2)
     if cursor < width:
         segments.append((cursor, width))
     return segments

@@ -141,7 +141,7 @@ class Pipeline:
     ) -> tuple[GuidanceDecision, dict]:
         self._check_order(frame)
         t0 = time.perf_counter()
-        tracked = tuple(self.tracker.step(frame.timestamp, list(frame.detections)))
+        tracked = self.tracker.step(frame.timestamp, list(frame.detections))
         t1 = time.perf_counter()
         vip_index, vip = self._locate_vip(tracked)
         obstacles, distances, d_prime, assessments = self._assess(
@@ -167,7 +167,6 @@ class Pipeline:
             outcome=outcome,
             assessments=assessments,
             edge_status=edge_status,
-            detections=tracked,
             partitions=partitions,
             new_route=new_route,
         )
@@ -329,16 +328,15 @@ class Pipeline:
         geo = self.config.geometry
         speed = geo.walk_speed
         if self.config.pipeline.live_speed:
-            rates = []
+            live = 0.0  # the fastest positive approach rate
             for track in self.tracker.tracks:
                 if track.class_label == "vip":
                     continue
                 try:
-                    rates.append(approach_rate(track, window=APPROACH_WINDOW_S))
+                    live = max(live, approach_rate(track, window=APPROACH_WINDOW_S))
                 except InsufficientHistoryError:
                     continue
-            live = max((r for r in rates if r > 0), default=None)
-            if live is not None:
+            if live > 0:
                 speed = live
         return safety_distance(speed, geo.t_detect, geo.t_react)
 

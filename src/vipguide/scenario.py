@@ -247,6 +247,7 @@ def default_road_mask(cam: Camera) -> BitMask:
 
 CAMERA = Camera()  # every generated stream and calibration frame uses it
 FPS = 30.0
+WALK_SPEED = 1.2  # m/s, every generated walk's pace
 
 CONFIDENCE = {"vip": 0.98, "person": 0.91, "car": 0.93, "tree": 0.85, "wall": 0.8}
 
@@ -292,7 +293,6 @@ class ScenarioSpec:
     kind: str
     seed: int = 1  # seed and n_frames: the CLI defaults for unset --seed, --n-frames
     n_frames: int = 30
-    walk_speed: float = 1.2  # m/s
     rev_jitter_sigma: float = 0.0  # optional Gaussian REV noise, 16-bit units
 
     def __post_init__(self):
@@ -304,10 +304,9 @@ class ScenarioSpec:
             raise ConsistencyError(f"n_frames {self.n_frames} < 1")
         if self.seed < 0:
             raise ConsistencyError(f"seed {self.seed} < 0")
-        for name in ("walk_speed", "rev_jitter_sigma"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConsistencyError(f"{name} {value} not finite and >= 0")
+        sigma = self.rev_jitter_sigma
+        if not (math.isfinite(sigma) and sigma >= 0):
+            raise ConsistencyError(f"rev_jitter_sigma {sigma} not finite and >= 0")
 
 
 def direction_name(partition_index: int) -> str:
@@ -353,7 +352,7 @@ def _build_world(spec: ScenarioSpec, rng: np.random.Generator) -> World:
     else:
         obstacles, expected = _random_scene(rng)
     vip = SceneObject("vip", x=_jitter(rng), z=VIP_Z, width=VIP_SIZE[0], height=VIP_SIZE[1])
-    return World(vip, tuple(obstacles), expected, spec.walk_speed, _freeze_distance(obstacles))
+    return World(vip, tuple(obstacles), expected, WALK_SPEED, _freeze_distance(obstacles))
 
 
 def _random_scene(rng: np.random.Generator):

@@ -88,7 +88,8 @@ class Tracker:
         max_misses; a matched track drops the points older than
         APPROACH_WINDOW_S before `timestamp` and gains a point there. A
         `timestamp` not after a matched track's newest point raises
-        ConsistencyError before any track is touched.
+        ConsistencyError, naming the first such track in match order,
+        before any track is touched.
         """
         candidates = []
         for t_pos, track in enumerate(self.tracks):
@@ -101,15 +102,11 @@ class Tracker:
                     candidates.append((-overlap, d_idx, t_pos))
         candidates.sort()
 
-        det_match: dict[int, int] = {}  # det idx -> track position
-        track_match: dict[int, int] = {}  # track position -> det idx
+        det_match: dict[int, Track] = {}  # det idx -> its track
+        matched: set[int] = set()  # track positions taken
         for neg_overlap, d_idx, t_pos in candidates:
-            if d_idx in det_match or t_pos in track_match:
+            if d_idx in det_match or t_pos in matched:
                 continue
-            det_match[d_idx] = t_pos
-            track_match[t_pos] = d_idx
-
-        for t_pos in sorted(track_match):
             track = self.tracks[t_pos]
             newest = track.history[-1].timestamp
             if timestamp <= newest:
@@ -117,36 +114,35 @@ class Tracker:
                     f"track {track.track_id}: timestamp {timestamp} "
                     f"not after its last point at {newest}"
                 )
+            det_match[d_idx] = track
+            matched.add(t_pos)
 
-        # same cut-off expression as approach_rate's window filter
-        horizon = timestamp - APPROACH_WINDOW_S
         kept: list[Track] = []
         for t_pos, track in enumerate(self.tracks):
-            d_idx = track_match.get(t_pos)
-            if d_idx is None:
+            if t_pos not in matched:
                 if track.misses >= self.max_misses:
                     continue  # retired
                 track.misses += 1
-            else:
-                history = track.history
-                while history and history[0].timestamp < horizon:
-                    del history[0]
-                history.append(TrackPoint(timestamp, detections[d_idx].bbox))
-                track.misses = 0
             kept.append(track)
 
+        # same cut-off expression as approach_rate's window filter
+        horizon = timestamp - APPROACH_WINDOW_S
         labeled: list[Detection] = []
         for d_idx, det in enumerate(detections):
-            if d_idx in det_match:
-                tid = self.tracks[det_match[d_idx]].track_id
-            else:
-                tid = self._next_id
+            track = det_match.get(d_idx)
+            if track is None:  # opens empty and gains its point like a matched one
+                track = Track(self._next_id, det.class_label, [])
                 self._next_id += 1
-                kept.append(
-                    Track(tid, det.class_label, [TrackPoint(timestamp, det.bbox)])
-                )
+                kept.append(track)
+            history = track.history
+            while history and history[0].timestamp < horizon:
+                del history[0]
+            history.append(TrackPoint(timestamp, det.bbox))
+            track.misses = 0
             # cheaper than dataclasses.replace, and __post_init__ still checks it
-            labeled.append(Detection(det.class_label, det.bbox, det.confidence, tid))
+            labeled.append(
+                Detection(det.class_label, det.bbox, det.confidence, track.track_id)
+            )
 
         self.tracks = kept
         return labeled

@@ -65,7 +65,6 @@ class TestAnnotateFrame:
                 ObstacleAssessment(2, "person", 2.0, "warning"),
             ),
             edge_status="safe",
-            detections=tuple(dets),
             partitions=tuple(partition_bounds(90, 3)),
             new_route=None,
         )
@@ -95,6 +94,14 @@ class TestAnnotateFrame:
         assert RED not in colors and YELLOW not in colors
         assert GREEN not in colors  # no heading either
         assert BLUE in colors       # the pedestrian box always draws
+
+    def test_boxes_take_assessments_in_order(self):
+        """The frame's own ids are not read: raw detections carry none."""
+        frame, decision = self.scene()
+        raw = tuple(replace(d, track_id=None) for d in frame.detections)
+        image = annotate_frame(replace(frame, detections=raw), decision)
+        assert tuple(image[20, 50]) == RED     # car, the first assessment
+        assert tuple(image[20, 72]) == YELLOW  # person, the second
 
     def test_heading_partition_outlined(self):
         frame, decision = self.scene()

@@ -73,7 +73,7 @@ class TestPartitionBounds:
                 assert parts[-1].x_end == width
                 for a, b in zip(parts, parts[1:]):
                     assert a.x_end == b.x_start
-                widths = [p.width for p in parts]
+                widths = [p.x_end - p.x_start for p in parts]
                 assert max(widths) - min(widths) <= 1
 
 

@@ -17,7 +17,8 @@ from vipguide import global_planner, perception
 from vipguide import pipeline as pipeline_module
 from vipguide.pipeline import Pipeline, nearest_rank
 from vipguide.perception import rle_encode
-from vipguide.scenario import ScenarioSpec, generate
+from vipguide.scenario import SCENARIO_KINDS, ScenarioSpec, generate
+from vipguide.tracking import Tracker
 
 from conftest import det, make_frame
 
@@ -522,6 +523,24 @@ class TestTraceRecords:
         for track_id, mask in frame.instance_masks.items():
             assert shapes.pop(id(mask)) == (boxes[track_id].height, W)
         assert shapes == {}
+
+
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+def test_assessments_follow_the_frames_non_vip_detections(kind):
+    """`annotate_frame` pairs the k-th non-VIP detection of a frame with the
+    k-th assessment of its decision; this pins the order that relies on.
+    A tracker of the same tuning, run beside the pipeline, gives the ids."""
+    tuning = default_config().pipeline
+    for seed in range(1, 6):
+        pipe = make_pipeline()
+        tracker = Tracker(tuning.iou_threshold, tuning.max_misses)
+        for frame, _ in generate(ScenarioSpec(kind=kind, seed=seed, n_frames=30)):
+            decision, _ = pipe.process_frame(frame)
+            labels = [d.class_label for d in frame.detections if d.class_label != "vip"]
+            assert [a.class_label for a in decision.assessments] == labels
+            tracked = tracker.step(frame.timestamp, list(frame.detections))
+            ids = [d.track_id for d in tracked if d.class_label != "vip"]
+            assert [a.track_id for a in decision.assessments] == ids
 
 
 def load_tracer_module():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vipguide.errors import ConfigError, ConsistencyError, InsufficientHistoryError
-from vipguide.perception import BoundingBox
+from vipguide.perception import BoundingBox, Detection
 from vipguide.tracking import (
     APPROACH_WINDOW_S,
     Track,
@@ -318,3 +318,110 @@ class TestInPlace:
         # only a track's newest point is written: the car's at 0.0 is not
         tracker.attach_distances(0.0, {0: 9.0})
         assert [p.distance_m for p in car.history] == [None, 2.0]
+
+
+def reference_step(tracker, timestamp, detections):
+    """`Tracker.step` as it was written before its passes were folded: all
+    matches first, then the order check over the matched tracks, then the
+    track updates, then the labelling. The folded step must agree with it."""
+    candidates = []
+    for t_pos, track in enumerate(tracker.tracks):
+        for d_idx, d_obj in enumerate(detections):
+            if d_obj.class_label != track.class_label:
+                continue
+            overlap = iou(track.last_bbox, d_obj.bbox)
+            if overlap >= tracker.iou_threshold:
+                candidates.append((-overlap, d_idx, t_pos))
+    candidates.sort()
+    det_match, track_match = {}, {}
+    for _, d_idx, t_pos in candidates:
+        if d_idx in det_match or t_pos in track_match:
+            continue
+        det_match[d_idx] = t_pos
+        track_match[t_pos] = d_idx
+    for t_pos in sorted(track_match):
+        if timestamp <= tracker.tracks[t_pos].history[-1].timestamp:
+            raise ConsistencyError(f"track {tracker.tracks[t_pos].track_id}")
+    horizon = timestamp - APPROACH_WINDOW_S
+    kept = []
+    for t_pos, track in enumerate(tracker.tracks):
+        d_idx = track_match.get(t_pos)
+        if d_idx is None:
+            if track.misses >= tracker.max_misses:
+                continue
+            track.misses += 1
+        else:
+            history = track.history
+            while history and history[0].timestamp < horizon:
+                del history[0]
+            history.append(TrackPoint(timestamp, detections[d_idx].bbox))
+            track.misses = 0
+        kept.append(track)
+    labeled = []
+    for d_idx, d_obj in enumerate(detections):
+        if d_idx in det_match:
+            tid = tracker.tracks[det_match[d_idx]].track_id
+        else:
+            tid = tracker._next_id
+            tracker._next_id += 1
+            kept.append(Track(tid, d_obj.class_label, [TrackPoint(timestamp, d_obj.bbox)]))
+        labeled.append(Detection(d_obj.class_label, d_obj.bbox, d_obj.confidence, tid))
+    tracker.tracks = kept
+    return labeled
+
+
+def tracker_state(tracker):
+    return tracker._next_id, [
+        (t.track_id, t.class_label, t.misses, list(t.history)) for t in tracker.tracks
+    ]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_step_matches_reference_step(seed):
+    """Random lanes of mixed classes overlap, jitter, jump, double up, hide (coasting,
+    or retiring at max_misses and coming back under a new id) and sometimes
+    pause past the approach window. After every frame the folded step and
+    the reference give the same ids, misses and whole histories; a frame
+    stamped no later than the last raises in both and touches neither."""
+    rng = np.random.default_rng(seed)
+    max_misses = int(rng.integers(0, 6))
+    new, ref = Tracker(max_misses=max_misses), Tracker(max_misses=max_misses)
+    n_lanes = int(rng.integers(3, 9))
+    labels = [str(rng.choice(["car", "person", "tree"])) for _ in range(n_lanes)]
+    xs = [int(rng.integers(0, 200)) for _ in range(n_lanes)]
+    hidden = [0] * n_lanes
+    t, retired, coasted, raised = 0.0, 0, 0, 0
+    for k in range(400):
+        t += 1.5 if rng.random() < 0.02 else 1 / 30
+        detections = []
+        for lane in range(n_lanes):
+            if hidden[lane] > 0:
+                hidden[lane] -= 1
+                continue
+            if rng.random() < 0.05:
+                hidden[lane] = int(rng.integers(1, max_misses + 4))
+            if rng.random() < 0.02:
+                xs[lane] = int(rng.integers(0, 200))  # jumps: a new id
+            xs[lane] = max(0, xs[lane] + int(rng.integers(-2, 3)))
+            x = xs[lane]
+            detections.append(det(labels[lane], x, 10, x + 30, 60 + lane))
+            if rng.random() < 0.03:  # a double detection: tied overlaps
+                detections.append(det(labels[lane], x, 10, x + 30, 60 + lane))
+        rng.shuffle(detections)
+        ids_before = {tr.track_id for tr in ref.tracks}
+        labeled = new.step(t, list(detections))
+        assert labeled == reference_step(ref, t, list(detections))
+        distances = {d_obj.track_id: float(rng.uniform(1, 9)) for d_obj in labeled}
+        new.attach_distances(t, distances)
+        ref.attach_distances(t, distances)
+        assert tracker_state(new) == tracker_state(ref)
+        retired += len(ids_before - {tr.track_id for tr in ref.tracks})
+        coasted += sum(tr.misses > 0 for tr in ref.tracks)
+        if k % 50 == 49 and any(tr.misses == 0 for tr in ref.tracks):
+            stale = [Detection(tr.class_label, tr.last_bbox, 0.9) for tr in ref.tracks]
+            for tracker, step in ((new, Tracker.step), (ref, reference_step)):
+                with pytest.raises(ConsistencyError):
+                    step(tracker, t, stale)
+            assert tracker_state(new) == tracker_state(ref)
+            raised += 1
+    assert retired > 5 and coasted > 0 and raised > 0
