@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -25,10 +24,6 @@ from .perception import (
 )
 
 # -- PGM (portable graymap, binary P5, maxval 65535, big-endian samples) -----
-
-# one header token after any whitespace and comments; the possessive
-# quantifiers keep a failed match from backtracking into a comment's tail
-_PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*+)*+(\S+)")
 
 
 def write_pgm(path, depth: DepthMap) -> None:
@@ -56,11 +51,20 @@ def read_pgm(path) -> DepthMap:
 
     def next_token() -> bytes:
         nonlocal pos
-        match = _PGM_TOKEN.match(data, pos)
-        if match is None:
+        while pos < len(data):
+            if data[pos : pos + 1].isspace():
+                pos += 1
+            elif data[pos : pos + 1] == b"#":
+                while pos < len(data) and data[pos : pos + 1] != b"\n":
+                    pos += 1
+            else:
+                break
+        start = pos
+        while pos < len(data) and not data[pos : pos + 1].isspace():
+            pos += 1
+        if start == pos:
             raise FrameDecodeError(f"{path}: truncated PGM header")
-        pos = match.end()
-        return match[1]
+        return data[start:pos]
 
     magic = next_token()
     if magic != b"P5":

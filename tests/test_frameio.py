@@ -5,7 +5,6 @@ import pytest
 
 from vipguide.errors import ConsistencyError, FrameDecodeError
 from vipguide.frameio import (
-    _PGM_TOKEN,
     decode_record,
     encode_record,
     read_dataset,
@@ -113,47 +112,6 @@ class TestPgm:
         path.write_bytes(b"P5 2 1 # 65535")
         with pytest.raises(FrameDecodeError, match="truncated PGM header$"):
             read_pgm(path)
-
-
-def reference_tokens(data: bytes) -> list[tuple[bytes, int]]:
-    """Header tokens and the offset after each, by the byte loop `read_pgm`
-    used before its regex: skip whitespace, and a comment from '#' to the
-    line end, then take the run of non-whitespace; stop where none is left."""
-    tokens, pos = [], 0
-    while True:
-        while pos < len(data):
-            if data[pos : pos + 1].isspace():
-                pos += 1
-            elif data[pos : pos + 1] == b"#":
-                while pos < len(data) and data[pos : pos + 1] != b"\n":
-                    pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            return tokens
-        tokens.append((data[start:pos], pos))
-
-
-def regex_tokens(data: bytes) -> list[tuple[bytes, int]]:
-    tokens, pos = [], 0
-    while (match := _PGM_TOKEN.match(data, pos)) is not None:
-        pos = match.end()
-        tokens.append((match[1], pos))
-    return tokens
-
-
-def test_header_tokens_match_reference_tokenizer():
-    """Short headers from whitespace, '#', digits, 'P', 'x', 0xff and 0x00:
-    the regex finds the byte loop's tokens and end offsets on every one."""
-    alphabet = [bytes([c]) for c in b" \t\n\r\x0b\x0c#0123456789Px\xff\x00"]
-    rng = np.random.default_rng(19)
-    for _ in range(20000):
-        n = int(rng.integers(0, 13))
-        data = b"".join(alphabet[i] for i in rng.integers(0, len(alphabet), n))
-        assert regex_tokens(data) == reference_tokens(data), data
 
 
 class TestRecordCodec:
