@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 from .frameio import load_json
-from .geometry import GeometricConfig, GeometryError
+from .geometry import GeometricConfig, GeometryError, safety_distance
 
 GEOMETRY_KEYS = {
     "f_deg": "f_deg",
@@ -84,6 +84,15 @@ class Config:
     geometry: GeometricConfig = field(default_factory=GeometricConfig)
     planner: PlannerConfig = field(default_factory=PlannerConfig)
     pipeline: PipelineTuning = field(default_factory=PipelineTuning)
+
+    def __post_init__(self):
+        # the planner classifies against d', so a zero d' fails every frame
+        geo = self.geometry
+        if safety_distance(geo.walk_speed, geo.t_detect, geo.t_react) <= 0:
+            raise ConfigError(
+                "geometry.walk_speed_mps * (t_detect_s + t_react_s) must be "
+                f"positive, got {geo.walk_speed} * ({geo.t_detect} + {geo.t_react})"
+            )
 
 
 def default_config() -> Config:

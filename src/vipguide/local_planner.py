@@ -44,7 +44,7 @@ class PartitionProfile:
 
 @dataclass(frozen=True)
 class ObstacleAssessment:
-    track_id: int | None
+    track_id: int
     class_label: str
     distance_m: float
     severity: Severity

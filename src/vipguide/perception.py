@@ -57,7 +57,8 @@ class BoundingBox:
 
 @dataclass(frozen=True)
 class Detection:
-    """One detected object: open class label, box and confidence."""
+    """One detected object: open class label, box and confidence. `track_id`
+    is the perception stack's instance id, keying `instance_masks`."""
 
     class_label: str
     bbox: BoundingBox

@@ -141,14 +141,12 @@ class Pipeline:
     ) -> tuple[GuidanceDecision, dict]:
         self._check_order(frame)
         t0 = time.perf_counter()
-        tracked = self.tracker.step(frame.timestamp, list(frame.detections))
+        ids = self.tracker.step(frame.timestamp, frame.detections)
         t1 = time.perf_counter()
-        vip_index, vip = self._locate_vip(tracked)
-        obstacles, distances, d_prime, assessments = self._assess(
-            frame, tracked, vip_index
-        )
+        vip = self._locate_vip(frame)
+        obstacles, d_prime, assessments = self._assess(frame, ids, vip)
         self.tracker.attach_distances(
-            frame.timestamp, {det.track_id: d for det, d in zip(obstacles, distances)}
+            frame.timestamp, {a.track_id: a.distance_m for a in assessments}
         )
         edge_status = self._road_edge(frame, vip)
         partitions = self._tiling(frame.width)
@@ -156,7 +154,7 @@ class Pipeline:
             outcome = None  # lost past the hold
         else:
             profiles = self._score_partitions(
-                frame, vip, partitions, obstacles, distances, d_prime
+                frame, vip, partitions, obstacles, assessments, d_prime
             )
             outcome = self._decide(frame, partitions, profiles)
         new_route = self._replan(outcome)
@@ -192,55 +190,43 @@ class Pipeline:
         self._last_frame_id = frame.frame_id
         self._last_timestamp = frame.timestamp
 
-    def _locate_vip(self, tracked):
-        """The first VIP detection and its index; a miss extends the streak."""
-        for i, det in enumerate(tracked):
-            if det.class_label == "vip":
-                self._vip_miss_streak = 0
-                self._last_vip_bbox = det.bbox
-                return i, det
-        if self._last_vip_bbox is not None:
+    def _locate_vip(self, frame):
+        """The frame's VIP detection, or None; a miss extends the streak."""
+        vip = frame.vip_detection
+        if vip is not None:
+            self._vip_miss_streak = 0
+            self._last_vip_bbox = vip.bbox
+        elif self._last_vip_bbox is not None:
             self._vip_miss_streak += 1
-        return None, None
+        return vip
 
-    def _assess(self, frame, tracked, vip_index):
-        """Obstacles, their distances from the VIP, d' and their severities.
+    def _assess(self, frame, ids, vip):
+        """Obstacles (the frame's non-VIP detections), d' and each obstacle's
+        assessment: its track id, distance from the VIP and severity.
 
         Distances are camera-relative before the VIP's first sighting.
         """
-        # the frame's own detections: their original ids key the masks
-        cam_distances = [
-            detection_distance(frame, det, self.model) for det in frame.detections
-        ]
-        if vip_index is not None:
-            self._last_vip_distance = cam_distances[vip_index]
+        if vip is not None:
+            self._last_vip_distance = detection_distance(frame, vip, self.model)
         d_vip = self._last_vip_distance
-        obstacles: list[Detection] = []
-        distances: list[float] = []
-        for i, det in enumerate(tracked):
-            if i == vip_index:
-                continue
-            cam = cam_distances[i]
-            obstacles.append(det)
-            distances.append(cam if d_vip is None else max(0.0, cam - d_vip))
-
         d_prime = self._safety_distance()
         planner_cfg = self.config.planner
-        assessments = tuple(
-            ObstacleAssessment(
-                track_id=det.track_id,
-                class_label=det.class_label,
-                distance_m=rel,
-                severity=classify_obstacle(
-                    rel,
-                    d_prime,
-                    danger_mult=planner_cfg.danger_mult,
-                    warning_mult=planner_cfg.warning_mult,
-                ),
+        obstacles: list[Detection] = []
+        assessments: list[ObstacleAssessment] = []
+        for det, track_id in zip(frame.detections, ids):
+            if det is vip:
+                continue
+            cam = detection_distance(frame, det, self.model)
+            rel = cam if d_vip is None else max(0.0, cam - d_vip)
+            severity = classify_obstacle(
+                rel,
+                d_prime,
+                danger_mult=planner_cfg.danger_mult,
+                warning_mult=planner_cfg.warning_mult,
             )
-            for det, rel in zip(obstacles, distances)
-        )
-        return obstacles, distances, d_prime, assessments
+            obstacles.append(det)
+            assessments.append(ObstacleAssessment(track_id, det.class_label, rel, severity))
+        return obstacles, d_prime, tuple(assessments)
 
     def _road_edge(self, frame: PerceptionFrame, vip: Detection | None) -> str:
         if vip is None:
@@ -261,7 +247,7 @@ class Pipeline:
             )
         return self._partitions
 
-    def _score_partitions(self, frame, vip, partitions, obstacles, distances, d_prime):
+    def _score_partitions(self, frame, vip, partitions, obstacles, assessments, d_prime):
         """The partitions' profiles, the VIP's pixels excluded (its mask when
         seen this frame, else its remembered bbox)."""
         if vip is not None and frame.vip_mask is not None:
@@ -272,7 +258,7 @@ class Pipeline:
             frame.depth,
             partitions,
             obstacles,
-            distances,
+            [a.distance_m for a in assessments],
             d_prime,
             exclude=exclude,
         )

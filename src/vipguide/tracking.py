@@ -12,6 +12,7 @@ the stream runs.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .config import PipelineTuning
@@ -77,8 +78,8 @@ class Tracker:
         self.tracks: list[Track] = []
         self._next_id = 0
 
-    def step(self, timestamp: float, detections: list[Detection]) -> list[Detection]:
-        """Associate one frame's detections; returns them with track_ids set.
+    def step(self, timestamp: float, detections: Sequence[Detection]) -> list[int]:
+        """Associate one frame's detections; returns each one's track id, in order.
 
         Matching is greedy over same-class (track, detection) pairs in
         descending IoU at or above the threshold; ties broken toward the
@@ -127,7 +128,7 @@ class Tracker:
 
         # same cut-off expression as approach_rate's window filter
         horizon = timestamp - APPROACH_WINDOW_S
-        labeled: list[Detection] = []
+        ids: list[int] = []
         for d_idx, det in enumerate(detections):
             track = det_match.get(d_idx)
             if track is None:  # opens empty and gains its point like a matched one
@@ -139,13 +140,10 @@ class Tracker:
                 del history[0]
             history.append(TrackPoint(timestamp, det.bbox))
             track.misses = 0
-            # cheaper than dataclasses.replace, and __post_init__ still checks it
-            labeled.append(
-                Detection(det.class_label, det.bbox, det.confidence, track.track_id)
-            )
+            ids.append(track.track_id)
 
         self.tracks = kept
-        return labeled
+        return ids
 
     def attach_distances(self, timestamp: float, distances: dict[int, float]) -> None:
         """Write `distances` (metres by track id) into each track's point at

@@ -341,6 +341,17 @@ class TestPlan:
         )
         assert_fails_cleanly(result, "plan", f"'{section}.{key}': expected")
 
+    def test_zero_safety_distance_config_fails_before_any_trace(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"geometry": {"walk_speed_mps": 0}}))
+        out = tmp_path / "t.jsonl"
+        result = run(
+            capsys, "plan", "--scenario", "random", "--config", str(config),
+            "--out", str(out),
+        )
+        assert_fails_cleanly(result, "plan", "walk_speed_mps")
+        assert not out.exists()
+
     def test_missing_dataset_fails_cleanly(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "plan", "--frames", str(tmp_path / "nope"),

@@ -142,6 +142,24 @@ def test_invalid_values_rejected(section, key, value):
         config_from_dict({section: {key: value}})
 
 
+@pytest.mark.parametrize(
+    "geometry",
+    [{"walk_speed_mps": 0}, {"t_detect_s": 0, "t_react_s": 0}],
+    ids=["zero_speed", "zero_times"],
+)
+def test_zero_safety_distance_rejected(geometry):
+    """d' = walk speed * (t_detect + t_react) must be positive: the planner
+    classifies every obstacle against it."""
+    pattern = r"walk_speed_mps \* \(t_detect_s \+ t_react_s\) must be positive"
+    with pytest.raises(ConfigError, match=pattern):
+        config_from_dict({"geometry": geometry})
+
+
+def test_geometry_alone_accepts_zero_speed():
+    # the pose envelope needs no walk speed; only a planner config needs d'
+    assert GeometricConfig(walk_speed=0.0).walk_speed == 0.0
+
+
 def test_severity_band_ordering_enforced():
     with pytest.raises(ConfigError, match="danger_mult"):
         config_from_dict({"planner": {"danger_mult": 3.0, "warning_mult": 2.0}})

@@ -538,9 +538,65 @@ def test_assessments_follow_the_frames_non_vip_detections(kind):
             decision, _ = pipe.process_frame(frame)
             labels = [d.class_label for d in frame.detections if d.class_label != "vip"]
             assert [a.class_label for a in decision.assessments] == labels
-            tracked = tracker.step(frame.timestamp, list(frame.detections))
-            ids = [d.track_id for d in tracked if d.class_label != "vip"]
+            track_ids = tracker.step(frame.timestamp, frame.detections)
+            ids = [
+                track_id
+                for d, track_id in zip(frame.detections, track_ids)
+                if d.class_label != "vip"
+            ]
             assert [a.track_id for a in decision.assessments] == ids
+
+
+def test_instance_ids_key_the_masks_and_tracker_ids_label_the_assessments():
+    """A detection's `track_id` is its instance id, which keys its mask; an
+    assessment's `track_id` is the tracker's. The instance ids here (40, 41)
+    differ from the tracker's (0, 1), and each mask covers a fifth of its box
+    at a depth the box median misses, so mixing the two ids up shows in the
+    distances. On the second frame the obstacles come in the other order and
+    swap instance ids; the tracker's ids follow the boxes."""
+    boxes = {"car": (0, 100, 100, 300), "person": (430, 100, 530, 300)}
+    masked_distance = {"car": 2.0, "person": 3.0}  # camera-relative, m
+    depth = np.full((H, W), rev_for_distance(9.0), dtype=np.uint16)
+    depth[200:440, 280:360] = rev_for_distance(1.0)  # the VIP
+    grids = {}
+    for label, (x1, y1, x2, y2) in boxes.items():
+        grids[label] = np.zeros((H, W), dtype=bool)
+        grids[label][y1 : y1 + (y2 - y1) // 5, x1:x2] = True
+        depth[grids[label]] = rev_for_distance(masked_distance[label])
+    vip_grid = np.zeros((H, W), dtype=bool)
+    vip_grid[200:440, 280:360] = True
+
+    def frame(frame_id, order):
+        dets = [det(label, *boxes[label], track_id=iid) for label, iid in order]
+        dets.append(det("vip", 280, 200, 360, 440, confidence=0.98))
+        return make_frame(
+            depth,
+            dets,
+            frame_id=frame_id,
+            timestamp=frame_id / 30,
+            vip_mask=rle_encode(vip_grid),
+            road_mask=rle_encode(np.ones((H, W), dtype=bool)),
+            instance_masks={iid: rle_encode(grids[label]) for label, iid in order},
+        )
+
+    pipe = make_pipeline()
+    tracker_ids = {"car": 0, "person": 1}
+    for frame_id, order in enumerate(
+        ([("car", 40), ("person", 41)], [("person", 40), ("car", 41)])
+    ):
+        decision, _ = pipe.process_frame(frame(frame_id, order))
+        labels = [label for label, _ in order]
+        assert [a.class_label for a in decision.assessments] == labels
+        assert [a.track_id for a in decision.assessments] == [
+            tracker_ids[label] for label in labels
+        ]
+        # relative to the VIP at 1 m; the box medians would give 8 m
+        assert [a.distance_m for a in decision.assessments] == pytest.approx(
+            [masked_distance[label] - 1.0 for label in labels], abs=0.01
+        )
+        newest = {t.track_id: t.history[-1].distance_m for t in pipe.tracker.tracks}
+        for a in decision.assessments:
+            assert newest[a.track_id] == a.distance_m
 
 
 def load_tracer_module():

@@ -48,15 +48,15 @@ class TestIou:
 class TestAssociate:
     def test_fresh_detections_get_sequential_ids(self):
         tracker = Tracker()
-        labeled = tracker.step(0.0, [det("car", 0, 0, 4, 4), det("person", 5, 5, 8, 9)])
-        assert [d.track_id for d in labeled] == [0, 1]
+        ids = tracker.step(0.0, [det("car", 0, 0, 4, 4), det("person", 5, 5, 8, 9)])
+        assert ids == [0, 1]
         assert sorted(t.track_id for t in tracker.tracks) == [0, 1]
 
     def test_match_extends_history(self):
         tracker = Tracker()
         tracker.step(0.0, [det("car", 0, 0, 10, 10)])
-        labeled = tracker.step(1 / 30, [det("car", 1, 0, 11, 10)])  # IoU ~0.82
-        assert labeled[0].track_id == 0
+        ids = tracker.step(1 / 30, [det("car", 1, 0, 11, 10)])  # IoU ~0.82
+        assert ids == [0]
         track = track_by_id(tracker, 0)
         assert len(track.history) == 2
         assert track.misses == 0
@@ -64,23 +64,23 @@ class TestAssociate:
     def test_class_gate(self):
         tracker = Tracker()
         tracker.step(0.0, [det("car", 0, 0, 10, 10)])
-        labeled = tracker.step(1 / 30, [det("person", 0, 0, 10, 10)])
-        assert labeled[0].track_id == 1  # same box, different class: new track
+        ids = tracker.step(1 / 30, [det("person", 0, 0, 10, 10)])
+        assert ids == [1]  # same box, different class: new track
 
     def test_threshold_gate(self):
         tracker = Tracker(iou_threshold=0.9)
         tracker.step(0.0, [det("car", 0, 0, 10, 10)])
-        labeled = tracker.step(1 / 30, [det("car", 3, 0, 13, 10)])
-        assert labeled[0].track_id == 1
+        ids = tracker.step(1 / 30, [det("car", 3, 0, 13, 10)])
+        assert ids == [1]
 
     def test_greedy_prefers_higher_iou(self):
         tracker = Tracker()
         tracker.step(0.0, [det("car", 0, 0, 10, 10), det("car", 20, 0, 30, 10)])
-        labeled = tracker.step(
+        ids = tracker.step(
             1 / 30, [det("car", 19, 0, 29, 10), det("car", 1, 0, 11, 10)]
         )
         # det 0 overlaps track 1 strongly, det 1 overlaps track 0 strongly
-        assert [d.track_id for d in labeled] == [1, 0]
+        assert ids == [1, 0]
 
     def test_miss_holds_last_bbox(self):
         tracker = Tracker()
@@ -90,8 +90,8 @@ class TestAssociate:
         assert track.misses == 1
         assert track.last_bbox == box(0, 0, 10, 10)
         # a detection overlapping the held bbox re-attaches
-        labeled = tracker.step(2 / 30, [det("car", 1, 0, 11, 10)])
-        assert labeled[0].track_id == 0
+        ids = tracker.step(2 / 30, [det("car", 1, 0, 11, 10)])
+        assert ids == [0]
         assert track_by_id(tracker, 0).misses == 0
 
     def test_retirement_boundary(self):
@@ -107,12 +107,12 @@ class TestAssociate:
         tracker = Tracker(max_misses=0)
         seen = set()
         for k in range(6):
-            labeled = tracker.step(
+            ids = tracker.step(
                 k / 30.0, [det("car", 0, 0, 4, 4)] if k % 2 == 0 else []
             )
-            for d in labeled:
-                assert d.track_id not in seen
-                seen.add(d.track_id)
+            for track_id in ids:
+                assert track_id not in seen
+                seen.add(track_id)
         assert seen == {0, 1, 2}
 
     def test_non_increasing_timestamp_rejected(self):
@@ -128,11 +128,11 @@ class TestAssociate:
             tracker = Tracker()
             out = []
             for k in range(5):
-                labeled = tracker.step(
+                ids = tracker.step(
                     k / 30.0,
                     [det("car", k, 0, 10 + k, 10), det("car", 30 - k, 0, 40 - k, 10)],
                 )
-                out.append(tuple(d.track_id for d in labeled))
+                out.append(tuple(ids))
             return out
 
         assert run() == run()
@@ -223,17 +223,17 @@ def test_window_trim_matches_untrimmed_oracle():
             detections.append(det(label, x, 50, x + 40, 150))
             d = 30.0 - 0.5 * t + float(rng.normal(0.0, 0.2))
             distances.append(None if rng.random() < 0.1 else d)
-        labeled = tracker.step(t, detections)
+        ids = tracker.step(t, detections)
         tracker.attach_distances(
             t,
             {
-                d_obj.track_id: dist
-                for d_obj, dist in zip(labeled, distances)
+                track_id: dist
+                for track_id, dist in zip(ids, distances)
                 if dist is not None
             },
         )
-        for d_obj, dist in zip(labeled, distances):
-            full.setdefault(d_obj.track_id, []).append(
+        for d_obj, track_id, dist in zip(detections, ids, distances):
+            full.setdefault(track_id, []).append(
                 TrackPoint(timestamp=t, bbox=d_obj.bbox, distance_m=dist)
             )
 
@@ -323,7 +323,8 @@ class TestInPlace:
 def reference_step(tracker, timestamp, detections):
     """`Tracker.step` as it was written before its passes were folded: all
     matches first, then the order check over the matched tracks, then the
-    track updates, then the labelling. The folded step must agree with it."""
+    track updates, then the id of each detection. The folded step must agree
+    with it."""
     candidates = []
     for t_pos, track in enumerate(tracker.tracks):
         for d_idx, d_obj in enumerate(detections):
@@ -357,7 +358,7 @@ def reference_step(tracker, timestamp, detections):
             history.append(TrackPoint(timestamp, detections[d_idx].bbox))
             track.misses = 0
         kept.append(track)
-    labeled = []
+    ids = []
     for d_idx, d_obj in enumerate(detections):
         if d_idx in det_match:
             tid = tracker.tracks[det_match[d_idx]].track_id
@@ -365,9 +366,9 @@ def reference_step(tracker, timestamp, detections):
             tid = tracker._next_id
             tracker._next_id += 1
             kept.append(Track(tid, d_obj.class_label, [TrackPoint(timestamp, d_obj.bbox)]))
-        labeled.append(Detection(d_obj.class_label, d_obj.bbox, d_obj.confidence, tid))
+        ids.append(tid)
     tracker.tracks = kept
-    return labeled
+    return ids
 
 
 def tracker_state(tracker):
@@ -409,9 +410,9 @@ def test_step_matches_reference_step(seed):
                 detections.append(det(labels[lane], x, 10, x + 30, 60 + lane))
         rng.shuffle(detections)
         ids_before = {tr.track_id for tr in ref.tracks}
-        labeled = new.step(t, list(detections))
-        assert labeled == reference_step(ref, t, list(detections))
-        distances = {d_obj.track_id: float(rng.uniform(1, 9)) for d_obj in labeled}
+        ids = new.step(t, list(detections))
+        assert ids == reference_step(ref, t, list(detections))
+        distances = {track_id: float(rng.uniform(1, 9)) for track_id in ids}
         new.attach_distances(t, distances)
         ref.attach_distances(t, distances)
         assert tracker_state(new) == tracker_state(ref)
