@@ -245,9 +245,10 @@ def rle_encode_rect(rect, cuts, width: int, height: int) -> BitMask | None:
 
     Built from the corners alone, with no pixel scan: rows that the same
     cuts cross form a band, and every row of a band repeats one run
-    pattern. Returns None when the cuts cover the whole rect.
+    pattern. Returns None when the cuts cover the whole rect. Every
+    coordinate and size must be an integer; numpy ints convert exactly.
     """
-    x1, y1, x2, y2 = rect
+    x1, y1, x2, y2, width, height = _pixel_ints((*rect, width, height))
     if not (0 <= x1 < x2 <= width and 0 <= y1 < y2 <= height):
         raise ConsistencyError(
             f"rect {list(rect)} empty or outside frame {width}x{height}"
@@ -255,7 +256,7 @@ def rle_encode_rect(rect, cuts, width: int, height: int) -> BitMask | None:
     # each cut clipped to the rect, in column order; a cut outside is empty
     clipped = (
         (max(u1, x1), min(u2, x2), max(v1, y1), min(v2, y2))
-        for u1, v1, u2, v2 in cuts
+        for u1, v1, u2, v2 in map(_pixel_ints, cuts)
     )
     holes = sorted(h for h in clipped if h[0] < h[1] and h[2] < h[3])
     ys = sorted({y1, y2, *(v for hole in holes for v in hole[2:])})
@@ -299,7 +300,24 @@ def rle_encode_rect(rect, cuts, width: int, height: int) -> BitMask | None:
         return None
     if end < width * height:
         runs.append(width * height - end)
-    return BitMask(width=width, height=height, runs=tuple(runs))
+    return _canonical_mask(width, height, tuple(runs))
+
+
+def _pixel_ints(values) -> tuple[int, ...]:
+    """Pixel coordinates as exact ints, so every run built from them is one."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ConsistencyError(f"pixel coordinates {list(values)} must be integers") from None
+
+
+def _canonical_mask(width: int, height: int, runs: tuple[int, ...]) -> BitMask:
+    """A BitMask of runs built canonical: exact ints, none negative, summing
+    to width * height. Set as they are, without BitMask's checks, which are
+    for masks read from files or handed in by callers."""
+    mask = object.__new__(BitMask)
+    vars(mask).update(width=width, height=height, runs=runs)
+    return mask
 
 
 def rle_decode(mask: BitMask, rows: tuple[int, int] | None = None) -> np.ndarray:

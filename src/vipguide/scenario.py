@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -49,19 +50,20 @@ class Camera:
     vfov_deg: float = 90.0
     ground_height: float = 2.2  # camera height above ground, meters
 
-    @property
+    # intrinsics, computed on first read; the frozen fields never change them
+    @cached_property
     def fx(self) -> float:
         return (self.width / 2.0) / math.tan(math.radians(self.hfov_deg) / 2.0)
 
-    @property
+    @cached_property
     def fy(self) -> float:
         return (self.height / 2.0) / math.tan(math.radians(self.vfov_deg) / 2.0)
 
-    @property
+    @cached_property
     def cx(self) -> float:
         return self.width / 2.0
 
-    @property
+    @cached_property
     def cy(self) -> float:
         return self.height / 2.0
 
@@ -83,6 +85,10 @@ class SceneObject:
     labeled: bool = True
 
     def __post_init__(self):
+        # NaN compares false both ways, so it would slip past the sign checks
+        for name in ("x", "z", "width", "height", "elevation"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConsistencyError(f"{self.kind} {name} {getattr(self, name)} not finite")
         if self.z <= 0:
             raise ConsistencyError(f"{self.kind} at nonpositive z {self.z}")
         if self.width <= 0 or self.height <= 0:
@@ -341,7 +347,10 @@ class World:
     def objects_at(self, t: float) -> list[SceneObject]:
         """The VIP, then each obstacle, in camera space at time `t`."""
         advance = min(self.walk_speed * t, self.freeze_distance)
-        return [self.vip] + [replace(o, z=VIP_Z + o.z - advance) for o in self.obstacles]
+        return [self.vip] + [
+            SceneObject(o.kind, o.x, VIP_Z + o.z - advance, o.width, o.height, o.elevation, o.labeled)
+            for o in self.obstacles
+        ]
 
 
 def _build_world(spec: ScenarioSpec, rng: np.random.Generator) -> World:

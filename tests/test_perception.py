@@ -247,6 +247,8 @@ class TestRleEncodeWindow:
         assert mask == rle_encode(grid)
         assert mask.runs == reference_runs(grid)
         assert all(type(r) is int for r in mask.runs)
+        # the encoder skips BitMask's checks; they must all pass on its output
+        assert BitMask(width, height, mask.runs) == mask
         return mask
 
     def test_matches_embedded_full_grid(self):
@@ -352,6 +354,22 @@ class TestRleEncodeWindow:
     def test_empty_rect_rejected(self, rect):
         with pytest.raises(ConsistencyError, match=r"^rect \[.*\] empty or outside"):
             rle_encode_rect(rect, [], 5, 4)
+
+    def test_numpy_int_corners_give_exact_int_runs(self):
+        rect = tuple(np.int64(v) for v in (1, 1, 4, 3))
+        cut = tuple(np.int32(v) for v in (2, 0, 3, 2))
+        mask = self.check(rect, [cut], np.int64(5), 4)
+        assert mask.runs == (6, 1, 1, 1, 2, 3, 6)
+        assert all(type(r) is int for r in mask.runs)
+        assert all(type(v) is int for v in (mask.width, mask.height))
+
+    @pytest.mark.parametrize(
+        "rect, cuts, width",
+        [((1.0, 1, 4, 3), [], 5), ((1, 1, 4, 3), [(2, 0.5, 3, 2)], 5), ((1, 1, 4, 3), [], 5.0)],
+    )
+    def test_non_integer_corners_rejected(self, rect, cuts, width):
+        with pytest.raises(ConsistencyError, match=r"^pixel coordinates \[.*\] must be integers$"):
+            rle_encode_rect(rect, cuts, width, 4)
 
     # the grid check moved with the flat scan into rle_encode
     @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (4,), (1, 2, 2)])

@@ -3,6 +3,7 @@ import math
 import os
 import tracemalloc
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -122,6 +123,30 @@ class TestProjection:
         tree = SceneObject("tree", x=0.0, z=0.7, width=3.0, height=2.0, elevation=3.0)
         assert project_bbox(tree, CAM) is None
         assert project_bbox(SceneObject("tree", x=0.0, z=1.2, width=3.0, height=2.0, elevation=3.0), CAM) is not None
+
+
+class TestCameraIntrinsics:
+    def test_cached_values_equal_the_formulas(self):
+        cam = Camera(width=320, height=240, hfov_deg=70.0, vfov_deg=55.0)
+        for _ in range(2):  # the first read computes, the second reads the cache
+            assert cam.fx == 160.0 / math.tan(math.radians(70.0) / 2.0)
+            assert cam.fy == 120.0 / math.tan(math.radians(55.0) / 2.0)
+            assert (cam.cx, cam.cy) == (160.0, 120.0)
+
+    def test_replaced_camera_computes_its_own(self):
+        cam = Camera(width=320, height=240, hfov_deg=70.0, vfov_deg=55.0)
+        fx, cx = cam.fx, cam.cx  # cached on the original
+        wide = replace(cam, hfov_deg=100.0, width=400)
+        assert wide.fx == 200.0 / math.tan(math.radians(100.0) / 2.0)
+        assert wide.cx == 200.0
+        assert wide.fy == cam.fy
+        assert (cam.fx, cam.cx) == (fx, cx)
+
+    def test_cache_leaves_equality_alone(self):
+        cam = Camera(width=320, height=240, hfov_deg=70.0, vfov_deg=55.0)
+        fresh = Camera(width=320, height=240, hfov_deg=70.0, vfov_deg=55.0)
+        assert cam.fy > 0  # cached on one of the two
+        assert cam == fresh and hash(cam) == hash(fresh)
 
 
 class TestRender:
@@ -337,6 +362,14 @@ class TestSpecValidation:
         with pytest.raises(ConsistencyError):
             SceneObject("wall", x=0, z=1.0, width=0, height=1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["x", "z", "width", "height", "elevation"])
+    def test_object_numbers_finite(self, field, value):
+        # NaN passes every sign check, and projecting it raised a bare ValueError
+        numbers = {"x": 0.0, "z": 3.5, "width": 0.6, "height": 1.75, "elevation": 0.0}
+        with pytest.raises(ConsistencyError, match=rf"^person {field} -?(nan|inf) not finite$"):
+            SceneObject("person", **{**numbers, field: value})
+
 
 class TestGenerate:
     def frames(self, kind, seed=1, **kw):
@@ -468,6 +501,19 @@ class TestGroundTruthSoundness:
                     rect = scenario._pixel_rect(obj, CAM)
                     assert rect is None or rect[2] <= lo or rect[0] >= hi, (seed, frame_id)
         assert unlabeled > 0
+
+
+@pytest.mark.parametrize("kind", scenario.SCENARIO_KINDS)
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_objects_at_matches_replace_reference(kind, seed):
+    spec = ScenarioSpec(kind=kind, seed=seed)
+    world = scenario._build_world(spec, np.random.default_rng(seed))
+    freeze_t = world.freeze_distance / world.walk_speed
+    times = [0.0, 1 / scenario.FPS, 0.5 * freeze_t, freeze_t, freeze_t + 0.1, 60.0]
+    for t in (t for t in times if math.isfinite(t)):
+        advance = min(world.walk_speed * t, world.freeze_distance)
+        reference = [world.vip] + [replace(o, z=VIP_Z + o.z - advance) for o in world.obstacles]
+        assert world.objects_at(t) == reference, (kind, seed, t)
 
 
 class TestScenarioFiles:
