@@ -45,15 +45,15 @@ def annotate_frame(frame: PerceptionFrame, decision: GuidanceDecision) -> np.nda
     gray = (frame.depth.values >> 8).astype(np.uint8)
     image = np.repeat(gray[:, :, None], 3, axis=2)
 
+    vip = frame.vip_detection
     severities = (a.severity for a in decision.assessments)
     for det in frame.detections:
-        if det.class_label == "vip":
+        if det is vip:
             continue
         color = SEVERITY_COLOR.get(next(severities, "clear"))
         if color is not None:
             draw_box(image, det.bbox.x1, det.bbox.y1, det.bbox.x2, det.bbox.y2, color)
 
-    vip = frame.vip_detection
     if vip is not None:
         draw_box(image, vip.bbox.x1, vip.bbox.y1, vip.bbox.x2, vip.bbox.y2, BLUE)
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ConsistencyError, FrameDecodeError, VipGuideError
 from .perception import (
+    REV_MAX,
     BitMask,
     BoundingBox,
     DepthMap,
@@ -28,7 +29,7 @@ from .perception import (
 
 def write_pgm(path, depth: DepthMap) -> None:
     """Write a depth map as a binary 16-bit PGM."""
-    header = f"P5\n{depth.width} {depth.height}\n65535\n".encode("ascii")
+    header = f"P5\n{depth.width} {depth.height}\n{REV_MAX}\n".encode("ascii")
     payload = depth.values.astype(">u2").tobytes()
     with open(path, "wb") as fh:
         fh.write(header)
@@ -75,8 +76,8 @@ def read_pgm(path) -> DepthMap:
         maxval = int(next_token())
     except ValueError as exc:
         raise FrameDecodeError(f"{path}: non-numeric PGM header field") from exc
-    if maxval != 65535:
-        raise FrameDecodeError(f"{path}: maxval {maxval}, expected 65535")
+    if maxval != REV_MAX:
+        raise FrameDecodeError(f"{path}: maxval {maxval}, expected {REV_MAX}")
     if width <= 0 or height <= 0:
         raise FrameDecodeError(f"{path}: bad dimensions {width}x{height}")
     pos += 1  # single whitespace byte after maxval

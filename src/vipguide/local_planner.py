@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import PlannerConfig
 from .errors import PlannerError
-from .perception import BitMask, BoundingBox, DepthMap, Detection
+from .perception import REV_MAX, BitMask, BoundingBox, DepthMap, Detection
 
 Severity = str  # "danger" | "warning" | "clear"
 EdgeStatus = str  # "safe" | "warn_left" | "warn_right" | "warn_both" | "unknown"
@@ -87,7 +87,7 @@ def partition_bounds(width: int, n: int = PlannerConfig.n_partitions) -> list[Pa
     return bounds
 
 
-UINT32_EXACT_ROWS = 65537  # 65537 * 65535 == 2**32 - 1: a uint32 column sum is exact
+UINT32_EXACT_ROWS = (2**32 - 1) // REV_MAX  # rows whose uint32 column sum is exact
 
 Exclusion = BitMask | BoundingBox | None
 

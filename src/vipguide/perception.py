@@ -142,7 +142,7 @@ class DepthMap:
         arr = np.asarray(self.values)
         if arr.dtype != np.uint16:
             if arr.size and (arr.min() < 0 or arr.max() > REV_MAX):
-                raise ConsistencyError("depth values outside [0, 65535]")
+                raise ConsistencyError(f"depth values outside [0, {REV_MAX}]")
             arr = arr.astype(np.uint16)
         if arr.shape != (self.height, self.width):
             if arr.size == self.width * self.height:

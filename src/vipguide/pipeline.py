@@ -55,7 +55,7 @@ from .local_planner import (
     width_threshold_px,
 )
 from .perception import BoundingBox, Detection, PerceptionFrame
-from .tracking import APPROACH_WINDOW_S, Tracker, approach_rate
+from .tracking import Tracker, approach_rate
 
 
 def nearest_rank(values: Sequence[float], q: float) -> float:
@@ -316,10 +316,8 @@ class Pipeline:
         if self.config.pipeline.live_speed:
             live = 0.0  # the fastest positive approach rate
             for track in self.tracker.tracks:
-                if track.class_label == "vip":
-                    continue
-                try:
-                    live = max(live, approach_rate(track, window=APPROACH_WINDOW_S))
+                try:  # only obstacles' tracks hold distances
+                    live = max(live, approach_rate(track))
                 except InsufficientHistoryError:
                     continue
             if live > 0:

@@ -14,6 +14,7 @@ quadratic in normalized REV and a quadratic calibration can invert it.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
@@ -24,6 +25,7 @@ import numpy as np
 from .calibration import CalibrationModel, CalibrationSample, fit, region_rev
 from .errors import ConsistencyError
 from .frameio import json_records, record_to_line, require_field, write_dataset
+from .geometry import GeometricConfig
 from .local_planner import partition_bounds
 from .perception import (
     REV_MAX,
@@ -46,9 +48,20 @@ GROUND_TRUTH_FILE = "ground_truth.jsonl"
 class Camera:
     width: int = 640
     height: int = 480
-    hfov_deg: float = 90.0
-    vfov_deg: float = 90.0
+    hfov_deg: float = GeometricConfig.hfov_deg
+    vfov_deg: float = GeometricConfig.f_deg
     ground_height: float = 2.2  # camera height above ground, meters
+
+    def __post_init__(self):
+        for name in ("width", "height"):
+            value = getattr(self, name)
+            if type(value) is not int or value <= 0:
+                raise ConsistencyError(f"camera {name} {value!r} not a positive int")
+        for name in ("hfov_deg", "vfov_deg"):
+            if not 0.0 < getattr(self, name) < 180.0:
+                raise ConsistencyError(f"camera {name} {getattr(self, name)} outside (0, 180)")
+        if not (math.isfinite(self.ground_height) and self.ground_height > 0):
+            raise ConsistencyError(f"camera ground_height {self.ground_height} not finite and > 0")
 
     # intrinsics, computed on first read; the frozen fields never change them
     @cached_property
@@ -104,17 +117,12 @@ def rev_from_z(z: float) -> float:
     return math.sqrt((Z_FAR - z) / (Z_FAR - Z_NEAR))
 
 
-def z_from_rev(rev: float) -> float:
-    """Inverse of :func:`rev_from_z` on [Z_NEAR, Z_FAR]; the tests' oracle for it."""
-    return Z_FAR - (Z_FAR - Z_NEAR) * rev * rev
+def _round_px(v: float) -> int:
+    return int(math.floor(v + 0.5))
 
 
 def rev16_from_z(z: float) -> int:
-    return int(math.floor(65535.0 * rev_from_z(z) + 0.5))
-
-
-def _round_px(v: float) -> int:
-    return int(math.floor(v + 0.5))
+    return _round_px(REV_MAX * rev_from_z(z))
 
 
 def _pixel_rect(obj: SceneObject, cam: Camera) -> tuple[int, int, int, int] | None:
@@ -143,15 +151,9 @@ def project_bbox(obj: SceneObject, cam: Camera) -> BoundingBox | None:
 
 def ground_rev_rows(cam: Camera) -> np.ndarray:
     """Per-row background REV for the visible ground plane (0 above horizon)."""
-    rows = np.arange(cam.height, dtype=np.float64) + 0.5 - cam.cy
-    rev = np.zeros(cam.height, dtype=np.float64)
-    visible = rows > 0
-    z = np.full(cam.height, np.inf)
-    z[visible] = cam.fy * cam.ground_height / rows[visible]
-    in_range = visible & (z < Z_FAR)
-    rev[in_range] = np.sqrt((Z_FAR - np.minimum(z[in_range], Z_FAR)) / (Z_FAR - Z_NEAR))
-    rev[visible & (z <= Z_NEAR)] = 1.0
-    return np.floor(65535.0 * GROUND_ATTENUATION * rev + 0.5).astype(np.uint16)
+    rows = (np.arange(cam.height, dtype=np.float64) + 0.5 - cam.cy).tolist()
+    rev = np.array([rev_from_z(cam.fy * cam.ground_height / r) if r > 0 else 0.0 for r in rows])
+    return np.floor(REV_MAX * GROUND_ATTENUATION * rev + 0.5).astype(np.uint16)
 
 
 def _ground_image(cam: Camera) -> np.ndarray:
@@ -223,7 +225,7 @@ def _render(
         mask = rle_encode_rect(rect, cuts, cam.width, cam.height)
         if mask is None:
             continue
-        detections.append(Detection(kind, BoundingBox(*rect), CONFIDENCE.get(kind, 0.8), track_id=idx))
+        detections.append(Detection(kind, BoundingBox(*rect), CONFIDENCE[kind], track_id=idx))
         if kind == "vip":
             vip_mask = mask
         else:
@@ -253,11 +255,11 @@ def default_road_mask(cam: Camera) -> BitMask:
 
 CAMERA = Camera()  # every generated stream and calibration frame uses it
 FPS = 30.0
-WALK_SPEED = 1.2  # m/s, every generated walk's pace
+WALK_SPEED = GeometricConfig.walk_speed  # m/s, every generated walk's pace
 
 CONFIDENCE = {"vip": 0.98, "person": 0.91, "car": 0.93, "tree": 0.85, "wall": 0.8}
 
-VIP_SIZE = (0.5, 1.7)
+VIP_SIZE = (0.5, GeometricConfig.h_vip)  # (width, height), meters
 VIP_Z = 3.0
 FREEZE_GAP = 0.3  # scene stops advancing this close to the nearest obstacle
 
@@ -306,6 +308,13 @@ class ScenarioSpec:
             raise ConsistencyError(
                 f"unknown scenario '{self.kind}', expected one of {SCENARIO_KINDS}"
             )
+        for name in ("seed", "n_frames"):
+            value = getattr(self, name)
+            # numpy ints convert exactly, floats are not truncated, and
+            # operator.index would take True as 1
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise ConsistencyError(f"{name} {value!r} not an int")
+            object.__setattr__(self, name, operator.index(value))
         if self.n_frames < 1:
             raise ConsistencyError(f"n_frames {self.n_frames} < 1")
         if self.seed < 0:

@@ -5,10 +5,10 @@ Gives detections stable ids across frames and, from the distances
 each obstacle. A full motion-model tracker can be swapped in behind the
 same interface; id stability and approach rate are all the planner needs.
 
-Each track keeps one approach-rate window of history (APPROACH_WINDOW_S
-seconds back from its newest point), which is all `approach_rate` reads
-at that window, so per-frame cost and memory stay bounded however long
-the stream runs.
+Each track's history is its approach window: `Tracker.step` keeps only
+the points at most APPROACH_WINDOW_S seconds older than the newest, and
+`approach_rate` fits every point there that holds a distance. So
+per-frame cost and memory stay bounded however long the stream runs.
 """
 from __future__ import annotations
 
@@ -126,7 +126,6 @@ class Tracker:
                 track.misses += 1
             kept.append(track)
 
-        # same cut-off expression as approach_rate's window filter
         horizon = timestamp - APPROACH_WINDOW_S
         ids: list[int] = []
         for d_idx, det in enumerate(detections):
@@ -157,23 +156,17 @@ class Tracker:
                 )
 
 
-def approach_rate(track: Track, window: float) -> float:
-    """Closing speed (m/s, positive = approaching) from recent distances.
+def approach_rate(track: Track) -> float:
+    """Closing speed (m/s, positive = approaching) from the track's distances.
 
-    Least-squares slope of distance vs time over the trailing window,
-    negated so shrinking distance reads as a positive rate.
+    Least-squares slope of distance vs time over the history points that
+    hold a distance, negated so shrinking distance reads as a positive
+    rate. The history is the approach window: `Tracker.step` trims it.
     """
-    if not track.history:
-        raise InsufficientHistoryError(f"track {track.track_id} has no history")
-    t_end = track.history[-1].timestamp
-    points = [
-        (p.timestamp, p.distance_m)
-        for p in track.history
-        if p.distance_m is not None and p.timestamp >= t_end - window
-    ]
+    points = [(p.timestamp, p.distance_m) for p in track.history if p.distance_m is not None]
     if len(points) < 2:
         raise InsufficientHistoryError(
-            f"track {track.track_id}: {len(points)} usable points in window"
+            f"track {track.track_id}: {len(points)} points with a distance"
         )
     n = len(points)
     mean_t = sum(t for t, _ in points) / n

@@ -17,7 +17,7 @@ from vipguide import global_planner, perception
 from vipguide import pipeline as pipeline_module
 from vipguide.pipeline import Pipeline, nearest_rank
 from vipguide.perception import rle_encode
-from vipguide.scenario import SCENARIO_KINDS, ScenarioSpec, generate
+from vipguide.scenario import SCENARIO_KINDS, ScenarioSpec, default_model, generate
 from vipguide.tracking import Tracker
 
 from conftest import det, make_frame
@@ -419,6 +419,26 @@ class TestLiveSpeed:
         static = self.approach(make_pipeline(live_speed=False), distances)
         live = self.approach(make_pipeline(live_speed=True), distances)
         assert static.assessments[0].severity == live.assessments[0].severity
+
+
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+def test_vip_track_never_holds_a_distance(kind):
+    """Live speed takes the approach rate of every track. The VIP's never
+    has one: distances go only to the tracks of assessed obstacles, and the
+    VIP is not assessed."""
+    config = default_config()
+    config = replace(config, pipeline=replace(config.pipeline, live_speed=True))
+    model = default_model()
+    vip_tracks = 0
+    for seed in (1, 2, 3):
+        pipe = Pipeline(config, model)
+        for frame, _ in generate(ScenarioSpec(kind=kind, seed=seed, n_frames=60)):
+            pipe.process_frame(frame)
+            for track in pipe.tracker.tracks:
+                if track.class_label == "vip":
+                    vip_tracks += 1
+                    assert all(p.distance_m is None for p in track.history)
+    assert vip_tracks >= 3 * 60
 
 
 class TestTraceRecords:

@@ -12,7 +12,8 @@ from vipguide import scenario
 from vipguide.calibration import fit, predict, region_rev
 from vipguide.errors import ConsistencyError, FrameDecodeError
 from vipguide.frameio import read_dataset
-from vipguide.perception import rle_decode, rle_encode
+from vipguide.geometry import GeometricConfig
+from vipguide.perception import REV_MAX, rle_decode, rle_encode
 from vipguide.scenario import (
     CALIBRATION_Z,
     CONFIDENCE,
@@ -37,10 +38,14 @@ from vipguide.scenario import (
     rev16_from_z,
     rev_from_z,
     write_scenario,
-    z_from_rev,
 )
 
 CAM = Camera()
+
+
+def z_from_rev(rev: float) -> float:
+    """Inverse of :func:`rev_from_z` on [Z_NEAR, Z_FAR]; the oracle for it."""
+    return Z_FAR - (Z_FAR - Z_NEAR) * rev * rev
 
 
 class TestRevLaw:
@@ -148,6 +153,51 @@ class TestCameraIntrinsics:
         assert cam.fy > 0  # cached on one of the two
         assert cam == fresh and hash(cam) == hash(fresh)
 
+    def test_defaults_are_the_planners(self):
+        geo = GeometricConfig()
+        assert (CAM.hfov_deg, CAM.vfov_deg) == (geo.hfov_deg, geo.f_deg)
+        assert (scenario.WALK_SPEED, VIP_SIZE[1]) == (geo.walk_speed, geo.h_vip)
+
+    # before these checks, a zero fov raised ZeroDivisionError and a NaN
+    # height ValueError from project_bbox; the rest projected nothing or
+    # took a fractional pixel count without a word
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("width", 0),
+            ("width", 640.5),
+            ("width", np.int64(640)),
+            ("height", -480),
+            ("height", True),
+            ("hfov_deg", 0),
+            ("hfov_deg", 180),
+            ("hfov_deg", math.nan),
+            ("vfov_deg", 0.0),
+            ("vfov_deg", 200.0),
+            ("ground_height", math.nan),
+            ("ground_height", math.inf),
+            ("ground_height", 0.0),
+            ("ground_height", -2.2),
+        ],
+    )
+    def test_bad_fields_rejected(self, field, value):
+        with pytest.raises(ConsistencyError, match=rf"^camera {field} "):
+            Camera(**{field: value})
+
+
+def vectorised_ground_rows(cam: Camera) -> np.ndarray:
+    """`ground_rev_rows` as it was before it went through `rev_from_z`: the
+    depth law's clamps and square root written out in numpy."""
+    rows = np.arange(cam.height, dtype=np.float64) + 0.5 - cam.cy
+    rev = np.zeros(cam.height, dtype=np.float64)
+    visible = rows > 0
+    z = np.full(cam.height, np.inf)
+    z[visible] = cam.fy * cam.ground_height / rows[visible]
+    in_range = visible & (z < Z_FAR)
+    rev[in_range] = np.sqrt((Z_FAR - np.minimum(z[in_range], Z_FAR)) / (Z_FAR - Z_NEAR))
+    rev[visible & (z <= Z_NEAR)] = 1.0
+    return np.floor(65535.0 * GROUND_ATTENUATION * rev + 0.5).astype(np.uint16)
+
 
 class TestRender:
     def test_empty_scene_is_ground_gradient(self):
@@ -161,6 +211,32 @@ class TestRender:
         assert rows.shape == (480,)
         assert (rows[:240] == 0).all()  # above horizon
         assert rows[479] >= rows[241]  # nearer rows read closer
+
+    # cameras the golden files do not cover: a smaller frame with narrower
+    # fov, a low camera, a middle row exactly at the horizon, and one whose
+    # nearest rows lie within Z_NEAR
+    @pytest.mark.parametrize(
+        "cam",
+        [
+            CAM,
+            Camera(width=320, height=240, hfov_deg=70.0, vfov_deg=55.0),
+            Camera(ground_height=0.5),
+            Camera(height=4801),
+            Camera(width=64, height=48, vfov_deg=120.0, ground_height=0.3),
+        ],
+    )
+    def test_ground_rows_match_vectorised_law(self, cam):
+        expected = vectorised_ground_rows(cam)
+        rows = ground_rev_rows(cam)
+        assert rows.dtype == expected.dtype and np.array_equal(rows, expected)
+
+    def test_ground_rows_cover_horizon_and_near_clamp(self):
+        horizon = Camera(height=4801)
+        assert np.arange(horizon.height)[2400] + 0.5 - horizon.cy == 0.0
+        assert ground_rev_rows(horizon)[2400] == 0  # the horizon row is not visible
+        low = Camera(width=64, height=48, vfov_deg=120.0, ground_height=0.3)
+        assert low.fy * low.ground_height / (low.height - 0.5 - low.cy) <= Z_NEAR
+        assert ground_rev_rows(low)[-1] == math.floor(REV_MAX * GROUND_ATTENUATION + 0.5)
 
     def test_attenuation_scales_background(self):
         row = 400
@@ -355,6 +431,21 @@ class TestSpecValidation:
     def test_stream_numbers(self, field, value):
         with pytest.raises(ConsistencyError, match=field):
             ScenarioSpec(kind="random", seed=1, **{field: value})
+
+    # a float seed or frame count used to construct and then raise a bare
+    # TypeError from generate; True was taken as 1
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", 1.5), ("seed", True), ("seed", "1"), ("n_frames", 2.5), ("n_frames", True)],
+    )
+    def test_stream_counts_exact_ints(self, field, value):
+        with pytest.raises(ConsistencyError, match=rf"^{field} .* not an int$"):
+            ScenarioSpec(kind="random", **{field: value})
+
+    def test_numpy_counts_convert(self):
+        spec = ScenarioSpec(kind="random", seed=np.int64(3), n_frames=np.int32(2))
+        assert (type(spec.seed), type(spec.n_frames)) == (int, int)
+        assert spec == ScenarioSpec(kind="random", seed=3, n_frames=2)
 
     def test_object_validation(self):
         with pytest.raises(ConsistencyError):

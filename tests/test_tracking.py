@@ -151,28 +151,25 @@ class TestApproachRate:
 
     def test_two_point_slope(self):
         track = self.make_track([(0.0, 5.0), (1.0, 4.0)])
-        assert approach_rate(track, window=10.0) == pytest.approx(1.0)
+        assert approach_rate(track) == pytest.approx(1.0)
 
     def test_constant_distance(self):
         track = self.make_track([(0.0, 3.0), (0.5, 3.0), (1.0, 3.0)])
-        assert approach_rate(track, window=10.0) == pytest.approx(0.0)
+        assert approach_rate(track) == pytest.approx(0.0)
 
     def test_exact_linear_fit(self):
         track = self.make_track([(0.0, 6.0), (1.0, 5.0), (2.0, 4.0)])
-        assert approach_rate(track, window=10.0) == pytest.approx(1.0)
-
-    def test_window_excludes_old_points(self):
-        # old steep segment outside the window must not pollute the slope
-        track = self.make_track([(0.0, 50.0), (10.0, 5.0), (11.0, 4.5)])
-        assert approach_rate(track, window=1.5) == pytest.approx(0.5)
+        assert approach_rate(track) == pytest.approx(1.0)
 
     def test_receding_is_negative(self):
         track = self.make_track([(0.0, 4.0), (1.0, 5.0)])
-        assert approach_rate(track, window=10.0) < 0
+        assert approach_rate(track) < 0
 
     def test_insufficient_history(self):
         with pytest.raises(InsufficientHistoryError):
-            approach_rate(self.make_track([(0.0, 5.0)]), window=10.0)
+            approach_rate(self.make_track([(0.0, 5.0)]))
+        with pytest.raises(InsufficientHistoryError):
+            approach_rate(self.make_track([]))
 
     def test_missing_distances_skipped(self):
         track = Track(
@@ -185,18 +182,18 @@ class TestApproachRate:
             ),
         )
         with pytest.raises(InsufficientHistoryError):
-            approach_rate(track, window=10.0)
+            approach_rate(track)
 
 
-def rate_or_none(track, window):
+def rate_or_none(track):
     try:
-        return approach_rate(track, window)
+        return approach_rate(track)
     except InsufficientHistoryError:
         return None
 
 
 def test_window_trim_matches_untrimmed_oracle():
-    """Tracks appear, coast, retire; the trimmed history reads like the full one.
+    """Tracks appear, coast, retire; each history is the window cut from the full one.
 
     Six lanes of jittering boxes run for 900 frames at 30 fps. Each lane
     hides for bursts of 1-11 frames: up to max_misses the track coasts,
@@ -243,9 +240,13 @@ def test_window_trim_matches_untrimmed_oracle():
             assert history[-1].timestamp - history[0].timestamp <= APPROACH_WINDOW_S
             points = full[track.track_id]
             assert history[-1] == points[-1]
-            oracle = Track(track.track_id, track.class_label, points)
-            expected = rate_or_none(oracle, APPROACH_WINDOW_S)
-            assert rate_or_none(track, APPROACH_WINDOW_S) == expected
+            # the oracle cuts the window from every point the id received
+            t_end = points[-1].timestamp
+            window = [p for p in points if p.timestamp >= t_end - APPROACH_WINDOW_S]
+            assert history == window
+            oracle = Track(track.track_id, track.class_label, window)
+            expected = rate_or_none(oracle)
+            assert rate_or_none(track) == expected
             rated += expected is not None
 
     live_ids = {track.track_id for track in tracker.tracks}
