@@ -6,6 +6,7 @@ score and widest free gap, the per-obstacle severity calls, and the
 heading the pedestrian is finally given.
 """
 from vipguide import (
+    ObstacleAssessment,
     ScenarioSpec,
     classify_obstacle,
     default_config,
@@ -34,22 +35,23 @@ def main():
     print(f"pedestrian at {d_vip:.2f} m, safety distance d' = {d_prime:.2f} m")
     print()
 
-    obstacles, rel = [], []
+    obstacles = []
     for det in frame.detections:
         if det.class_label == "vip":
             continue
         d_rel = max(0.0, detection_distance(frame, det, model) - d_vip)
-        obstacles.append(det)
-        rel.append(d_rel)
         band = classify_obstacle(d_rel, d_prime, cfg.planner.danger_mult,
                                  cfg.planner.warning_mult)
+        # one frame, no tracker: the instance id stands in for a track id
+        obstacles.append(ObstacleAssessment(det.track_id, det.class_label, det.bbox,
+                                            d_rel, band))
         print(f"  {det.class_label} at {d_rel:.2f} m ahead of the pedestrian -> {band}")
     print()
 
     partitions = partition_bounds(frame.width, cfg.planner.n_partitions)
-    profiles = partition_profiles(frame.depth, partitions, obstacles, rel,
-                                  d_prime, exclude=frame.vip_mask)
-    segments = free_segments(obstacles, rel, d_prime, frame.width)
+    profiles = partition_profiles(frame.depth, partitions, obstacles, d_prime,
+                                  exclude=frame.vip_mask)
+    segments = free_segments(obstacles, d_prime, frame.width)
     print(f"  free column runs across the frame: {segments}")
     print("  partition   columns      depth score   widest gap")
     for p, prof in zip(partitions, profiles):

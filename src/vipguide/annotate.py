@@ -36,24 +36,16 @@ def draw_box(image: np.ndarray, x1: int, y1: int, x2: int, y2: int, color, thick
 
 
 def annotate_frame(frame: PerceptionFrame, decision: GuidanceDecision) -> np.ndarray:
-    """Render one frame and its decision to an (H, W, 3) uint8 image.
-
-    The k-th non-VIP detection of `frame` takes the severity of
-    `decision.assessments[k]`, the order the pipeline assesses them in;
-    one with no assessment left draws as clear.
-    """
+    """Render one frame and its decision to an (H, W, 3) uint8 image."""
     gray = (frame.depth.values >> 8).astype(np.uint8)
     image = np.repeat(gray[:, :, None], 3, axis=2)
 
-    vip = frame.vip_detection
-    severities = (a.severity for a in decision.assessments)
-    for det in frame.detections:
-        if det is vip:
-            continue
-        color = SEVERITY_COLOR.get(next(severities, "clear"))
+    for a in decision.assessments:
+        color = SEVERITY_COLOR.get(a.severity)
         if color is not None:
-            draw_box(image, det.bbox.x1, det.bbox.y1, det.bbox.x2, det.bbox.y2, color)
+            draw_box(image, a.bbox.x1, a.bbox.y1, a.bbox.x2, a.bbox.y2, color)
 
+    vip = frame.vip_detection
     if vip is not None:
         draw_box(image, vip.bbox.x1, vip.bbox.y1, vip.bbox.x2, vip.bbox.y2, BLUE)
 

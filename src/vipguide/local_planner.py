@@ -11,13 +11,14 @@ the frame escalates to a global reroute.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import PlannerConfig
 from .errors import PlannerError
-from .perception import REV_MAX, BitMask, BoundingBox, DepthMap, Detection
+from .perception import REV_MAX, BitMask, BoundingBox, DepthMap
 
 Severity = str  # "danger" | "warning" | "clear"
 EdgeStatus = str  # "safe" | "warn_left" | "warn_right" | "warn_both" | "unknown"
@@ -44,8 +45,12 @@ class PartitionProfile:
 
 @dataclass(frozen=True)
 class ObstacleAssessment:
+    """One obstacle of one frame: its box, its distance from the VIP and the
+    severity that distance earns."""
+
     track_id: int
     class_label: str
+    bbox: BoundingBox
     distance_m: float
     severity: Severity
 
@@ -142,25 +147,22 @@ def partition_scores(
 
 
 def free_segments(
-    detections: list[Detection],
-    distances: list[float],
-    d_filter: float,
-    width: int,
+    obstacles: Sequence[ObstacleAssessment], d_filter: float, width: int
 ) -> list[tuple[int, int]]:
     """Frame-level maximal free column runs.
 
-    A column is occupied when any detection within d_filter covers it;
+    A column is occupied when any obstacle within d_filter covers it;
     the gaps between occupied intervals, taken in sorted order with a
     running end, are returned as half-open (start, end) pairs.
     """
     if d_filter <= 0:
         raise PlannerError(f"d_filter {d_filter} not positive")
     intervals = []
-    for det, dist in zip(detections, distances):
-        if dist > d_filter:
+    for ob in obstacles:
+        if ob.distance_m > d_filter:
             continue
-        x1 = max(0, det.bbox.x1)
-        x2 = min(width, det.bbox.x2)
+        x1 = max(0, ob.bbox.x1)
+        x2 = min(width, ob.bbox.x2)
         if x1 < x2:
             intervals.append((x1, x2))
     intervals.sort()
@@ -178,13 +180,12 @@ def free_segments(
 def partition_profiles(
     depth: DepthMap,
     partitions: list[Partition],
-    detections: list[Detection],
-    distances: list[float],
+    obstacles: Sequence[ObstacleAssessment],
     d_filter: float,
     exclude: Exclusion = None,
 ) -> list[PartitionProfile]:
     """Bundle H(i) scores and free space into one profile per partition."""
-    segments = free_segments(detections, distances, d_filter, depth.width)
+    segments = free_segments(obstacles, d_filter, depth.width)
     scores = partition_scores(depth, partitions, exclude)
     profiles = []
     for p, (score, empty) in zip(partitions, scores):

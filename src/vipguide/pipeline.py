@@ -144,7 +144,7 @@ class Pipeline:
         ids = self.tracker.step(frame.timestamp, frame.detections)
         t1 = time.perf_counter()
         vip = self._locate_vip(frame)
-        obstacles, d_prime, assessments = self._assess(frame, ids, vip)
+        d_prime, assessments = self._assess(frame, ids, vip)
         self.tracker.attach_distances(
             frame.timestamp, {a.track_id: a.distance_m for a in assessments}
         )
@@ -153,9 +153,7 @@ class Pipeline:
         if self._vip_miss_streak > self.config.pipeline.vip_hold_frames:
             outcome = None  # lost past the hold
         else:
-            profiles = self._score_partitions(
-                frame, vip, partitions, obstacles, assessments, d_prime
-            )
+            profiles = self._score_partitions(frame, vip, partitions, assessments, d_prime)
             outcome = self._decide(frame, partitions, profiles)
         new_route = self._replan(outcome)
         t2 = time.perf_counter()
@@ -201,8 +199,8 @@ class Pipeline:
         return vip
 
     def _assess(self, frame, ids, vip):
-        """Obstacles (the frame's non-VIP detections), d' and each obstacle's
-        assessment: its track id, distance from the VIP and severity.
+        """d' and the assessment of each obstacle (each of the frame's non-VIP
+        detections): its track id, box, distance from the VIP and severity.
 
         Distances are camera-relative before the VIP's first sighting.
         """
@@ -211,7 +209,6 @@ class Pipeline:
         d_vip = self._last_vip_distance
         d_prime = self._safety_distance()
         planner_cfg = self.config.planner
-        obstacles: list[Detection] = []
         assessments: list[ObstacleAssessment] = []
         for det, track_id in zip(frame.detections, ids):
             if det is vip:
@@ -224,9 +221,10 @@ class Pipeline:
                 danger_mult=planner_cfg.danger_mult,
                 warning_mult=planner_cfg.warning_mult,
             )
-            obstacles.append(det)
-            assessments.append(ObstacleAssessment(track_id, det.class_label, rel, severity))
-        return obstacles, d_prime, tuple(assessments)
+            assessments.append(
+                ObstacleAssessment(track_id, det.class_label, det.bbox, rel, severity)
+            )
+        return d_prime, tuple(assessments)
 
     def _road_edge(self, frame: PerceptionFrame, vip: Detection | None) -> str:
         if vip is None:
@@ -247,7 +245,7 @@ class Pipeline:
             )
         return self._partitions
 
-    def _score_partitions(self, frame, vip, partitions, obstacles, assessments, d_prime):
+    def _score_partitions(self, frame, vip, partitions, assessments, d_prime):
         """The partitions' profiles, the VIP's pixels excluded (its mask when
         seen this frame, else its remembered bbox)."""
         if vip is not None and frame.vip_mask is not None:
@@ -255,12 +253,7 @@ class Pipeline:
         else:
             exclude = self._last_vip_bbox
         return partition_profiles(
-            frame.depth,
-            partitions,
-            obstacles,
-            [a.distance_m for a in assessments],
-            d_prime,
-            exclude=exclude,
+            frame.depth, partitions, assessments, d_prime, exclude=exclude
         )
 
     def _decide(self, frame, partitions, profiles) -> Heading | RerouteNeeded:

@@ -345,17 +345,16 @@ def _freeze_distance(obstacles) -> float:
 class World:
     """One stream's scene and walk. Obstacle z is relative to the VIP, who
     stands VIP_Z ahead of the camera; the walk closes every gap at
-    `walk_speed` until it has gone `freeze_distance`, then holds still."""
+    WALK_SPEED until it has gone `freeze_distance`, then holds still."""
 
     vip: SceneObject
     obstacles: tuple[SceneObject, ...]  # at their first-frame offsets
     expected_partition: int  # the partition kept clear
-    walk_speed: float
     freeze_distance: float  # _freeze_distance(obstacles), once per stream
 
     def objects_at(self, t: float) -> list[SceneObject]:
         """The VIP, then each obstacle, in camera space at time `t`."""
-        advance = min(self.walk_speed * t, self.freeze_distance)
+        advance = min(WALK_SPEED * t, self.freeze_distance)
         return [self.vip] + [
             SceneObject(o.kind, o.x, VIP_Z + o.z - advance, o.width, o.height, o.elevation, o.labeled)
             for o in self.obstacles
@@ -370,7 +369,7 @@ def _build_world(spec: ScenarioSpec, rng: np.random.Generator) -> World:
     else:
         obstacles, expected = _random_scene(rng)
     vip = SceneObject("vip", x=_jitter(rng), z=VIP_Z, width=VIP_SIZE[0], height=VIP_SIZE[1])
-    return World(vip, tuple(obstacles), expected, WALK_SPEED, _freeze_distance(obstacles))
+    return World(vip, tuple(obstacles), expected, _freeze_distance(obstacles))
 
 
 def _random_scene(rng: np.random.Generator):

@@ -6,6 +6,7 @@ import pytest
 
 from vipguide.calibration import CalibrationModel, CalibrationSample
 from vipguide.errors import FrameDecodeError
+from vipguide.local_planner import ObstacleAssessment
 from vipguide.perception import BoundingBox, DepthMap, Detection, PerceptionFrame
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -53,6 +54,13 @@ def det(label, x1, y1, x2, y2, confidence=0.9, track_id=None):
         bbox=BoundingBox(x1, y1, x2, y2),
         confidence=confidence,
         track_id=track_id,
+    )
+
+
+def ob(x1, y1, x2, y2, distance_m, severity="clear", label="car", track_id=0):
+    """An obstacle record: the box, distance and severity the planner reads."""
+    return ObstacleAssessment(
+        track_id, label, BoundingBox(x1, y1, x2, y2), distance_m, severity
     )
 
 

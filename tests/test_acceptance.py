@@ -51,7 +51,7 @@ from vipguide.scenario import (
     write_scenario,
 )
 
-from conftest import det
+from conftest import ob
 
 
 @contextmanager
@@ -140,15 +140,15 @@ def test_free_space_matches_column_oracle():
         for _ in range(1000):
             width = int(rng.integers(2, 1921))
             n_boxes = int(rng.integers(0, 11))
-            boxes, dists, dets = [], [], []
+            boxes, dists, obs = [], [], []
             for _ in range(n_boxes):
                 x1 = int(rng.integers(0, width))
                 x2 = int(rng.integers(x1 + 1, width + 1))
                 boxes.append((x1, x2))
                 dists.append(float(rng.uniform(0.0, 4.0)))
-                dets.append(det("car", x1, 0, x2, 1))
+                obs.append(ob(x1, 0, x2, 1, dists[-1]))
             d_filter = float(rng.uniform(0.5, 3.5))
-            got = free_segments(dets, dists, d_filter, width)
+            got = free_segments(obs, d_filter, width)
             want = oracle_free_columns(boxes, dists, d_filter, width)
             assert got == want
 

@@ -16,11 +16,10 @@ from vipguide.errors import FrameDecodeError
 from vipguide.local_planner import (
     GuidanceDecision,
     Heading,
-    ObstacleAssessment,
     partition_bounds,
 )
 
-from conftest import det, make_frame, read_ppm
+from conftest import det, make_frame, ob, read_ppm
 
 
 class TestDrawBox:
@@ -61,8 +60,8 @@ class TestAnnotateFrame:
             frame_id=0,
             outcome=Heading(partition=0, angle_deg=-30.0),
             assessments=(
-                ObstacleAssessment(1, "car", 0.5, "danger"),
-                ObstacleAssessment(2, "person", 2.0, "warning"),
+                ob(40, 20, 60, 50, 0.5, "danger", "car", track_id=1),
+                ob(65, 20, 80, 50, 2.0, "warning", "person", track_id=2),
             ),
             edge_status="safe",
             partitions=tuple(partition_bounds(90, 3)),
@@ -87,7 +86,7 @@ class TestAnnotateFrame:
         decision = replace(
             decision,
             outcome=None,
-            assessments=(ObstacleAssessment(1, "car", 9.0, "clear"),),
+            assessments=(ob(40, 20, 60, 50, 9.0, "clear", track_id=1),),
         )
         image = annotate_frame(frame, decision)
         colors = flat_colors(image)
@@ -95,13 +94,14 @@ class TestAnnotateFrame:
         assert GREEN not in colors  # no heading either
         assert BLUE in colors       # the pedestrian box always draws
 
-    def test_boxes_take_assessments_in_order(self):
-        """The frame's own ids are not read: raw detections carry none."""
+    def test_obstacle_boxes_come_from_the_assessments(self):
+        """Each assessment draws at its own box: the frame's detections,
+        here the VIP alone, are not read for obstacles."""
         frame, decision = self.scene()
-        raw = tuple(replace(d, track_id=None) for d in frame.detections)
-        image = annotate_frame(replace(frame, detections=raw), decision)
-        assert tuple(image[20, 50]) == RED     # car, the first assessment
-        assert tuple(image[20, 72]) == YELLOW  # person, the second
+        vip_only = tuple(d for d in frame.detections if d.class_label == "vip")
+        image = annotate_frame(replace(frame, detections=vip_only), decision)
+        assert tuple(image[20, 50]) == RED     # the danger box
+        assert tuple(image[20, 72]) == YELLOW  # the warning box
 
     def test_heading_partition_outlined(self):
         frame, decision = self.scene()

@@ -19,7 +19,7 @@ from vipguide.local_planner import (
 )
 from vipguide.perception import BoundingBox, DepthMap, rle_encode
 
-from conftest import det, mask_from_bbox
+from conftest import mask_from_bbox, ob
 
 
 def oracle_free_segments(boxes, distances, d_filter, width):
@@ -210,30 +210,30 @@ class TestPartitionScores:
             partition_scores(depth, [Partition(0, 0, 4)], tall)
 
 
-def free_widths(dets, dists, d_filter, width, n=3):
+def free_widths(obstacles, d_filter, width, n=3):
     """max_free_width of each partition_profiles entry, on a flat depth map."""
     depth = DepthMap(width=width, height=2, values=np.zeros((2, width)))
-    profiles = partition_profiles(depth, partition_bounds(width, n), dets, dists, d_filter)
+    profiles = partition_profiles(depth, partition_bounds(width, n), obstacles, d_filter)
     return [p.max_free_width for p in profiles]
 
 
 class TestFreeSpace:
     def test_no_detections(self):
-        assert free_widths([], [], 2.0, 600) == [200, 200, 200]
+        assert free_widths([], 2.0, 600) == [200, 200, 200]
 
     def test_two_boxes(self):
-        dets = [det("car", 100, 0, 200, 50), det("car", 350, 0, 400, 50)]
-        segs = free_segments(dets, [1.0, 1.0], 2.0, 600)
+        obs = [ob(100, 0, 200, 50, 1.0), ob(350, 0, 400, 50, 1.0)]
+        segs = free_segments(obs, 2.0, 600)
         assert segs == [(0, 100), (200, 350), (400, 600)]
 
     def test_overlapping_boxes_merge(self):
-        dets = [det("car", 100, 0, 300, 50), det("car", 250, 0, 420, 50)]
-        segs = free_segments(dets, [1.0, 1.0], 2.0, 600)
+        obs = [ob(100, 0, 300, 50, 1.0), ob(250, 0, 420, 50, 1.0)]
+        segs = free_segments(obs, 2.0, 600)
         assert segs == [(0, 100), (420, 600)]
 
     def test_distance_filter(self):
-        dets = [det("car", 100, 0, 300, 50), det("car", 350, 0, 400, 50)]
-        segs = free_segments(dets, [5.0, 1.0], 2.0, 600)  # first is far away
+        obs = [ob(100, 0, 300, 50, 5.0), ob(350, 0, 400, 50, 1.0)]  # first is far away
+        segs = free_segments(obs, 2.0, 600)
         assert segs == [(0, 350), (400, 600)]
 
     def test_matches_oracle_randomized(self):
@@ -241,41 +241,39 @@ class TestFreeSpace:
         for _ in range(300):
             width = int(rng.integers(3, 1920))
             n_boxes = int(rng.integers(0, 11))
-            boxes, dists, dets = [], [], []
+            boxes, dists, obs = [], [], []
             for _ in range(n_boxes):
                 x1 = int(rng.integers(0, width))
                 x2 = int(rng.integers(x1 + 1, width + 1))
                 boxes.append((x1, x2))
                 dists.append(float(rng.uniform(0, 4)))
-                dets.append(det("car", x1, 0, x2, 5))
+                obs.append(ob(x1, 0, x2, 5, dists[-1]))
             d_filter = float(rng.uniform(0.5, 3.5))
-            assert free_segments(dets, dists, d_filter, width) == oracle_free_segments(
+            assert free_segments(obs, d_filter, width) == oracle_free_segments(
                 boxes, dists, d_filter, width
             )
 
     def test_partition_clipping(self):
-        dets = [det("car", 150, 0, 250, 50)]
-        assert free_widths(dets, [0.5], 2.0, 600) == [150, 150, 200]
+        assert free_widths([ob(150, 0, 250, 50, 0.5)], 2.0, 600) == [150, 150, 200]
 
     def test_box_spanning_everything(self):
-        assert free_widths([det("car", 0, 0, 600, 50)], [0.1], 2.0, 600) == [0, 0, 0]
+        assert free_widths([ob(0, 0, 600, 50, 0.1)], 2.0, 600) == [0, 0, 0]
 
     def test_profile_widths_match_column_oracle_randomized(self):
         rng = np.random.default_rng(29)
         for _ in range(300):
             n = int(rng.choice([1, 3, 5, 7]))
             width = int(rng.integers(n, 1280))
-            dets, dists = [], []
+            obs = []
             for _ in range(int(rng.integers(0, 9))):
                 x1 = int(rng.integers(0, width))
                 x2 = int(rng.integers(x1 + 1, width + 1))
-                dets.append(det("car", x1, 0, x2, 2))
-                dists.append(float(rng.uniform(0, 4)))
+                obs.append(ob(x1, 0, x2, 2, float(rng.uniform(0, 4))))
             d_filter = float(rng.uniform(0.5, 3.5))
             occupied = np.zeros(width, dtype=bool)
-            for d, dist in zip(dets, dists):
-                if dist <= d_filter:
-                    occupied[d.bbox.x1 : d.bbox.x2] = True
+            for o in obs:
+                if o.distance_m <= d_filter:
+                    occupied[o.bbox.x1 : o.bbox.x2] = True
             expected = []
             for p in partition_bounds(width, n):
                 longest = run = 0
@@ -283,7 +281,7 @@ class TestFreeSpace:
                     run = 0 if occupied[x] else run + 1
                     longest = max(longest, run)
                 expected.append(longest)
-            assert free_widths(dets, dists, d_filter, width, n) == expected
+            assert free_widths(obs, d_filter, width, n) == expected
 
 
 class TestClassifyObstacle:
@@ -493,7 +491,7 @@ class TestDepthOnlySuppression:
         values[:, :30] = 60000  # something big and close on the left
         depth = DepthMap(width=90, height=60, values=values)
         parts = partition_bounds(90, 3)
-        profiles = partition_profiles(depth, parts, [], [], 2.0)
+        profiles = partition_profiles(depth, parts, [], 2.0)
         outcome = decide(profiles, 1, 5, 90.0, 90)
         assert isinstance(outcome, Heading)
         assert outcome.partition != 0

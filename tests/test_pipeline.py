@@ -547,17 +547,20 @@ class TestTraceRecords:
 
 @pytest.mark.parametrize("kind", SCENARIO_KINDS)
 def test_assessments_follow_the_frames_non_vip_detections(kind):
-    """`annotate_frame` pairs the k-th non-VIP detection of a frame with the
-    k-th assessment of its decision; this pins the order that relies on.
-    A tracker of the same tuning, run beside the pipeline, gives the ids."""
+    """Each non-VIP detection of a frame, in order, has one assessment that
+    carries its label and box. A tracker of the same tuning, run beside the
+    pipeline, gives the ids."""
     tuning = default_config().pipeline
     for seed in range(1, 6):
         pipe = make_pipeline()
         tracker = Tracker(tuning.iou_threshold, tuning.max_misses)
         for frame, _ in generate(ScenarioSpec(kind=kind, seed=seed, n_frames=30)):
             decision, _ = pipe.process_frame(frame)
-            labels = [d.class_label for d in frame.detections if d.class_label != "vip"]
-            assert [a.class_label for a in decision.assessments] == labels
+            obstacles = [d for d in frame.detections if d.class_label != "vip"]
+            assert [a.class_label for a in decision.assessments] == [
+                d.class_label for d in obstacles
+            ]
+            assert [a.bbox for a in decision.assessments] == [d.bbox for d in obstacles]
             track_ids = tracker.step(frame.timestamp, frame.detections)
             ids = [
                 track_id

@@ -599,10 +599,10 @@ class TestGroundTruthSoundness:
 def test_objects_at_matches_replace_reference(kind, seed):
     spec = ScenarioSpec(kind=kind, seed=seed)
     world = scenario._build_world(spec, np.random.default_rng(seed))
-    freeze_t = world.freeze_distance / world.walk_speed
+    freeze_t = world.freeze_distance / scenario.WALK_SPEED
     times = [0.0, 1 / scenario.FPS, 0.5 * freeze_t, freeze_t, freeze_t + 0.1, 60.0]
     for t in (t for t in times if math.isfinite(t)):
-        advance = min(world.walk_speed * t, world.freeze_distance)
+        advance = min(scenario.WALK_SPEED * t, world.freeze_distance)
         reference = [world.vip] + [replace(o, z=VIP_Z + o.z - advance) for o in world.obstacles]
         assert world.objects_at(t) == reference, (kind, seed, t)
 
