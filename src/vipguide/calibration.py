@@ -131,13 +131,12 @@ def load_samples_csv(path) -> list[CalibrationSample]:
         except UnicodeDecodeError as exc:
             raise CalibrationError(f"{path}: {exc}") from exc
     reader = csv.DictReader(io.StringIO(text, newline=""))
-    if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != [
-        "rev",
-        "distance_m",
-    ]:
+    header = ["rev", "distance_m"]
+    if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != header:
         raise CalibrationError(
             f"{path}: expected header 'rev,distance_m', got {reader.fieldnames}"
         )
+    reader.fieldnames = header  # rows are keyed by the names stripped
     samples = []
     for row in reader:
         try:

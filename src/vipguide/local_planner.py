@@ -94,16 +94,14 @@ def partition_bounds(width: int, n: int = PlannerConfig.n_partitions) -> list[Pa
 
 UINT32_EXACT_ROWS = (2**32 - 1) // REV_MAX  # rows whose uint32 column sum is exact
 
-Exclusion = BitMask | BoundingBox | None
-
 
 def partition_scores(
-    depth: DepthMap, partitions: list[Partition], exclude: Exclusion = None
+    depth: DepthMap, partitions: list[Partition], exclude: BitMask | None = None
 ) -> list[tuple[float, bool]]:
     """H(i) for every partition from one column sum of the whole frame.
 
-    The excluded pixels (the VIP's mask, cut to the rows it spans,
-    or its clipped bbox) are subtracted from the column sums and counts;
+    The excluded pixels (the VIP's mask, cut to the rows and columns its
+    foreground spans) are subtracted from the column sums and counts;
     each partition's total and count are then exact Python ints divided
     once, so every score is bit-identical to a naive wide-integer loop.
     A partition whose pixels are all excluded scores (0.0, True).
@@ -116,13 +114,7 @@ def partition_scores(
     acc = np.uint32 if h <= UINT32_EXACT_ROWS else np.uint64
     col_sum = values.sum(axis=0, dtype=acc)
     col_count = np.full(w, h, dtype=acc)
-    if isinstance(exclude, BoundingBox):
-        x1, x2 = exclude.x1, min(exclude.x2, w)
-        y1, y2 = exclude.y1, min(exclude.y2, h)
-        if x1 < x2 and y1 < y2:
-            col_sum[x1:x2] -= values[y1:y2, x1:x2].sum(axis=0, dtype=acc)
-            col_count[x1:x2] -= y2 - y1
-    elif exclude is not None:
+    if exclude is not None:
         if (exclude.width, exclude.height) != (w, h):
             raise PlannerError(
                 f"exclusion mask {exclude.width}x{exclude.height} != depth {w}x{h}"
@@ -182,7 +174,7 @@ def partition_profiles(
     partitions: list[Partition],
     obstacles: Sequence[ObstacleAssessment],
     d_filter: float,
-    exclude: Exclusion = None,
+    exclude: BitMask | None = None,
 ) -> list[PartitionProfile]:
     """Bundle H(i) scores and free space into one profile per partition."""
     segments = free_segments(obstacles, d_filter, depth.width)

@@ -54,7 +54,7 @@ from .local_planner import (
     road_edge_check,
     width_threshold_px,
 )
-from .perception import BoundingBox, Detection, PerceptionFrame
+from .perception import BoundingBox, Detection, PerceptionFrame, rle_encode_rect
 from .tracking import Tracker, approach_rate
 
 
@@ -145,9 +145,7 @@ class Pipeline:
         t1 = time.perf_counter()
         vip = self._locate_vip(frame)
         d_prime, assessments = self._assess(frame, ids, vip)
-        self.tracker.attach_distances(
-            frame.timestamp, {a.track_id: a.distance_m for a in assessments}
-        )
+        self.tracker.attach_distances({a.track_id: a.distance_m for a in assessments})
         edge_status = self._road_edge(frame, vip)
         partitions = self._tiling(frame.width)
         if self._vip_miss_streak > self.config.pipeline.vip_hold_frames:
@@ -246,12 +244,15 @@ class Pipeline:
         return self._partitions
 
     def _score_partitions(self, frame, vip, partitions, assessments, d_prime):
-        """The partitions' profiles, the VIP's pixels excluded (its mask when
-        seen this frame, else its remembered bbox)."""
+        """The partitions' profiles, the VIP's pixels excluded: its mask when
+        seen this frame, else its remembered bbox clipped to this frame."""
+        box = self._last_vip_bbox
+        exclude = None
         if vip is not None and frame.vip_mask is not None:
             exclude = frame.vip_mask
-        else:
-            exclude = self._last_vip_bbox
+        elif box is not None and box.x1 < frame.width and box.y1 < frame.height:
+            rect = (box.x1, box.y1, min(box.x2, frame.width), min(box.y2, frame.height))
+            exclude = rle_encode_rect(rect, (), frame.width, frame.height)
         return partition_profiles(
             frame.depth, partitions, assessments, d_prime, exclude=exclude
         )

@@ -5,15 +5,17 @@ Gives detections stable ids across frames and, from the distances
 each obstacle. A full motion-model tracker can be swapped in behind the
 same interface; id stability and approach rate are all the planner needs.
 
-Each track's history is its approach window: `Tracker.step` keeps only
-the points at most APPROACH_WINDOW_S seconds older than the newest, and
-`approach_rate` fits every point there that holds a distance. So
-per-frame cost and memory stay bounded however long the stream runs.
+A track matches on its newest box alone. Its history holds only the
+distances written to it, and is its approach window: `Tracker.step`
+keeps only the points at most APPROACH_WINDOW_S seconds older than the
+frame that last matched the track, and `approach_rate` fits them all.
+So per-frame cost and memory stay bounded however long the stream runs.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import PipelineTuning
 from .errors import ConfigError, ConsistencyError, InsufficientHistoryError
@@ -22,21 +24,21 @@ from .perception import BoundingBox, Detection
 APPROACH_WINDOW_S = 1.0  # history kept per track; the planner's rate window
 
 
-@dataclass(frozen=True)
-class TrackPoint:
+class TrackPoint(NamedTuple):
     timestamp: float
-    bbox: BoundingBox
-    distance_m: float | None = None
+    distance_m: float
 
 
 @dataclass
 class Track:
-    """One tracked object, live: `Tracker.step` updates its history and
-    misses in place each frame, so a track read from `Tracker.tracks` is
-    the tracker's own state, not a snapshot."""
+    """One tracked object, live: `Tracker.step` updates its box and misses
+    and `Tracker.attach_distances` its history in place each frame, so a
+    track read from `Tracker.tracks` is the tracker's own state, not a
+    snapshot."""
 
     track_id: int
     class_label: str
+    bbox: BoundingBox  # the newest box; held while the track coasts
     history: list[TrackPoint]
     misses: int = 0
 
@@ -46,10 +48,6 @@ class Track:
         times = [p.timestamp for p in self.history]
         if any(t1 >= t2 for t1, t2 in zip(times, times[1:])):
             raise ConsistencyError("history timestamps not strictly increasing")
-
-    @property
-    def last_bbox(self) -> BoundingBox:
-        return self.history[-1].bbox
 
 
 def iou(b1: BoundingBox, b2: BoundingBox) -> float:
@@ -77,6 +75,7 @@ class Tracker:
         self.max_misses = max_misses
         self.tracks: list[Track] = []
         self._next_id = 0
+        self._timestamp: float | None = None  # the last step's
 
     def step(self, timestamp: float, detections: Sequence[Detection]) -> list[int]:
         """Associate one frame's detections; returns each one's track id, in order.
@@ -85,38 +84,34 @@ class Tracker:
         descending IoU at or above the threshold; ties broken toward the
         lower detection index, then the older track. Unmatched detections
         open new tracks. Tracks are updated in place: an unmatched track
-        accrues a miss, holds its last bbox, and retires once misses exceed
-        max_misses; a matched track drops the points older than
-        APPROACH_WINDOW_S before `timestamp` and gains a point there. A
-        `timestamp` not after a matched track's newest point raises
-        ConsistencyError, naming the first such track in match order,
+        accrues a miss, holds its box, and retires once misses exceed
+        max_misses; a matched track takes the detection's box and drops the
+        history points older than APPROACH_WINDOW_S before `timestamp`. A
+        `timestamp` not after the previous step's raises ConsistencyError
         before any track is touched.
         """
+        if self._timestamp is not None and timestamp <= self._timestamp:
+            raise ConsistencyError(
+                f"timestamp {timestamp} not after the previous step's {self._timestamp}"
+            )
+        self._timestamp = timestamp
         candidates = []
         for t_pos, track in enumerate(self.tracks):
-            label, last_bbox = track.class_label, track.last_bbox
+            label, bbox = track.class_label, track.bbox
             for d_idx, det in enumerate(detections):
                 if det.class_label != label:
                     continue
-                overlap = iou(last_bbox, det.bbox)
+                overlap = iou(bbox, det.bbox)
                 if overlap >= self.iou_threshold:
                     candidates.append((-overlap, d_idx, t_pos))
         candidates.sort()
 
         det_match: dict[int, Track] = {}  # det idx -> its track
         matched: set[int] = set()  # track positions taken
-        for neg_overlap, d_idx, t_pos in candidates:
-            if d_idx in det_match or t_pos in matched:
-                continue
-            track = self.tracks[t_pos]
-            newest = track.history[-1].timestamp
-            if timestamp <= newest:
-                raise ConsistencyError(
-                    f"track {track.track_id}: timestamp {timestamp} "
-                    f"not after its last point at {newest}"
-                )
-            det_match[d_idx] = track
-            matched.add(t_pos)
+        for _, d_idx, t_pos in candidates:
+            if d_idx not in det_match and t_pos not in matched:
+                det_match[d_idx] = self.tracks[t_pos]
+                matched.add(t_pos)
 
         kept: list[Track] = []
         for t_pos, track in enumerate(self.tracks):
@@ -130,40 +125,40 @@ class Tracker:
         ids: list[int] = []
         for d_idx, det in enumerate(detections):
             track = det_match.get(d_idx)
-            if track is None:  # opens empty and gains its point like a matched one
-                track = Track(self._next_id, det.class_label, [])
+            if track is None:
+                track = Track(self._next_id, det.class_label, det.bbox, [])
                 self._next_id += 1
                 kept.append(track)
             history = track.history
             while history and history[0].timestamp < horizon:
                 del history[0]
-            history.append(TrackPoint(timestamp, det.bbox))
+            track.bbox = det.bbox
             track.misses = 0
             ids.append(track.track_id)
 
         self.tracks = kept
         return ids
 
-    def attach_distances(self, timestamp: float, distances: dict[int, float]) -> None:
-        """Write `distances` (metres by track id) into each track's point at
-        `timestamp`, for approach-rate estimates. Tracks coasting past this
-        frame, or with no entry, are left as they are."""
+    def attach_distances(self, distances: dict[int, float]) -> None:
+        """Append `distances` (metres by track id) to the histories of the
+        tracks the last step matched or opened, for approach-rate estimates;
+        call it once per step. Tracks coasting past that step, or with no
+        entry, are left as they are."""
         for track in self.tracks:
-            last = track.history[-1]
-            if track.track_id in distances and last.timestamp == timestamp:
-                track.history[-1] = TrackPoint(
-                    timestamp, last.bbox, distances[track.track_id]
+            if track.misses == 0 and track.track_id in distances:
+                track.history.append(
+                    TrackPoint(self._timestamp, distances[track.track_id])
                 )
 
 
 def approach_rate(track: Track) -> float:
     """Closing speed (m/s, positive = approaching) from the track's distances.
 
-    Least-squares slope of distance vs time over the history points that
-    hold a distance, negated so shrinking distance reads as a positive
-    rate. The history is the approach window: `Tracker.step` trims it.
+    Least-squares slope of distance vs time over the history, negated so
+    shrinking distance reads as a positive rate. The history is the
+    approach window: `Tracker.step` trims it.
     """
-    points = [(p.timestamp, p.distance_m) for p in track.history if p.distance_m is not None]
+    points = track.history
     if len(points) < 2:
         raise InsufficientHistoryError(
             f"track {track.track_id}: {len(points)} points with a distance"

@@ -262,6 +262,16 @@ class TestPersistence:
         with pytest.raises(CalibrationError, match="samples.csv"):
             load_samples_csv(path)
 
+    @pytest.mark.parametrize(
+        "header", ["rev, distance_m", " rev,distance_m", "rev ,distance_m "]
+    )
+    def test_csv_header_names_stripped(self, tmp_path, header):
+        path = tmp_path / "samples.csv"
+        path.write_text(f"{header}\n0.1,2.0\n0.5,3.0\n")
+        assert load_samples_csv(path) == [
+            CalibrationSample(0.1, 2.0), CalibrationSample(0.5, 3.0)
+        ]
+
     def test_csv_header_enforced(self, tmp_path):
         path = tmp_path / "samples.csv"
         path.write_text("rev,distance\n0.1,2.0\n")

@@ -473,6 +473,16 @@ class TestCalibrate:
         assert_fails_cleanly(result, "calibrate", needle)
         assert not (tmp_path / "m.json").exists()
 
+    def test_spaced_header(self, tmp_path, capsys):
+        csv_path = tmp_path / "samples.csv"
+        csv_path.write_text("rev, distance_m\n0.1,3.8\n0.5,3.0\n0.9,2.9\n")
+        code, stdout, _ = run(
+            capsys, "calibrate", "--samples", str(csv_path),
+            "--out", str(tmp_path / "m.json"),
+        )
+        assert code == 0
+        assert "fit 3 samples" in stdout
+
     def test_missing_csv(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "calibrate", "--samples", str(tmp_path / "none.csv"),

@@ -17,7 +17,7 @@ from vipguide.local_planner import (
     road_edge_check,
     width_threshold_px,
 )
-from vipguide.perception import BoundingBox, DepthMap, rle_encode
+from vipguide.perception import BoundingBox, DepthMap, rle_encode, rle_encode_rect
 
 from conftest import mask_from_bbox, ob
 
@@ -155,17 +155,17 @@ class TestPartitionScores:
         y1 = int(rng.integers(0, h))
         if kind == "clipped_bbox":
             # runs past the right and bottom edges, as a bbox remembered
-            # from a larger frame can
+            # from a larger frame can; the planner gets it clipped, as a mask
             box = BoundingBox(
                 x1, y1, w + int(rng.integers(1, 9)), h + int(rng.integers(1, 9))
             )
-            return box, mask_from_bbox(box, w, h)
+            return rle_encode_rect((x1, y1, w, h), (), w, h), mask_from_bbox(box, w, h)
         box = BoundingBox(
             x1, y1, int(rng.integers(x1 + 1, w + 1)), int(rng.integers(y1 + 1, h + 1))
         )
         grid = mask_from_bbox(box, w, h)
         if kind == "bbox":
-            return box, grid
+            return rle_encode_rect(box.as_list(), (), w, h), grid
         grid |= rng.random((h, w)) < 0.1  # foreground outside the VIP's box
         if kind == "covers_partition":
             p = parts[int(rng.integers(0, len(parts)))]
@@ -198,7 +198,7 @@ class TestPartitionScores:
         depth = DepthMap(width=w, height=h, values=values)
         parts = partition_bounds(w, 3)
         assert partition_scores(depth, parts) == [(65535.0, False)] * 3
-        box = BoundingBox(0, 0, 1, h // 2)
+        box = rle_encode_rect((0, 0, 1, h // 2), (), w, h)
         assert partition_scores(depth, parts, box) == [(65535.0, False)] * 3
 
     def test_rejects_partition_outside_frame_and_mismatched_mask(self):

@@ -301,6 +301,55 @@ class TestVipLoss:
             decision, _ = pipe.process_frame(world_frame(k, k / 30, vip=False))
             assert isinstance(decision.outcome, Heading)
 
+    @pytest.mark.parametrize(
+        "vip_box",
+        [
+            (200, 100, 400, 470),
+            (250, 50, 310, 200),
+            (330, 100, 400, 470),
+            (40, 240, 90, 470),
+        ],
+        ids=["clipped", "inside", "past_right", "past_bottom"],
+    )
+    def test_coasting_into_a_smaller_frame_excludes_the_clipped_bbox(
+        self, monkeypatch, vip_box
+    ):
+        """The VIP seen in a 640x480 frame, then lost in a 320x240 one: H(i)
+        skips the remembered box's pixels inside the smaller frame, and no
+        pixel when the box starts past its right or bottom edge."""
+        rng = np.random.default_rng(5)
+        pipe = make_pipeline()
+        vip_grid = np.zeros((H, W), dtype=bool)
+        vip_grid[vip_box[1] : vip_box[3], vip_box[0] : vip_box[2]] = True
+        pipe.process_frame(
+            make_frame(
+                np.full((H, W), 100),
+                [det("vip", *vip_box, confidence=0.98)],
+                vip_mask=rle_encode(vip_grid),
+            )
+        )
+        w, h = 320, 240
+        values = rng.integers(0, 65536, size=(h, w)).astype(np.uint16)
+        profiles = []
+        real_profiles = pipeline_module.partition_profiles
+
+        def keep_profiles(*args, **kwargs):
+            result = real_profiles(*args, **kwargs)
+            profiles.extend(result)
+            return result
+
+        monkeypatch.setattr(pipeline_module, "partition_profiles", keep_profiles)
+        decision, _ = pipe.process_frame(make_frame(values, frame_id=1, timestamp=1 / 30))
+        keep = np.ones((h, w), dtype=bool)
+        x1, y1, x2, y2 = vip_box
+        keep[y1:y2, x1:x2] = False
+        assert len(profiles) == len(decision.partitions) == 3
+        for profile in profiles:  # per pixel, in Python ints
+            p = profile.partition
+            pixels = values[:, p.x_start : p.x_end][keep[:, p.x_start : p.x_end]]
+            want = sum(int(v) for v in pixels) / pixels.size if pixels.size else 0.0
+            assert (profile.h_score, profile.empty) == (want, pixels.size == 0)
+
     def test_coasting_keeps_width_gate(self):
         # while coasting, the remembered bbox still vetoes narrow gaps
         pipe = make_pipeline(vip_hold_frames=5)
@@ -424,8 +473,9 @@ class TestLiveSpeed:
 @pytest.mark.parametrize("kind", SCENARIO_KINDS)
 def test_vip_track_never_holds_a_distance(kind):
     """Live speed takes the approach rate of every track. The VIP's never
-    has one: distances go only to the tracks of assessed obstacles, and the
-    VIP is not assessed."""
+    has one: distances go only to the tracks of assessed obstacles, the
+    VIP is not assessed, and a track's history holds only its distances,
+    so the VIP's stays empty."""
     config = default_config()
     config = replace(config, pipeline=replace(config.pipeline, live_speed=True))
     model = default_model()
@@ -437,7 +487,7 @@ def test_vip_track_never_holds_a_distance(kind):
             for track in pipe.tracker.tracks:
                 if track.class_label == "vip":
                     vip_tracks += 1
-                    assert all(p.distance_m is None for p in track.history)
+                    assert track.history == []
     assert vip_tracks >= 3 * 60
 
 
@@ -617,9 +667,9 @@ def test_instance_ids_key_the_masks_and_tracker_ids_label_the_assessments():
         assert [a.distance_m for a in decision.assessments] == pytest.approx(
             [masked_distance[label] - 1.0 for label in labels], abs=0.01
         )
-        newest = {t.track_id: t.history[-1].distance_m for t in pipe.tracker.tracks}
+        newest = {t.track_id: t.history[-1:] for t in pipe.tracker.tracks}
         for a in decision.assessments:
-            assert newest[a.track_id] == a.distance_m
+            assert newest[a.track_id] == [(frame_id / 30, a.distance_m)]
 
 
 def load_tracer_module():

@@ -55,10 +55,14 @@ class TestAssociate:
     def test_match_extends_history(self):
         tracker = Tracker()
         tracker.step(0.0, [det("car", 0, 0, 10, 10)])
+        tracker.attach_distances({0: 5.0})
         ids = tracker.step(1 / 30, [det("car", 1, 0, 11, 10)])  # IoU ~0.82
         assert ids == [0]
         track = track_by_id(tracker, 0)
-        assert len(track.history) == 2
+        assert track.bbox == box(1, 0, 11, 10)
+        assert track.history == [TrackPoint(0.0, 5.0)]  # a match adds no point
+        tracker.attach_distances({0: 4.0})
+        assert track.history == [TrackPoint(0.0, 5.0), TrackPoint(1 / 30, 4.0)]
         assert track.misses == 0
 
     def test_class_gate(self):
@@ -88,7 +92,7 @@ class TestAssociate:
         tracker.step(1 / 30, [])
         track = track_by_id(tracker, 0)
         assert track.misses == 1
-        assert track.last_bbox == box(0, 0, 10, 10)
+        assert track.bbox == box(0, 0, 10, 10)
         # a detection overlapping the held bbox re-attaches
         ids = tracker.step(2 / 30, [det("car", 1, 0, 11, 10)])
         assert ids == [0]
@@ -118,10 +122,21 @@ class TestAssociate:
     def test_non_increasing_timestamp_rejected(self):
         tracker = Tracker()
         tracker.step(1.0, [det("car", 0, 0, 10, 10)])
+        tracker.attach_distances({0: 3.0})
         for t in (1.0, 0.5):
-            with pytest.raises(ConsistencyError, match="track 0"):
+            with pytest.raises(ConsistencyError, match="not after the previous step's 1.0"):
                 tracker.step(t, [det("car", 0, 0, 10, 10)])
-        assert len(track_by_id(tracker, 0).history) == 1  # state untouched
+        track = track_by_id(tracker, 0)  # state untouched
+        assert track.history == [TrackPoint(1.0, 3.0)] and track.misses == 0
+
+    def test_non_increasing_timestamp_rejected_with_nothing_matched(self):
+        tracker = Tracker()
+        tracker.step(1.0, [det("car", 0, 0, 10, 10)])
+        for t, detections in ((1.0, []), (0.5, [det("person", 50, 0, 60, 10)])):
+            with pytest.raises(ConsistencyError, match="not after"):
+                tracker.step(t, detections)
+        assert [(t.track_id, t.misses) for t in tracker.tracks] == [(0, 0)]
+        assert tracker.step(1.5, [det("person", 50, 0, 60, 10)]) == [1]
 
     def test_deterministic(self):
         def run():
@@ -143,10 +158,8 @@ class TestApproachRate:
         return Track(
             track_id=0,
             class_label="car",
-            history=tuple(
-                TrackPoint(timestamp=t, bbox=box(0, 0, 4, 4), distance_m=d)
-                for t, d in points
-            ),
+            bbox=box(0, 0, 4, 4),
+            history=[TrackPoint(timestamp=t, distance_m=d) for t, d in points],
         )
 
     def test_two_point_slope(self):
@@ -171,19 +184,6 @@ class TestApproachRate:
         with pytest.raises(InsufficientHistoryError):
             approach_rate(self.make_track([]))
 
-    def test_missing_distances_skipped(self):
-        track = Track(
-            track_id=0,
-            class_label="car",
-            history=(
-                TrackPoint(0.0, box(0, 0, 4, 4), 5.0),
-                TrackPoint(1.0, box(0, 0, 4, 4), None),
-                TrackPoint(2.0, box(0, 0, 4, 4), None),
-            ),
-        )
-        with pytest.raises(InsufficientHistoryError):
-            approach_rate(track)
-
 
 def rate_or_none(track):
     try:
@@ -198,12 +198,14 @@ def test_window_trim_matches_untrimmed_oracle():
     Six lanes of jittering boxes run for 900 frames at 30 fps. Each lane
     hides for bursts of 1-11 frames: up to max_misses the track coasts,
     longer and it retires and the lane comes back under a new id. Next to
-    the tracker, every point each id ever received is kept.
+    the tracker, every distance each id was given is kept, with the time
+    and box of its last sighting; a tenth of sightings carry no distance.
     """
     rng = np.random.default_rng(11)
     fps, n_frames, n_lanes = 30, 900, 6
     tracker = Tracker(max_misses=5)
     full: dict[int, list[TrackPoint]] = {}
+    last_seen: dict[int, tuple[float, BoundingBox]] = {}
     hidden = [int(rng.integers(0, 120)) for _ in range(n_lanes)]
     coasted = rated = 0
     for k in range(n_frames):
@@ -222,29 +224,29 @@ def test_window_trim_matches_untrimmed_oracle():
             distances.append(None if rng.random() < 0.1 else d)
         ids = tracker.step(t, detections)
         tracker.attach_distances(
-            t,
             {
                 track_id: dist
                 for track_id, dist in zip(ids, distances)
                 if dist is not None
-            },
+            }
         )
         for d_obj, track_id, dist in zip(detections, ids, distances):
-            full.setdefault(track_id, []).append(
-                TrackPoint(timestamp=t, bbox=d_obj.bbox, distance_m=dist)
-            )
+            last_seen[track_id] = (t, d_obj.bbox)
+            points = full.setdefault(track_id, [])
+            if dist is not None:
+                points.append(TrackPoint(timestamp=t, distance_m=dist))
 
         for track in tracker.tracks:
             coasted += track.misses > 0
-            history = track.history
-            assert history[-1].timestamp - history[0].timestamp <= APPROACH_WINDOW_S
+            t_end, bbox = last_seen[track.track_id]
+            assert track.bbox == bbox
+            # the oracle cuts the window from every distance the id was given
             points = full[track.track_id]
-            assert history[-1] == points[-1]
-            # the oracle cuts the window from every point the id received
-            t_end = points[-1].timestamp
             window = [p for p in points if p.timestamp >= t_end - APPROACH_WINDOW_S]
-            assert history == window
-            oracle = Track(track.track_id, track.class_label, window)
+            assert track.history == window
+            if window:
+                assert window[-1].timestamp - window[0].timestamp <= APPROACH_WINDOW_S
+            oracle = Track(track.track_id, track.class_label, bbox, window)
             expected = rate_or_none(oracle)
             assert rate_or_none(track) == expected
             rated += expected is not None
@@ -261,16 +263,14 @@ def test_history_timestamps_must_increase():
         Track(
             track_id=0,
             class_label="car",
-            history=[
-                TrackPoint(1.0, box(0, 0, 2, 2), None),
-                TrackPoint(1.0, box(0, 0, 2, 2), None),
-            ],
+            bbox=box(0, 0, 2, 2),
+            history=[TrackPoint(1.0, 2.0), TrackPoint(1.0, 3.0)],
         )
 
 
 def test_negative_misses_rejected():
     with pytest.raises(ConsistencyError, match="negative misses"):
-        Track(0, "car", [TrackPoint(0.0, box(0, 0, 2, 2))], misses=-1)
+        Track(0, "car", box(0, 0, 2, 2), [TrackPoint(0.0, 1.0)], misses=-1)
 
 
 @pytest.mark.parametrize("threshold", [0.0, 1.0, -0.5])
@@ -283,55 +283,59 @@ class TestInPlace:
     def test_step_updates_the_same_track_objects(self):
         tracker = Tracker()
         tracker.step(0.0, [det("car", 0, 0, 10, 10)])
+        tracker.attach_distances({0: 5.0})
         track = tracker.tracks[0]
         tracker.step(1 / 30, [det("car", 1, 0, 11, 10)])
+        tracker.attach_distances({0: 4.0})
         assert tracker.tracks == [track] and tracker.tracks[0] is track
+        assert track.bbox == box(1, 0, 11, 10)
         assert [p.timestamp for p in track.history] == [0.0, 1 / 30]
         tracker.step(2 / 30, [])
         assert track.misses == 1
 
     def test_raise_leaves_every_track_as_it_was(self):
         """A (coasting, newest point at t=0) comes before B (newest at t=1)
-        in the track list; a step at t=0.5 matching both must raise on B
-        without having touched A."""
+        in the track list; a step at t=0.5 matching both must raise
+        without having touched either."""
         a_box, b_box = (0, 0, 10, 10), (50, 0, 60, 10)
         tracker = Tracker()
         tracker.step(0.0, [det("car", *a_box)])
+        tracker.attach_distances({0: 5.0})
         tracker.step(1.0, [det("person", *b_box)])
-        track_a = track_by_id(tracker, 0)
+        tracker.attach_distances({1: 6.0})
+        track_a, track_b = track_by_id(tracker, 0), track_by_id(tracker, 1)
         assert track_a.misses == 1
-        history_a = list(track_a.history)
-        with pytest.raises(ConsistencyError, match="track 1"):
+        with pytest.raises(ConsistencyError, match="not after the previous step's 1.0"):
             tracker.step(0.5, [det("car", *a_box), det("person", *b_box)])
-        assert track_a.history == history_a
-        assert track_a.misses == 1
+        assert track_a.history == [TrackPoint(0.0, 5.0)]
+        assert track_b.history == [TrackPoint(1.0, 6.0)]
+        assert (track_a.misses, track_b.misses) == (1, 0)
         assert [t.track_id for t in tracker.tracks] == [0, 1]
 
     def test_attach_distances_writes_only_this_frames_points(self):
         tracker = Tracker()
         tracker.step(0.0, [det("car", 0, 0, 10, 10), det("person", 50, 0, 60, 10)])
+        tracker.attach_distances({0: 1.0})  # the person's sighting has none
         tracker.step(1 / 30, [det("car", 0, 0, 10, 10)])  # person coasts
         car, person = track_by_id(tracker, 0), track_by_id(tracker, 1)
-        # the person has no point at 1/30; id 99 has no track at all
-        tracker.attach_distances(1 / 30, {0: 2.0, 1: 3.0, 99: 4.0})
-        assert [p.distance_m for p in car.history] == [None, 2.0]
-        assert [p.distance_m for p in person.history] == [None]
-        # only a track's newest point is written: the car's at 0.0 is not
-        tracker.attach_distances(0.0, {0: 9.0})
-        assert [p.distance_m for p in car.history] == [None, 2.0]
+        # the coasting person gains no point; id 99 has no track at all
+        tracker.attach_distances({0: 2.0, 1: 3.0, 99: 4.0})
+        assert car.history == [TrackPoint(0.0, 1.0), TrackPoint(1 / 30, 2.0)]
+        assert person.history == []
 
 
 def reference_step(tracker, timestamp, detections):
-    """`Tracker.step` as it was written before its passes were folded: all
-    matches first, then the order check over the matched tracks, then the
-    track updates, then the id of each detection. The folded step must agree
-    with it."""
+    """`Tracker.step` as it was written before its passes were folded: the
+    order check, then all matches, then the track updates, then the id of
+    each detection. The folded step must agree with it."""
+    if tracker._timestamp is not None and timestamp <= tracker._timestamp:
+        raise ConsistencyError(f"timestamp {timestamp} not after")
     candidates = []
     for t_pos, track in enumerate(tracker.tracks):
         for d_idx, d_obj in enumerate(detections):
             if d_obj.class_label != track.class_label:
                 continue
-            overlap = iou(track.last_bbox, d_obj.bbox)
+            overlap = iou(track.bbox, d_obj.bbox)
             if overlap >= tracker.iou_threshold:
                 candidates.append((-overlap, d_idx, t_pos))
     candidates.sort()
@@ -341,9 +345,6 @@ def reference_step(tracker, timestamp, detections):
             continue
         det_match[d_idx] = t_pos
         track_match[t_pos] = d_idx
-    for t_pos in sorted(track_match):
-        if timestamp <= tracker.tracks[t_pos].history[-1].timestamp:
-            raise ConsistencyError(f"track {tracker.tracks[t_pos].track_id}")
     horizon = timestamp - APPROACH_WINDOW_S
     kept = []
     for t_pos, track in enumerate(tracker.tracks):
@@ -356,7 +357,7 @@ def reference_step(tracker, timestamp, detections):
             history = track.history
             while history and history[0].timestamp < horizon:
                 del history[0]
-            history.append(TrackPoint(timestamp, detections[d_idx].bbox))
+            track.bbox = detections[d_idx].bbox
             track.misses = 0
         kept.append(track)
     ids = []
@@ -366,15 +367,17 @@ def reference_step(tracker, timestamp, detections):
         else:
             tid = tracker._next_id
             tracker._next_id += 1
-            kept.append(Track(tid, d_obj.class_label, [TrackPoint(timestamp, d_obj.bbox)]))
+            kept.append(Track(tid, d_obj.class_label, d_obj.bbox, []))
         ids.append(tid)
     tracker.tracks = kept
+    tracker._timestamp = timestamp
     return ids
 
 
 def tracker_state(tracker):
-    return tracker._next_id, [
-        (t.track_id, t.class_label, t.misses, list(t.history)) for t in tracker.tracks
+    return tracker._next_id, tracker._timestamp, [
+        (t.track_id, t.class_label, t.bbox, t.misses, list(t.history))
+        for t in tracker.tracks
     ]
 
 
@@ -383,8 +386,8 @@ def test_step_matches_reference_step(seed):
     """Random lanes of mixed classes overlap, jitter, jump, double up, hide (coasting,
     or retiring at max_misses and coming back under a new id) and sometimes
     pause past the approach window. After every frame the folded step and
-    the reference give the same ids, misses and whole histories; a frame
-    stamped no later than the last raises in both and touches neither."""
+    the reference give the same ids, boxes, misses and distance histories; a
+    frame stamped no later than the last raises in both and touches neither."""
     rng = np.random.default_rng(seed)
     max_misses = int(rng.integers(0, 6))
     new, ref = Tracker(max_misses=max_misses), Tracker(max_misses=max_misses)
@@ -413,14 +416,17 @@ def test_step_matches_reference_step(seed):
         ids_before = {tr.track_id for tr in ref.tracks}
         ids = new.step(t, list(detections))
         assert ids == reference_step(ref, t, list(detections))
-        distances = {track_id: float(rng.uniform(1, 9)) for track_id in ids}
-        new.attach_distances(t, distances)
-        ref.attach_distances(t, distances)
+        # some sightings carry no distance, as the VIP's never do
+        distances = {
+            track_id: float(rng.uniform(1, 9)) for track_id in ids if rng.random() < 0.9
+        }
+        new.attach_distances(distances)
+        ref.attach_distances(distances)
         assert tracker_state(new) == tracker_state(ref)
         retired += len(ids_before - {tr.track_id for tr in ref.tracks})
         coasted += sum(tr.misses > 0 for tr in ref.tracks)
         if k % 50 == 49 and any(tr.misses == 0 for tr in ref.tracks):
-            stale = [Detection(tr.class_label, tr.last_bbox, 0.9) for tr in ref.tracks]
+            stale = [Detection(tr.class_label, tr.bbox, 0.9) for tr in ref.tracks]
             for tracker, step in ((new, Tracker.step), (ref, reference_step)):
                 with pytest.raises(ConsistencyError):
                     step(tracker, t, stale)
