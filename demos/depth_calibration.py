@@ -6,7 +6,14 @@ distances, take each detection's median REV, fit the quadratic
 REV->distance model, then check the fit against held-out distances the
 fit never saw.
 """
-from vipguide import CalibrationSample, calibration_frames, detection_distance, fit, region_rev
+from vipguide import (
+    REV_MAX,
+    CalibrationSample,
+    calibration_frames,
+    detection_distance,
+    fit,
+    region_rev,
+)
 from vipguide.scenario import CALIBRATION_Z
 
 
@@ -14,7 +21,7 @@ def samples_at(z_values):
     out = []
     for frame, z in calibration_frames(z_values):
         rev = region_rev(frame, frame.detections[0])
-        out.append(CalibrationSample(rev=rev / 65535.0, distance=z))
+        out.append(CalibrationSample(rev=rev / REV_MAX, distance=z))
     return out
 
 

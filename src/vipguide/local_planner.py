@@ -63,7 +63,10 @@ class Heading:
 
 @dataclass(frozen=True)
 class RerouteNeeded:
-    pass
+    """No partition is wide enough. `new_route` is the route found by a replan
+    fired on this frame: None when none fired, () when no path is left."""
+
+    new_route: tuple[str, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -73,7 +76,6 @@ class GuidanceDecision:
     assessments: tuple[ObstacleAssessment, ...]
     edge_status: EdgeStatus
     partitions: tuple[Partition, ...]
-    new_route: tuple[str, ...] | None  # None = no replan; () = no route left
 
 
 def partition_bounds(width: int, n: int = PlannerConfig.n_partitions) -> list[Partition]:

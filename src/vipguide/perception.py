@@ -14,6 +14,7 @@ minus the rectangles that cut it from their corners alone.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -22,6 +23,43 @@ import numpy as np
 from .errors import ConsistencyError
 
 REV_MAX = 65535
+
+
+def _exact_int(value) -> int | None:
+    """`value` as an exact int, or None when it is not one. `operator.index`
+    converts numpy ints and refuses floats; a bool, which it would take as
+    0 or 1, is refused too."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
+def _int_fields(obj, *names: str) -> None:
+    """Store each named field of the frozen dataclass `obj` as an exact int;
+    a value `_exact_int` refuses raises ConsistencyError."""
+    for name in names:
+        value = getattr(obj, name)
+        if type(value) is not int:
+            exact = _exact_int(value)
+            if exact is None:
+                raise ConsistencyError(f"{name} {value!r} not an integer")
+            object.__setattr__(obj, name, exact)
+
+
+def _real_field(obj, name: str) -> None:
+    """Require the named field of the frozen dataclass `obj` to be a real
+    number and not a bool. Python ints and floats are kept as given; other
+    reals, such as numpy floats, are stored as floats."""
+    value = getattr(obj, name)
+    if type(value) is not float and type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConsistencyError(f"{name} {value!r} not a real number")
+        object.__setattr__(obj, name, float(value))
 
 
 @dataclass(frozen=True)
@@ -34,6 +72,7 @@ class BoundingBox:
     y2: int
 
     def __post_init__(self):
+        _int_fields(self, "x1", "y1", "x2", "y2")
         if not (self.x1 < self.x2 and self.y1 < self.y2):
             raise ConsistencyError(f"degenerate bbox {self.as_list()}")
         if self.x1 < 0 or self.y1 < 0:
@@ -66,10 +105,13 @@ class Detection:
     track_id: int | None = None
 
     def __post_init__(self):
+        _real_field(self, "confidence")
         if not 0.0 <= self.confidence <= 1.0:
             raise ConsistencyError(f"confidence {self.confidence} outside [0,1]")
-        if self.track_id is not None and self.track_id < 0:
-            raise ConsistencyError(f"negative track_id {self.track_id}")
+        if self.track_id is not None:
+            _int_fields(self, "track_id")
+            if self.track_id < 0:
+                raise ConsistencyError(f"negative track_id {self.track_id}")
 
 
 @dataclass(frozen=True)
@@ -178,8 +220,12 @@ class PerceptionFrame:
     vip_mask: BitMask | None = None
     road_mask: BitMask | None = None
     instance_masks: dict[int, BitMask] = field(default_factory=dict)
+    # the one "vip" detection, or None; found once, by __post_init__
+    vip_detection: Detection | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _int_fields(self, "frame_id", "width", "height")
+        _real_field(self, "timestamp")
         object.__setattr__(self, "detections", tuple(self.detections))
         # NaN compares false both ways, so it would slip past every order check
         if not math.isfinite(self.timestamp):
@@ -200,6 +246,7 @@ class PerceptionFrame:
         vips = [d for d in self.detections if d.class_label == "vip"]
         if len(vips) > 1:
             raise ConsistencyError(f"{len(vips)} vip detections in one frame")
+        object.__setattr__(self, "vip_detection", vips[0] if vips else None)
         for det in self.detections:
             if det.bbox.x2 > self.width or det.bbox.y2 > self.height:
                 raise ConsistencyError(
@@ -213,13 +260,6 @@ class PerceptionFrame:
             yield "road_mask", self.road_mask
         for track_id, mask in self.instance_masks.items():
             yield f"instance_masks[{track_id}]", mask
-
-    @property
-    def vip_detection(self) -> Detection | None:
-        for det in self.detections:
-            if det.class_label == "vip":
-                return det
-        return None
 
 
 def rle_encode(grid) -> BitMask:
@@ -305,10 +345,10 @@ def rle_encode_rect(rect, cuts, width: int, height: int) -> BitMask | None:
 
 def _pixel_ints(values) -> tuple[int, ...]:
     """Pixel coordinates as exact ints, so every run built from them is one."""
-    try:
-        return tuple(map(operator.index, values))
-    except TypeError:
-        raise ConsistencyError(f"pixel coordinates {list(values)} must be integers") from None
+    ints = tuple(map(_exact_int, values))
+    if None in ints:
+        raise ConsistencyError(f"pixel coordinates {list(values)} must be integers")
+    return ints
 
 
 def _canonical_mask(width: int, height: int, runs: tuple[int, ...]) -> BitMask:
@@ -321,22 +361,20 @@ def _canonical_mask(width: int, height: int, runs: tuple[int, ...]) -> BitMask:
 
 
 def rle_decode(mask: BitMask, rows: tuple[int, int] | None = None) -> np.ndarray:
-    """Expand a BitMask to a boolean (height, width) grid, or with
-    ``rows=(y1, y2)`` to its band of rows [y1, y2) alone.
+    """Expand a BitMask's band of rows [y1, y2) to a boolean (y2 - y1, width)
+    grid; with no ``rows``, the band is (0, height), the whole grid.
 
     When the rows above the band lie in the first run and the rows below
-    it in the last run (as when no foreground lies outside the band), the
-    band is expanded alone: those two runs are shortened, in constant
-    work. Any other band is cut from the whole expanded grid. Run lengths
-    are validated at construction, so decoding never writes out of bounds.
+    it in the last run (always so for the whole grid), those two runs are
+    shortened in constant work and the band alone is expanded. Any other
+    band is cut from the whole expanded grid. Run lengths are validated at
+    construction, so decoding never writes out of bounds.
     """
     w, h = mask.width, mask.height
     runs = np.fromiter(mask.runs, dtype=np.int64, count=len(mask.runs))
     pattern = np.zeros(runs.size, dtype=bool)
     pattern[1::2] = True
-    if rows is None:
-        return np.repeat(pattern, runs).reshape(h, w)
-    y1, y2 = rows
+    y1, y2 = (0, h) if rows is None else rows
     if not 0 <= y1 <= y2 <= h:
         raise ConsistencyError(f"rows [{y1}, {y2}) outside mask height {h}")
     lead, tail = y1 * w, (h - y2) * w

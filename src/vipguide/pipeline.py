@@ -19,9 +19,10 @@ after `reroute_patience` consecutive RerouteNeeded frames is an edge
 blocked and a fresh route computed. Progress along the route is not
 tracked yet, so the walk is taken to be at the route's start: the
 blocked edge is the route's first, and the new route starts from the
-same node. When no unblocked path remains, that frame's record carries
-an empty `new_route`, the pipeline drops its route and keeps guiding
-locally; later exhausted frames only signal, as with no graph.
+same node. A fired replan's route rides on its frame's RerouteNeeded.
+When no unblocked path remains, that route is empty, the pipeline drops
+its route and keeps guiding locally; later exhausted frames only signal,
+as with no graph.
 """
 from __future__ import annotations
 
@@ -129,7 +130,6 @@ class Pipeline:
         )
         self.stats = StageStats()
         self._last_frame_id: int | None = None
-        self._last_timestamp: float | None = None
         self._last_vip_bbox: BoundingBox | None = None
         self._last_vip_distance: float | None = None
         self._vip_miss_streak = 0
@@ -143,6 +143,7 @@ class Pipeline:
         t0 = time.perf_counter()
         ids = self.tracker.step(frame.timestamp, frame.detections)
         t1 = time.perf_counter()
+        self._last_frame_id = frame.frame_id  # both order checks passed
         vip = self._locate_vip(frame)
         d_prime, assessments = self._assess(frame, ids, vip)
         self.tracker.attach_distances({a.track_id: a.distance_m for a in assessments})
@@ -153,7 +154,7 @@ class Pipeline:
         else:
             profiles = self._score_partitions(frame, vip, partitions, assessments, d_prime)
             outcome = self._decide(frame, partitions, profiles)
-        new_route = self._replan(outcome)
+        outcome = self._replan(outcome)
         t2 = time.perf_counter()
 
         decision = GuidanceDecision(
@@ -162,7 +163,6 @@ class Pipeline:
             assessments=assessments,
             edge_status=edge_status,
             partitions=partitions,
-            new_route=new_route,
         )
         latency_ms = {
             "decode": decode_ms, "track": (t1 - t0) * 1e3, "plan": (t2 - t1) * 1e3
@@ -173,25 +173,19 @@ class Pipeline:
     # -- stages, in the order process_frame runs them ---------------------------
 
     def _check_order(self, frame: PerceptionFrame) -> None:
-        if self._last_frame_id is not None:
-            if frame.frame_id <= self._last_frame_id:
-                raise ConsistencyError(
-                    f"frame {frame.frame_id} out of order after {self._last_frame_id}"
-                )
-            if frame.timestamp <= self._last_timestamp:
-                raise ConsistencyError(
-                    f"frame {frame.frame_id}: timestamp {frame.timestamp} not after "
-                    f"the previous frame's {self._last_timestamp}"
-                )
-        self._last_frame_id = frame.frame_id
-        self._last_timestamp = frame.timestamp
+        """Frame ids must increase; `Tracker.step` checks that timestamps do."""
+        last = self._last_frame_id
+        if last is not None and frame.frame_id <= last:
+            raise ConsistencyError(f"frame {frame.frame_id} out of order after {last}")
 
     def _locate_vip(self, frame):
-        """The frame's VIP detection, or None; a miss extends the streak."""
+        """The frame's VIP detection, or None. A sighting sets the remembered
+        box and distance; a miss extends the streak."""
         vip = frame.vip_detection
         if vip is not None:
             self._vip_miss_streak = 0
             self._last_vip_bbox = vip.bbox
+            self._last_vip_distance = detection_distance(frame, vip, self.model)
         elif self._last_vip_bbox is not None:
             self._vip_miss_streak += 1
         return vip
@@ -202,8 +196,6 @@ class Pipeline:
 
         Distances are camera-relative before the VIP's first sighting.
         """
-        if vip is not None:
-            self._last_vip_distance = detection_distance(frame, vip, self.model)
         d_vip = self._last_vip_distance
         d_prime = self._safety_distance()
         planner_cfg = self.config.planner
@@ -278,19 +270,19 @@ class Pipeline:
             frame.width,
         )
 
-    def _replan(self, outcome) -> tuple[str, ...] | None:
+    def _replan(self, outcome):
         """After `reroute_patience` exhausted frames in a row, block the route's
-        first edge and route again from its start; None when no replan fired,
-        () when no path is left."""
+        first edge and route again from its start. Returns the outcome, with
+        the new route on it when a replan fired (() when no path is left)."""
         if not isinstance(outcome, RerouteNeeded):
             self._reroute_streak = 0
-            return None
+            return outcome
         self._reroute_streak += 1
         if self._reroute_streak < self.config.pipeline.reroute_patience:
-            return None
+            return outcome
         self._reroute_streak = 0
         if self.route is None:
-            return None
+            return outcome
         current, destination = self.route.nodes[0], self.route.nodes[-1]
         if len(self.route.nodes) >= 2:
             self.graph.block_edge(current, self.route.nodes[1])
@@ -299,8 +291,8 @@ class Pipeline:
             self.route = global_planner.shortest_path(self.graph, current, destination)
         except UnreachableError:
             self.route = None
-            return ()
-        return self.route.nodes
+            return RerouteNeeded(new_route=())
+        return RerouteNeeded(new_route=self.route.nodes)
 
     # -- helpers ---------------------------------------------------------------
 
@@ -329,7 +321,7 @@ def trace_record(decision: GuidanceDecision, latency_ms: dict[str, float]) -> di
             "angle_deg": decision.outcome.angle_deg,
         }
     else:
-        new_route = decision.new_route
+        new_route = decision.outcome.new_route
         outcome = {
             "type": "reroute",
             "new_route": None if new_route is None else list(new_route),

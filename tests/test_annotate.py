@@ -65,7 +65,6 @@ class TestAnnotateFrame:
             ),
             edge_status="safe",
             partitions=tuple(partition_bounds(90, 3)),
-            new_route=None,
         )
         return frame, decision
 

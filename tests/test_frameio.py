@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from vipguide.frameio import (
     write_dataset,
     write_pgm,
 )
-from vipguide.perception import BitMask, DepthMap, rle_encode
+from vipguide.perception import BitMask, BoundingBox, DepthMap, Detection, rle_encode
 
 from conftest import det, make_frame
 
@@ -223,6 +224,44 @@ class TestDataset:
         frames = [sample_frame(i) for i in (0, 1, 5)]
         assert write_dataset(tmp_path, frames) == 3
         assert list(read_dataset(tmp_path)) == frames
+
+    @pytest.mark.parametrize("numpy_part", ["bbox", "track_id", "frame_id", "confidence", "all"])
+    def test_numpy_scalars_round_trip(self, tmp_path, numpy_part):
+        """A frame with numpy scalars in `numpy_part` (in every part for
+        "all") is written and read back equal to its Python-scalar twin."""
+
+        def frame(part):
+            def scalar(kind, value, name):
+                return kind(value) if part in (name, "all") else value
+
+            base = sample_frame(3)
+            dets = [
+                Detection(
+                    d.class_label,
+                    BoundingBox(*(scalar(np.int32, v, "bbox") for v in d.bbox.as_list())),
+                    scalar(np.float32, 0.5, "confidence"),
+                    scalar(np.int64, d.track_id, "track_id"),
+                )
+                for d in base.detections
+            ]
+            return replace(base, frame_id=scalar(np.int64, 3, "frame_id"), detections=dets)
+
+        numpy_frame = frame(numpy_part)
+        write_dataset(tmp_path, [numpy_frame])
+        assert list(read_dataset(tmp_path)) == [numpy_frame] == [frame(None)]
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: BoundingBox(0, 0, 2.0, 4),
+            lambda: det("car", 0, 0, 3, 4, track_id=1.5),
+        ],
+        ids=["float_corner", "float_track_id"],
+    )
+    def test_unreadable_values_never_reach_a_dataset(self, build):
+        # read_dataset rejects a float corner or track id; so does the model
+        with pytest.raises(ConsistencyError, match="not an integer"):
+            build()
 
     def test_sidecars_written(self, tmp_path):
         write_dataset(tmp_path, [sample_frame(2)])

@@ -33,6 +33,19 @@ class TestBoundingBox:
         with pytest.raises(ConsistencyError):
             BoundingBox(-1, 0, 5, 5)
 
+    @pytest.mark.parametrize(
+        "corner", [2.0, 2.5, True, np.float64(2.0), "2"],
+        ids=["float", "fraction", "bool", "numpy_float", "str"],
+    )
+    def test_non_int_corner_rejected(self, corner):
+        with pytest.raises(ConsistencyError, match="x2 .* not an integer"):
+            BoundingBox(0, 0, corner, 4)
+
+    def test_numpy_int_corners_stored_as_ints(self):
+        b = BoundingBox(np.int64(1), np.int32(2), np.uint16(3), np.int8(4))
+        assert b == BoundingBox(1, 2, 3, 4)
+        assert [type(v) for v in b.as_list()] == [int] * 4
+
 
 class TestDetection:
     def test_confidence_bounds(self):
@@ -44,6 +57,26 @@ class TestDetection:
     def test_negative_track_id_rejected(self):
         with pytest.raises(ConsistencyError):
             det("person", 0, 0, 5, 5, track_id=-3)
+
+    @pytest.mark.parametrize("track_id", [1.5, 2.0, True, "2"])
+    def test_non_int_track_id_rejected(self, track_id):
+        with pytest.raises(ConsistencyError, match="track_id .* not an integer"):
+            det("person", 0, 0, 5, 5, track_id=track_id)
+
+    @pytest.mark.parametrize("confidence", ["0.9", None, True, [0.9]])
+    def test_non_real_confidence_rejected(self, confidence):
+        with pytest.raises(ConsistencyError, match="confidence .* not a real number"):
+            det("person", 0, 0, 5, 5, confidence=confidence)
+
+    def test_numpy_scalars_convert(self):
+        d = det("person", 0, 0, 5, 5, confidence=np.float32(0.5), track_id=np.int64(7))
+        assert (type(d.confidence), type(d.track_id)) == (float, int)
+        assert (d.confidence, d.track_id) == (0.5, 7)
+
+    @pytest.mark.parametrize("confidence", [1, 0, 0.25])
+    def test_python_confidence_stored_as_given(self, confidence):
+        d = det("person", 0, 0, 5, 5, confidence=confidence)
+        assert type(d.confidence) is type(confidence)
 
 
 class TestRle:
@@ -365,7 +398,12 @@ class TestRleEncodeWindow:
 
     @pytest.mark.parametrize(
         "rect, cuts, width",
-        [((1.0, 1, 4, 3), [], 5), ((1, 1, 4, 3), [(2, 0.5, 3, 2)], 5), ((1, 1, 4, 3), [], 5.0)],
+        [
+            ((1.0, 1, 4, 3), [], 5),
+            ((1, 1, 4, 3), [(2, 0.5, 3, 2)], 5),
+            ((1, 1, 4, 3), [], 5.0),
+            ((True, 1, 4, 3), [], 5),  # operator.index takes True as 1
+        ],
     )
     def test_non_integer_corners_rejected(self, rect, cuts, width):
         with pytest.raises(ConsistencyError, match=r"^pixel coordinates \[.*\] must be integers$"):
@@ -462,6 +500,29 @@ class TestPerceptionFrame:
     def test_timestamp_must_be_finite(self, timestamp):
         with pytest.raises(ConsistencyError, match="frame 4: timestamp .* not finite"):
             make_frame(np.zeros((4, 4)), frame_id=4, timestamp=timestamp)
+
+    @pytest.mark.parametrize("name", ["frame_id", "width", "height"])
+    @pytest.mark.parametrize("value", [4.0, True])
+    def test_non_int_frame_fields_rejected(self, name, value):
+        fields = {"frame_id": 0, "width": 4, "height": 4, name: value}
+        depth = DepthMap(width=4, height=4, values=np.zeros((4, 4)))
+        with pytest.raises(ConsistencyError, match=f"{name} .* not an integer"):
+            PerceptionFrame(timestamp=0.0, depth=depth, **fields)
+
+    @pytest.mark.parametrize("timestamp", ["0.5", None, True])
+    def test_non_real_timestamp_rejected(self, timestamp):
+        with pytest.raises(ConsistencyError, match="timestamp .* not a real number"):
+            make_frame(np.zeros((4, 4)), timestamp=timestamp)
+
+    def test_numpy_float_timestamp_stored_as_float(self):
+        frame = make_frame(np.zeros((4, 4)), timestamp=np.float32(0.5))
+        assert (type(frame.timestamp), frame.timestamp) == (float, 0.5)
+
+    def test_numpy_int_frame_fields_stored_as_ints(self):
+        depth = DepthMap(width=4, height=3, values=np.zeros((3, 4)))
+        frame = PerceptionFrame(np.int64(9), 0.0, np.int32(4), np.uint16(3), depth)
+        assert [type(v) for v in (frame.frame_id, frame.width, frame.height)] == [int] * 3
+        assert (frame.frame_id, frame.width, frame.height) == (9, 4, 3)
 
     def test_vip_lookup(self):
         frame = make_frame(

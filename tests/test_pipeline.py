@@ -229,6 +229,48 @@ class TestBasics:
         with pytest.raises(ConsistencyError, match="timestamp 0.0 not after"):
             pipe.process_frame(world_frame(2, 0.0))
 
+    def test_rejected_frames_leave_no_trace(self):
+        """Three frames rejected just before frame 20, with tracks live: an id
+        out of order, frame 19's timestamp under id 20, and a stale timestamp
+        under the in-order id 25. Frame ids are checked by the pipeline and
+        the clock by the tracker; either way the rest of the trace, latency
+        stripped, equals the clean run's."""
+        spec = ScenarioSpec(kind="crowded_street", seed=1, n_frames=60)
+        frames = [frame for frame, _ in generate(spec)]
+        model = default_model()
+
+        def trace(pipe, frames):
+            records = []
+            for frame in frames:
+                _, record = pipe.process_frame(frame)
+                del record["latency_ms"]
+                records.append(record)
+            return records
+
+        clean = trace(Pipeline(default_config(), model), frames)
+        pipe = Pipeline(default_config(), model)
+        records = trace(pipe, frames[:20])
+        assert len(pipe.tracker.tracks) > 1
+        nxt, last = frames[20], frames[19]
+        rejected = [
+            (replace(nxt, frame_id=last.frame_id), "out of order"),
+            (replace(nxt, timestamp=last.timestamp), "not after"),
+            (replace(nxt, frame_id=25, timestamp=frames[10].timestamp), "not after"),
+        ]
+        for frame, message in rejected:
+            with pytest.raises(ConsistencyError, match=message):
+                pipe.process_frame(frame)
+        assert pipe.stats.frames == 20
+        records += trace(pipe, frames[20:])
+        assert records == clean
+
+    def test_float_bbox_corner_rejected_before_planning(self):
+        # it once reached region_rev, whose numpy slicing raised a bare TypeError
+        pipe = make_pipeline()
+        depth = np.zeros((H, W), dtype=np.uint16)
+        with pytest.raises(ConsistencyError, match="not an integer"):
+            pipe.process_frame(make_frame(depth, [det("car", 0, 100, 100.0, 300)]))
+
     def test_model_required(self):
         with pytest.raises(ConfigError):
             Pipeline(default_config(), None)
