@@ -128,6 +128,7 @@ class BitMask:
     runs: tuple[int, ...]
 
     def __post_init__(self):
+        _int_fields(self, "width", "height")
         if self.width <= 0 or self.height <= 0:
             raise ConsistencyError(f"mask dims {self.width}x{self.height} not positive")
         runs = tuple(self.runs)
@@ -181,6 +182,7 @@ class DepthMap:
     values: np.ndarray
 
     def __post_init__(self):
+        _int_fields(self, "width", "height")
         arr = np.asarray(self.values)
         if arr.dtype != np.uint16:
             if arr.size and (arr.min() < 0 or arr.max() > REV_MAX):
@@ -345,9 +347,13 @@ def rle_encode_rect(rect, cuts, width: int, height: int) -> BitMask | None:
 
 def _pixel_ints(values) -> tuple[int, ...]:
     """Pixel coordinates as exact ints, so every run built from them is one."""
-    ints = tuple(map(_exact_int, values))
-    if None in ints:
-        raise ConsistencyError(f"pixel coordinates {list(values)} must be integers")
+    ints = tuple(values)
+    for v in ints:
+        if type(v) is not int:  # rare: convert them all, or name them all
+            ints = tuple(map(_exact_int, ints))
+            if None in ints:
+                raise ConsistencyError(f"pixel coordinates {list(values)} must be integers")
+            break
     return ints
 
 

@@ -424,6 +424,12 @@ class TestBitMaskValidation:
         runs = np.array([1, 2, 3], dtype=np.int64)
         assert all(type(r) is int for r in BitMask(width=3, height=2, runs=runs).runs)
 
+    @pytest.mark.parametrize("width", [4.0, True])
+    def test_non_int_dims_rejected(self, width):
+        # a float width once passed, and decode raised a bare TypeError
+        with pytest.raises(ConsistencyError, match="width .* not an integer"):
+            BitMask(width=width, height=4, runs=(4,))
+
     def test_list_of_exact_ints_stored_as_tuple(self):
         mask = BitMask(width=3, height=2, runs=[2, 4])
         assert mask.runs == (2, 4) and type(mask.runs) is tuple
@@ -472,6 +478,16 @@ class TestDepthMap:
     def test_range_check(self):
         with pytest.raises(ConsistencyError):
             DepthMap(width=2, height=1, values=np.array([0, 70000]))
+
+    @pytest.mark.parametrize("width", [4.0, True])
+    def test_non_int_dims_rejected(self, width):
+        # a float width once passed, and write_pgm wrote a "4.0" header
+        with pytest.raises(ConsistencyError, match="width .* not an integer"):
+            DepthMap(width=width, height=1, values=np.zeros(4))
+
+    def test_numpy_int_dims_stored_as_ints(self):
+        d = DepthMap(width=np.int64(3), height=np.int32(2), values=np.arange(6))
+        assert (type(d.width), type(d.height), d.values.shape) == (int, int, (2, 3))
 
 
 class TestPerceptionFrame:
