@@ -250,19 +250,6 @@ class TestDataset:
         write_dataset(tmp_path, [numpy_frame])
         assert list(read_dataset(tmp_path)) == [numpy_frame] == [frame(None)]
 
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda: BoundingBox(0, 0, 2.0, 4),
-            lambda: det("car", 0, 0, 3, 4, track_id=1.5),
-        ],
-        ids=["float_corner", "float_track_id"],
-    )
-    def test_unreadable_values_never_reach_a_dataset(self, build):
-        # read_dataset rejects a float corner or track id; so does the model
-        with pytest.raises(ConsistencyError, match="not an integer"):
-            build()
-
     def test_sidecars_written(self, tmp_path):
         write_dataset(tmp_path, [sample_frame(2)])
         assert (tmp_path / "frames.jsonl").exists()

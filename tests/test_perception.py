@@ -38,6 +38,8 @@ class TestBoundingBox:
         ids=["float", "fraction", "bool", "numpy_float", "str"],
     )
     def test_non_int_corner_rejected(self, corner):
+        # a float corner once reached the planner, whose numpy slicing raised
+        # a bare TypeError, or was written for read_dataset to reject
         with pytest.raises(ConsistencyError, match="x2 .* not an integer"):
             BoundingBox(0, 0, corner, 4)
 
@@ -60,11 +62,13 @@ class TestDetection:
 
     @pytest.mark.parametrize("track_id", [1.5, 2.0, True, "2"])
     def test_non_int_track_id_rejected(self, track_id):
+        # 1.5 was once written, for read_dataset to reject
         with pytest.raises(ConsistencyError, match="track_id .* not an integer"):
             det("person", 0, 0, 5, 5, track_id=track_id)
 
     @pytest.mark.parametrize("confidence", ["0.9", None, True, [0.9]])
     def test_non_real_confidence_rejected(self, confidence):
+        # a str once raised a bare TypeError from the range check
         with pytest.raises(ConsistencyError, match="confidence .* not a real number"):
             det("person", 0, 0, 5, 5, confidence=confidence)
 

@@ -264,13 +264,6 @@ class TestBasics:
         records += trace(pipe, frames[20:])
         assert records == clean
 
-    def test_float_bbox_corner_rejected_before_planning(self):
-        # it once reached region_rev, whose numpy slicing raised a bare TypeError
-        pipe = make_pipeline()
-        depth = np.zeros((H, W), dtype=np.uint16)
-        with pytest.raises(ConsistencyError, match="not an integer"):
-            pipe.process_frame(make_frame(depth, [det("car", 0, 100, 100.0, 300)]))
-
     def test_model_required(self):
         with pytest.raises(ConfigError):
             Pipeline(default_config(), None)
