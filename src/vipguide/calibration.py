@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .errors import CalibrationError, EmptyRegionError, FrameDecodeError
 from .frameio import load_json, record_to_line, require_field
-from .perception import Detection, PerceptionFrame, REV_MAX
+from .perception import REV_MAX, Detection, PerceptionFrame, int_fields, real_fields
 
 
 @dataclass(frozen=True)
@@ -26,10 +25,11 @@ class CalibrationSample:
     distance: float  # meters
 
     def __post_init__(self):
+        real_fields(self, "rev", "distance", error=CalibrationError)
         if not 0.0 <= self.rev <= 1.0:
             raise CalibrationError(f"rev {self.rev} outside [0,1]")
-        if not 0 < self.distance < math.inf:
-            raise CalibrationError(f"distance {self.distance} not positive finite")
+        if self.distance <= 0:
+            raise CalibrationError(f"distance {self.distance} not positive")
 
 
 @dataclass(frozen=True)
@@ -41,11 +41,10 @@ class CalibrationModel:
     n_samples: int
 
     def __post_init__(self):
+        int_fields(self, "n_samples", error=CalibrationError)
+        real_fields(self, "a", "b", "c", "rmse", error=CalibrationError)
         if self.n_samples < 3:
             raise CalibrationError(f"model from {self.n_samples} samples")
-        for name in ("a", "b", "c", "rmse"):
-            if not math.isfinite(getattr(self, name)):
-                raise CalibrationError(f"{name} {getattr(self, name)} not finite")
         if self.rmse < 0:
             raise CalibrationError(f"negative rmse {self.rmse}")
 
@@ -115,11 +114,9 @@ def load_model(path) -> CalibrationModel:
     if not isinstance(obj, dict):
         raise CalibrationError(f"bad model file {path}: expected a JSON object")
     try:
-        a, b, c, rmse = (
-            float(require_field(obj, key, (int, float), "number")) for key in ("a", "b", "c", "rmse")
-        )
-        return CalibrationModel(a, b, c, rmse, require_field(obj, "n_samples", int, "int"))
-    except (FrameDecodeError, OverflowError, CalibrationError) as exc:
+        reals = [require_field(obj, key, (int, float), "number") for key in ("a", "b", "c", "rmse")]
+        return CalibrationModel(*reals, require_field(obj, "n_samples", int, "int"))
+    except (FrameDecodeError, CalibrationError) as exc:
         raise CalibrationError(f"bad model file {path}: {exc}") from exc
 
 

@@ -22,6 +22,7 @@ from .perception import (
     DepthMap,
     Detection,
     PerceptionFrame,
+    _finite_real,
 )
 
 # -- PGM (portable graymap, binary P5, maxval 65535, big-endian samples) -----
@@ -163,10 +164,7 @@ def decode_record(record: dict, depth: DepthMap) -> PerceptionFrame:
     """
     frame_id = require_field(record, "frame_id", int, "int")
     timestamp = require_field(record, "timestamp", (int, float), "number")
-    try:
-        timestamp = float(timestamp)
-    except OverflowError as exc:
-        raise FrameDecodeError("field 'timestamp': beyond float range") from exc
+    timestamp = _finite_real(timestamp, "timestamp", FrameDecodeError)  # as for a wrong type
     width = require_field(record, "width", int, "int")
     height = require_field(record, "height", int, "int")
     raw_dets = require_field(record, "detections", list, "list")
@@ -189,11 +187,11 @@ def decode_record(record: dict, depth: DepthMap) -> PerceptionFrame:
                 Detection(
                     class_label=label,
                     bbox=BoundingBox(*bbox),
-                    confidence=float(confidence),
+                    confidence=confidence,
                     track_id=track_id,
                 )
             )
-        except (ConsistencyError, OverflowError) as exc:
+        except ConsistencyError as exc:
             raise FrameDecodeError(f"field 'detections[{i}]': {exc}") from exc
 
     vip_mask = road_mask = None

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import heapq
 import json
-import math
 from dataclasses import dataclass
 
 from .errors import GraphError, UnreachableError
 from .frameio import load_json
+from .perception import _finite_real
 
 
 @dataclass(frozen=True)
@@ -57,11 +57,10 @@ class NavGraph:
         if node_id in self.positions:
             raise GraphError(f"duplicate node id '{node_id}'")
         try:
-            x, y = float(pos[0]), float(pos[1])
-        except OverflowError as exc:
-            raise GraphError(f"node '{node_id}': pos beyond float range") from exc
-        if not (-math.inf < x < math.inf and -math.inf < y < math.inf):
-            raise GraphError(f"node '{node_id}': pos ({x}, {y}) not finite")
+            x = float(_finite_real(pos[0], "pos", GraphError))
+            y = float(_finite_real(pos[1], "pos", GraphError))
+        except GraphError as exc:
+            raise GraphError(f"node '{node_id}': {exc}") from None
         self.positions[node_id] = (x, y)
         self._adj[node_id] = {}
         self._dist_to = None
@@ -76,11 +75,11 @@ class NavGraph:
         if v in adj[u] or (self._blocked and _key(u, v) in self._blocked):
             raise GraphError(f"duplicate edge ({u},{v})")
         try:
-            w = float(weight)
-        except OverflowError as exc:
-            raise GraphError(f"edge ({u},{v}) weight beyond float range") from exc
-        if not 0 < w < math.inf:  # NaN fails both comparisons
-            raise GraphError(f"edge ({u},{v}) weight {weight} not positive finite")
+            w = float(_finite_real(weight, "weight", GraphError))
+        except GraphError as exc:
+            raise GraphError(f"edge ({u},{v}) {exc}") from None
+        if w <= 0:
+            raise GraphError(f"edge ({u},{v}) weight {weight} not positive")
         adj[u][v] = adj[v][u] = w
         self._dist_to = None
 

@@ -39,27 +39,39 @@ def _exact_int(value) -> int | None:
         return None
 
 
-def _int_fields(obj, *names: str) -> None:
+def int_fields(obj, *names: str, error=ConsistencyError, what: str = "") -> None:
     """Store each named field of the frozen dataclass `obj` as an exact int;
-    a value `_exact_int` refuses raises ConsistencyError."""
+    a value `_exact_int` refuses raises `error`, prefixed by `what`."""
     for name in names:
         value = getattr(obj, name)
         if type(value) is not int:
             exact = _exact_int(value)
             if exact is None:
-                raise ConsistencyError(f"{name} {value!r} not an integer")
+                raise error(f"{what}{name} {value!r} not an integer")
             object.__setattr__(obj, name, exact)
 
 
-def _real_field(obj, name: str) -> None:
-    """Require the named field of the frozen dataclass `obj` to be a real
-    number and not a bool. Python ints and floats are kept as given; other
-    reals, such as numpy floats, are stored as floats."""
-    value = getattr(obj, name)
-    if type(value) is not float and type(value) is not int:
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ConsistencyError(f"{name} {value!r} not a real number")
-        object.__setattr__(obj, name, float(value))
+def _finite_real(value, name: str, error, what: str = ""):
+    """`value` if it is a finite real and not a bool (NaN would slip past
+    every later check): Python ints and floats as given, other reals (numpy
+    floats) as floats. Else raise `error`, its message prefixed by `what`."""
+    if type(value) is float and -math.inf < value < math.inf:
+        return value
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        raise error(f"{what}{name} {value!r} not a real number")
+    try:
+        as_float = float(value)
+    except OverflowError:  # an int too large for a float
+        raise error(f"{what}{name} beyond float range") from None
+    if not -math.inf < as_float < math.inf:
+        raise error(f"{what}{name} {as_float!r} not finite")
+    return value if type(value) is int else as_float
+
+
+def real_fields(obj, *names: str, error=ConsistencyError, what: str = "") -> None:
+    """Store each named field of the frozen dataclass `obj` as `_finite_real` returns it."""
+    for name in names:
+        object.__setattr__(obj, name, _finite_real(getattr(obj, name), name, error, what))
 
 
 @dataclass(frozen=True)
@@ -72,7 +84,7 @@ class BoundingBox:
     y2: int
 
     def __post_init__(self):
-        _int_fields(self, "x1", "y1", "x2", "y2")
+        int_fields(self, "x1", "y1", "x2", "y2")
         if not (self.x1 < self.x2 and self.y1 < self.y2):
             raise ConsistencyError(f"degenerate bbox {self.as_list()}")
         if self.x1 < 0 or self.y1 < 0:
@@ -105,11 +117,13 @@ class Detection:
     track_id: int | None = None
 
     def __post_init__(self):
-        _real_field(self, "confidence")
+        if not isinstance(self.class_label, str):
+            raise ConsistencyError(f"class_label {self.class_label!r} not a str")
+        real_fields(self, "confidence")
         if not 0.0 <= self.confidence <= 1.0:
             raise ConsistencyError(f"confidence {self.confidence} outside [0,1]")
         if self.track_id is not None:
-            _int_fields(self, "track_id")
+            int_fields(self, "track_id")
             if self.track_id < 0:
                 raise ConsistencyError(f"negative track_id {self.track_id}")
 
@@ -128,18 +142,14 @@ class BitMask:
     runs: tuple[int, ...]
 
     def __post_init__(self):
-        _int_fields(self, "width", "height")
+        int_fields(self, "width", "height")
         if self.width <= 0 or self.height <= 0:
             raise ConsistencyError(f"mask dims {self.width}x{self.height} not positive")
         runs = tuple(self.runs)
-        kinds = set(map(type, runs))
-        if bool in kinds:  # operator.index would take True as 1
-            raise ConsistencyError("run lengths must be integers")
-        if not kinds <= {int}:  # exact ints need no conversion
-            try:  # numpy ints convert exactly; floats are not truncated
-                runs = tuple(map(operator.index, runs))
-            except TypeError:
-                raise ConsistencyError("run lengths must be integers") from None
+        if not set(map(type, runs)) <= {int}:  # exact ints need no conversion
+            runs = tuple(map(_exact_int, runs))
+            if None in runs:
+                raise ConsistencyError("run lengths must be integers")
         object.__setattr__(self, "runs", runs)
         if runs and min(runs) < 0:
             raise ConsistencyError("negative run length")
@@ -182,12 +192,16 @@ class DepthMap:
     values: np.ndarray
 
     def __post_init__(self):
-        _int_fields(self, "width", "height")
+        int_fields(self, "width", "height")
         arr = np.asarray(self.values)
         if arr.dtype != np.uint16:
-            if arr.size and (arr.min() < 0 or arr.max() > REV_MAX):
+            # NaN fails both bounds, so it never reaches the cast
+            if arr.size and not (arr.min() >= 0 and arr.max() <= REV_MAX):
                 raise ConsistencyError(f"depth values outside [0, {REV_MAX}]")
-            arr = arr.astype(np.uint16)
+            whole = arr.astype(np.uint16)
+            if not np.array_equal(whole, arr):
+                raise ConsistencyError("depth values not whole numbers")
+            arr = whole
         if arr.shape != (self.height, self.width):
             if arr.size == self.width * self.height:
                 arr = arr.reshape(self.height, self.width)
@@ -226,19 +240,17 @@ class PerceptionFrame:
     vip_detection: Detection | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _int_fields(self, "frame_id", "width", "height")
-        _real_field(self, "timestamp")
+        int_fields(self, "frame_id", "width", "height")
+        real_fields(self, "timestamp", what=f"frame {self.frame_id}: ")
         object.__setattr__(self, "detections", tuple(self.detections))
-        # NaN compares false both ways, so it would slip past every order check
-        if not math.isfinite(self.timestamp):
-            raise ConsistencyError(
-                f"frame {self.frame_id}: timestamp {self.timestamp} not finite"
-            )
         if self.depth.width != self.width or self.depth.height != self.height:
             raise ConsistencyError(
                 f"depth dims {self.depth.width}x{self.depth.height} != "
                 f"frame dims {self.width}x{self.height}"
             )
+        for key in self.instance_masks:  # the keys decode_record reads back
+            if _exact_int(key) is None or key < 0:
+                raise ConsistencyError(f"instance_masks key {key!r} not a non-negative integer")
         for name, mask in self._named_masks():
             if mask.width != self.width or mask.height != self.height:
                 raise ConsistencyError(

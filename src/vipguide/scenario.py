@@ -14,7 +14,6 @@ quadratic in normalized REV and a quadratic calibration can invert it.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
@@ -34,6 +33,8 @@ from .perception import (
     DepthMap,
     Detection,
     PerceptionFrame,
+    int_fields,
+    real_fields,
     rle_encode_rect,
 )
 
@@ -53,15 +54,14 @@ class Camera:
     ground_height: float = 2.2  # camera height above ground, meters
 
     def __post_init__(self):
-        for name in ("width", "height"):
-            value = getattr(self, name)
-            if type(value) is not int or value <= 0:
-                raise ConsistencyError(f"camera {name} {value!r} not a positive int")
+        int_fields(self, "width", "height", what="camera ")
+        real_fields(self, "hfov_deg", "vfov_deg", "ground_height", what="camera ")
+        for name in ("width", "height", "ground_height"):
+            if getattr(self, name) <= 0:
+                raise ConsistencyError(f"camera {name} {getattr(self, name)} not positive")
         for name in ("hfov_deg", "vfov_deg"):
             if not 0.0 < getattr(self, name) < 180.0:
                 raise ConsistencyError(f"camera {name} {getattr(self, name)} outside (0, 180)")
-        if not (math.isfinite(self.ground_height) and self.ground_height > 0):
-            raise ConsistencyError(f"camera ground_height {self.ground_height} not finite and > 0")
 
     # intrinsics, computed on first read; the frozen fields never change them
     @cached_property
@@ -98,10 +98,9 @@ class SceneObject:
     labeled: bool = True
 
     def __post_init__(self):
-        # NaN compares false both ways, so it would slip past the sign checks
-        for name in ("x", "z", "width", "height", "elevation"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConsistencyError(f"{self.kind} {name} {getattr(self, name)} not finite")
+        if not isinstance(self.kind, str):
+            raise ConsistencyError(f"kind {self.kind!r} not a str")
+        real_fields(self, "x", "z", "width", "height", "elevation", what=f"{self.kind} ")
         if self.z <= 0:
             raise ConsistencyError(f"{self.kind} at nonpositive z {self.z}")
         if self.width <= 0 or self.height <= 0:
@@ -306,22 +305,16 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
             raise ConsistencyError(
-                f"unknown scenario '{self.kind}', expected one of {SCENARIO_KINDS}"
+                f"unknown scenario kind {self.kind!r}, expected one of {SCENARIO_KINDS}"
             )
-        for name in ("seed", "n_frames"):
-            value = getattr(self, name)
-            # numpy ints convert exactly, floats are not truncated, and
-            # operator.index would take True as 1
-            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-                raise ConsistencyError(f"{name} {value!r} not an int")
-            object.__setattr__(self, name, operator.index(value))
+        int_fields(self, "seed", "n_frames")
+        real_fields(self, "rev_jitter_sigma")
         if self.n_frames < 1:
             raise ConsistencyError(f"n_frames {self.n_frames} < 1")
         if self.seed < 0:
             raise ConsistencyError(f"seed {self.seed} < 0")
-        sigma = self.rev_jitter_sigma
-        if not (math.isfinite(sigma) and sigma >= 0):
-            raise ConsistencyError(f"rev_jitter_sigma {sigma} not finite and >= 0")
+        if self.rev_jitter_sigma < 0:
+            raise ConsistencyError(f"rev_jitter_sigma {self.rev_jitter_sigma} < 0")
 
 
 def direction_name(partition_index: int) -> str:

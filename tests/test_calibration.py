@@ -116,7 +116,7 @@ class TestFit:
 class TestFiniteness:
     @pytest.mark.parametrize("distance", [float("nan"), float("inf")])
     def test_sample_distance(self, distance):
-        with pytest.raises(CalibrationError, match="not positive finite"):
+        with pytest.raises(CalibrationError, match="not finite"):
             CalibrationSample(rev=0.5, distance=distance)
 
     @pytest.mark.parametrize("field", ["a", "b", "c", "rmse"])

@@ -1,8 +1,10 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vipguide.errors import ConsistencyError, FrameDecodeError
 from vipguide.frameio import (
@@ -14,7 +16,14 @@ from vipguide.frameio import (
     write_dataset,
     write_pgm,
 )
-from vipguide.perception import BitMask, BoundingBox, DepthMap, Detection, rle_encode
+from vipguide.perception import (
+    BitMask,
+    BoundingBox,
+    DepthMap,
+    Detection,
+    PerceptionFrame,
+    rle_encode,
+)
 
 from conftest import det, make_frame
 
@@ -202,7 +211,7 @@ class TestRecordCodec:
             ),
             (
                 lambda r: r["detections"][1].update(confidence=10**400),
-                r"^field 'detections\[1\]': int too large to convert to float$",
+                r"^field 'detections\[1\]': confidence beyond float range$",
             ),
         ],
     )
@@ -217,6 +226,63 @@ class TestRecordCodec:
         record["vip_mask"] = {"runs": [7]}  # sums to 7, frame is 48 px
         with pytest.raises(FrameDecodeError, match="vip_mask"):
             decode_record(record, sample_frame().depth)
+
+
+def mostly(valid, *odd):
+    """`valid` seven draws in eight, else one of `odd`: values that some
+    field of the frame model refuses, or once took and wrote."""
+    return st.integers(0, 7).flatmap(lambda k: st.sampled_from(odd) if k == 0 else valid)
+
+
+W, H = 4, 3
+NUMPY_INTS = st.integers(0, 9).map(np.int64)
+
+
+@st.composite
+def frame_parts(draw):
+    """(detection arguments, PerceptionFrame keyword arguments), most of
+    which the frame model accepts."""
+    detections = []
+    for _ in range(draw(st.integers(0, 3))):
+        x1, y1 = draw(st.integers(0, W - 1)), draw(st.integers(0, H - 1))
+        corners = (x1, y1, draw(st.integers(x1 + 1, W)), draw(st.integers(y1 + 1, H)))
+        detections.append((
+            draw(mostly(st.sampled_from(["car", "person", "vip"]), 5, None)),
+            tuple(map(draw(st.sampled_from([int, np.int32])), corners)),
+            draw(mostly(
+                st.floats(0, 1) | st.integers(0, 1) | st.floats(0, 1, width=32).map(np.float32),
+                True, "0.5", math.nan, 10**400,
+            )),
+            draw(mostly(st.none() | st.integers(0, 10**20) | NUMPY_INTS, -1, 1.0, True)),
+        ))
+    keys = draw(st.lists(mostly(st.integers(0, 9) | NUMPY_INTS, 1.0, -1, True, "1"), max_size=3))
+    return detections, dict(
+        frame_id=draw(mostly(st.integers(0, 10**6) | NUMPY_INTS, 1.0, True, "1")),
+        timestamp=draw(mostly(
+            st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(10**6), 10**6)
+            | st.floats(-1e3, 1e3).map(np.float64),
+            math.nan, math.inf, 10**400, "0.5", True,
+        )),
+        instance_masks={key: BitMask(W, H, (W * H,)) for key in keys},
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame_parts())
+def test_constructed_frame_survives_the_codec(parts):
+    """A frame that constructs is written, read back, and equals itself."""
+    detection_args, frame_args = parts
+    depth = DepthMap(W, H, np.zeros((H, W), dtype=np.uint16))
+    try:
+        detections = [
+            Detection(label, BoundingBox(*corners), confidence, track_id)
+            for label, corners, confidence, track_id in detection_args
+        ]
+        frame = PerceptionFrame(width=W, height=H, depth=depth, detections=detections, **frame_args)
+    except ConsistencyError:
+        return
+    record = json.loads(record_to_line(encode_record(frame)))
+    assert decode_record(record, depth) == frame
 
 
 class TestDataset:

@@ -143,7 +143,11 @@ class TestNavGraph:
         with pytest.raises(GraphError, match="no edge"):
             g.weight("A", "Z")
 
-    @pytest.mark.parametrize("pos", [(10**400, 0), (0, float("inf")), (float("nan"), 0)])
+    # a bool or a str once went in as a coordinate, or raised a bare ValueError
+    @pytest.mark.parametrize(
+        "pos",
+        [(10**400, 0), (0, float("inf")), (float("nan"), 0), (True, 0), ("x", 0), (0, "1")],
+    )
     def test_position_must_be_a_finite_float(self, pos):
         g = NavGraph()
         with pytest.raises(GraphError, match="node 'A': pos"):
@@ -156,6 +160,33 @@ class TestNavGraph:
         with pytest.raises(GraphError, match=r"edge \(C,D\) weight beyond float range"):
             g.add_edge("C", "D", 10**400)
         assert not g.has_edge("C", "D")
+
+    # "2" was once taken as weight 2.0, and True as 1.0
+    @pytest.mark.parametrize(
+        "weight, needle",
+        [
+            ("2", "weight '2' not a real number"),
+            (True, "weight True not a real number"),
+            (None, "weight None not a real number"),
+            (float("nan"), "weight nan not finite"),
+            (float("inf"), "weight inf not finite"),
+            (0, "weight 0 not positive"),
+            (-1.5, "weight -1.5 not positive"),
+        ],
+    )
+    def test_weight_must_be_a_positive_finite_real(self, weight, needle):
+        g = triangle()
+        g.add_node("D", (3, 0))
+        with pytest.raises(GraphError, match=rf"^edge \(C,D\) {needle}$"):
+            g.add_edge("C", "D", weight)
+        assert not g.has_edge("C", "D")
+
+    def test_numpy_numbers_stored_as_floats(self):
+        g = triangle()
+        g.add_node("D", (np.int64(3), np.float32(0.5)))
+        g.add_edge("C", "D", np.int64(2))
+        assert g.positions["D"] == (3.0, 0.5) and g.weight("C", "D") == 2.0
+        assert {type(v) for v in (*g.positions["D"], g.weight("C", "D"))} == {float}
 
 
 class TestShortestPath:

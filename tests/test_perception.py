@@ -493,6 +493,24 @@ class TestDepthMap:
         d = DepthMap(width=np.int64(3), height=np.int32(2), values=np.arange(6))
         assert (type(d.width), type(d.height), d.values.shape) == (int, int, (2, 3))
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([1.5, np.nan], "outside"),
+            ([1.0, np.nan], "outside"),
+            ([1.5, 2.0], "not whole numbers"),
+            ([3.0, 65534.75], "not whole numbers"),
+        ],
+    )
+    def test_non_whole_values_rejected(self, values, message):
+        # 1.5 was once cast to 1, and NaN to 0 with only a RuntimeWarning
+        with pytest.raises(ConsistencyError, match=f"^depth values {message}"):
+            DepthMap(width=2, height=1, values=np.array(values))
+
+    def test_whole_float_values_stored_as_uint16(self):
+        d = DepthMap(width=2, height=1, values=np.array([1.0, 65535.0]))
+        assert d.values.dtype == np.uint16 and d.values.tolist() == [[1, 65535]]
+
 
 class TestPerceptionFrame:
     def test_dim_consistency(self):
@@ -537,6 +555,18 @@ class TestPerceptionFrame:
     def test_numpy_float_timestamp_stored_as_float(self):
         frame = make_frame(np.zeros((4, 4)), timestamp=np.float32(0.5))
         assert (type(frame.timestamp), frame.timestamp) == (float, 0.5)
+
+    @pytest.mark.parametrize("key", [1.0, -1, True, "1", None])
+    def test_instance_mask_key_must_be_a_non_negative_int(self, key):
+        # 1.0 and -1 were once written, for read_dataset to reject
+        mask = BitMask(width=4, height=4, runs=(16,))
+        with pytest.raises(ConsistencyError, match="^instance_masks key .* not a non-negative integer$"):
+            make_frame(np.zeros((4, 4)), instance_masks={key: mask})
+
+    def test_numpy_int_instance_mask_key_accepted(self):
+        mask = BitMask(width=4, height=4, runs=(16,))
+        frame = make_frame(np.zeros((4, 4)), instance_masks={np.int64(3): mask})
+        assert frame.instance_masks == {3: mask}
 
     def test_numpy_int_frame_fields_stored_as_ints(self):
         depth = DepthMap(width=4, height=3, values=np.zeros((3, 4)))

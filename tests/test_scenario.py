@@ -166,7 +166,6 @@ class TestCameraIntrinsics:
         [
             ("width", 0),
             ("width", 640.5),
-            ("width", np.int64(640)),
             ("height", -480),
             ("height", True),
             ("hfov_deg", 0),
@@ -183,6 +182,10 @@ class TestCameraIntrinsics:
     def test_bad_fields_rejected(self, field, value):
         with pytest.raises(ConsistencyError, match=rf"^camera {field} "):
             Camera(**{field: value})
+
+    def test_numpy_int_width_stored_as_int(self):
+        cam = Camera(width=np.int64(640))
+        assert (type(cam.width), cam.width) == (int, 640)
 
 
 def vectorised_ground_rows(cam: Camera) -> np.ndarray:
@@ -439,7 +442,7 @@ class TestSpecValidation:
         [("seed", 1.5), ("seed", True), ("seed", "1"), ("n_frames", 2.5), ("n_frames", True)],
     )
     def test_stream_counts_exact_ints(self, field, value):
-        with pytest.raises(ConsistencyError, match=rf"^{field} .* not an int$"):
+        with pytest.raises(ConsistencyError, match=rf"^{field} .* not an integer$"):
             ScenarioSpec(kind="random", **{field: value})
 
     def test_numpy_counts_convert(self):
