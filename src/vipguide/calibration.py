@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -114,8 +114,7 @@ def load_model(path) -> CalibrationModel:
     if not isinstance(obj, dict):
         raise CalibrationError(f"bad model file {path}: expected a JSON object")
     try:
-        reals = [require_field(obj, key, (int, float), "number") for key in ("a", "b", "c", "rmse")]
-        return CalibrationModel(*reals, require_field(obj, "n_samples", int, "int"))
+        return CalibrationModel(*(require_field(obj, f.name) for f in fields(CalibrationModel)))
     except (FrameDecodeError, CalibrationError) as exc:
         raise CalibrationError(f"bad model file {path}: {exc}") from exc
 

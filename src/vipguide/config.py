@@ -5,13 +5,12 @@ rejected so a typo cannot silently fall back to a default.
 """
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 from .frameio import load_json
 from .geometry import GeometricConfig, GeometryError, safety_distance
+from .perception import int_fields, real_fields
 
 GEOMETRY_KEYS = {
     "f_deg": "f_deg",
@@ -37,23 +36,26 @@ class PlannerConfig:
     edge_threshold: float = 128.0  # probe mean (road=255) must exceed this
 
     def __post_init__(self):
+        ints = ("n_partitions", "edge_box_px")
+        int_fields(self, *ints, error=ConfigError)
+        # an int field is a real too, so an int beyond float range is refused
+        reals = ("width_margin", "danger_mult", "warning_mult", "edge_threshold")
+        real_fields(self, *ints, *reals, error=ConfigError)
         if self.n_partitions < 1 or self.n_partitions % 2 == 0:
             raise ConfigError(
-                f"planner.n_partitions must be odd and positive, got {self.n_partitions}"
+                f"n_partitions must be odd and positive, got {self.n_partitions}"
             )
         if self.width_margin <= 0:
-            raise ConfigError(f"planner.width_margin {self.width_margin} not positive")
+            raise ConfigError(f"width_margin {self.width_margin} not positive")
         if not 0 < self.danger_mult <= self.warning_mult:
             raise ConfigError(
-                f"planner thresholds need 0 < danger_mult <= warning_mult, "
+                f"thresholds need 0 < danger_mult <= warning_mult, "
                 f"got {self.danger_mult}, {self.warning_mult}"
             )
         if self.edge_box_px <= 0:
-            raise ConfigError(f"planner.edge_box_px {self.edge_box_px} not positive")
+            raise ConfigError(f"edge_box_px {self.edge_box_px} not positive")
         if not 0 <= self.edge_threshold < 255:
-            raise ConfigError(
-                f"planner.edge_threshold {self.edge_threshold} outside [0, 255)"
-            )
+            raise ConfigError(f"edge_threshold {self.edge_threshold} outside [0, 255)")
 
 
 @dataclass(frozen=True)
@@ -65,18 +67,19 @@ class PipelineTuning:
     max_misses: int = 15        # ~0.5 s at 30 fps
 
     def __post_init__(self):
+        if type(self.live_speed) is not bool:
+            raise ConfigError(f"live_speed {self.live_speed!r} not a bool")
+        ints = ("vip_hold_frames", "reroute_patience", "max_misses")
+        int_fields(self, *ints, error=ConfigError)
+        real_fields(self, *ints, "iou_threshold", error=ConfigError)
         if self.vip_hold_frames < 0:
-            raise ConfigError(f"pipeline.vip_hold_frames {self.vip_hold_frames} < 0")
+            raise ConfigError(f"vip_hold_frames {self.vip_hold_frames} < 0")
         if self.reroute_patience < 1:
-            raise ConfigError(
-                f"pipeline.reroute_patience {self.reroute_patience} < 1"
-            )
+            raise ConfigError(f"reroute_patience {self.reroute_patience} < 1")
         if not 0.0 < self.iou_threshold < 1.0:
-            raise ConfigError(
-                f"pipeline.iou_threshold {self.iou_threshold} outside (0,1)"
-            )
+            raise ConfigError(f"iou_threshold {self.iou_threshold} outside (0,1)")
         if self.max_misses < 0:
-            raise ConfigError(f"pipeline.max_misses {self.max_misses} < 0")
+            raise ConfigError(f"max_misses {self.max_misses} < 0")
 
 
 @dataclass(frozen=True)
@@ -99,39 +102,15 @@ def default_config() -> Config:
     return Config()
 
 
-# what a value for each declared field type must be, as error messages say it
-_EXPECTED = {"bool": "true or false", "int": "an int", "float": "a finite number"}
-
-
-def _accepts(kind: str, value) -> bool:
-    """A bool fills only a bool field; an int fills an int or float field, a
-    float only a float field, and either must be finite."""
-    if kind == "bool" or isinstance(value, bool):
-        return kind == "bool" and isinstance(value, bool)
-    if not isinstance(value, int if kind == "int" else (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond float range
-        return False
-
-
 def _build(section: str, raw: dict, key_map: dict, cls):
-    kinds = {f.name: f.type for f in fields(cls)}
     kwargs = {}
     for key, value in raw.items():
         if key not in key_map:
             raise ConfigError(f"unknown key '{section}.{key}'")
-        kind = kinds[key_map[key]]
-        if not _accepts(kind, value):
-            raise ConfigError(
-                f"'{section}.{key}': expected {_EXPECTED[kind]}, "
-                f"got {json.dumps(value)}"
-            )
         kwargs[key_map[key]] = value
     try:
         return cls(**kwargs)
-    except GeometryError as exc:
+    except (ConfigError, GeometryError) as exc:
         raise ConfigError(f"bad '{section}' section: {exc}") from exc
 
 

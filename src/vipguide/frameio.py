@@ -145,13 +145,14 @@ def record_to_line(record: dict) -> str:
     return json.dumps(record, separators=(",", ":"))
 
 
-def require_field(record: dict, field: str, kinds, kind_name: str, where: str = ""):
-    """record[field] when it is one of ``kinds`` and not a bool; ``where``
-    prefixes the field's path in the error message."""
+def require_field(record: dict, field: str, kinds=None, kind_name: str = "", where: str = ""):
+    """record[field], which must be one of ``kinds`` and not a bool when
+    ``kinds`` is given; ``where`` prefixes the field's path in the error
+    message. Without ``kinds`` the value is left to the type that holds it."""
     if field not in record:
         raise FrameDecodeError(f"field '{where}{field}': missing")
     value = record[field]
-    if isinstance(value, bool) or not isinstance(value, kinds):
+    if kinds is not None and (isinstance(value, bool) or not isinstance(value, kinds)):
         raise FrameDecodeError(f"field '{where}{field}': expected {kind_name}")
     return value
 
@@ -163,8 +164,9 @@ def decode_record(record: dict, depth: DepthMap) -> PerceptionFrame:
     and ConsistencyError on dimension mismatches.
     """
     frame_id = require_field(record, "frame_id", int, "int")
-    timestamp = require_field(record, "timestamp", (int, float), "number")
-    timestamp = _finite_real(timestamp, "timestamp", FrameDecodeError)  # as for a wrong type
+    # the frame checks it too, but a bad number read here is a decode error
+    timestamp = _finite_real(require_field(record, "timestamp"), "timestamp", FrameDecodeError)
+    # width and height size the masks before any frame checks them
     width = require_field(record, "width", int, "int")
     height = require_field(record, "height", int, "int")
     raw_dets = require_field(record, "detections", list, "list")
@@ -174,21 +176,18 @@ def decode_record(record: dict, depth: DepthMap) -> PerceptionFrame:
         if not isinstance(obj, dict):
             raise FrameDecodeError(f"field 'detections[{i}]': expected an object")
         where = f"detections[{i}]."
-        label = require_field(obj, "class", str, "str", where)
+        label = require_field(obj, "class", where=where)
         bbox = require_field(obj, "bbox", list, "[x1,y1,x2,y2] ints", where)
-        if len(bbox) != 4 or not set(map(type, bbox)) <= {int}:  # no bools
+        if len(bbox) != 4:
             raise FrameDecodeError(f"field '{where}bbox': expected [x1,y1,x2,y2] ints")
-        confidence = require_field(obj, "confidence", (int, float), "number", where)
-        track_id = obj.get("track_id")
-        if track_id is not None:
-            require_field(obj, "track_id", int, "int or null", where)
-        try:
+        confidence = require_field(obj, "confidence", where=where)
+        try:  # the detection and its box check each value's type
             detections.append(
                 Detection(
                     class_label=label,
                     bbox=BoundingBox(*bbox),
                     confidence=confidence,
-                    track_id=track_id,
+                    track_id=obj.get("track_id"),
                 )
             )
         except ConsistencyError as exc:

@@ -11,9 +11,10 @@ All angles are degrees at the API surface, lengths meters, times seconds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import GeometryError, InfeasibleConfigError
+from .perception import real_fields
 
 D_MIN_FLOOR = 1.0
 D_MAX_CEILING = 10.0
@@ -35,6 +36,7 @@ class GeometricConfig:
     hfov_deg: float = 90.0
 
     def __post_init__(self):
+        real_fields(self, *(f.name for f in fields(self)), error=GeometryError)
         if not 0.0 < self.f_deg < 180.0:
             raise GeometryError(f"vertical fov {self.f_deg} outside (0, 180)")
         if not 0.0 < self.hfov_deg < 180.0:

@@ -14,7 +14,6 @@ destination as its own landmark).
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass
 
 from .errors import GraphError, UnreachableError
@@ -54,11 +53,17 @@ class NavGraph:
     # -- construction ---------------------------------------------------------
 
     def add_node(self, node_id: str, pos: tuple[float, float]) -> None:
+        if not isinstance(node_id, str):
+            raise GraphError(f"node id {node_id!r} not a str")
         if node_id in self.positions:
             raise GraphError(f"duplicate node id '{node_id}'")
         try:
-            x = float(_finite_real(pos[0], "pos", GraphError))
-            y = float(_finite_real(pos[1], "pos", GraphError))
+            x, y = pos
+        except (TypeError, ValueError):
+            raise GraphError(f"node '{node_id}': pos {pos!r} not an (x, y) pair") from None
+        try:
+            x = float(_finite_real(x, "pos", GraphError))
+            y = float(_finite_real(y, "pos", GraphError))
         except GraphError as exc:
             raise GraphError(f"node '{node_id}': {exc}") from None
         self.positions[node_id] = (x, y)
@@ -66,6 +71,8 @@ class NavGraph:
         self._dist_to = None
 
     def add_edge(self, u: str, v: str, weight: float) -> None:
+        if not (isinstance(u, str) and isinstance(v, str)):
+            raise GraphError(f"edge ({u!r},{v!r}): u and v must be node id strings")
         adj = self._adj
         if u not in adj or v not in adj:
             missing = u if u not in adj else v
@@ -192,10 +199,6 @@ def load_graph(path) -> NavGraph:
     return graph_from_dict(load_json(path, GraphError))
 
 
-# JSON yields exact ints and floats, so an exact type test also rules out bools
-_JSON_NUMBERS = (int, float)
-
-
 def graph_from_dict(obj: dict) -> NavGraph:
     if not isinstance(obj, dict):
         raise GraphError("graph file must hold a JSON object")
@@ -206,29 +209,14 @@ def graph_from_dict(obj: dict) -> NavGraph:
         raise GraphError("graph object needs 'nodes' and 'edges' lists")
     for i, node in enumerate(nodes):
         try:
-            node_id = node["id"]
-            pos = node["pos"]
+            node_id, pos = node["id"], node["pos"]
         except (TypeError, KeyError) as exc:
             raise GraphError(f"nodes[{i}]: missing id/pos") from exc
-        if not isinstance(node_id, str):
-            raise GraphError(f"nodes[{i}]: id must be a string")
-        if not (
-            isinstance(pos, list)
-            and len(pos) == 2
-            and type(pos[0]) in _JSON_NUMBERS
-            and type(pos[1]) in _JSON_NUMBERS
-        ):
-            raise GraphError(f"node '{node_id}': pos must be [x, y] numbers")
-        graph.add_node(node_id, (pos[0], pos[1]))
+        graph.add_node(node_id, pos)
     for i, edge in enumerate(edges):
         try:
             u, v, w = edge["u"], edge["v"], edge["w"]
         except (TypeError, KeyError) as exc:
             raise GraphError(f"edges[{i}]: missing u/v/w") from exc
-        if not (isinstance(u, str) and isinstance(v, str)):
-            raise GraphError(f"edges[{i}]: u and v must be node id strings")
-        if type(w) not in _JSON_NUMBERS:
-            raise GraphError(f"edges[{i}]: w must be a number, got {json.dumps(w)}")
         graph.add_edge(u, v, w)
     return graph
-

@@ -101,6 +101,8 @@ class SceneObject:
         if not isinstance(self.kind, str):
             raise ConsistencyError(f"kind {self.kind!r} not a str")
         real_fields(self, "x", "z", "width", "height", "elevation", what=f"{self.kind} ")
+        if type(self.labeled) is not bool:
+            raise ConsistencyError(f"{self.kind} labeled {self.labeled!r} not a bool")
         if self.z <= 0:
             raise ConsistencyError(f"{self.kind} at nonpositive z {self.z}")
         if self.width <= 0 or self.height <= 0:

@@ -20,12 +20,12 @@ from conftest import det, make_frame, save_samples_csv
 
 # a model file with one mistyped field -> the end of the message that rejects it
 MISTYPED_MODELS = {
-    '{"a": "1.5", "b": 1, "c": 1, "rmse": 0, "n_samples": 3}': "field 'a': expected number",
-    '{"a": true, "b": 1, "c": 1, "rmse": 0, "n_samples": 3}': "field 'a': expected number",
-    '{"a": 1, "b": 1, "c": 1, "rmse": 0, "n_samples": 3.9}': "field 'n_samples': expected int",
-    '{"a": 1, "b": 1, "c": 1, "rmse": 0, "n_samples": "7"}': "field 'n_samples': expected int",
-    '{"a": 1, "b": 1, "c": 1, "rmse": 0, "n_samples": true}': "field 'n_samples': expected int",
-    '{"a": 1, "b": 1, "c": 1, "rmse": null, "n_samples": 3}': "field 'rmse': expected number",
+    '{"a": "1.5", "b": 1, "c": 1, "rmse": 0, "n_samples": 3}': "a '1.5' not a real number",
+    '{"a": true, "b": 1, "c": 1, "rmse": 0, "n_samples": 3}': "a True not a real number",
+    '{"a": 1, "b": 1, "c": 1, "rmse": 0, "n_samples": 3.9}': "n_samples 3.9 not an integer",
+    '{"a": 1, "b": 1, "c": 1, "rmse": 0, "n_samples": "7"}': "n_samples '7' not an integer",
+    '{"a": 1, "b": 1, "c": 1, "rmse": 0, "n_samples": true}': "n_samples True not an integer",
+    '{"a": 1, "b": 1, "c": 1, "rmse": null, "n_samples": 3}': "rmse None not a real number",
     '"a b c"': "expected a JSON object",
 }
 

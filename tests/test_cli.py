@@ -296,19 +296,19 @@ class TestPlan:
             ('{"a": 1, "b": 1, "c": Infinity, "rmse": 0, "n_samples": 3}', "c inf not finite"),
             (
                 '{"a": "1.5", "b": 1, "c": 1, "rmse": 0, "n_samples": 3}',
-                "model.json: field 'a': expected number",
+                "model.json: a '1.5' not a real number",
             ),
             (
                 '{"a": true, "b": 1, "c": 1, "rmse": 0, "n_samples": 3}',
-                "model.json: field 'a': expected number",
+                "model.json: a True not a real number",
             ),
             (
                 '{"a": 1, "b": 1, "c": 1, "rmse": 0, "n_samples": 3.9}',
-                "model.json: field 'n_samples': expected int",
+                "model.json: n_samples 3.9 not an integer",
             ),
             (
                 '{"a": 1, "b": 1, "c": 1, "rmse": 0, "n_samples": "7"}',
-                "model.json: field 'n_samples': expected int",
+                "model.json: n_samples '7' not an integer",
             ),
         ],
         ids=["malformed", "nan", "inf", "a_str", "a_bool", "n_samples_float", "n_samples_str"],
@@ -323,23 +323,30 @@ class TestPlan:
         assert_fails_cleanly(result, "plan", needle)
 
     @pytest.mark.parametrize(
-        "section,key,value",
+        "section,key,value,needle",
         [
-            ("pipeline", "live_speed", "no"),
-            ("planner", "n_partitions", 3.0),
-            ("planner", "edge_box_px", 90.5),
-            ("pipeline", "max_misses", 1.5),
-            ("geometry", "walk_speed_mps", True),
+            ("pipeline", "live_speed", "no", "live_speed 'no' not a bool"),
+            ("planner", "n_partitions", 3.0, "n_partitions 3.0 not an integer"),
+            ("planner", "edge_box_px", 90.5, "edge_box_px 90.5 not an integer"),
+            ("pipeline", "max_misses", 1.5, "max_misses 1.5 not an integer"),
+            ("geometry", "walk_speed_mps", True, "walk_speed True not a real number"),
+        ],
+        ids=[
+            "pipeline-live_speed-no",
+            "planner-n_partitions-3.0",
+            "planner-edge_box_px-90.5",
+            "pipeline-max_misses-1.5",
+            "geometry-walk_speed_mps-True",
         ],
     )
-    def test_mistyped_config_fails_cleanly(self, tmp_path, capsys, section, key, value):
+    def test_mistyped_config_fails_cleanly(self, tmp_path, capsys, section, key, value, needle):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({section: {key: value}}))
         result = run(
             capsys, "plan", "--scenario", "random", "--config", str(config),
             "--out", str(tmp_path / "t.jsonl"),
         )
-        assert_fails_cleanly(result, "plan", f"'{section}.{key}': expected")
+        assert_fails_cleanly(result, "plan", f"bad '{section}' section: {needle}")
 
     def test_zero_safety_distance_config_fails_before_any_trace(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -395,7 +402,7 @@ class TestRoute:
         "text,needle",
         [
             ('{"nodes": [', "graph.json: malformed JSON"),
-            ('{"nodes": [{"id": "A", "pos": [1, "x"]}], "edges": []}', "pos must be"),
+            ('{"nodes": [{"id": "A", "pos": [1, "x"]}], "edges": []}', "node 'A': pos 'x' not a real number"),
             (
                 '{"nodes": [{"id": "A", "pos": [0, 0]}, {"id": "B", "pos": [1, 0]}],'
                 ' "edges": [{"u": ["A"], "v": "B", "w": 1}]}',
@@ -404,7 +411,7 @@ class TestRoute:
             (
                 '{"nodes": [{"id": "A", "pos": [0, 0]}, {"id": "B", "pos": [1, 0]}],'
                 ' "edges": [{"u": "A", "v": "B", "w": true}]}',
-                "w must be a number",
+                "edge (A,B) weight True not a real number",
             ),
             (
                 '{"nodes": [{"id": "A", "pos": [0, 0]}, {"id": "B", "pos": [1%s, 0]}],'

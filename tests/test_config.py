@@ -196,18 +196,18 @@ def test_load_config_missing_file(tmp_path):
 @pytest.mark.parametrize(
     "section,key,value,expected",
     [
-        ("pipeline", "live_speed", "no", 'true or false, got "no"'),
-        ("pipeline", "live_speed", 1, "true or false, got 1"),
-        ("planner", "n_partitions", 3.0, "an int, got 3.0"),
-        ("planner", "edge_box_px", 90.5, "an int, got 90.5"),
-        ("pipeline", "max_misses", 1.5, "an int, got 1.5"),
-        ("pipeline", "max_misses", True, "an int, got true"),
-        ("planner", "n_partitions", 10**400, "an int, got 1000"),
-        ("geometry", "walk_speed_mps", True, "a finite number, got true"),
-        ("geometry", "walk_speed_mps", "1.2", 'a finite number, got "1.2"'),
-        ("planner", "width_margin", float("nan"), "a finite number, got NaN"),
-        ("geometry", "perception_range_m", float("inf"), "a finite number, got Infinity"),
-        ("planner", "edge_threshold", None, "a finite number, got null"),
+        ("pipeline", "live_speed", "no", "live_speed 'no' not a bool"),
+        ("pipeline", "live_speed", 1, "live_speed 1 not a bool"),
+        ("planner", "n_partitions", 3.0, "n_partitions 3.0 not an integer"),
+        ("planner", "edge_box_px", 90.5, "edge_box_px 90.5 not an integer"),
+        ("pipeline", "max_misses", 1.5, "max_misses 1.5 not an integer"),
+        ("pipeline", "max_misses", True, "max_misses True not an integer"),
+        ("planner", "n_partitions", 10**400, "n_partitions beyond float range"),
+        ("geometry", "walk_speed_mps", True, "walk_speed True not a real number"),
+        ("geometry", "walk_speed_mps", "1.2", "walk_speed '1.2' not a real number"),
+        ("planner", "width_margin", float("nan"), "width_margin nan not finite"),
+        ("geometry", "perception_range_m", float("inf"), "perception_range inf not finite"),
+        ("planner", "edge_threshold", None, "edge_threshold None not a real number"),
     ],
     ids=[
         "bool_str", "bool_int", "int_float", "int_half", "int_fraction", "int_bool",
@@ -215,17 +215,14 @@ def test_load_config_missing_file(tmp_path):
     ],
 )
 def test_value_must_match_field_type(section, key, value, expected):
-    with pytest.raises(ConfigError, match=f"^'{section}.{key}': expected {expected}"):
+    # the section's type gives the verdict; the reader names the section
+    with pytest.raises(ConfigError) as info:
         config_from_dict({section: {key: value}})
+    assert str(info.value) == f"bad '{section}' section: {expected}"
 
 
 def test_float_field_takes_an_int():
     assert config_from_dict({"geometry": {"walk_speed_mps": 1}}).geometry.walk_speed == 1
-
-
-@pytest.mark.parametrize("cls", [GeometricConfig, PlannerConfig, PipelineTuning])
-def test_every_field_type_is_checkable(cls):
-    assert {f.type for f in fields(cls)} <= {"bool", "int", "float"}
 
 
 def test_load_config_not_utf8(tmp_path):

@@ -193,21 +193,24 @@ class TestRecordCodec:
             (lambda r: r.update(road_mask=[48]), r"^field 'road_mask': expected an object"),
             (lambda r: r.update(vip_mask={"runs": 48}), r"^field 'vip_mask\.runs': expected a list"),
             (lambda r: r.update(timestamp=10**400), "timestamp"),
-            (
+            pytest.param(
                 lambda r: r["detections"][0].update({"class": 7}),
-                r"^field 'detections\[0\]\.class': expected str$",
+                r"^field 'detections\[0\]': class_label 7 not a str$",
+                id=r"<lambda>-^field 'detections\[0\]\.class': expected str$",
             ),
             (
                 lambda r: r["detections"][1].pop("class"),
                 r"^field 'detections\[1\]\.class': missing$",
             ),
-            (
+            pytest.param(
                 lambda r: r["detections"][0].update(track_id=True),
-                r"^field 'detections\[0\]\.track_id': expected int or null$",
+                r"^field 'detections\[0\]': track_id True not an integer$",
+                id=r"<lambda>-^field 'detections\[0\]\.track_id': expected int or null$",
             ),
-            (
+            pytest.param(
                 lambda r: r["detections"][0].update(bbox=[3, 2, True, 5]),
-                r"^field 'detections\[0\]\.bbox': expected \[x1,y1,x2,y2\] ints$",
+                r"^field 'detections\[0\]': x2 True not an integer$",
+                id=r"<lambda>-^field 'detections\[0\]\.bbox': expected \[x1,y1,x2,y2\] ints$",
             ),
             (
                 lambda r: r["detections"][1].update(confidence=10**400),

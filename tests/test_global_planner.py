@@ -181,6 +181,29 @@ class TestNavGraph:
             g.add_edge("C", "D", weight)
         assert not g.has_edge("C", "D")
 
+    # each built, or raised a bare TypeError or IndexError, before add_node
+    # and add_edge checked their own arguments
+    @pytest.mark.parametrize(
+        "node_id, pos, needle",
+        [
+            (5, (0, 0), r"^node id 5 not a str$"),
+            ("A", (1,), r"^node 'A': pos \(1,\) not an \(x, y\) pair$"),
+            ("B", 5, r"^node 'B': pos 5 not an \(x, y\) pair$"),
+            ("C", (1, 2, 3), r"^node 'C': pos \(1, 2, 3\) not an \(x, y\) pair$"),
+        ],
+    )
+    def test_node_id_and_pos_shape_checked(self, node_id, pos, needle):
+        g = NavGraph()
+        with pytest.raises(GraphError, match=needle):
+            g.add_node(node_id, pos)
+        assert g.node_ids == []
+
+    def test_edge_ends_must_be_strings(self):
+        g = triangle()
+        needle = r"^edge \(\['A'\],'C'\): u and v must be node id strings$"
+        with pytest.raises(GraphError, match=needle):
+            g.add_edge(["A"], "C", 1)
+
     def test_numpy_numbers_stored_as_floats(self):
         g = triangle()
         g.add_node("D", (np.int64(3), np.float32(0.5)))
@@ -437,14 +460,24 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "node,edge,needle",
         [
-            ({"pos": [1, "x"]}, {}, "pos must be"),
-            ({"pos": [True, 0]}, {}, "pos must be"),
-            ({}, {"u": ["A"]}, "u and v must be node id strings"),
-            ({}, {"v": 2}, "u and v must be node id strings"),
-            ({}, {"w": True}, "w must be a number, got true"),
-            ({}, {"w": "1"}, "w must be a number"),
+            ({"pos": [1, "x"]}, {}, "node 'A': pos 'x' not a real number"),
+            ({"pos": [True, 0]}, {}, "node 'A': pos True not a real number"),
+            ({}, {"u": ["A"]}, r"edge \(\['A'\],'B'\): u and v must be node id strings"),
+            ({}, {"v": 2}, r"edge \('A',2\): u and v must be node id strings"),
+            ({}, {"w": True}, r"edge \(A,B\) weight True not a real number"),
+            ({}, {"w": "1"}, r"edge \(A,B\) weight '1' not a real number"),
             ({"pos": [10**400, 0]}, {}, "node 'A': pos beyond float range"),
             ({}, {"w": 10**400}, r"edge \(A,B\) weight beyond float range"),
+        ],
+        ids=[
+            "node0-edge0-pos must be",
+            "node1-edge1-pos must be",
+            "node2-edge2-u and v must be node id strings",
+            "node3-edge3-u and v must be node id strings",
+            "node4-edge4-w must be a number, got true",
+            "node5-edge5-w must be a number",
+            "node6-edge6-node 'A': pos beyond float range",
+            r"node7-edge7-edge \(A,B\) weight beyond float range",
         ],
     )
     def test_mistyped_entries(self, node, edge, needle):

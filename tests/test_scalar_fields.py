@@ -1,4 +1,4 @@
-"""Every int, float and str field of the checked value types refuses what
+"""Every int, float, str and bool field of the checked value types refuses what
 its annotation does not allow, with the type's own error class and a
 message that names the field.
 
@@ -12,8 +12,8 @@ import re
 import numpy as np
 import pytest
 
-from vipguide import calibration, perception, scenario
-from vipguide.errors import CalibrationError, ConsistencyError
+from vipguide import calibration, config, geometry, perception, scenario
+from vipguide.errors import CalibrationError, ConfigError, ConsistencyError, GeometryError
 
 BOX = perception.BoundingBox(0, 0, 2, 2)
 DEPTH = perception.DepthMap(width=2, height=2, values=np.zeros((2, 2), dtype=np.uint16))
@@ -42,6 +42,10 @@ CHECKED = {
         CalibrationError,
         dict(a=1.0, b=1.0, c=1.0, rmse=0.0, n_samples=3),
     ),
+    geometry.GeometricConfig: (GeometryError, {}),
+    config.PlannerConfig: (ConfigError, {}),
+    config.PipelineTuning: (ConfigError, {}),
+    config.Config: (ConfigError, {}),
 }
 
 # (id, value) pairs each annotation refuses
@@ -58,6 +62,7 @@ BAD = {
         ("10**400", 10**400),
     ],
     "str": [("int", 5), ("None", None)],
+    "bool": [("int", 1), ("str", "no")],
 }
 # annotations of fields that are not scalars, or not checked as one
 OTHER = {
@@ -69,7 +74,9 @@ OTHER = {
     "BitMask | None",
     "dict[int, BitMask]",
     "Detection | None",
-    "bool",
+    "GeometricConfig",
+    "PlannerConfig",
+    "PipelineTuning",
 }
 
 
@@ -88,7 +95,7 @@ CASES = [
 def test_table_covers_every_checked_type():
     checked = {
         cls
-        for module in (perception, scenario, calibration)
+        for module in (perception, scenario, calibration, geometry, config)
         for cls in vars(module).values()
         if dataclasses.is_dataclass(cls)
         and cls.__module__ == module.__name__
