@@ -135,4 +135,8 @@ def config_from_dict(obj: dict) -> Config:
 
 
 def load_config(path) -> Config:
-    return config_from_dict(load_json(path, ConfigError))
+    obj = load_json(path, ConfigError)
+    try:
+        return config_from_dict(obj)
+    except ConfigError as exc:
+        raise ConfigError(f"bad config file {path}: {exc}") from exc

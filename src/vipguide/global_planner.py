@@ -14,6 +14,7 @@ destination as its own landmark).
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 from .errors import GraphError, UnreachableError
@@ -142,16 +143,24 @@ class NavGraph:
         if self._dist_to is not None and self._dist_to[0] == dst:
             return self._dist_to[1]
         adj = self._adj
+        heappush, heappop = heapq.heappush, heapq.heappop
         dist: dict[str, float] = {}
+        # best distance queued per node: a neighbour is pushed only when it
+        # improves on that, so each node still pops first at the same float
+        # minimum, and a settled node (best <= d <= d + w) is never pushed again
+        best = dict.fromkeys(adj, math.inf)
+        best[dst] = 0.0
         heap: list[tuple[float, str]] = [(0.0, dst)]
         while heap:
-            d, node = heapq.heappop(heap)
+            d, node = heappop(heap)
             if node in dist:
                 continue
             dist[node] = d * _H_SCALE
             for nxt, w in adj[node].items():
-                if nxt not in dist:
-                    heapq.heappush(heap, (d + w, nxt))
+                nd = d + w
+                if nd < best[nxt]:
+                    best[nxt] = nd
+                    heappush(heap, (nd, nxt))
         self._dist_to = (dst, dist)
         return dist
 
@@ -196,10 +205,18 @@ def shortest_path(graph: NavGraph, src: str, dst: str) -> Route:
 
 def load_graph(path) -> NavGraph:
     """Read a graph JSON file: nodes with planar positions, weighted edges."""
-    return graph_from_dict(load_json(path, GraphError))
+    obj = load_json(path, GraphError)
+    try:
+        return graph_from_dict(obj)
+    except GraphError as exc:
+        raise GraphError(f"bad graph file {path}: {exc}") from exc
 
 
 def graph_from_dict(obj: dict) -> NavGraph:
+    """Build a graph from parsed JSON, entry by entry in file order. A plain
+    entry (str ids, finite float numbers) that passes every rule is stored
+    directly; any other goes through add_node or add_edge, which hold every
+    rule and message."""
     if not isinstance(obj, dict):
         raise GraphError("graph file must hold a JSON object")
     graph = NavGraph()
@@ -207,16 +224,30 @@ def graph_from_dict(obj: dict) -> NavGraph:
     edges = obj.get("edges")
     if not isinstance(nodes, list) or not isinstance(edges, list):
         raise GraphError("graph object needs 'nodes' and 'edges' lists")
+    positions, adj, inf = graph.positions, graph._adj, math.inf
     for i, node in enumerate(nodes):
         try:
             node_id, pos = node["id"], node["pos"]
         except (TypeError, KeyError) as exc:
             raise GraphError(f"nodes[{i}]: missing id/pos") from exc
+        if type(pos) is list and len(pos) == 2:
+            x, y = pos
+            if (type(x) is float and type(y) is float and -inf < x < inf and -inf < y < inf
+                    and type(node_id) is str and node_id not in adj):
+                positions[node_id] = (x, y)
+                adj[node_id] = {}
+                continue
         graph.add_node(node_id, pos)
+    # nothing is blocked while the graph is built, so a pair not in adj is new
     for i, edge in enumerate(edges):
         try:
             u, v, w = edge["u"], edge["v"], edge["w"]
         except (TypeError, KeyError) as exc:
             raise GraphError(f"edges[{i}]: missing u/v/w") from exc
+        if type(w) is float and 0 < w < inf and type(u) is str and type(v) is str and u != v:
+            nbrs = adj.get(u)
+            if nbrs is not None and v in adj and v not in nbrs:
+                nbrs[v] = adj[v][u] = w
+                continue
         graph.add_edge(u, v, w)
     return graph

@@ -346,7 +346,7 @@ class TestPlan:
             capsys, "plan", "--scenario", "random", "--config", str(config),
             "--out", str(tmp_path / "t.jsonl"),
         )
-        assert_fails_cleanly(result, "plan", f"bad '{section}' section: {needle}")
+        assert_fails_cleanly(result, "plan", f"bad config file {config}: bad '{section}' section: {needle}")
 
     def test_zero_safety_distance_config_fails_before_any_trace(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -356,7 +356,7 @@ class TestPlan:
             capsys, "plan", "--scenario", "random", "--config", str(config),
             "--out", str(out),
         )
-        assert_fails_cleanly(result, "plan", "walk_speed_mps")
+        assert_fails_cleanly(result, "plan", f"bad config file {config}: geometry.walk_speed_mps")
         assert not out.exists()
 
     def test_missing_dataset_fails_cleanly(self, tmp_path, capsys):
@@ -431,6 +431,13 @@ class TestRoute:
         graph.write_text(text)
         result = run(capsys, "route", "--graph", str(graph), "--src", "A", "--dst", "B")
         assert_fails_cleanly(result, "route", needle)
+        assert str(graph) in result[2]
+
+    def test_graph_refusal_names_the_file(self, tmp_path, capsys):
+        graph = tmp_path / "graph.json"
+        graph.write_text('{"nodes": [{"id": "A", "pos": [1, "x"]}], "edges": []}')
+        code, _, err = run(capsys, "route", "--graph", str(graph), "--src", "A", "--dst", "B")
+        assert (code, err) == (1, f"route: bad graph file {graph}: node 'A': pos 'x' not a real number\n")
 
     def test_unknown_node_exits_one(self, capsys, campus_graph_path):
         code, _, err = run(

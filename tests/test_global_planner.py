@@ -1,12 +1,16 @@
 import heapq
+import math
 import random
 from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vipguide.errors import GraphError, UnreachableError
 from vipguide.global_planner import (
+    _H_SCALE,
     NavGraph,
     Route,
     graph_from_dict,
@@ -67,6 +71,24 @@ def dijkstra_oracle(graph: NavGraph, src: str, dst: str) -> Route:
             if nxt not in settled:
                 heapq.heappush(heap, (cost + weight, path + (nxt,)))
     raise UnreachableError(f"no unblocked path from '{src}' to '{dst}'")
+
+
+def plain_distances(graph: NavGraph, dst: str) -> dict[str, float]:
+    """Plain Dijkstra from dst over unblocked edges, each reached node's
+    distance times _H_SCALE: the distance map before it pushed only
+    improvements."""
+    adj = open_adjacency(graph)
+    dist: dict[str, float] = {}
+    heap: list[tuple[float, str]] = [(0.0, dst)]
+    while heap:
+        d, node = heapq.heappop(heap)
+        if node in dist:
+            continue
+        dist[node] = d
+        for nxt, w in adj[node].items():
+            if nxt not in dist:
+                heapq.heappush(heap, (d + w, nxt))
+    return {node: d * _H_SCALE for node, d in dist.items()}
 
 
 def triangle():
@@ -425,6 +447,23 @@ class TestAgainstDijkstra:
             route = assert_matches_oracle(g, src, dst)
             assert route.nodes == (src, below_src, below_dst, dst)
 
+    def test_distance_map_is_plain_dijkstra(self, kind):
+        # equal floats, node for node, and no key for a node that cannot reach
+        rng = random.Random(f"map-{kind}")
+        for _ in range(10):
+            g = grid_graph(rng, WEIGHTS[kind])
+            dst = rng.choice(g.node_ids)
+            assert g._distances_to(dst) == plain_distances(g, dst)
+            for u, v, _w, _b in rng.sample(g.edge_list(), 40):
+                g.block_edge(u, v)
+            g.block_edge("0_0", "0_1")  # cut a corner off
+            g.block_edge("0_0", "1_0")
+            # a map toward another node replaces the cached one, so the map
+            # toward dst is then built again on the blocked graph
+            other = rng.choice([node for node in g.node_ids if node != dst])
+            for target in (other, dst):
+                assert g._distances_to(target) == plain_distances(g, target)
+
     def test_block_that_cuts_off_the_destination(self, kind):
         rng = random.Random(f"cut-{kind}")
         g = grid_graph(rng, WEIGHTS[kind])
@@ -498,3 +537,155 @@ class TestSerialization:
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_graph(tmp_path / "nope.json")
+
+
+# -- the build against an entry-by-entry oracle ------------------------------------
+
+
+def real_or_refusal(value, name: str):
+    """`value` as a Python float, or the message that refuses it."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return f"{name} {value!r} not a real number"
+    try:
+        as_float = float(value)
+    except OverflowError:
+        return f"{name} beyond float range"
+    if math.isnan(as_float) or math.isinf(as_float):
+        return f"{name} {as_float!r} not finite"
+    return as_float
+
+
+def build_oracle(obj: dict):
+    """(positions, adjacency) built entry by entry with every rule spelled
+    out, or the GraphError message of the first bad entry."""
+    positions: dict = {}
+    adj: dict = {}
+    for i, node in enumerate(obj["nodes"]):
+        try:
+            node_id, pos = node["id"], node["pos"]
+        except (TypeError, KeyError):
+            return f"nodes[{i}]: missing id/pos"
+        if not isinstance(node_id, str):
+            return f"node id {node_id!r} not a str"
+        if node_id in positions:
+            return f"duplicate node id '{node_id}'"
+        try:
+            x, y = pos
+        except (TypeError, ValueError):
+            return f"node '{node_id}': pos {pos!r} not an (x, y) pair"
+        stored = tuple(real_or_refusal(c, "pos") for c in (x, y))
+        for c in stored:
+            if isinstance(c, str):
+                return f"node '{node_id}': {c}"
+        positions[node_id] = stored
+        adj[node_id] = {}
+    for i, edge in enumerate(obj["edges"]):
+        try:
+            u, v, w = edge["u"], edge["v"], edge["w"]
+        except (TypeError, KeyError):
+            return f"edges[{i}]: missing u/v/w"
+        if not (isinstance(u, str) and isinstance(v, str)):
+            return f"edge ({u!r},{v!r}): u and v must be node id strings"
+        for end in (u, v):
+            if end not in adj:
+                return f"edge ({u},{v}) references unknown node '{end}'"
+        if u == v:
+            return f"self-loop on '{u}'"
+        if v in adj[u]:
+            return f"duplicate edge ({u},{v})"
+        weight = real_or_refusal(w, "weight")
+        if isinstance(weight, str):
+            return f"edge ({u},{v}) {weight}"
+        if weight <= 0:
+            return f"edge ({u},{v}) weight {w} not positive"
+        adj[u][v] = adj[v][u] = weight
+    return positions, adj
+
+
+NUMBERS = st.one_of(
+    st.floats(),
+    st.one_of(
+        st.integers(min_value=-1000, max_value=1000),
+        st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 10**400, -(10**400)]),
+        st.floats().map(np.float64),
+        st.integers(min_value=-1000, max_value=1000).map(np.int64),
+        st.booleans(),
+        st.sampled_from(["1", None]),
+    ),
+)
+STR_IDS = st.sampled_from("ABCD")
+IDS = st.one_of(STR_IDS, st.sampled_from([1, None, ["A"]]))
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+PLAIN_WEIGHTS = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def graph_dicts(draw) -> dict:
+    """A valid graph of plain entries (str ids, finite float numbers, as
+    JSON most often gives them), then at most one more node and one more
+    edge of any kind, each at any place. The extra entries reuse the
+    graph's ids half the time, so duplicate ids, repeated and reversed
+    edges and self-loops are common."""
+    nodes = draw(st.lists(
+        st.fixed_dictionaries({"id": STR_IDS, "pos": st.lists(FINITE, min_size=2, max_size=2)}),
+        min_size=2,
+        max_size=4,
+        unique_by=lambda node: node["id"],
+    ))
+    known = st.sampled_from([node["id"] for node in nodes])
+    edges = draw(st.lists(
+        st.fixed_dictionaries({"u": known, "v": known, "w": PLAIN_WEIGHTS}).filter(
+            lambda edge: edge["u"] != edge["v"]
+        ),
+        min_size=1,
+        max_size=4,
+        unique_by=lambda edge: frozenset((edge["u"], edge["v"])),
+    ))
+    pos = st.one_of(
+        st.lists(FINITE, min_size=2, max_size=2),
+        st.lists(NUMBERS, min_size=2, max_size=2),
+        st.tuples(NUMBERS, NUMBERS),
+        st.lists(NUMBERS, max_size=3),
+        NUMBERS,
+    )
+    extra_node = st.fixed_dictionaries({"id": st.one_of(known, IDS), "pos": pos})
+    end = st.one_of(known, IDS)
+    extra_edge = st.fixed_dictionaries({"u": end, "v": end, "w": st.one_of(PLAIN_WEIGHTS, NUMBERS)})
+    for entries, extra in ((nodes, extra_node), (edges, extra_edge)):
+        if draw(st.booleans()):
+            entries.insert(draw(st.integers(0, len(entries))), draw(extra))
+    return {"nodes": nodes, "edges": edges}
+
+
+def joined(pos=(0.0, 0.0), w=1.0) -> dict:
+    """Nodes A at `pos` and B, joined by one edge of weight `w`."""
+    return {
+        "nodes": [{"id": "A", "pos": list(pos)}, {"id": "B", "pos": [1.0, 0.0]}],
+        "edges": [{"u": "A", "v": "B", "w": w}],
+    }
+
+
+@settings(max_examples=500, deadline=None)
+@given(graph_dicts())
+# each number test of graph_from_dict's plain-entry path, at its edge
+@example(joined(pos=(0.0, math.inf)))
+@example(joined(pos=(math.nan, 0.0)))
+@example(joined(pos=(True, 0.0)))
+@example(joined(pos=(0.0, np.int64(1))))
+@example(joined(w=math.inf))
+@example(joined(w=0.0))
+@example(joined(w=True))
+@example(joined(w=np.int64(2)))
+def test_build_matches_entry_by_entry_oracle(obj):
+    want = build_oracle(obj)
+    if isinstance(want, str):
+        with pytest.raises(GraphError) as refused:
+            graph_from_dict(obj)
+        assert str(refused.value) == want
+        return
+    g = graph_from_dict(obj)
+    positions, adj = want
+    assert list(g.positions.items()) == list(positions.items())
+    assert open_adjacency(g) == adj
+    assert {type(c) for pos in g.positions.values() for c in pos} <= {float}
+    assert {type(w) for _u, _v, w, _b in g.edge_list()} <= {float}
