@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import GraphError, UnreachableError
@@ -52,6 +53,9 @@ class NavGraph:
         self._dist_to: tuple[str, dict[str, float]] | None = None
 
     # -- construction ---------------------------------------------------------
+
+    # graph_from_dict inlines the rules of add_node and add_edge in an
+    # all-clear test for plain entries: a rule added here goes there too
 
     def add_node(self, node_id: str, pos: tuple[float, float]) -> None:
         if not isinstance(node_id, str):
@@ -214,9 +218,12 @@ def load_graph(path) -> NavGraph:
 
 def graph_from_dict(obj: dict) -> NavGraph:
     """Build a graph from parsed JSON, entry by entry in file order. A plain
-    entry (str ids, finite float numbers) that passes every rule is stored
-    directly; any other goes through add_node or add_edge, which hold every
-    rule and message."""
+    entry (exact str ids, Python floats or ints within float range) that
+    passes every rule is stored directly, its numbers as floats; any other
+    goes through add_node or add_edge, which hold every rule and message.
+    The all-clear tests below inline those methods' rules, since a call per
+    entry costs about half of what they save: a rule added there must also
+    fail its test here."""
     if not isinstance(obj, dict):
         raise GraphError("graph file must hold a JSON object")
     graph = NavGraph()
@@ -224,7 +231,8 @@ def graph_from_dict(obj: dict) -> NavGraph:
     edges = obj.get("edges")
     if not isinstance(nodes, list) or not isinstance(edges, list):
         raise GraphError("graph object needs 'nodes' and 'edges' lists")
-    positions, adj, inf = graph.positions, graph._adj, math.inf
+    positions, adj = graph.positions, graph._adj
+    plain, big = (float, int), sys.float_info.max  # an int within big converts exactly
     for i, node in enumerate(nodes):
         try:
             node_id, pos = node["id"], node["pos"]
@@ -232,9 +240,9 @@ def graph_from_dict(obj: dict) -> NavGraph:
             raise GraphError(f"nodes[{i}]: missing id/pos") from exc
         if type(pos) is list and len(pos) == 2:
             x, y = pos
-            if (type(x) is float and type(y) is float and -inf < x < inf and -inf < y < inf
+            if (type(x) in plain and type(y) in plain and -big <= x <= big and -big <= y <= big
                     and type(node_id) is str and node_id not in adj):
-                positions[node_id] = (x, y)
+                positions[node_id] = (float(x), float(y))
                 adj[node_id] = {}
                 continue
         graph.add_node(node_id, pos)
@@ -244,10 +252,10 @@ def graph_from_dict(obj: dict) -> NavGraph:
             u, v, w = edge["u"], edge["v"], edge["w"]
         except (TypeError, KeyError) as exc:
             raise GraphError(f"edges[{i}]: missing u/v/w") from exc
-        if type(w) is float and 0 < w < inf and type(u) is str and type(v) is str and u != v:
+        if type(w) in plain and 0 < w <= big and type(u) is str and type(v) is str and u != v:
             nbrs = adj.get(u)
             if nbrs is not None and v in adj and v not in nbrs:
-                nbrs[v] = adj[v][u] = w
+                nbrs[v] = adj[v][u] = float(w)
                 continue
         graph.add_edge(u, v, w)
     return graph

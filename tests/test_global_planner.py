@@ -1,6 +1,7 @@
 import heapq
 import math
 import random
+import sys
 from itertools import permutations
 
 import numpy as np
@@ -602,11 +603,14 @@ def build_oracle(obj: dict):
     return positions, adj
 
 
+# the largest int a float holds exactly: one past it leaves the plain path
+BIG = int(sys.float_info.max)
 NUMBERS = st.one_of(
     st.floats(),
     st.one_of(
         st.integers(min_value=-1000, max_value=1000),
         st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 10**400, -(10**400)]),
+        st.sampled_from([BIG, -BIG, BIG + 1, -BIG - 1, 2**1024]),
         st.floats().map(np.float64),
         st.integers(min_value=-1000, max_value=1000).map(np.int64),
         st.booleans(),
@@ -615,14 +619,17 @@ NUMBERS = st.one_of(
 )
 STR_IDS = st.sampled_from("ABCD")
 IDS = st.one_of(STR_IDS, st.sampled_from([1, None, ["A"]]))
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
-PLAIN_WEIGHTS = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# plain numbers as JSON gives them: floats, and ints where the file wrote no point
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-1000, 1000))
+PLAIN_WEIGHTS = st.one_of(
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), st.integers(1, 1000)
+)
 
 
 @st.composite
 def graph_dicts(draw) -> dict:
-    """A valid graph of plain entries (str ids, finite float numbers, as
-    JSON most often gives them), then at most one more node and one more
+    """A valid graph of plain entries (str ids, finite Python floats and
+    ints, as JSON gives them), then at most one more node and one more
     edge of any kind, each at any place. The extra entries reuse the
     graph's ids half the time, so duplicate ids, repeated and reversed
     edges and self-loops are common."""
@@ -667,7 +674,13 @@ def joined(pos=(0.0, 0.0), w=1.0) -> dict:
 
 @settings(max_examples=500, deadline=None)
 @given(graph_dicts())
-# each number test of graph_from_dict's plain-entry path, at its edge
+# each number test of graph_from_dict's all-clear path, at its edge,
+# and a graph whose file writes every number as an integer literal
+@example(joined(pos=(0, 100), w=100))
+@example(joined(pos=(BIG, -BIG), w=BIG))
+@example(joined(pos=(BIG + 1, 0)))
+@example(joined(w=2**1024))
+@example(joined(w=0))
 @example(joined(pos=(0.0, math.inf)))
 @example(joined(pos=(math.nan, 0.0)))
 @example(joined(pos=(True, 0.0)))
@@ -678,14 +691,24 @@ def joined(pos=(0.0, 0.0), w=1.0) -> dict:
 @example(joined(w=np.int64(2)))
 def test_build_matches_entry_by_entry_oracle(obj):
     want = build_oracle(obj)
+    # add_node and add_edge alone, so a rule added to them and not to
+    # graph_from_dict's all-clear test shows here without a new oracle line
+    checked = NavGraph()
+    try:
+        for node in obj["nodes"]:
+            checked.add_node(node["id"], node["pos"])
+        for edge in obj["edges"]:
+            checked.add_edge(edge["u"], edge["v"], edge["w"])
+    except GraphError as exc:
+        checked = str(exc)
     if isinstance(want, str):
         with pytest.raises(GraphError) as refused:
             graph_from_dict(obj)
-        assert str(refused.value) == want
+        assert str(refused.value) == want == checked
         return
     g = graph_from_dict(obj)
     positions, adj = want
-    assert list(g.positions.items()) == list(positions.items())
-    assert open_adjacency(g) == adj
+    assert list(g.positions.items()) == list(positions.items()) == list(checked.positions.items())
+    assert open_adjacency(g) == adj == open_adjacency(checked)
     assert {type(c) for pos in g.positions.values() for c in pos} <= {float}
     assert {type(w) for _u, _v, w, _b in g.edge_list()} <= {float}
