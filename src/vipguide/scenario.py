@@ -85,8 +85,8 @@ class Camera:
 class SceneObject:
     """Billboard: vertical rectangle facing the camera.
 
-    x is lateral offset (right positive), z forward distance, elevation the
-    height of the rectangle's bottom edge above the ground plane.
+    x is lateral offset (right positive) and z forward distance, in the frame
+    its holder names; elevation is its bottom edge's height above the ground.
     """
 
     kind: str
@@ -205,7 +205,7 @@ def _render(
     timestamp: float,
     road_mask: BitMask | None = None,
 ) -> PerceptionFrame:
-    """One frame of `objects` painted over a copy of `ground`, and what stays in view.
+    """One frame of camera-space `objects` painted over a copy of `ground`, and what stays in view.
 
     Labeled objects and the VIP are detected, in index order, when some
     pixel of theirs is visible. The visible part is the object's rect minus
@@ -267,8 +267,8 @@ FREEZE_GAP = 0.3  # scene stops advancing this close to the nearest obstacle
 # (width, height) in meters; random scenes draw kinds in this order
 SIZES = {"person": (0.6, 1.75), "car": (2.0, 1.5), "wall": (1.5, 2.0), "tree": (2.5, 2.0)}
 
-# kind -> (expected partition, obstacles at their first-frame positions, z
-# relative to the VIP as in World). Each x is jittered in list order.
+# kind -> (expected partition, obstacles in World's coordinates). Each x is
+# jittered in list order.
 AUTHORED = {
     # low canopy over the left/center walkway; no detector class for it
     "footpath_tree": (2, (
@@ -331,29 +331,34 @@ def _jitter(rng: np.random.Generator) -> float:
     return float(rng.uniform(-0.05, 0.05))
 
 
-def _freeze_distance(obstacles) -> float:
-    """How far the walk advances before the nearest obstacle is FREEZE_GAP away."""
-    return min((o.z for o in obstacles), default=math.inf) - FREEZE_GAP
+def _in_camera(o: SceneObject, advance: float) -> SceneObject:
+    """Obstacle `o` seen by the camera, at x 0 and VIP_Z behind a VIP `advance` m on."""
+    return SceneObject(o.kind, o.x, VIP_Z + o.z - advance, o.width, o.height, o.elevation, o.labeled)
 
 
 @dataclass(frozen=True)
 class World:
-    """One stream's scene and walk. Obstacle z is relative to the VIP, who
-    stands VIP_Z ahead of the camera; the walk closes every gap at
-    WALK_SPEED until it has gone `freeze_distance`, then holds still."""
+    """One stream's scene and walk, in world coordinates: x lateral from the
+    camera's line of flight (right positive), z forward from the VIP's start,
+    elevation up from the ground. The VIP starts at x `vip_x` and walks at
+    WALK_SPEED until the nearest obstacle is FREEZE_GAP ahead, then holds."""
 
-    vip: SceneObject
-    obstacles: tuple[SceneObject, ...]  # at their first-frame offsets
+    vip_x: float
+    obstacles: tuple[SceneObject, ...]
     expected_partition: int  # the partition kept clear
-    freeze_distance: float  # _freeze_distance(obstacles), once per stream
+
+    @cached_property
+    def freeze_distance(self) -> float:
+        return min((o.z for o in self.obstacles), default=math.inf) - FREEZE_GAP
+
+    @cached_property
+    def _vip_in_camera(self) -> SceneObject:  # the escort keeps station
+        return SceneObject("vip", self.vip_x, VIP_Z, *VIP_SIZE)
 
     def objects_at(self, t: float) -> list[SceneObject]:
         """The VIP, then each obstacle, in camera space at time `t`."""
         advance = min(WALK_SPEED * t, self.freeze_distance)
-        return [self.vip] + [
-            SceneObject(o.kind, o.x, VIP_Z + o.z - advance, o.width, o.height, o.elevation, o.labeled)
-            for o in self.obstacles
-        ]
+        return [self._vip_in_camera] + [_in_camera(o, advance) for o in self.obstacles]
 
 
 def _build_world(spec: ScenarioSpec, rng: np.random.Generator) -> World:
@@ -363,8 +368,7 @@ def _build_world(spec: ScenarioSpec, rng: np.random.Generator) -> World:
         obstacles = [replace(o, x=o.x + _jitter(rng)) for o in base]
     else:
         obstacles, expected = _random_scene(rng)
-    vip = SceneObject("vip", x=_jitter(rng), z=VIP_Z, width=VIP_SIZE[0], height=VIP_SIZE[1])
-    return World(vip, tuple(obstacles), expected, _freeze_distance(obstacles))
+    return World(_jitter(rng), tuple(obstacles), expected)
 
 
 def _random_scene(rng: np.random.Generator):
@@ -376,23 +380,23 @@ def _random_scene(rng: np.random.Generator):
     for _ in range(int(rng.integers(1, 6))):
         kind = kinds[int(rng.integers(0, len(kinds)))]
         w, h = SIZES[kind]
-        z_rel = float(rng.uniform(1.2, 3.0))
+        z = float(rng.uniform(1.2, 3.0))
         elevation = 3.0 if kind == "tree" else 0.0
         for _attempt in range(20):
             x = float(rng.uniform(-3.0, 3.0))
             candidate = SceneObject(
                 kind,
                 x=x,
-                z=z_rel,
+                z=z,
                 width=w,
                 height=h,
                 elevation=elevation,
                 labeled=bool(rng.random() < 0.8) if kind != "tree" else False,
             )
             # edge columns are monotone in z, so overlap extremes happen
-            # at the first depth and at the freeze
-            for z_rel_t in (z_rel, max(FREEZE_GAP, z_rel - _freeze_distance(obstacles + [candidate]))):
-                rect = _pixel_rect(replace(candidate, z=VIP_Z + z_rel_t), CAMERA)
+            # at the first depth and at the freeze, which vip_x leaves alone
+            for advance in (0.0, World(0.0, (*obstacles, candidate), expected).freeze_distance):
+                rect = _pixel_rect(_in_camera(candidate, advance), CAMERA)
                 if rect is not None and rect[0] < keep.x_end and rect[2] > keep.x_start:
                     break  # overlaps the kept partition: draw x again
             else:
