@@ -11,7 +11,6 @@ from .errors import (
     CalibrationError,
     ConfigError,
     ConsistencyError,
-    EmptyRegionError,
     FrameDecodeError,
     GeometryError,
     GraphError,

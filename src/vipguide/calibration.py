@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import CalibrationError, EmptyRegionError, FrameDecodeError
+from .errors import CalibrationError, FrameDecodeError
 from .frameio import load_json, record_to_line, require_field
 from .perception import REV_MAX, Detection, PerceptionFrame, int_fields, real_fields
 
@@ -75,7 +75,8 @@ def predict(model: CalibrationModel, rev: float) -> float:
 
 
 def region_rev(frame: PerceptionFrame, det: Detection) -> int:
-    """Representative REV for a detection: median over bbox (∩ instance mask).
+    """Representative REV for a detection: median over bbox ∩ instance mask,
+    or over the bbox alone when there is no mask or it covers none of the box.
 
     Even pixel counts take the lower of the two middle values, so the
     result is always an actual pixel value.
@@ -84,12 +85,10 @@ def region_rev(frame: PerceptionFrame, det: Detection) -> int:
     patch = frame.depth.values[bbox.y1 : bbox.y2, bbox.x1 : bbox.x2]
     if det.track_id in frame.instance_masks:
         mask = frame.instance_masks[det.track_id].decode((bbox.y1, bbox.y2))
-        patch = patch[mask[:, bbox.x1 : bbox.x2]]
+        masked = patch[mask[:, bbox.x1 : bbox.x2]]
+        if masked.size:
+            patch = masked
     values = np.sort(patch, axis=None)
-    if values.size == 0:
-        raise EmptyRegionError(
-            f"no depth pixels under detection {det.class_label} {bbox.as_list()}"
-        )
     return int(values[(values.size - 1) // 2])
 
 

@@ -25,10 +25,6 @@ class CalibrationError(VipGuideError):
     """Depth calibration could not be fitted or evaluated."""
 
 
-class EmptyRegionError(VipGuideError):
-    """A detection's depth region contains no usable pixels."""
-
-
 class InsufficientHistoryError(VipGuideError):
     """A track does not hold enough samples for rate estimation."""
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -27,14 +28,17 @@ from .perception import (
 
 # -- PGM (portable graymap, binary P5, maxval 65535, big-endian samples) -----
 
+# one header token after any whitespace and comments; the possessive
+# quantifiers keep a failed match from backtracking into a comment's tail
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*+)*+(\S+)")
+
 
 def write_pgm(path, depth: DepthMap) -> None:
     """Write a depth map as a binary 16-bit PGM."""
     header = f"P5\n{depth.width} {depth.height}\n{REV_MAX}\n".encode("ascii")
-    payload = depth.values.astype(">u2").tobytes()
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)
+        fh.write(depth.values.astype(">u2"))
 
 
 def read_pgm(path) -> DepthMap:
@@ -53,20 +57,11 @@ def read_pgm(path) -> DepthMap:
 
     def next_token() -> bytes:
         nonlocal pos
-        while pos < len(data):
-            if data[pos : pos + 1].isspace():
-                pos += 1
-            elif data[pos : pos + 1] == b"#":
-                while pos < len(data) and data[pos : pos + 1] != b"\n":
-                    pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
+        match = _PGM_TOKEN.match(data, pos)
+        if match is None:
             raise FrameDecodeError(f"{path}: truncated PGM header")
-        return data[start:pos]
+        pos = match.end()
+        return match[1]
 
     magic = next_token()
     if magic != b"P5":

@@ -1,13 +1,22 @@
 import csv
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from vipguide.calibration import CalibrationModel, CalibrationSample
-from vipguide.errors import FrameDecodeError
+from vipguide.errors import ConsistencyError, FrameDecodeError
 from vipguide.local_planner import ObstacleAssessment
-from vipguide.perception import BoundingBox, DepthMap, Detection, PerceptionFrame
+from vipguide.perception import (
+    REV_MAX,
+    BitMask,
+    BoundingBox,
+    DepthMap,
+    Detection,
+    PerceptionFrame,
+)
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -104,3 +113,64 @@ def save_samples_csv(path, samples: list[CalibrationSample]) -> None:
         writer.writerow(["rev", "distance_m"])
         for s in samples:
             writer.writerow([repr(s.rev), repr(s.distance)])
+
+
+def mostly(valid, *odd):
+    """`valid` seven draws in eight, else one of `odd`: values that some
+    field of the frame model refuses, or once took and wrote."""
+    return st.integers(0, 7).flatmap(lambda k: st.sampled_from(odd) if k == 0 else valid)
+
+
+NUMPY_INTS = st.integers(0, 9).map(np.int64)
+
+
+@st.composite
+def frame_parts(draw):
+    """(detection arguments, PerceptionFrame keyword arguments) of a 4x3
+    frame, most of which the frame model accepts. The depth map is a drawn
+    permutation of evenly spaced REVs, so no two pixels are equal; each
+    instance mask is all background."""
+    width, height = 4, 3
+    detections = []
+    for _ in range(draw(st.integers(0, 3))):
+        x1, y1 = draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1))
+        corners = (x1, y1, draw(st.integers(x1 + 1, width)), draw(st.integers(y1 + 1, height)))
+        detections.append((
+            draw(mostly(st.sampled_from(["car", "person", "vip"]), 5, None)),
+            tuple(map(draw(st.sampled_from([int, np.int32])), corners)),
+            draw(mostly(
+                st.floats(0, 1) | st.integers(0, 1) | st.floats(0, 1, width=32).map(np.float32),
+                True, "0.5", math.nan, 10**400,
+            )),
+            draw(mostly(st.none() | st.integers(0, 10**20) | NUMPY_INTS, -1, 1.0, True)),
+        ))
+    keys = draw(st.lists(mostly(st.integers(0, 9) | NUMPY_INTS, 1.0, -1, True, "1"), max_size=3))
+    n = width * height
+    step = draw(st.integers(1, REV_MAX // (n - 1)))
+    depth = np.array(draw(st.permutations(range(n)))).reshape(height, width) * step
+    return detections, dict(
+        frame_id=draw(mostly(st.integers(0, 10**6) | NUMPY_INTS, 1.0, True, "1")),
+        timestamp=draw(mostly(
+            st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(10**6), 10**6)
+            | st.floats(-1e3, 1e3).map(np.float64),
+            math.nan, math.inf, 10**400, "0.5", True,
+        )),
+        width=width,
+        height=height,
+        depth=DepthMap(width, height, depth),
+        instance_masks={key: BitMask(width, height, (n,)) for key in keys},
+    )
+
+
+def frame_from_parts(parts):
+    """The PerceptionFrame that `frame_parts` drew, or None when the frame
+    model refuses one of its parts."""
+    detection_args, frame_args = parts
+    try:
+        detections = [
+            Detection(label, BoundingBox(*corners), confidence, track_id)
+            for label, corners, confidence, track_id in detection_args
+        ]
+        return PerceptionFrame(detections=detections, **frame_args)
+    except ConsistencyError:
+        return None

@@ -12,7 +12,7 @@ from vipguide.calibration import (
     region_rev,
     save_model,
 )
-from vipguide.errors import CalibrationError, EmptyRegionError
+from vipguide.errors import CalibrationError
 from vipguide.perception import rle_encode
 
 from conftest import det, make_frame, save_samples_csv
@@ -201,15 +201,22 @@ class TestRegionRev:
         assert region_rev(a, a.detections[0]) == region_rev(b, b.detections[0])
 
     def test_empty_region(self):
-        grid = np.zeros((4, 4), dtype=bool)  # mask disjoint from bbox
-        grid[3, 3] = True
-        frame = make_frame(
-            np.zeros((4, 4)),
-            detections=[det("car", 0, 0, 2, 2, track_id=1)],
-            instance_masks={1: rle_encode(grid)},
-        )
-        with pytest.raises(EmptyRegionError):
-            region_rev(frame, frame.detections[0])
+        """A mask that covers none of the box's pixels, disjoint from it or
+        all background, is measured as if the detection had no mask: the
+        median over the whole box."""
+        depth = np.arange(16).reshape(4, 4) * 1000
+        disjoint = np.zeros((4, 4), dtype=bool)
+        disjoint[3, 3] = True
+        for grid in (disjoint, np.zeros((4, 4), dtype=bool)):
+            frame = make_frame(
+                depth,
+                detections=[det("car", 0, 0, 2, 2, track_id=1)],
+                instance_masks={1: rle_encode(grid)},
+            )
+            # the box holds 0, 1000, 4000 and 5000; an even count takes the lower middle
+            assert region_rev(frame, frame.detections[0]) == 1000
+        unmasked = make_frame(depth, detections=[det("car", 0, 0, 2, 2)])
+        assert region_rev(unmasked, unmasked.detections[0]) == 1000
 
 
 class TestPersistence:

@@ -1,5 +1,4 @@
 import json
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from vipguide.errors import ConsistencyError, FrameDecodeError
 from vipguide.frameio import (
+    _PGM_TOKEN,
     decode_record,
     encode_record,
     read_dataset,
@@ -17,15 +17,13 @@ from vipguide.frameio import (
     write_pgm,
 )
 from vipguide.perception import (
-    BitMask,
     BoundingBox,
     DepthMap,
     Detection,
-    PerceptionFrame,
     rle_encode,
 )
 
-from conftest import det, make_frame
+from conftest import det, frame_from_parts, frame_parts, make_frame
 
 
 def sample_frame(frame_id=0):
@@ -122,6 +120,70 @@ class TestPgm:
         path.write_bytes(b"P5 2 1 # 65535")
         with pytest.raises(FrameDecodeError, match="truncated PGM header$"):
             read_pgm(path)
+
+    def test_long_comment(self, tmp_path):
+        """A 200 KB comment is skipped; left unended, it truncates the header."""
+        comment = b"# " + b"x #" * 70_000
+        path = tmp_path / "x.pgm"
+        path.write_bytes(b"P5\n" + comment + b"\n2 1\n65535\n\x00\x07\x01\x02")
+        assert read_pgm(path) == DepthMap(2, 1, np.array([[7, 258]]))
+        path.write_bytes(b"P5 2 1 " + comment)
+        with pytest.raises(FrameDecodeError, match="truncated PGM header$"):
+            read_pgm(path)
+
+
+def reference_tokens(data: bytes) -> list[tuple[bytes, int]]:
+    """Header tokens and the offset after each, by a byte loop: skip
+    whitespace, and a comment from '#' to the line end, then take the run of
+    non-whitespace; stop (the reader refuses) where none is left."""
+    tokens, pos = [], 0
+    while True:
+        while pos < len(data):
+            if data[pos : pos + 1].isspace():
+                pos += 1
+            elif data[pos : pos + 1] == b"#":
+                while pos < len(data) and data[pos : pos + 1] != b"\n":
+                    pos += 1
+            else:
+                break
+        start = pos
+        while pos < len(data) and not data[pos : pos + 1].isspace():
+            pos += 1
+        if start == pos:
+            return tokens
+        tokens.append((data[start:pos], pos))
+
+
+def pattern_tokens(data: bytes) -> list[tuple[bytes, int]]:
+    tokens, pos = [], 0
+    while (match := _PGM_TOKEN.match(data, pos)) is not None:
+        pos = match.end()
+        tokens.append((match[1], pos))
+    return tokens
+
+
+WHITESPACE = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
+LINE_BYTES = st.sampled_from([bytes([c]) for c in b" \t\r#0123456789Px\xff\x00"])
+COMMENTS = st.tuples(st.lists(LINE_BYTES).map(b"".join), st.sampled_from([b"\n", b""])).map(
+    lambda parts: b"#" + b"".join(parts)
+)
+HEADER_PIECES = st.one_of(
+    st.lists(WHITESPACE, min_size=1).map(b"".join),
+    COMMENTS,
+    st.sampled_from([b"P5", b"640", b"65535", b"P5#x", b"1#2"]),
+    LINE_BYTES | WHITESPACE,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(HEADER_PIECES, max_size=12).map(b"".join), st.integers(0, 2**16))
+def test_header_pattern_matches_byte_loop(data, cut):
+    """On headers of whitespace runs, comments ended by a newline or by the
+    file, tokens holding '#' and stray bytes, cut anywhere: the pattern
+    takes the byte loop's tokens and end offsets, and both stop at the same
+    place."""
+    data = data[: cut % (len(data) + 1)]
+    assert pattern_tokens(data) == reference_tokens(data)
 
 
 class TestRecordCodec:
@@ -231,61 +293,15 @@ class TestRecordCodec:
             decode_record(record, sample_frame().depth)
 
 
-def mostly(valid, *odd):
-    """`valid` seven draws in eight, else one of `odd`: values that some
-    field of the frame model refuses, or once took and wrote."""
-    return st.integers(0, 7).flatmap(lambda k: st.sampled_from(odd) if k == 0 else valid)
-
-
-W, H = 4, 3
-NUMPY_INTS = st.integers(0, 9).map(np.int64)
-
-
-@st.composite
-def frame_parts(draw):
-    """(detection arguments, PerceptionFrame keyword arguments), most of
-    which the frame model accepts."""
-    detections = []
-    for _ in range(draw(st.integers(0, 3))):
-        x1, y1 = draw(st.integers(0, W - 1)), draw(st.integers(0, H - 1))
-        corners = (x1, y1, draw(st.integers(x1 + 1, W)), draw(st.integers(y1 + 1, H)))
-        detections.append((
-            draw(mostly(st.sampled_from(["car", "person", "vip"]), 5, None)),
-            tuple(map(draw(st.sampled_from([int, np.int32])), corners)),
-            draw(mostly(
-                st.floats(0, 1) | st.integers(0, 1) | st.floats(0, 1, width=32).map(np.float32),
-                True, "0.5", math.nan, 10**400,
-            )),
-            draw(mostly(st.none() | st.integers(0, 10**20) | NUMPY_INTS, -1, 1.0, True)),
-        ))
-    keys = draw(st.lists(mostly(st.integers(0, 9) | NUMPY_INTS, 1.0, -1, True, "1"), max_size=3))
-    return detections, dict(
-        frame_id=draw(mostly(st.integers(0, 10**6) | NUMPY_INTS, 1.0, True, "1")),
-        timestamp=draw(mostly(
-            st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(10**6), 10**6)
-            | st.floats(-1e3, 1e3).map(np.float64),
-            math.nan, math.inf, 10**400, "0.5", True,
-        )),
-        instance_masks={key: BitMask(W, H, (W * H,)) for key in keys},
-    )
-
-
 @settings(max_examples=300, deadline=None)
 @given(frame_parts())
 def test_constructed_frame_survives_the_codec(parts):
     """A frame that constructs is written, read back, and equals itself."""
-    detection_args, frame_args = parts
-    depth = DepthMap(W, H, np.zeros((H, W), dtype=np.uint16))
-    try:
-        detections = [
-            Detection(label, BoundingBox(*corners), confidence, track_id)
-            for label, corners, confidence, track_id in detection_args
-        ]
-        frame = PerceptionFrame(width=W, height=H, depth=depth, detections=detections, **frame_args)
-    except ConsistencyError:
+    frame = frame_from_parts(parts)
+    if frame is None:
         return
     record = json.loads(record_to_line(encode_record(frame)))
-    assert decode_record(record, depth) == frame
+    assert decode_record(record, frame.depth) == frame
 
 
 class TestDataset:

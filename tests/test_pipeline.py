@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from vipguide.calibration import CalibrationModel
 from vipguide.config import default_config
@@ -16,11 +17,11 @@ from vipguide.local_planner import Heading, RerouteNeeded
 from vipguide import global_planner, perception
 from vipguide import pipeline as pipeline_module
 from vipguide.pipeline import Pipeline, nearest_rank
-from vipguide.perception import rle_encode
+from vipguide.perception import BitMask, rle_encode
 from vipguide.scenario import SCENARIO_KINDS, ScenarioSpec, default_model, generate
 from vipguide.tracking import Tracker
 
-from conftest import det, make_frame
+from conftest import det, frame_from_parts, frame_parts, make_frame
 
 W, H = 640, 480
 
@@ -705,6 +706,51 @@ def test_instance_ids_key_the_masks_and_tracker_ids_label_the_assessments():
         newest = {t.track_id: t.history[-1:] for t in pipe.tracker.tracks}
         for a in decision.assessments:
             assert newest[a.track_id] == [(frame_id / 30, a.distance_m)]
+
+
+def test_emptied_instance_mask_is_measured_over_its_box():
+    """A person whose instance mask is emptied, as a segmenter that misses
+    it would send, is still planned on every frame: it is measured over its
+    box alone, as if it had no mask. Instance 3 stands partly behind the
+    nearest person, so its box median (the nearer person) differs from its
+    mask median."""
+    frames = [f for f, _ in generate(ScenarioSpec(kind="crowded_street", n_frames=5))]
+
+    def traces(mask):
+        pipe = Pipeline(default_config(), default_model())
+        out = []
+        for frame in frames:
+            masks = {k: v for k, v in frame.instance_masks.items() if k != 3}
+            if mask is not None:
+                masks[3] = mask(frame)
+            _, record = pipe.process_frame(replace(frame, instance_masks=masks))
+            del record["latency_ms"]
+            out.append(record)
+        return out
+
+    def empty(frame):
+        return BitMask(frame.width, frame.height, (frame.width * frame.height,))
+
+    emptied = traces(empty)
+    assert len(emptied) == 5
+    assert emptied == traces(None)  # the box alone
+    person = [r["assessments"][2] for r in emptied]
+    assert {a["class"] for a in person} == {"person"}
+    masked = [r["assessments"][2] for r in traces(lambda frame: frame.instance_masks[3])]
+    assert all(a["distance_m"] < b["distance_m"] for a, b in zip(person, masked))
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame_parts())
+def test_every_constructed_frame_plans(parts):
+    """A frame that constructs, whatever its instance masks cover, gets a
+    decision and a trace record from a fresh pipeline."""
+    frame = frame_from_parts(parts)
+    if frame is None:
+        return
+    decision, record = Pipeline(default_config(), default_model()).process_frame(frame)
+    assert decision.frame_id == record["frame_id"] == frame.frame_id
+    assert len(record["assessments"]) == len(decision.assessments)
 
 
 def load_tracer_module():

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from vipguide import scenario
@@ -623,7 +623,9 @@ def drawn_worlds(draw):
 
 @pytest.mark.parametrize("kind", scenario.SCENARIO_KINDS)
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
-@settings(max_examples=10, deadline=None)
+# no explain phase: where libcst is installed, it adds about 9 s to each
+# failing case, and a broken transform fails all 20
+@settings(max_examples=10, deadline=None, phases=set(Phase) - {Phase.explain})
 @given(drawn=drawn_worlds())
 def test_objects_at_matches_replace_reference(kind, seed, drawn):
     """objects_at against the walk law written out: each generated world,
