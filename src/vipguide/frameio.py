@@ -23,7 +23,7 @@ from .perception import (
     DepthMap,
     Detection,
     PerceptionFrame,
-    _finite_real,
+    finite_real,
 )
 
 # -- PGM (portable graymap, binary P5, maxval 65535, big-endian samples) -----
@@ -160,7 +160,7 @@ def decode_record(record: dict, depth: DepthMap) -> PerceptionFrame:
     """
     frame_id = require_field(record, "frame_id", int, "int")
     # the frame checks it too, but a bad number read here is a decode error
-    timestamp = _finite_real(require_field(record, "timestamp"), "timestamp", FrameDecodeError)
+    timestamp = finite_real(require_field(record, "timestamp"), "timestamp", FrameDecodeError)
     # width and height size the masks before any frame checks them
     width = require_field(record, "width", int, "int")
     height = require_field(record, "height", int, "int")
@@ -247,9 +247,10 @@ def write_dataset(directory, frames: Iterable[PerceptionFrame]) -> int:
                     f"frame_id {frame.frame_id} not greater than {last_id}"
                 )
             last_id = frame.frame_id
-            fh.write(record_to_line(encode_record(frame)))
+            record = encode_record(frame)
+            fh.write(record_to_line(record))
             fh.write("\n")
-            write_pgm(os.path.join(directory, f"{frame.frame_id}.pgm"), frame.depth)
+            write_pgm(os.path.join(directory, record["depth_file"]), frame.depth)
             count += 1
     return count
 
@@ -260,7 +261,9 @@ def load_json(path, error: type[VipGuideError]):
     with open(path, "r", encoding="ascii") as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:  # bad JSON or a non-ASCII byte
+        # bad JSON, a non-ASCII byte, an int past Python's digit limit, or
+        # nesting deeper than the recursion limit
+        except (ValueError, RecursionError) as exc:
             raise error(f"{path}: malformed JSON: {exc}") from exc
 
 
@@ -281,7 +284,7 @@ def json_records(path, parse: Callable[[dict], object]) -> Iterator:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # as in load_json
                 raise FrameDecodeError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
             if not isinstance(record, dict):
                 raise FrameDecodeError(f"{path}:{lineno}: expected a JSON object")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import GraphError, UnreachableError
 from .frameio import load_json
-from .perception import _finite_real
+from .perception import finite_real
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,9 @@ _H_SCALE = 1.0 - 1e-9
 
 
 def _key(u: str, v: str) -> tuple[str, str]:
+    """The edge's key in NavGraph._blocked; both ends must be str."""
+    if not (isinstance(u, str) and isinstance(v, str)):
+        raise GraphError(f"edge ({u!r},{v!r}): u and v must be node id strings")
     return (u, v) if u < v else (v, u)
 
 
@@ -54,45 +57,67 @@ class NavGraph:
 
     # -- construction ---------------------------------------------------------
 
-    # graph_from_dict inlines the rules of add_node and add_edge in an
-    # all-clear test for plain entries: a rule added here goes there too
-
     def add_node(self, node_id: str, pos: tuple[float, float]) -> None:
-        if not isinstance(node_id, str):
-            raise GraphError(f"node id {node_id!r} not a str")
-        if node_id in self.positions:
-            raise GraphError(f"duplicate node id '{node_id}'")
-        try:
-            x, y = pos
-        except (TypeError, ValueError):
-            raise GraphError(f"node '{node_id}': pos {pos!r} not an (x, y) pair") from None
-        try:
-            x = float(_finite_real(x, "pos", GraphError))
-            y = float(_finite_real(y, "pos", GraphError))
-        except GraphError as exc:
-            raise GraphError(f"node '{node_id}': {exc}") from None
-        self.positions[node_id] = (x, y)
-        self._adj[node_id] = {}
-        self._dist_to = None
+        self._add_nodes(({"id": node_id, "pos": pos},))
 
     def add_edge(self, u: str, v: str, weight: float) -> None:
-        if not (isinstance(u, str) and isinstance(v, str)):
-            raise GraphError(f"edge ({u!r},{v!r}): u and v must be node id strings")
-        adj = self._adj
-        if u not in adj or v not in adj:
-            missing = u if u not in adj else v
-            raise GraphError(f"edge ({u},{v}) references unknown node '{missing}'")
-        if u == v:
-            raise GraphError(f"self-loop on '{u}'")
-        if v in adj[u] or (self._blocked and _key(u, v) in self._blocked):
-            raise GraphError(f"duplicate edge ({u},{v})")
-        try:
-            w = float(_finite_real(weight, "weight", GraphError))
-        except GraphError as exc:
-            raise GraphError(f"edge ({u},{v}) {exc}") from None
-        if w <= 0:
-            raise GraphError(f"edge ({u},{v}) weight {weight} not positive")
-        adj[u][v] = adj[v][u] = w
+        self._add_edges(({"u": u, "v": v, "w": weight},))
+
+    # Every rule sits inline in these loops, so a plain entry (exact str ids,
+    # Python floats or ints within float range, which convert without
+    # overflow) costs no call. The first refused entry raises GraphError and
+    # stores nothing more.
+
+    def _add_nodes(self, entries) -> None:
+        """Store each {"id", "pos"} entry in order, its pos as floats."""
+        positions, adj = self.positions, self._adj
+        plain, big = (float, int), sys.float_info.max
+        for i, node in enumerate(entries):
+            try:
+                node_id, pos = node["id"], node["pos"]
+            except (TypeError, KeyError) as exc:
+                raise GraphError(f"nodes[{i}]: missing id/pos") from exc
+            if not isinstance(node_id, str):
+                raise GraphError(f"node id {node_id!r} not a str")
+            if node_id in positions:
+                raise GraphError(f"duplicate node id '{node_id}'")
+            try:
+                x, y = pos
+            except (TypeError, ValueError):
+                raise GraphError(f"node '{node_id}': pos {pos!r} not an (x, y) pair") from None
+            if type(x) not in plain or not -big <= x <= big:
+                x = finite_real(x, "pos", GraphError, f"node '{node_id}': ")
+            if type(y) not in plain or not -big <= y <= big:
+                y = finite_real(y, "pos", GraphError, f"node '{node_id}': ")
+            positions[node_id] = (float(x), float(y))
+            adj[node_id] = {}
+        self._dist_to = None
+
+    def _add_edges(self, entries) -> None:
+        """Store each {"u", "v", "w"} entry in order, its weight as a float."""
+        adj, blocked = self._adj, self._blocked
+        plain, big = (float, int), sys.float_info.max
+        for i, edge in enumerate(entries):
+            try:
+                u, v, w = edge["u"], edge["v"], edge["w"]
+            except (TypeError, KeyError) as exc:
+                raise GraphError(f"edges[{i}]: missing u/v/w") from exc
+            if type(u) is not str or type(v) is not str:
+                _key(u, v)  # refuses an end that is not a str
+            nbrs = adj.get(u)
+            if nbrs is None or v not in adj:
+                missing = u if nbrs is None else v
+                raise GraphError(f"edge ({u},{v}) references unknown node '{missing}'")
+            if u == v:
+                raise GraphError(f"self-loop on '{u}'")
+            if v in nbrs or (blocked and _key(u, v) in blocked):
+                raise GraphError(f"duplicate edge ({u},{v})")
+            weight = w
+            if type(w) not in plain or not -big <= w <= big:
+                weight = finite_real(w, "weight", GraphError, f"edge ({u},{v}) ")
+            if weight <= 0:
+                raise GraphError(f"edge ({u},{v}) weight {w} not positive")
+            nbrs[v] = adj[v][u] = float(weight)
         self._dist_to = None
 
     # -- queries --------------------------------------------------------------
@@ -113,10 +138,10 @@ class NavGraph:
         return out
 
     def has_edge(self, u: str, v: str) -> bool:
-        return (u in self._adj and v in self._adj[u]) or _key(u, v) in self._blocked
+        return _key(u, v) in self._blocked or v in self._adj.get(u, ())
 
     def weight(self, u: str, v: str) -> float:
-        w = self._adj.get(u, {}).get(v, self._blocked.get(_key(u, v)))
+        w = self._blocked.get(_key(u, v), self._adj.get(u, {}).get(v))
         if w is None:
             raise GraphError(f"no edge ({u},{v})")
         return w
@@ -217,45 +242,14 @@ def load_graph(path) -> NavGraph:
 
 
 def graph_from_dict(obj: dict) -> NavGraph:
-    """Build a graph from parsed JSON, entry by entry in file order. A plain
-    entry (exact str ids, Python floats or ints within float range) that
-    passes every rule is stored directly, its numbers as floats; any other
-    goes through add_node or add_edge, which hold every rule and message.
-    The all-clear tests below inline those methods' rules, since a call per
-    entry costs about half of what they save: a rule added there must also
-    fail its test here."""
+    """Build a graph from parsed JSON, entry by entry in file order."""
     if not isinstance(obj, dict):
         raise GraphError("graph file must hold a JSON object")
-    graph = NavGraph()
     nodes = obj.get("nodes")
     edges = obj.get("edges")
     if not isinstance(nodes, list) or not isinstance(edges, list):
         raise GraphError("graph object needs 'nodes' and 'edges' lists")
-    positions, adj = graph.positions, graph._adj
-    plain, big = (float, int), sys.float_info.max  # an int within big converts exactly
-    for i, node in enumerate(nodes):
-        try:
-            node_id, pos = node["id"], node["pos"]
-        except (TypeError, KeyError) as exc:
-            raise GraphError(f"nodes[{i}]: missing id/pos") from exc
-        if type(pos) is list and len(pos) == 2:
-            x, y = pos
-            if (type(x) in plain and type(y) in plain and -big <= x <= big and -big <= y <= big
-                    and type(node_id) is str and node_id not in adj):
-                positions[node_id] = (float(x), float(y))
-                adj[node_id] = {}
-                continue
-        graph.add_node(node_id, pos)
-    # nothing is blocked while the graph is built, so a pair not in adj is new
-    for i, edge in enumerate(edges):
-        try:
-            u, v, w = edge["u"], edge["v"], edge["w"]
-        except (TypeError, KeyError) as exc:
-            raise GraphError(f"edges[{i}]: missing u/v/w") from exc
-        if type(w) in plain and 0 < w <= big and type(u) is str and type(v) is str and u != v:
-            nbrs = adj.get(u)
-            if nbrs is not None and v in adj and v not in nbrs:
-                nbrs[v] = adj[v][u] = float(w)
-                continue
-        graph.add_edge(u, v, w)
+    graph = NavGraph()
+    graph._add_nodes(nodes)
+    graph._add_edges(edges)
     return graph

@@ -51,7 +51,7 @@ def int_fields(obj, *names: str, error=ConsistencyError, what: str = "") -> None
             object.__setattr__(obj, name, exact)
 
 
-def _finite_real(value, name: str, error, what: str = ""):
+def finite_real(value, name: str, error, what: str = ""):
     """`value` if it is a finite real and not a bool (NaN would slip past
     every later check): Python ints and floats as given, other reals (numpy
     floats) as floats. Else raise `error`, its message prefixed by `what`."""
@@ -69,9 +69,9 @@ def _finite_real(value, name: str, error, what: str = ""):
 
 
 def real_fields(obj, *names: str, error=ConsistencyError, what: str = "") -> None:
-    """Store each named field of the frozen dataclass `obj` as `_finite_real` returns it."""
+    """Store each named field of the frozen dataclass `obj` as `finite_real` returns it."""
     for name in names:
-        object.__setattr__(obj, name, _finite_real(getattr(obj, name), name, error, what))
+        object.__setattr__(obj, name, finite_real(getattr(obj, name), name, error, what))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,12 @@ from vipguide.perception import (
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
+# JSON that every reader must refuse as malformed: an int past Python's
+# 4300-digit conversion limit (5000 digits), and arrays nested past the
+# recursion limit
+LONG_INT = "1" + "0" * 4999
+DEEP_NESTING = "[" * 100_000
+
 
 @pytest.fixture
 def campus_graph_path():

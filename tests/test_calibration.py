@@ -15,7 +15,7 @@ from vipguide.calibration import (
 from vipguide.errors import CalibrationError
 from vipguide.perception import rle_encode
 
-from conftest import det, make_frame, save_samples_csv
+from conftest import DEEP_NESTING, LONG_INT, det, make_frame, save_samples_csv
 
 
 # a model file with one mistyped field -> the end of the message that rejects it
@@ -242,7 +242,14 @@ class TestPersistence:
         assert path.read_text().splitlines()[0] == "rev,distance_m"
         assert load_samples_csv(path) == samples
 
-    @pytest.mark.parametrize("text", ['{"a": 1', "\xff", "[1, 2]", *MISTYPED_MODELS])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"a": 1', "\xff", "[1, 2]", *MISTYPED_MODELS,
+            pytest.param('{"a": %s}' % LONG_INT, id="long_int"),
+            pytest.param(DEEP_NESTING, id="deep_nesting"),
+        ],
+    )
     def test_malformed_model_file(self, tmp_path, text):
         path = tmp_path / "model.json"
         path.write_bytes(text.encode("latin-1"))

@@ -11,7 +11,7 @@ from vipguide.calibration import load_model, CalibrationSample
 from vipguide.cli import main
 from vipguide.scenario import ScenarioSpec
 
-from conftest import read_ppm, save_samples_csv
+from conftest import DEEP_NESTING, LONG_INT, read_ppm, save_samples_csv
 
 
 def run(capsys, *argv):
@@ -269,6 +269,21 @@ class TestPlan:
         assert err.startswith("plan: ") and err.count("\n") == 1
         assert "'depth_file'" in err and "../outside.pgm" in err
 
+    # each once ended in a bare ValueError or RecursionError
+    @pytest.mark.parametrize(
+        "line", ['{"frame_id":%s}' % LONG_INT, DEEP_NESTING], ids=["long_int", "deep_nesting"]
+    )
+    def test_json_past_parser_limits_fails_cleanly(self, tmp_path, capsys, line):
+        ds = tmp_path / "ds"
+        run(capsys, "simulate", "--scenario", "random",
+            "--seed", "1", "--n-frames", "3", "--out", str(ds))
+        frames = ds / "frames.jsonl"
+        frames.write_text(frames.read_text() + line + "\n")
+        result = run(
+            capsys, "plan", "--frames", str(ds), "--out", str(tmp_path / "t.jsonl")
+        )
+        assert_fails_cleanly(result, "plan", "frames.jsonl:4: malformed JSON: ")
+
     def test_missing_depth_sidecar_fails_cleanly(self, tmp_path, capsys):
         ds = tmp_path / "ds"
         run(capsys, "simulate", "--scenario", "random",
@@ -423,8 +438,13 @@ class TestRoute:
                 ' "edges": [{"u": "A", "v": "B", "w": 1%s}]}' % ("0" * 400),
                 "edge (A,B) weight beyond float range",
             ),
+            ('{"nodes": [%s]}' % LONG_INT, "graph.json: malformed JSON: "),
+            (DEEP_NESTING, "graph.json: malformed JSON: "),
         ],
-        ids=["malformed", "pos", "u", "w", "pos_beyond_float", "w_beyond_float"],
+        ids=[
+            "malformed", "pos", "u", "w", "pos_beyond_float", "w_beyond_float",
+            "long_int", "deep_nesting",
+        ],
     )
     def test_bad_graph_file_fails_cleanly(self, tmp_path, capsys, text, needle):
         graph = tmp_path / "graph.json"

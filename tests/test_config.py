@@ -14,6 +14,8 @@ from vipguide.config import (
 from vipguide.errors import ConfigError
 from vipguide.geometry import GeometricConfig
 
+from conftest import DEEP_NESTING, LONG_INT
+
 # a valid non-default value for every planner and pipeline field
 NON_DEFAULT = {
     "planner": {
@@ -185,6 +187,19 @@ def test_load_config_malformed_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="malformed JSON"):
+        load_config(path)
+
+
+# the nesting once ended in a bare RecursionError
+@pytest.mark.parametrize(
+    "text",
+    ['{"planner": {"n_partitions": %s}}' % LONG_INT, DEEP_NESTING],
+    ids=["long_int", "deep_nesting"],
+)
+def test_load_config_past_parser_limits(tmp_path, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=r"config\.json: malformed JSON: "):
         load_config(path)
 
 

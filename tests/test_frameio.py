@@ -23,7 +23,7 @@ from vipguide.perception import (
     rle_encode,
 )
 
-from conftest import det, frame_from_parts, frame_parts, make_frame
+from conftest import DEEP_NESTING, LONG_INT, det, frame_from_parts, frame_parts, make_frame
 
 
 def sample_frame(frame_id=0):
@@ -403,8 +403,23 @@ class TestDataset:
 
     @pytest.mark.parametrize(
         "line,rest",
-        [(b"\xff\n", "non-ASCII byte"), (b"[1]\n", "expected a JSON object")],
-        ids=["0xff", "not_object"],
+        [
+            (b"\xff\n", "non-ASCII byte"),
+            (b"[1]\n", "expected a JSON object"),
+            # the last two once ended in a bare ValueError or RecursionError
+            (
+                b'{"frame_id":%s}\n' % LONG_INT.encode(),
+                "malformed JSON: Exceeds the limit (4300 digits) for integer string "
+                "conversion: value has 5000 digits; use sys.set_int_max_str_digits() "
+                "to increase the limit",
+            ),
+            (
+                DEEP_NESTING.encode() + b"\n",
+                "malformed JSON: maximum recursion depth exceeded while decoding a JSON "
+                "array from a unicode string",
+            ),
+        ],
+        ids=["0xff", "not_object", "long_int", "deep_nesting"],
     )
     def test_line_fault_has_one_prefix(self, tmp_path, line, rest):
         write_dataset(tmp_path, [sample_frame(0), sample_frame(1)])

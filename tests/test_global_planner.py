@@ -19,6 +19,8 @@ from vipguide.global_planner import (
     shortest_path,
 )
 
+from conftest import DEEP_NESTING, LONG_INT
+
 
 def oracle_shortest(graph: NavGraph, src: str, dst: str):
     """Exhaustive simple-path enumeration. Only viable on tiny graphs."""
@@ -226,6 +228,55 @@ class TestNavGraph:
         needle = r"^edge \(\['A'\],'C'\): u and v must be node id strings$"
         with pytest.raises(GraphError, match=needle):
             g.add_edge(["A"], "C", 1)
+
+    # each raised a bare TypeError, from comparing the ends or hashing a list
+    @pytest.mark.parametrize(
+        "method, u, v",
+        [
+            ("block_edge", 1, "A"),
+            ("has_edge", "A", 1),
+            ("weight", None, "A"),
+            ("is_blocked", "A", 2),
+            ("has_edge", ["A"], "B"),
+        ],
+    )
+    def test_queries_refuse_a_non_str_end(self, method, u, v):
+        with pytest.raises(GraphError) as info:
+            getattr(triangle(), method)(u, v)
+        assert str(info.value) == f"edge ({u!r},{v!r}): u and v must be node id strings"
+
+    # an entry is checked whole before it is stored, and the distance map is
+    # reset only after the entries are stored
+    @pytest.mark.parametrize("cached", [False, True], ids=["no_map", "cached_map"])
+    @pytest.mark.parametrize(
+        "method, args",
+        [
+            ("add_node", ("A", (5, 5))),
+            ("add_node", ("D", (0, math.nan))),
+            ("add_edge", ("A", "D", 1.0)),
+            ("add_edge", ("C", "C", 1.0)),
+            ("add_edge", ("B", "A", 1.0)),
+            ("add_edge", ("C", "B", 2.0)),
+            ("add_edge", ("B", "C", 0)),
+        ],
+        ids=["duplicate_id", "nan_pos", "unknown_end", "self_loop", "duplicate_blocked",
+             "duplicate_open", "zero_weight"],
+    )
+    def test_refused_entry_leaves_the_graph_as_it_was(self, method, args, cached):
+        def built():
+            g = triangle()
+            g.block_edge("A", "B")
+            return g
+
+        g = built()
+        if cached:
+            shortest_path(g, "A", "C")
+        dist_map, positions, edges = g._dist_to, list(g.positions.items()), g.edge_list()
+        with pytest.raises(GraphError):
+            getattr(g, method)(*args)
+        assert g._dist_to is dist_map
+        assert (list(g.positions.items()), g.edge_list()) == (positions, edges)
+        assert shortest_path(g, "A", "C") == shortest_path(built(), "A", "C")
 
     def test_numpy_numbers_stored_as_floats(self):
         g = triangle()
@@ -528,7 +579,14 @@ class TestSerialization:
         with pytest.raises(GraphError, match=needle):
             graph_from_dict(data)
 
-    @pytest.mark.parametrize("raw", [b'{"nodes": [', b"\xff"])
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b'{"nodes": [', b"\xff",
+            pytest.param(b'{"nodes": [%s]}' % LONG_INT.encode(), id="long_int"),
+            pytest.param(DEEP_NESTING.encode(), id="deep_nesting"),
+        ],
+    )
     def test_load_malformed_file(self, tmp_path, raw):
         path = tmp_path / "graph.json"
         path.write_bytes(raw)
@@ -674,8 +732,8 @@ def joined(pos=(0.0, 0.0), w=1.0) -> dict:
 
 @settings(max_examples=500, deadline=None)
 @given(graph_dicts())
-# each number test of graph_from_dict's all-clear path, at its edge,
-# and a graph whose file writes every number as an integer literal
+# each number test of the build loops' plain path, at its edge, and a
+# graph whose file writes every number as an integer literal
 @example(joined(pos=(0, 100), w=100))
 @example(joined(pos=(BIG, -BIG), w=BIG))
 @example(joined(pos=(BIG + 1, 0)))
@@ -691,8 +749,9 @@ def joined(pos=(0.0, 0.0), w=1.0) -> dict:
 @example(joined(w=np.int64(2)))
 def test_build_matches_entry_by_entry_oracle(obj):
     want = build_oracle(obj)
-    # add_node and add_edge alone, so a rule added to them and not to
-    # graph_from_dict's all-clear test shows here without a new oracle line
+    # add_node and add_edge, one entry per call, so a rule that a one-entry
+    # batch keeps and a file's whole list skips shows here without a new
+    # oracle line
     checked = NavGraph()
     try:
         for node in obj["nodes"]:

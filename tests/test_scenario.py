@@ -47,6 +47,8 @@ from vipguide.scenario import (
     write_scenario,
 )
 
+from conftest import DEEP_NESTING, LONG_INT
+
 CAM = Camera()
 
 
@@ -764,6 +766,8 @@ class TestReadGroundTruth:
         [
             ('{"frame_id":1,"expected_partition":1}', "field 'expected_direction': missing"),
             ('{"frame_id": 1,', "malformed JSON: .*"),
+            pytest.param('{"frame_id":%s}' % LONG_INT, "malformed JSON: .*", id="long_int"),
+            pytest.param(DEEP_NESTING, "malformed JSON: .*", id="deep_nesting"),
             ('[1, 1, "center"]', "expected a JSON object"),
             ('{"frame_id":1,"expected_partition":1,"expected_direction":"\xe9"}', "non-ASCII byte"),
             ('{"frame_id":"x","expected_partition":1,"expected_direction":"left"}',
