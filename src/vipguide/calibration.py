@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import CalibrationError, FrameDecodeError
+from .errors import CalibrationError
 from .frameio import load_json, record_to_line, require_field
 from .perception import REV_MAX, Detection, PerceptionFrame, int_fields, real_fields
 
@@ -109,13 +109,12 @@ def save_model(path, model: CalibrationModel) -> None:
 
 
 def load_model(path) -> CalibrationModel:
-    obj = load_json(path, CalibrationError)
-    if not isinstance(obj, dict):
-        raise CalibrationError(f"bad model file {path}: expected a JSON object")
-    try:
+    def build(obj) -> CalibrationModel:
+        if not isinstance(obj, dict):
+            raise CalibrationError("expected a JSON object")
         return CalibrationModel(*(require_field(obj, f.name) for f in fields(CalibrationModel)))
-    except (FrameDecodeError, CalibrationError) as exc:
-        raise CalibrationError(f"bad model file {path}: {exc}") from exc
+
+    return load_json(path, build, CalibrationError, "model")
 
 
 def load_samples_csv(path) -> list[CalibrationSample]:

@@ -135,8 +135,4 @@ def config_from_dict(obj: dict) -> Config:
 
 
 def load_config(path) -> Config:
-    obj = load_json(path, ConfigError)
-    try:
-        return config_from_dict(obj)
-    except ConfigError as exc:
-        raise ConfigError(f"bad config file {path}: {exc}") from exc
+    return load_json(path, config_from_dict, ConfigError, "config")

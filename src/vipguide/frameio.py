@@ -255,16 +255,21 @@ def write_dataset(directory, frames: Iterable[PerceptionFrame]) -> int:
     return count
 
 
-def load_json(path, error: type[VipGuideError]):
-    """The JSON value in a whole ASCII file; raises ``error`` naming ``path``
-    for malformed JSON or a non-ASCII byte."""
+def load_json(path, build: Callable, error: type[VipGuideError], kind: str):
+    """``build(value)`` for the JSON value in a whole ASCII file. Raises
+    ``error`` naming ``path`` for malformed JSON or a non-ASCII byte, and
+    ``bad <kind> file <path>: …`` for any VipGuideError that ``build`` raises."""
     with open(path, "r", encoding="ascii") as fh:
         try:
-            return json.load(fh)
+            value = json.load(fh)
         # bad JSON, a non-ASCII byte, an int past Python's digit limit, or
         # nesting deeper than the recursion limit
         except (ValueError, RecursionError) as exc:
             raise error(f"{path}: malformed JSON: {exc}") from exc
+    try:
+        return build(value)
+    except VipGuideError as exc:
+        raise error(f"bad {kind} file {path}: {exc}") from exc
 
 
 def json_records(path, parse: Callable[[dict], object]) -> Iterator:

@@ -204,6 +204,8 @@ def shortest_path(graph: NavGraph, src: str, dst: str) -> Route:
     summed forward along the path, never derived from the key's first term.
     """
     for node in (src, dst):
+        if not isinstance(node, str):  # an unhashable end would fail the lookup
+            raise GraphError(f"node id {node!r} not a str")
         if node not in graph.positions:
             raise GraphError(f"unknown node '{node}'")
     h = graph._distances_to(dst)
@@ -234,11 +236,7 @@ def shortest_path(graph: NavGraph, src: str, dst: str) -> Route:
 
 def load_graph(path) -> NavGraph:
     """Read a graph JSON file: nodes with planar positions, weighted edges."""
-    obj = load_json(path, GraphError)
-    try:
-        return graph_from_dict(obj)
-    except GraphError as exc:
-        raise GraphError(f"bad graph file {path}: {exc}") from exc
+    return load_json(path, graph_from_dict, GraphError, "graph")
 
 
 def graph_from_dict(obj: dict) -> NavGraph:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .config import PipelineTuning
-from .errors import ConfigError, ConsistencyError, InsufficientHistoryError
+from .errors import ConsistencyError, InsufficientHistoryError
 from .perception import BoundingBox, Detection
 
 APPROACH_WINDOW_S = 1.0  # history kept per track; the planner's rate window
@@ -69,10 +69,9 @@ class Tracker:
         iou_threshold: float = PipelineTuning.iou_threshold,
         max_misses: int = PipelineTuning.max_misses,
     ):
-        if not 0.0 < iou_threshold < 1.0:
-            raise ConfigError(f"iou_threshold {iou_threshold} outside (0,1)")
-        self.iou_threshold = iou_threshold
-        self.max_misses = max_misses
+        tuning = PipelineTuning(iou_threshold=iou_threshold, max_misses=max_misses)
+        self.iou_threshold = tuning.iou_threshold
+        self.max_misses = tuning.max_misses
         self.tracks: list[Track] = []
         self._next_id = 0
         self._timestamp: float | None = None  # the last step's

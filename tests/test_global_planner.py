@@ -302,6 +302,16 @@ class TestShortestPath:
         with pytest.raises(GraphError, match="Q"):
             shortest_path(triangle(), "Q", "C")
 
+    # a list end raised a bare TypeError from the lookup, and an int read
+    # as an unknown node
+    @pytest.mark.parametrize("end", [["A"], 1, None])
+    @pytest.mark.parametrize("at_src", [True, False], ids=["src", "dst"])
+    def test_non_str_end_refused(self, end, at_src):
+        src, dst = (end, "C") if at_src else ("A", end)
+        with pytest.raises(GraphError) as info:
+            shortest_path(triangle(), src, dst)
+        assert str(info.value) == f"node id {end!r} not a str"
+
     def test_campus_route(self, campus_graph_path):
         g = load_graph(campus_graph_path)
         assert len(g.node_ids) == 12

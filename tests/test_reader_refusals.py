@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vipguide.calibration import CalibrationModel, load_model
-from vipguide.config import GEOMETRY_KEYS, Config, config_from_dict
+from vipguide.config import GEOMETRY_KEYS, Config, config_from_dict, load_config
 from vipguide.errors import (
     CalibrationError,
     ConfigError,
@@ -31,7 +31,7 @@ from vipguide.errors import (
     VipGuideError,
 )
 from vipguide.frameio import decode_record
-from vipguide.global_planner import NavGraph, graph_from_dict
+from vipguide.global_planner import NavGraph, graph_from_dict, load_graph
 from vipguide.perception import BoundingBox, DepthMap, Detection, PerceptionFrame
 
 # what json.load can yield: bools, ints of any size, floats with NaN and
@@ -232,3 +232,26 @@ def test_detection_reader(field, value):
         assert refusal(decode_record, record, DEPTH) is refusal(frame_directly, det)
     else:
         assert decode_record(record, DEPTH) == frame_directly(det)
+
+
+# -- whole files -------------------------------------------------------------------
+
+# (kind, loader, what the loader builds the parsed value with, a mistyped object)
+WHOLE_FILES = [
+    ("graph", load_graph, graph_from_dict, {"nodes": [{"id": "A", "pos": [1, "x"]}], "edges": []}),
+    ("config", load_config, config_from_dict, {"planner": {"n_partitions": 3.0}}),
+    ("model", load_model, lambda obj: CalibrationModel(**obj), {**MODEL, "a": "1.5"}),
+]
+
+
+@pytest.mark.parametrize("kind, load, build, obj", WHOLE_FILES, ids=[f[0] for f in WHOLE_FILES])
+def test_whole_file_refusal_names_the_file(tmp_path, kind, load, build, obj):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(VipGuideError) as built:
+        build(obj)
+    with pytest.raises(type(built.value)) as loaded:
+        load(path)
+    assert str(loaded.value) == f"bad {kind} file {path}: {built.value}"
+    cause = loaded.value.__cause__
+    assert (type(cause), str(cause)) == (type(built.value), str(built.value))

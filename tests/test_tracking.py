@@ -273,10 +273,23 @@ def test_negative_misses_rejected():
         Track(0, "car", box(0, 0, 2, 2), [TrackPoint(0.0, 1.0)], misses=-1)
 
 
-@pytest.mark.parametrize("threshold", [0.0, 1.0, -0.5])
+@pytest.mark.parametrize("threshold", [0.0, 1.0, -0.5, "x"])
 def test_iou_threshold_outside_unit_interval_rejected(threshold):
     with pytest.raises(ConfigError, match="iou_threshold"):
         Tracker(iou_threshold=threshold)
+
+
+# each built a tracker before PipelineTuning checked the limits; "x" then
+# failed inside step
+@pytest.mark.parametrize(
+    "misses, message",
+    [(-1, "max_misses -1 < 0"), (1.5, "max_misses 1.5 not an integer"),
+     ("x", "max_misses 'x' not an integer")],
+)
+def test_max_misses_checked_as_pipeline_tuning_checks_it(misses, message):
+    with pytest.raises(ConfigError) as info:
+        Tracker(max_misses=misses)
+    assert str(info.value) == message
 
 
 class TestInPlace:
