@@ -344,6 +344,12 @@ class TestDataset:
         with pytest.raises(ConsistencyError):
             write_dataset(tmp_path, [sample_frame(1), sample_frame(1)])
 
+    @pytest.mark.parametrize("ids, last, bad", [((1, 1), 1, 1), ((5, 3), 5, 3), ((0, 2, 2), 2, 2)])
+    def test_write_order_message(self, tmp_path, ids, last, bad):
+        with pytest.raises(ConsistencyError) as info:
+            write_dataset(tmp_path, [sample_frame(i) for i in ids])
+        assert str(info.value) == f"frame_id {bad} not greater than {last}"
+
     @pytest.mark.parametrize(
         "name",
         ["../outside.pgm", "{outside}", "..", ".", "", "sub/0.pgm", "0.pgm\0"],

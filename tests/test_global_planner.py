@@ -345,6 +345,24 @@ class TestShortestPath:
         with pytest.raises(UnreachableError, match="B"):
             shortest_path(g, "A", "B")
 
+    def test_no_path_messages(self):
+        # src cut off before the search: the distance map toward dst lacks it
+        g = triangle()
+        g.add_node("D", (5, 5))
+        with pytest.raises(UnreachableError) as info:
+            shortest_path(g, "D", "C")
+        assert str(info.value) == "no unblocked path from 'D' to 'C'"
+        # a search that runs out: the map toward C, built before the blocks,
+        # still holds A, so the search starts and exhausts its heap
+        g = triangle()
+        shortest_path(g, "A", "C")
+        g.block_edge("A", "C")
+        g.block_edge("B", "C")
+        assert "A" in g._distances_to("C")
+        with pytest.raises(UnreachableError) as info:
+            shortest_path(g, "A", "C")
+        assert str(info.value) == "no unblocked path from 'A' to 'C'"
+
     def test_replan_after_midroute_block(self, campus_graph_path):
         g = load_graph(campus_graph_path)
         g.block_edge("C", "D")

@@ -523,6 +523,22 @@ class TestPerceptionFrame:
                 depth=DepthMap(width=3, height=3, values=np.zeros((3, 3))),
             )
 
+    def test_dims_messages(self):
+        # the depth map and each mask are held to the frame's dims in one wording
+        depth = DepthMap(width=3, height=3, values=np.zeros((3, 3)))
+        with pytest.raises(ConsistencyError) as info:
+            PerceptionFrame(frame_id=0, timestamp=0.0, width=4, height=4, depth=depth)
+        assert str(info.value) == "depth dims 3x3 != frame dims 4x4"
+        mask = BitMask(width=4, height=3, runs=(12,))
+        for parts, name in [
+            ({"vip_mask": mask}, "vip_mask"),
+            ({"road_mask": mask}, "road_mask"),
+            ({"instance_masks": {2: mask}}, "instance_masks[2]"),
+        ]:
+            with pytest.raises(ConsistencyError) as info:
+                make_frame(np.zeros((4, 4)), **parts)
+            assert str(info.value) == f"{name} dims 4x3 != frame dims 4x4"
+
     def test_single_vip(self):
         with pytest.raises(ConsistencyError):
             make_frame(
