@@ -23,6 +23,7 @@ from .perception import (
     DepthMap,
     Detection,
     PerceptionFrame,
+    check_frame_order,
     finite_real,
 )
 
@@ -242,10 +243,7 @@ def write_dataset(directory, frames: Iterable[PerceptionFrame]) -> int:
     last_id = None
     with open(os.path.join(directory, FRAMES_FILE), "w", encoding="ascii") as fh:
         for frame in frames:
-            if last_id is not None and frame.frame_id <= last_id:
-                raise ConsistencyError(
-                    f"frame_id {frame.frame_id} not greater than {last_id}"
-                )
+            check_frame_order(last_id, frame.frame_id)
             last_id = frame.frame_id
             record = encode_record(frame)
             fh.write(record_to_line(record))
@@ -318,10 +316,7 @@ def read_dataset(directory) -> Iterator[PerceptionFrame]:
             )
         depth = read_pgm(os.path.join(directory, depth_file))
         frame = decode_record(record, depth)
-        if last_id is not None and frame.frame_id <= last_id:
-            raise ConsistencyError(
-                f"frame_id {frame.frame_id} not greater than {last_id}"
-            )
+        check_frame_order(last_id, frame.frame_id)
         last_id = frame.frame_id
         return frame
 

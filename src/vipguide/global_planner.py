@@ -209,12 +209,11 @@ def shortest_path(graph: NavGraph, src: str, dst: str) -> Route:
         if node not in graph.positions:
             raise GraphError(f"unknown node '{node}'")
     h = graph._distances_to(dst)
-    if src not in h:
-        raise UnreachableError(f"no unblocked path from '{src}' to '{dst}'")
     adj = graph._adj
     # every node in h's component at mapping time is in h, and blocks only
-    # remove edges, so h[nxt] exists for every neighbour met here
-    heap: list[tuple[float, float, tuple[str, ...]]] = [(h[src], 0.0, (src,))]
+    # remove edges, so h[nxt] exists for every neighbour met here; a src
+    # outside h has no path, so its search starts with nothing to pop
+    heap = [(h[src], 0.0, (src,))] if src in h else []
     settled: set[str] = set()
     while heap:
         _, cost, path = heapq.heappop(heap)

@@ -39,6 +39,17 @@ def _exact_int(value) -> int | None:
         return None
 
 
+def _exact_ints(values) -> tuple[int, ...] | None:
+    """`values` as a tuple of exact ints, or None when `_exact_int` refuses
+    one of them. Python ints, the common case, are kept with no conversion."""
+    ints = tuple(values)
+    for v in ints:
+        if type(v) is not int:  # rare: convert them all
+            ints = tuple(map(_exact_int, ints))
+            return None if None in ints else ints
+    return ints
+
+
 def int_fields(obj, *names: str, error=ConsistencyError, what: str = "") -> None:
     """Store each named field of the frozen dataclass `obj` as an exact int;
     a value `_exact_int` refuses raises `error`, prefixed by `what`."""
@@ -145,11 +156,9 @@ class BitMask:
         int_fields(self, "width", "height")
         if self.width <= 0 or self.height <= 0:
             raise ConsistencyError(f"mask dims {self.width}x{self.height} not positive")
-        runs = tuple(self.runs)
-        if not set(map(type, runs)) <= {int}:  # exact ints need no conversion
-            runs = tuple(map(_exact_int, runs))
-            if None in runs:
-                raise ConsistencyError("run lengths must be integers")
+        runs = _exact_ints(self.runs)
+        if runs is None:
+            raise ConsistencyError("run lengths must be integers")
         object.__setattr__(self, "runs", runs)
         if runs and min(runs) < 0:
             raise ConsistencyError("negative run length")
@@ -243,18 +252,13 @@ class PerceptionFrame:
         int_fields(self, "frame_id", "width", "height")
         real_fields(self, "timestamp", what=f"frame {self.frame_id}: ")
         object.__setattr__(self, "detections", tuple(self.detections))
-        if self.depth.width != self.width or self.depth.height != self.height:
-            raise ConsistencyError(
-                f"depth dims {self.depth.width}x{self.depth.height} != "
-                f"frame dims {self.width}x{self.height}"
-            )
         for key in self.instance_masks:  # the keys decode_record reads back
             if _exact_int(key) is None or key < 0:
                 raise ConsistencyError(f"instance_masks key {key!r} not a non-negative integer")
-        for name, mask in self._named_masks():
-            if mask.width != self.width or mask.height != self.height:
+        for name, grid in self._named_grids():
+            if grid.width != self.width or grid.height != self.height:
                 raise ConsistencyError(
-                    f"{name} dims {mask.width}x{mask.height} != "
+                    f"{name} dims {grid.width}x{grid.height} != "
                     f"frame dims {self.width}x{self.height}"
                 )
         vips = [d for d in self.detections if d.class_label == "vip"]
@@ -267,13 +271,20 @@ class PerceptionFrame:
                     f"bbox {det.bbox.as_list()} exceeds frame {self.width}x{self.height}"
                 )
 
-    def _named_masks(self):
+    def _named_grids(self):
+        yield "depth", self.depth
         if self.vip_mask is not None:
             yield "vip_mask", self.vip_mask
         if self.road_mask is not None:
             yield "road_mask", self.road_mask
         for track_id, mask in self.instance_masks.items():
             yield f"instance_masks[{track_id}]", mask
+
+
+def check_frame_order(last_id: int | None, frame_id: int) -> None:
+    """Frame ids strictly increase; `last_id` is None before a stream's first."""
+    if last_id is not None and frame_id <= last_id:
+        raise ConsistencyError(f"frame_id {frame_id} not greater than {last_id}")
 
 
 def rle_encode(grid) -> BitMask:
@@ -359,13 +370,9 @@ def rle_encode_rect(rect, cuts, width: int, height: int) -> BitMask | None:
 
 def _pixel_ints(values) -> tuple[int, ...]:
     """Pixel coordinates as exact ints, so every run built from them is one."""
-    ints = tuple(values)
-    for v in ints:
-        if type(v) is not int:  # rare: convert them all, or name them all
-            ints = tuple(map(_exact_int, ints))
-            if None in ints:
-                raise ConsistencyError(f"pixel coordinates {list(values)} must be integers")
-            break
+    ints = _exact_ints(values)
+    if ints is None:
+        raise ConsistencyError(f"pixel coordinates {list(values)} must be integers")
     return ints
 
 

@@ -20,7 +20,7 @@ blocked and a fresh route computed. Progress along the route is not
 tracked yet, so the walk is taken to be at the route's start: the
 blocked edge is the route's first, and the new route starts from the
 same node. A fired replan's route rides on its frame's RerouteNeeded.
-When no unblocked path remains, that route is empty, the pipeline drops
+When every path is blocked, that route is empty, the pipeline drops
 its route and keeps guiding locally; later exhausted frames only signal,
 as with no graph.
 """
@@ -55,7 +55,7 @@ from .local_planner import (
     road_edge_check,
     width_threshold_px,
 )
-from .perception import BoundingBox, Detection, PerceptionFrame, rle_encode_rect
+from .perception import BoundingBox, Detection, PerceptionFrame, check_frame_order, rle_encode_rect
 from .tracking import Tracker, approach_rate
 
 
@@ -139,7 +139,8 @@ class Pipeline:
     def process_frame(
         self, frame: PerceptionFrame, decode_ms: float = 0.0
     ) -> tuple[GuidanceDecision, dict]:
-        self._check_order(frame)
+        # frame ids here; `Tracker.step` checks that timestamps increase
+        check_frame_order(self._last_frame_id, frame.frame_id)
         t0 = time.perf_counter()
         ids = self.tracker.step(frame.timestamp, frame.detections)
         t1 = time.perf_counter()
@@ -171,12 +172,6 @@ class Pipeline:
         return decision, trace_record(decision, latency_ms)
 
     # -- stages, in the order process_frame runs them ---------------------------
-
-    def _check_order(self, frame: PerceptionFrame) -> None:
-        """Frame ids must increase; `Tracker.step` checks that timestamps do."""
-        last = self._last_frame_id
-        if last is not None and frame.frame_id <= last:
-            raise ConsistencyError(f"frame {frame.frame_id} out of order after {last}")
 
     def _locate_vip(self, frame):
         """The frame's VIP detection, or None. A sighting sets the remembered

@@ -196,7 +196,7 @@ class TestBasics:
     def test_frame_order_enforced(self):
         pipe = make_pipeline()
         pipe.process_frame(world_frame(5, 0.0))
-        with pytest.raises(ConsistencyError, match="out of order"):
+        with pytest.raises(ConsistencyError, match="not greater than"):
             pipe.process_frame(world_frame(5, 1.0))
         with pytest.raises(ConsistencyError):
             pipe.process_frame(world_frame(3, 2.0))
@@ -254,7 +254,7 @@ class TestBasics:
         assert len(pipe.tracker.tracks) > 1
         nxt, last = frames[20], frames[19]
         rejected = [
-            (replace(nxt, frame_id=last.frame_id), "out of order"),
+            (replace(nxt, frame_id=last.frame_id), "not greater than"),
             (replace(nxt, timestamp=last.timestamp), "not after"),
             (replace(nxt, frame_id=25, timestamp=frames[10].timestamp), "not after"),
         ]
