@@ -62,7 +62,7 @@ class PlannerConfig:
 class PipelineTuning:
     vip_hold_frames: int = 30   # frames to coast on a lost VIP before flagging
     reroute_patience: int = 5   # consecutive exhausted frames before replanning
-    live_speed: bool = False    # recompute d' from tracked VIP speed
+    live_speed: bool = False    # d' from the fastest tracked approach rate
     iou_threshold: float = 0.3
     max_misses: int = 15        # ~0.5 s at 30 fps
 

@@ -62,6 +62,13 @@ def int_fields(obj, *names: str, error=ConsistencyError, what: str = "") -> None
             object.__setattr__(obj, name, exact)
 
 
+def _positive_dims(obj, what: str) -> None:
+    """Store `obj`'s width and height as exact ints, both positive."""
+    int_fields(obj, "width", "height")
+    if obj.width <= 0 or obj.height <= 0:
+        raise ConsistencyError(f"{what} dims {obj.width}x{obj.height} not positive")
+
+
 def finite_real(value, name: str, error, what: str = ""):
     """`value` if it is a finite real and not a bool (NaN would slip past
     every later check): Python ints and floats as given, other reals (numpy
@@ -153,9 +160,7 @@ class BitMask:
     runs: tuple[int, ...]
 
     def __post_init__(self):
-        int_fields(self, "width", "height")
-        if self.width <= 0 or self.height <= 0:
-            raise ConsistencyError(f"mask dims {self.width}x{self.height} not positive")
+        _positive_dims(self, "mask")
         runs = _exact_ints(self.runs)
         if runs is None:
             raise ConsistencyError("run lengths must be integers")
@@ -201,9 +206,11 @@ class DepthMap:
     values: np.ndarray
 
     def __post_init__(self):
-        int_fields(self, "width", "height")
+        _positive_dims(self, "depth")
         arr = np.asarray(self.values)
         if arr.dtype != np.uint16:
+            if arr.dtype.kind not in "iuf":  # bools, strings, objects
+                raise ConsistencyError(f"depth values of dtype {arr.dtype} not real numbers")
             # NaN fails both bounds, so it never reaches the cast
             if arr.size and not (arr.min() >= 0 and arr.max() <= REV_MAX):
                 raise ConsistencyError(f"depth values outside [0, {REV_MAX}]")
@@ -399,7 +406,17 @@ def rle_decode(mask: BitMask, rows: tuple[int, int] | None = None) -> np.ndarray
     runs = np.fromiter(mask.runs, dtype=np.int64, count=len(mask.runs))
     pattern = np.zeros(runs.size, dtype=bool)
     pattern[1::2] = True
-    y1, y2 = (0, h) if rows is None else rows
+    y1, y2 = 0, h
+    if rows is not None:
+        try:
+            y1, y2 = rows
+        except (TypeError, ValueError):  # not two values
+            y1 = None
+        if type(y1) is not int or type(y2) is not int:
+            pair = _exact_ints((y1, y2))
+            if pair is None:
+                raise ConsistencyError(f"rows {rows!r} not two integers")
+            y1, y2 = pair
     if not 0 <= y1 <= y2 <= h:
         raise ConsistencyError(f"rows [{y1}, {y2}) outside mask height {h}")
     lead, tail = y1 * w, (h - y2) * w

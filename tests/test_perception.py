@@ -234,6 +234,21 @@ class TestRleDecodeRows:
         with pytest.raises(ConsistencyError, match="outside mask height 6"):
             rle_decode(mask, rows)
 
+    # (0.5, 1) raised a bare TypeError and (1,) a bare ValueError
+    @pytest.mark.parametrize("rows", [(0.5, 1), (1,), (1, 2, 3), (True, 2), (1, "3"), 5])
+    def test_rows_not_two_integers_rejected(self, rows):
+        mask = rle_encode(np.zeros((6, 4), dtype=bool))
+        for decode in (lambda: rle_decode(mask, rows), lambda: mask.decode(rows=rows)):
+            with pytest.raises(ConsistencyError) as info:
+                decode()
+            assert str(info.value) == f"rows {rows!r} not two integers"
+
+    def test_numpy_int_rows_accepted(self):
+        grid = np.zeros((6, 4), dtype=bool)
+        grid[1:4, 2] = True
+        band = rle_decode(rle_encode(grid), (np.int64(1), np.int32(3)))
+        assert np.array_equal(band, grid[1:3])
+
 
 def reference_runs(grid) -> tuple[int, ...]:
     """Canonical runs of a grid, one pixel at a time."""
@@ -456,6 +471,12 @@ class TestBitMaskValidation:
         with pytest.raises(ConsistencyError, match=r"^runs sum 5 != 3x2 pixels$"):
             BitMask(width=3, height=2, runs=(2, 3))
 
+    @pytest.mark.parametrize("width, height", [(3, 0), (0, 2), (-1, -1)])
+    def test_non_positive_dims_rejected(self, width, height):
+        with pytest.raises(ConsistencyError) as info:
+            BitMask(width=width, height=height, runs=(0,))
+        assert str(info.value) == f"mask dims {width}x{height} not positive"
+
     @pytest.mark.parametrize("run", [2**63, 2**64 + 6, -(2**63) - 1])
     def test_runs_beyond_int64_rejected_as_inconsistent(self, run):
         with pytest.raises(ConsistencyError):
@@ -506,6 +527,25 @@ class TestDepthMap:
         # 1.5 was once cast to 1, and NaN to 0 with only a RuntimeWarning
         with pytest.raises(ConsistencyError, match=f"^depth values {message}"):
             DepthMap(width=2, height=1, values=np.array(values))
+
+    @pytest.mark.parametrize(
+        "width, height, values, message",
+        [
+            # reshape raised a bare ValueError
+            (-1, -1, [0], "depth dims -1x-1 not positive"),
+            # built, and a 3x0 frame around it planned a Heading
+            (3, 0, [], "depth dims 3x0 not positive"),
+            (0, 2, np.zeros((2, 0), dtype=np.uint16), "depth dims 0x2 not positive"),
+            # a bare UFuncTypeError, then a bare TypeError
+            (2, 1, ["a", "b"], "depth values of dtype <U1 not real numbers"),
+            (2, 1, [None, 1], "depth values of dtype object not real numbers"),
+            (2, 1, [True, False], "depth values of dtype bool not real numbers"),
+        ],
+    )
+    def test_bad_dims_and_values_rejected(self, width, height, values, message):
+        with pytest.raises(ConsistencyError) as info:
+            DepthMap(width=width, height=height, values=values)
+        assert str(info.value) == message
 
     def test_whole_float_values_stored_as_uint16(self):
         d = DepthMap(width=2, height=1, values=np.array([1.0, 65535.0]))
