@@ -20,9 +20,9 @@ blocked and a fresh route computed. Progress along the route is not
 tracked yet, so the walk is taken to be at the route's start: the
 blocked edge is the route's first, and the new route starts from the
 same node. A fired replan's route rides on its frame's RerouteNeeded.
-When every path is blocked, that route is empty, the pipeline drops
-its route and keeps guiding locally; later exhausted frames only signal,
-as with no graph.
+When no path over unblocked edges remains, that route is empty, the
+pipeline drops its route and keeps guiding locally; later exhausted
+frames only signal, as with no graph.
 """
 from __future__ import annotations
 
