@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import FrameDecodeError
 from .local_planner import GuidanceDecision, Heading
-from .perception import PerceptionFrame
+from .perception import PerceptionFrame, clip_rect
 
 BLUE = (0, 0, 255)
 RED = (255, 0, 0)
@@ -24,15 +24,15 @@ SEVERITY_COLOR = {"danger": RED, "warning": YELLOW}
 def draw_box(image: np.ndarray, x1: int, y1: int, x2: int, y2: int, color, thickness: int = 2) -> None:
     """Rectangle outline, clipped to the image."""
     h, w = image.shape[:2]
-    x1c, x2c = max(0, x1), min(w, x2)
-    y1c, y2c = max(0, y1), min(h, y2)
-    if x1c >= x2c or y1c >= y2c:
+    rect = clip_rect((x1, y1, x2, y2), (0, 0, w, h))
+    if rect is None:
         return
+    x1, y1, x2, y2 = rect
     t = thickness
-    image[y1c : min(y1c + t, y2c), x1c:x2c] = color
-    image[max(y2c - t, y1c) : y2c, x1c:x2c] = color
-    image[y1c:y2c, x1c : min(x1c + t, x2c)] = color
-    image[y1c:y2c, max(x2c - t, x1c) : x2c] = color
+    image[y1 : min(y1 + t, y2), x1:x2] = color
+    image[max(y2 - t, y1) : y2, x1:x2] = color
+    image[y1:y2, x1 : min(x1 + t, x2)] = color
+    image[y1:y2, max(x2 - t, x1) : x2] = color
 
 
 def annotate_frame(frame: PerceptionFrame, decision: GuidanceDecision) -> np.ndarray:

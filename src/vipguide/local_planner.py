@@ -10,6 +10,7 @@ the frame escalates to a global reroute.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ import numpy as np
 
 from .config import PlannerConfig
 from .errors import PlannerError
-from .perception import REV_MAX, BitMask, BoundingBox, DepthMap
+from .perception import REV_MAX, BitMask, BoundingBox, DepthMap, clip_rect
 
 Severity = str  # "danger" | "warning" | "clear"
 EdgeStatus = str  # "safe" | "warn_left" | "warn_right" | "warn_both" | "unknown"
@@ -78,7 +79,8 @@ class GuidanceDecision:
     partitions: tuple[Partition, ...]
 
 
-def partition_bounds(width: int, n: int = PlannerConfig.n_partitions) -> list[Partition]:
+@functools.lru_cache(maxsize=8)  # one tiling per width, shared; bounded as widths change
+def partition_bounds(width: int, n: int = PlannerConfig.n_partitions) -> tuple[Partition, ...]:
     """Tile [0, width) into n near-equal strips, remainder going leftmost."""
     if n < 1 or n % 2 == 0:
         raise PlannerError(f"partition count must be odd and positive, got {n}")
@@ -91,14 +93,14 @@ def partition_bounds(width: int, n: int = PlannerConfig.n_partitions) -> list[Pa
         w = base + (1 if i < extra else 0)
         bounds.append(Partition(index=i, x_start=x, x_end=x + w))
         x += w
-    return bounds
+    return tuple(bounds)
 
 
 UINT32_EXACT_ROWS = (2**32 - 1) // REV_MAX  # rows whose uint32 column sum is exact
 
 
 def partition_scores(
-    depth: DepthMap, partitions: list[Partition], exclude: BitMask | None = None
+    depth: DepthMap, partitions: Sequence[Partition], exclude: BitMask | None = None
 ) -> list[tuple[float, bool]]:
     """H(i) for every partition from one column sum of the whole frame.
 
@@ -173,7 +175,7 @@ def free_segments(
 
 def partition_profiles(
     depth: DepthMap,
-    partitions: list[Partition],
+    partitions: Sequence[Partition],
     obstacles: Sequence[ObstacleAssessment],
     d_filter: float,
     exclude: BitMask | None = None,
@@ -208,14 +210,14 @@ def classify_obstacle(
     return "clear"
 
 
-def _probe_mean(road: np.ndarray, x1: int, x2: int, y1: int, y2: int) -> float | None:
-    """Mean of road?255:0 over a clamped probe; None when fully off-frame."""
+def _probe_mean(road: np.ndarray, probe) -> float | None:
+    """Mean of road?255:0 over the probe clipped to the frame; None when fully off-frame."""
     h, w = road.shape
-    cx1, cx2 = max(0, x1), min(w, x2)
-    cy1, cy2 = max(0, y1), min(h, y2)
-    if cx1 >= cx2 or cy1 >= cy2:
+    rect = clip_rect(probe, (0, 0, w, h))
+    if rect is None:
         return None
-    patch = road[cy1:cy2, cx1:cx2]
+    x1, y1, x2, y2 = rect
+    patch = road[y1:y2, x1:x2]
     return 255.0 * float(np.count_nonzero(patch)) / patch.size
 
 
@@ -236,8 +238,8 @@ def road_edge_check(
         return "unknown"
     road = road_mask.decode()
     y1, y2 = vip_bbox.y2 - box_px, vip_bbox.y2
-    left = _probe_mean(road, vip_bbox.x1 - box_px, vip_bbox.x1, y1, y2)
-    right = _probe_mean(road, vip_bbox.x2, vip_bbox.x2 + box_px, y1, y2)
+    left = _probe_mean(road, (vip_bbox.x1 - box_px, y1, vip_bbox.x1, y2))
+    right = _probe_mean(road, (vip_bbox.x2, y1, vip_bbox.x2 + box_px, y2))
     left_safe = left is not None and left > threshold
     right_safe = right is not None and right > threshold
     if left_safe and right_safe:

@@ -326,18 +326,15 @@ def rle_encode_rect(rect, cuts, width: int, height: int) -> BitMask | None:
             f"rect {list(rect)} empty or outside frame {width}x{height}"
         )
     # each cut clipped to the rect, in column order; a cut outside is empty
-    clipped = (
-        (max(u1, x1), min(u2, x2), max(v1, y1), min(v2, y2))
-        for u1, v1, u2, v2 in map(_pixel_ints, cuts)
-    )
-    holes = sorted(h for h in clipped if h[0] < h[1] and h[2] < h[3])
-    ys = sorted({y1, y2, *(v for hole in holes for v in hole[2:])})
+    rect = x1, y1, x2, y2
+    holes = sorted(filter(None, (clip_rect(_pixel_ints(cut), rect) for cut in cuts)))
+    ys = sorted({y1, y2, *(v for _, v1, _, v2 in holes for v in (v1, v2))})
     runs = []  # background, foreground, background, ...
     end = 0  # flat offset just past the last foreground run
     for ya, yb in zip(ys, ys[1:]):
         # the band's foreground columns: [x1, x2) minus the holes over it
         segs, s = [], x1
-        for u1, u2, v1, v2 in holes:
+        for u1, v1, u2, v2 in holes:
             if v1 <= ya < v2:
                 if s < u1:
                     segs.append((s, u1))
@@ -373,6 +370,15 @@ def rle_encode_rect(rect, cuts, width: int, height: int) -> BitMask | None:
     if end < width * height:
         runs.append(width * height - end)
     return _canonical_mask(width, height, tuple(runs))
+
+
+def clip_rect(rect, bounds) -> tuple[int, int, int, int] | None:
+    """The half-open ``rect`` (x1, y1, x2, y2) cut to ``bounds``, another
+    such rect; None when nothing is left."""
+    x1, y1, x2, y2 = rect
+    b1, c1, b2, c2 = bounds
+    x1, y1, x2, y2 = max(x1, b1), max(y1, c1), min(x2, b2), min(y2, c2)
+    return (x1, y1, x2, y2) if x1 < x2 and y1 < y2 else None
 
 
 def _pixel_ints(values) -> tuple[int, ...]:

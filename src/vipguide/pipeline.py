@@ -55,7 +55,9 @@ from .local_planner import (
     road_edge_check,
     width_threshold_px,
 )
-from .perception import BoundingBox, Detection, PerceptionFrame, check_frame_order, rle_encode_rect
+from .perception import (
+    BoundingBox, Detection, PerceptionFrame, check_frame_order, clip_rect, rle_encode_rect
+)
 from .tracking import Tracker, approach_rate
 
 
@@ -134,7 +136,6 @@ class Pipeline:
         self._last_vip_distance: float | None = None
         self._vip_miss_streak = 0
         self._reroute_streak = 0
-        self._partitions = ()  # one tiling per frame width, shared by its decisions
 
     def process_frame(
         self, frame: PerceptionFrame, decode_ms: float = 0.0
@@ -149,11 +150,11 @@ class Pipeline:
         d_prime, assessments = self._assess(frame, ids, vip)
         self.tracker.attach_distances({a.track_id: a.distance_m for a in assessments})
         edge_status = self._road_edge(frame, vip)
-        partitions = self._tiling(frame.width)
+        partitions = partition_bounds(frame.width, self.config.planner.n_partitions)
         if self._vip_miss_streak > self.config.pipeline.vip_hold_frames:
             outcome = None  # lost past the hold
         else:
-            profiles = self._score_partitions(frame, vip, partitions, assessments, d_prime)
+            profiles = self._profiles(frame, vip, partitions, assessments, d_prime)
             outcome = self._decide(frame, partitions, profiles)
         outcome = self._replan(outcome)
         t2 = time.perf_counter()
@@ -222,24 +223,17 @@ class Pipeline:
             threshold=planner_cfg.edge_threshold,
         )
 
-    def _tiling(self, width: int):
-        """The partitions of a frame `width` wide, built once per width."""
-        if not self._partitions or self._partitions[-1].x_end != width:
-            self._partitions = tuple(
-                partition_bounds(width, self.config.planner.n_partitions)
-            )
-        return self._partitions
-
-    def _score_partitions(self, frame, vip, partitions, assessments, d_prime):
+    def _profiles(self, frame, vip, partitions, assessments, d_prime):
         """The partitions' profiles, the VIP's pixels excluded: its mask when
         seen this frame, else its remembered bbox clipped to this frame."""
         box = self._last_vip_bbox
         exclude = None
         if vip is not None and frame.vip_mask is not None:
             exclude = frame.vip_mask
-        elif box is not None and box.x1 < frame.width and box.y1 < frame.height:
-            rect = (box.x1, box.y1, min(box.x2, frame.width), min(box.y2, frame.height))
-            exclude = rle_encode_rect(rect, (), frame.width, frame.height)
+        elif box is not None:
+            rect = clip_rect(box.as_list(), (0, 0, frame.width, frame.height))
+            if rect is not None:
+                exclude = rle_encode_rect(rect, (), frame.width, frame.height)
         return partition_profiles(
             frame.depth, partitions, assessments, d_prime, exclude=exclude
         )

@@ -33,6 +33,7 @@ from .perception import (
     DepthMap,
     Detection,
     PerceptionFrame,
+    clip_rect,
     int_fields,
     real_fields,
     rle_encode_rect,
@@ -134,13 +135,8 @@ def _pixel_rect(obj: SceneObject, cam: Camera) -> tuple[int, int, int, int] | No
     u_hi = cam.cx + cam.fx * (obj.x + obj.width / 2.0) / obj.z
     v_lo = cam.cy + cam.fy * y_top / obj.z
     v_hi = cam.cy + cam.fy * y_bottom / obj.z
-    x1 = max(0, _round_px(u_lo))
-    x2 = min(cam.width, _round_px(u_hi))
-    y1 = max(0, _round_px(v_lo))
-    y2 = min(cam.height, _round_px(v_hi))
-    if x1 >= x2 or y1 >= y2:
-        return None
-    return x1, y1, x2, y2
+    rect = _round_px(u_lo), _round_px(v_lo), _round_px(u_hi), _round_px(v_hi)
+    return clip_rect(rect, (0, 0, cam.width, cam.height))
 
 
 def project_bbox(obj: SceneObject, cam: Camera) -> BoundingBox | None:
