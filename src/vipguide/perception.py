@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,8 @@ import numpy as np
 from .errors import ConsistencyError
 
 REV_MAX = 65535
+# numpy < 1.24 warns it as it builds an object array of a ragged list; < 1.25 has no np.exceptions
+_RAGGED_WARNING = getattr(np, "exceptions", np).VisibleDeprecationWarning
 
 
 def _exact_int(value) -> int | None:
@@ -40,9 +43,12 @@ def _exact_int(value) -> int | None:
 
 
 def _exact_ints(values) -> tuple[int, ...] | None:
-    """`values` as a tuple of exact ints, or None when `_exact_int` refuses
-    one of them. Python ints, the common case, are kept with no conversion."""
-    ints = tuple(values)
+    """`values` as a tuple of exact ints, or None when they are not iterable or
+    `_exact_int` refuses one. Python ints, the common case, are kept as they are."""
+    try:
+        ints = tuple(values)
+    except TypeError:  # not iterable
+        return None
     for v in ints:
         if type(v) is not int:  # rare: convert them all
             ints = tuple(map(_exact_int, ints))
@@ -207,7 +213,14 @@ class DepthMap:
 
     def __post_init__(self):
         _positive_dims(self, "depth")
-        arr = np.asarray(self.values)
+        arr = self.values
+        if not isinstance(arr, np.ndarray):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", _RAGGED_WARNING)
+                try:
+                    arr = np.asarray(arr)
+                except (ValueError, _RAGGED_WARNING):  # numpy >= 1.24 raises ValueError
+                    raise ConsistencyError("depth values not a rectangular array") from None
         if arr.dtype != np.uint16:
             if arr.dtype.kind not in "iuf":  # bools, strings, objects
                 raise ConsistencyError(f"depth values of dtype {arr.dtype} not real numbers")
@@ -317,17 +330,20 @@ def rle_encode_rect(rect, cuts, width: int, height: int) -> BitMask | None:
 
     Built from the corners alone, with no pixel scan: rows that the same
     cuts cross form a band, and every row of a band repeats one run
-    pattern. Returns None when the cuts cover the whole rect. Every
-    coordinate and size must be an integer; numpy ints convert exactly.
+    pattern. Returns None when the cuts cover the whole rect. The rect
+    and each cut are four corners, each an integer, as are the sizes;
+    numpy ints convert exactly.
     """
-    x1, y1, x2, y2, width, height = _pixel_ints((*rect, width, height))
+    rect = x1, y1, x2, y2 = _corners(rect, "rect")
+    width, height = _pixel_ints((width, height))
     if not (0 <= x1 < x2 <= width and 0 <= y1 < y2 <= height):
         raise ConsistencyError(
             f"rect {list(rect)} empty or outside frame {width}x{height}"
         )
+    if not hasattr(cuts, "__iter__"):
+        raise ConsistencyError(f"cuts {cuts!r} not a sequence of rects")
     # each cut clipped to the rect, in column order; a cut outside is empty
-    rect = x1, y1, x2, y2
-    holes = sorted(filter(None, (clip_rect(_pixel_ints(cut), rect) for cut in cuts)))
+    holes = sorted(filter(None, (clip_rect(_corners(cut, "cut"), rect) for cut in cuts)))
     ys = sorted({y1, y2, *(v for _, v1, _, v2 in holes for v in (v1, v2))})
     runs = []  # background, foreground, background, ...
     end = 0  # flat offset just past the last foreground run
@@ -379,6 +395,13 @@ def clip_rect(rect, bounds) -> tuple[int, int, int, int] | None:
     b1, c1, b2, c2 = bounds
     x1, y1, x2, y2 = max(x1, b1), max(y1, c1), min(x2, b2), min(y2, c2)
     return (x1, y1, x2, y2) if x1 < x2 and y1 < y2 else None
+
+
+def _corners(rect, what: str) -> tuple[int, ...]:
+    """The corners of `rect`, a sequence of four pixel coordinates, as exact ints."""
+    if not (hasattr(rect, "__len__") and len(rect) == 4):
+        raise ConsistencyError(f"{what} {rect!r} not four corners")
+    return _pixel_ints(rect)
 
 
 def _pixel_ints(values) -> tuple[int, ...]:

@@ -1,5 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from numpy.exceptions import VisibleDeprecationWarning
 
 from vipguide.errors import ConsistencyError
 from vipguide.perception import (
@@ -8,6 +13,7 @@ from vipguide.perception import (
     DepthMap,
     Detection,
     PerceptionFrame,
+    clip_rect,
     rle_decode,
     rle_encode,
     rle_encode_rect,
@@ -286,6 +292,37 @@ def random_rect(rng, width, height, margin=0):
     return x1, y1, x2, y2
 
 
+PAD = 4  # pixels of canvas left of and above a frame's origin
+CORNER = st.integers(-PAD, 12)  # negative, inside and past a frame of up to 8 pixels
+RECT = st.tuples(CORNER, CORNER, CORNER, CORNER)  # empty when x1 >= x2 or y1 >= y2
+
+
+def canvas(rect):
+    """The rect's pixels on a canvas of [-PAD, 12) on both axes."""
+    grid = np.zeros((12 + PAD, 12 + PAD), dtype=bool)
+    x1, y1, x2, y2 = (v + PAD for v in rect)
+    grid[y1:y2, x1:x2] = True
+    return grid
+
+
+@settings(max_examples=500, deadline=None)
+@given(RECT, RECT)
+@example((0, 0, 2, 2), (2, 0, 4, 2))  # touching: no pixel shared
+@example((0, 0, 2, 2), (0, 2, 2, 4))
+@example((-3, -3, 3, 3), (0, 0, 8, 6))  # negative corners cut to the frame
+@example((6, 4, 12, 12), (0, 0, 8, 6))  # past the frame's far corner
+@example((2, 2, 2, 5), (0, 0, 8, 6))  # empty
+def test_clip_rect_is_the_bounding_rect_of_the_overlap(rect, bounds):
+    both = canvas(rect) & canvas(bounds)
+    if not both.any():
+        assert clip_rect(rect, bounds) is None
+        return
+    rows = np.flatnonzero(both.any(axis=1)) - PAD
+    cols = np.flatnonzero(both.any(axis=0)) - PAD
+    expected = (int(cols[0]), int(rows[0]), int(cols[-1]) + 1, int(rows[-1]) + 1)
+    assert clip_rect(rect, bounds) == expected
+
+
 class TestRleEncodeWindow:
     """rle_encode_rect: the mask of a window (a rect) minus the rects cut from it."""
 
@@ -428,6 +465,29 @@ class TestRleEncodeWindow:
         with pytest.raises(ConsistencyError, match=r"^pixel coordinates \[.*\] must be integers$"):
             rle_encode_rect(rect, cuts, width, 4)
 
+    @pytest.mark.parametrize(
+        "rect, cuts, message",
+        [
+            # a bare ValueError from unpacking
+            ((0, 0, 2), [], "rect (0, 0, 2) not four corners"),
+            ((0, 0, 2, 2), [(0, 0, 2)], "cut (0, 0, 2) not four corners"),
+            ((0, 0, 2, 2), [(0, 0, 1, 1, 1)], "cut (0, 0, 1, 1, 1) not four corners"),
+            # a bare TypeError: an int is not iterable
+            (5, [], "rect 5 not four corners"),
+            ((0, 0, 2, 2), [5], "cut 5 not four corners"),
+            ((0, 0, 2, 2), 5, "cuts 5 not a sequence of rects"),
+        ],
+    )
+    def test_rect_and_cuts_not_four_corners_rejected(self, rect, cuts, message):
+        with pytest.raises(ConsistencyError) as info:
+            rle_encode_rect(rect, cuts, 4, 4)
+        assert str(info.value) == message
+
+    def test_any_sequence_of_four_corners_accepted(self):
+        cuts = iter([[1, 1, 2, 2], np.array([0, 0, 1, 1])])
+        assert self.check([0, 0, 2, 2], list(cuts), 4, 4).runs == (1, 1, 2, 1, 11)
+        assert rle_encode_rect((0, 0, 2, 2), (c for c in [(1, 1, 2, 2)]), 4, 4).runs == (0, 2, 2, 1, 11)
+
     # the grid check moved with the flat scan into rle_encode
     @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (4,), (1, 2, 2)])
     def test_malformed_window_rejected(self, shape):
@@ -460,6 +520,12 @@ class TestBitMaskValidation:
         ]:
             with pytest.raises(ConsistencyError, match=r"^run lengths must be integers$"):
                 BitMask(width=3, height=2, runs=runs)
+
+    def test_non_iterable_runs_rejected(self):
+        # a bare TypeError: an int is not iterable
+        with pytest.raises(ConsistencyError) as info:
+            BitMask(width=3, height=2, runs=5)
+        assert str(info.value) == "run lengths must be integers"
 
     def test_empty_runs_rejected(self):
         with pytest.raises(ConsistencyError, match=r"^runs sum 0 != 3x2 pixels$"):
@@ -546,6 +612,23 @@ class TestDepthMap:
         with pytest.raises(ConsistencyError) as info:
             DepthMap(width=width, height=height, values=values)
         assert str(info.value) == message
+
+    def test_ragged_values_rejected(self):
+        # numpy >= 1.24 raised a bare ValueError
+        with pytest.raises(ConsistencyError) as info:
+            DepthMap(width=2, height=1, values=[[1], [1, 2]])
+        assert str(info.value) == "depth values not a rectangular array"
+
+    def test_ragged_values_rejected_as_older_numpy_builds_them(self, monkeypatch):
+        # numpy < 1.24 builds an object array of a ragged list and warns
+        def asarray(values):
+            warnings.warn("ragged", VisibleDeprecationWarning, stacklevel=2)
+            return np.array(values, dtype=object)
+
+        monkeypatch.setattr(np, "asarray", asarray)
+        with pytest.raises(ConsistencyError) as info:
+            DepthMap(width=2, height=1, values=[[1], [1, 2]])
+        assert str(info.value) == "depth values not a rectangular array"
 
     def test_whole_float_values_stored_as_uint16(self):
         d = DepthMap(width=2, height=1, values=np.array([1.0, 65535.0]))
