@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConsistencyError
 
 REV_MAX = 65535
-# numpy < 1.24 warns it as it builds an object array of a ragged list; < 1.25 has no np.exceptions
+# what numpy < 1.24 warns as it builds an object array of a ragged list (1.25 has np.exceptions)
 _RAGGED_WARNING = getattr(np, "exceptions", np).VisibleDeprecationWarning
 
 

@@ -484,9 +484,10 @@ class TestRleEncodeWindow:
         assert str(info.value) == message
 
     def test_any_sequence_of_four_corners_accepted(self):
-        cuts = iter([[1, 1, 2, 2], np.array([0, 0, 1, 1])])
-        assert self.check([0, 0, 2, 2], list(cuts), 4, 4).runs == (1, 1, 2, 1, 11)
-        assert rle_encode_rect((0, 0, 2, 2), (c for c in [(1, 1, 2, 2)]), 4, 4).runs == (0, 2, 2, 1, 11)
+        cuts = [[1, 1, 2, 2], np.array([0, 0, 1, 1])]
+        assert self.check([0, 0, 2, 2], cuts, 4, 4).runs == (1, 1, 2, 1, 11)
+        # and cuts may be any iterable of rects
+        assert rle_encode_rect((0, 0, 2, 2), iter(cuts), 4, 4).runs == (1, 1, 2, 1, 11)
 
     # the grid check moved with the flat scan into rle_encode
     @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (4,), (1, 2, 2)])
@@ -514,18 +515,13 @@ class TestBitMaskValidation:
         assert mask.runs == (2, 4) and type(mask.runs) is tuple
 
     def test_non_integer_runs_rejected(self):
-        # floats used to truncate: (2.7, 4.2) passed as (2, 4); bools passed as 0 or 1
+        # floats used to truncate: (2.7, 4.2) passed as (2, 4); bools passed as 0 or 1;
+        # an int raised a bare TypeError
         for runs in [
-            (2.7, 4.2), (2.5, 3.5), (-0.5, 6.9), (2.0, 4), (np.bool_(True), 5), ("6",), (5, True)
+            (2.7, 4.2), (2.5, 3.5), (-0.5, 6.9), (2.0, 4), (np.bool_(True), 5), ("6",), (5, True), 5
         ]:
             with pytest.raises(ConsistencyError, match=r"^run lengths must be integers$"):
                 BitMask(width=3, height=2, runs=runs)
-
-    def test_non_iterable_runs_rejected(self):
-        # a bare TypeError: an int is not iterable
-        with pytest.raises(ConsistencyError) as info:
-            BitMask(width=3, height=2, runs=5)
-        assert str(info.value) == "run lengths must be integers"
 
     def test_empty_runs_rejected(self):
         with pytest.raises(ConsistencyError, match=r"^runs sum 0 != 3x2 pixels$"):
@@ -606,18 +602,14 @@ class TestDepthMap:
             (2, 1, ["a", "b"], "depth values of dtype <U1 not real numbers"),
             (2, 1, [None, 1], "depth values of dtype object not real numbers"),
             (2, 1, [True, False], "depth values of dtype bool not real numbers"),
+            # ragged: a bare ValueError on numpy >= 1.24
+            (2, 1, [[1], [1, 2]], "depth values not a rectangular array"),
         ],
     )
     def test_bad_dims_and_values_rejected(self, width, height, values, message):
         with pytest.raises(ConsistencyError) as info:
             DepthMap(width=width, height=height, values=values)
         assert str(info.value) == message
-
-    def test_ragged_values_rejected(self):
-        # numpy >= 1.24 raised a bare ValueError
-        with pytest.raises(ConsistencyError) as info:
-            DepthMap(width=2, height=1, values=[[1], [1, 2]])
-        assert str(info.value) == "depth values not a rectangular array"
 
     def test_ragged_values_rejected_as_older_numpy_builds_them(self, monkeypatch):
         # numpy < 1.24 builds an object array of a ragged list and warns
