@@ -19,7 +19,7 @@ from .frameio import load_json, record_to_line, require_field
 from .perception import REV_MAX, Detection, PerceptionFrame, int_fields, real_fields
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CalibrationSample:
     rev: float       # normalized relative depth in [0,1]
     distance: float  # meters
@@ -32,7 +32,7 @@ class CalibrationSample:
             raise CalibrationError(f"distance {self.distance} not positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CalibrationModel:
     a: float
     b: float
@@ -83,12 +83,13 @@ def region_rev(frame: PerceptionFrame, det: Detection) -> int:
     """
     bbox = det.bbox
     patch = frame.depth.values[bbox.y1 : bbox.y2, bbox.x1 : bbox.x2]
+    values = None  # one new array of the region's pixels, sorted in place
     if det.track_id in frame.instance_masks:
         mask = frame.instance_masks[det.track_id].decode((bbox.y1, bbox.y2))
-        masked = patch[mask[:, bbox.x1 : bbox.x2]]
-        if masked.size:
-            patch = masked
-    values = np.sort(patch, axis=None)
+        values = patch[mask[:, bbox.x1 : bbox.x2]]
+    if values is None or not values.size:
+        values = patch.flatten()
+    values.sort()
     return int(values[(values.size - 1) // 2])
 
 

@@ -61,7 +61,7 @@ class GeometricConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PoseEnvelope:
     """Admissible (height offset, forward distance) segment.
 

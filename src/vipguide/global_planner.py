@@ -23,7 +23,7 @@ from .frameio import load_json
 from .perception import finite_real
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Route:
     nodes: tuple[str, ...]
     total_cost: float

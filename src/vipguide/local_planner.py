@@ -19,13 +19,13 @@ import numpy as np
 
 from .config import PlannerConfig
 from .errors import PlannerError
-from .perception import REV_MAX, BitMask, BoundingBox, DepthMap, clip_rect
+from .perception import REV_MAX, BitMask, BoundingBox, DepthMap, _exact_int, clip_rect
 
 Severity = str  # "danger" | "warning" | "clear"
 EdgeStatus = str  # "safe" | "warn_left" | "warn_right" | "warn_both" | "unknown"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Partition:
     index: int
     x_start: int
@@ -36,7 +36,7 @@ class Partition:
         return (self.x_start + self.x_end) / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartitionProfile:
     partition: Partition
     h_score: float
@@ -44,7 +44,7 @@ class PartitionProfile:
     max_free_width: int  # widest free column run inside the partition
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObstacleAssessment:
     """One obstacle of one frame: its box, its distance from the VIP and the
     severity that distance earns."""
@@ -56,13 +56,13 @@ class ObstacleAssessment:
     severity: Severity
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Heading:
     partition: int
     angle_deg: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RerouteNeeded:
     """No partition is wide enough. `new_route` is the route found by a replan
     fired on this frame: None when none fired, () when no path is left."""
@@ -70,7 +70,7 @@ class RerouteNeeded:
     new_route: tuple[str, ...] | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GuidanceDecision:
     frame_id: int
     outcome: Heading | RerouteNeeded | None  # None = vip lost
@@ -79,9 +79,16 @@ class GuidanceDecision:
     partitions: tuple[Partition, ...]
 
 
-@functools.lru_cache(maxsize=8)  # one tiling per width, shared; bounded as widths change
+# one tiling per width, shared; bounded as widths change; typed, so 640.0
+# is never answered from 640's entry
+@functools.lru_cache(maxsize=8, typed=True)
 def partition_bounds(width: int, n: int = PlannerConfig.n_partitions) -> tuple[Partition, ...]:
-    """Tile [0, width) into n near-equal strips, remainder going leftmost."""
+    """Tile [0, width) into n near-equal strips, remainder going leftmost.
+    Both are exact ints; numpy ints convert."""
+    for name, value in (("width", width), ("partition count", n)):
+        if _exact_int(value) is None:
+            raise PlannerError(f"{name} {value!r} not an integer")
+    width, n = _exact_int(width), _exact_int(n)
     if n < 1 or n % 2 == 0:
         raise PlannerError(f"partition count must be odd and positive, got {n}")
     if width < n:

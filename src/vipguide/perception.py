@@ -98,7 +98,7 @@ def real_fields(obj, *names: str, error=ConsistencyError, what: str = "") -> Non
         object.__setattr__(obj, name, finite_real(getattr(obj, name), name, error, what))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundingBox:
     """Axis-aligned pixel box, origin top-left, half-open on both axes."""
 
@@ -130,7 +130,7 @@ class BoundingBox:
         return [self.x1, self.y1, self.x2, self.y2]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     """One detected object: open class label, box and confidence. `track_id`
     is the perception stack's instance id, keying `instance_masks`."""
@@ -152,7 +152,7 @@ class Detection:
                 raise ConsistencyError(f"negative track_id {self.track_id}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BitMask:
     """Binary mask as alternating background/foreground run lengths.
 
@@ -203,7 +203,7 @@ class BitMask:
         return start // self.width, (end - 1) // self.width + 1
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class DepthMap:
     """Row-major 16-bit relative depth map (larger REV = nearer)."""
 
@@ -252,7 +252,7 @@ class DepthMap:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PerceptionFrame:
     """Time-stamped bundle of detections, masks and depth for one frame."""
 
@@ -417,7 +417,9 @@ def _canonical_mask(width: int, height: int, runs: tuple[int, ...]) -> BitMask:
     to width * height. Set as they are, without BitMask's checks, which are
     for masks read from files or handed in by callers."""
     mask = object.__new__(BitMask)
-    vars(mask).update(width=width, height=height, runs=runs)
+    object.__setattr__(mask, "width", width)
+    object.__setattr__(mask, "height", height)
+    object.__setattr__(mask, "runs", runs)
     return mask
 
 

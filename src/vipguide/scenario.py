@@ -82,7 +82,7 @@ class Camera:
         return self.height / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SceneObject:
     """Billboard: vertical rectangle facing the camera.
 
@@ -286,7 +286,7 @@ SCENARIO_KINDS = (*AUTHORED, "random")
 CALIBRATION_Z = tuple(1.0 + 0.5 * i for i in range(19))  # wall distances, 1.0 .. 10.0 m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundTruth:
     frame_id: int
     expected_partition: int

@@ -29,7 +29,7 @@ class TrackPoint(NamedTuple):
     distance_m: float
 
 
-@dataclass
+@dataclass(slots=True)
 class Track:
     """One tracked object, live: `Tracker.step` updates its box and misses
     and `Tracker.attach_distances` its history in place each frame, so a

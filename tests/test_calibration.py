@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vipguide.calibration import (
     CalibrationModel,
@@ -13,7 +15,7 @@ from vipguide.calibration import (
     save_model,
 )
 from vipguide.errors import CalibrationError
-from vipguide.perception import rle_encode
+from vipguide.perception import BitMask, rle_encode
 
 from conftest import DEEP_NESTING, LONG_INT, det, make_frame, save_samples_csv
 
@@ -217,6 +219,67 @@ class TestRegionRev:
             assert region_rev(frame, frame.detections[0]) == 1000
         unmasked = make_frame(depth, detections=[det("car", 0, 0, 2, 2)])
         assert region_rev(unmasked, unmasked.detections[0]) == 1000
+
+
+MASK_KINDS = ("none", "inside", "spilling", "disjoint", "empty", "full")
+
+
+@st.composite
+def masked_regions(draw):
+    """A frame of 1-12 px a side, one box anywhere in it and the box's mask:
+    none, inside the box, spilling out of it, disjoint from it, empty or
+    full. The mask's runs carry zero-length runs drawn in among them."""
+    w, h = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    # few distinct values, so ties are common, plus the full REV range
+    rev = st.one_of(st.sampled_from([0, 1, 2, 65535]), st.integers(0, 65535))
+    depth = np.array(draw(st.lists(rev, min_size=w * h, max_size=w * h)), dtype=np.uint16)
+    x1, y1 = draw(st.integers(0, w - 1)), draw(st.integers(0, h - 1))
+    x2, y2 = draw(st.integers(x1 + 1, w)), draw(st.integers(y1 + 1, h))
+    box = np.zeros((h, w), dtype=bool)
+    box[y1:y2, x1:x2] = True
+    kind = draw(st.sampled_from(MASK_KINDS))
+    if kind == "none":
+        return make_frame(depth.reshape(h, w), detections=[det("car", x1, y1, x2, y2)]), None
+    grid = np.array(draw(st.lists(st.booleans(), min_size=w * h, max_size=w * h))).reshape(h, w)
+    grid = {
+        "inside": grid & box, "spilling": grid, "disjoint": grid & ~box,
+        "empty": np.zeros_like(box), "full": np.ones_like(box),
+    }[kind]
+    runs = list(rle_encode(grid).runs)
+    # a pair of zero-length runs keeps the background/foreground alternation
+    for at in draw(st.lists(st.integers(0, len(runs)), max_size=3)):
+        runs[at:at] = [0, 0]
+    mask = BitMask(w, h, tuple(runs))
+    frame = make_frame(
+        depth.reshape(h, w),
+        detections=[det("car", x1, y1, x2, y2, track_id=4)],
+        instance_masks={4: mask},
+    )
+    return frame, runs
+
+
+def lower_middle_oracle(frame, runs):
+    """The lower middle of sorted() over the box's masked pixels as Python
+    ints, or over the whole box when no masked pixel falls in it. The mask
+    is expanded from its runs here, not by rle_decode."""
+    b = frame.detections[0].bbox
+    flat = []
+    for i, run in enumerate(runs or ()):
+        flat += [i % 2 == 1] * run
+    depth = frame.depth.values.tolist()
+    box = [(y, x) for y in range(b.y1, b.y2) for x in range(b.x1, b.x2)]
+    values = sorted(depth[y][x] for y, x in box if flat and flat[y * frame.width + x])
+    values = values or sorted(depth[y][x] for y, x in box)
+    return values[(len(values) - 1) // 2]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(masked_regions())
+def test_region_rev_is_the_lower_middle_of_the_region(case):
+    frame, runs = case
+    before = frame.depth.values.copy()
+    assert region_rev(frame, frame.detections[0]) == lower_middle_oracle(frame, runs)
+    assert np.array_equal(frame.depth.values, before)
 
 
 class TestPersistence:

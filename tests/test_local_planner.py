@@ -63,6 +63,33 @@ class TestPartitionBounds:
         with pytest.raises(PlannerError):
             partition_bounds(2, 3)
 
+    def test_float_width_not_answered_from_the_int_memo(self):
+        assert partition_bounds(640, 3)[-1].x_end == 640
+        with pytest.raises(PlannerError) as info:
+            partition_bounds(640.0, 3)
+        assert str(info.value) == "width 640.0 not an integer"
+
+    @pytest.mark.parametrize(
+        "width, n, message",
+        [
+            (640.5, 3, "width 640.5 not an integer"),
+            (True, 1, "width True not an integer"),
+            (640, 3.0, "partition count 3.0 not an integer"),
+            (640, True, "partition count True not an integer"),
+            ("640", 3, "width '640' not an integer"),
+        ],
+    )
+    def test_inexact_ints_refused(self, width, n, message):
+        with pytest.raises(PlannerError) as info:
+            partition_bounds(width, n)
+        assert str(info.value) == message
+
+    def test_numpy_ints_convert(self):
+        parts = partition_bounds(np.int64(601), np.int32(3))
+        assert parts == partition_bounds(601, 3)
+        assert all(type(p.x_start) is int and type(p.x_end) is int for p in parts)
+        assert all(type(p.index) is int for p in parts)
+
     def test_tiling_property(self):
         for width in [3, 7, 64, 599, 601, 1920]:
             for n in [1, 3, 5, 7]:
