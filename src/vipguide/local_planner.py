@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import PlannerConfig
 from .errors import PlannerError
-from .perception import REV_MAX, BitMask, BoundingBox, DepthMap, _exact_int, clip_rect
+from .perception import REV_MAX, BitMask, BoundingBox, DepthMap, _exact_int, clip_rect, free_runs
 
 Severity = str  # "danger" | "warning" | "clear"
 EdgeStatus = str  # "safe" | "warn_left" | "warn_right" | "warn_both" | "unknown"
@@ -152,32 +152,14 @@ def partition_scores(
 def free_segments(
     obstacles: Sequence[ObstacleAssessment], d_filter: float, width: int
 ) -> list[tuple[int, int]]:
-    """Frame-level maximal free column runs.
+    """Frame-level maximal free column runs, as half-open (start, end) pairs.
 
-    A column is occupied when any obstacle within d_filter covers it;
-    the gaps between occupied intervals, taken in sorted order with a
-    running end, are returned as half-open (start, end) pairs.
+    A column is occupied when any obstacle within d_filter covers it.
     """
     if d_filter <= 0:
         raise PlannerError(f"d_filter {d_filter} not positive")
-    intervals = []
-    for ob in obstacles:
-        if ob.distance_m > d_filter:
-            continue
-        x1 = max(0, ob.bbox.x1)
-        x2 = min(width, ob.bbox.x2)
-        if x1 < x2:
-            intervals.append((x1, x2))
-    intervals.sort()
-    segments = []
-    cursor = 0  # end of the occupied columns so far
-    for x1, x2 in intervals:
-        if cursor < x1:
-            segments.append((cursor, x1))
-        cursor = max(cursor, x2)
-    if cursor < width:
-        segments.append((cursor, width))
-    return segments
+    boxes = sorted((ob.bbox.x1, ob.bbox.x2) for ob in obstacles if ob.distance_m <= d_filter)
+    return free_runs(0, width, boxes)
 
 
 def partition_profiles(

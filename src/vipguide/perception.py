@@ -349,14 +349,7 @@ def rle_encode_rect(rect, cuts, width: int, height: int) -> BitMask | None:
     end = 0  # flat offset just past the last foreground run
     for ya, yb in zip(ys, ys[1:]):
         # the band's foreground columns: [x1, x2) minus the holes over it
-        segs, s = [], x1
-        for u1, v1, u2, v2 in holes:
-            if v1 <= ya < v2:
-                if s < u1:
-                    segs.append((s, u1))
-                s = max(s, u2)
-        if s < x2:
-            segs.append((s, x2))
+        segs = free_runs(x1, x2, [(u1, u2) for u1, v1, u2, v2 in holes if v1 <= ya < v2])
         if not segs:
             continue
         # one row: foreground, gap, foreground, ..., foreground
@@ -395,6 +388,22 @@ def clip_rect(rect, bounds) -> tuple[int, int, int, int] | None:
     b1, c1, b2, c2 = bounds
     x1, y1, x2, y2 = max(x1, b1), max(y1, c1), min(x2, b2), min(y2, c2)
     return (x1, y1, x2, y2) if x1 < x2 and y1 < y2 else None
+
+
+def free_runs(lo: int, hi: int, intervals) -> list[tuple[int, int]]:
+    """The maximal runs of [lo, hi) that no half-open (start, end) interval
+    covers, as (start, end) pairs. `intervals` are non-empty and sorted by
+    start; each is capped at hi."""
+    runs = []
+    for a, b in intervals:
+        if a >= hi:
+            break
+        if lo < a:
+            runs.append((lo, a))
+        lo = max(lo, b)
+    if lo < hi:
+        runs.append((lo, hi))
+    return runs
 
 
 def _corners(rect, what: str) -> tuple[int, ...]:
@@ -439,15 +448,10 @@ def rle_decode(mask: BitMask, rows: tuple[int, int] | None = None) -> np.ndarray
     pattern[1::2] = True
     y1, y2 = 0, h
     if rows is not None:
-        try:
-            y1, y2 = rows
-        except (TypeError, ValueError):  # not two values
-            y1 = None
-        if type(y1) is not int or type(y2) is not int:
-            pair = _exact_ints((y1, y2))
-            if pair is None:
-                raise ConsistencyError(f"rows {rows!r} not two integers")
-            y1, y2 = pair
+        pair = _exact_ints(rows)
+        if pair is None or len(pair) != 2:
+            raise ConsistencyError(f"rows {rows!r} not two integers")
+        y1, y2 = pair
     if not 0 <= y1 <= y2 <= h:
         raise ConsistencyError(f"rows [{y1}, {y2}) outside mask height {h}")
     lead, tail = y1 * w, (h - y2) * w

@@ -22,6 +22,7 @@ from typing import Iterator
 import numpy as np
 
 from .calibration import CalibrationModel, CalibrationSample, fit, region_rev
+from .config import PlannerConfig
 from .errors import ConsistencyError
 from .frameio import json_records, record_to_line, require_field, write_dataset
 from .geometry import GeometricConfig
@@ -316,9 +317,10 @@ class ScenarioSpec:
 
 
 def direction_name(partition_index: int) -> str:
-    if partition_index < 1:
+    center = PlannerConfig.n_partitions // 2
+    if partition_index < center:
         return "left"
-    if partition_index > 1:
+    if partition_index > center:
         return "right"
     return "center"
 
@@ -369,8 +371,9 @@ def _build_world(spec: ScenarioSpec, rng: np.random.Generator) -> World:
 
 def _random_scene(rng: np.random.Generator):
     """Scatter obstacles while keeping one randomly chosen partition clear."""
-    expected = int(rng.integers(0, 3))
-    keep = partition_bounds(CAMERA.width, 3)[expected]
+    partitions = partition_bounds(CAMERA.width)  # the default tiling
+    expected = int(rng.integers(0, len(partitions)))
+    keep = partitions[expected]
     kinds = list(SIZES)
     obstacles = []
     for _ in range(int(rng.integers(1, 6))):

@@ -65,6 +65,22 @@ class TestFit:
         with pytest.raises(CalibrationError):
             fit(samples)
 
+    def test_near_equal_revs_rank_deficient(self):
+        # three distinct revs, too close for lstsq to tell apart
+        samples = [CalibrationSample(rev=0.5 + k * 1e-9, distance=1.0 + k) for k in range(3)]
+        with pytest.raises(CalibrationError) as info:
+            fit(samples)
+        assert str(info.value) == "rank-deficient design matrix"
+
+    @pytest.mark.parametrize(
+        "rev,distance,message",
+        [(1.5, 1.0, "rev 1.5 outside [0,1]"), (0.5, 0.0, "distance 0.0 not positive")],
+    )
+    def test_sample_out_of_range(self, rev, distance, message):
+        with pytest.raises(CalibrationError) as info:
+            CalibrationSample(rev=rev, distance=distance)
+        assert str(info.value) == message
+
     def test_noisy_rmse_within_bound(self):
         rng = np.random.default_rng(7)
         revs = rng.uniform(0.0, 1.0, 200)

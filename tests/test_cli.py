@@ -147,6 +147,26 @@ class TestPlan:
             digest.update(path.read_bytes())
         assert digest.hexdigest() == self.ANNOTATED_SHA256[kind]
 
+    def test_routed_plan_keeps_the_local_trace(self, tmp_path, capsys, campus_graph_path):
+        # the crowded street never blocks every partition, so the route is
+        # loaded and searched but no replan fires and no trace byte moves
+        stream = ("plan", "--scenario", "crowded_street", "--n-frames", "5")
+        routed, local = tmp_path / "routed.jsonl", tmp_path / "local.jsonl"
+        graph = ("--graph", campus_graph_path, "--src", "F")
+        assert run(capsys, *stream, *graph, "--dst", "L", "--out", str(routed))[0] == 0
+        assert run(capsys, *stream, "--out", str(local))[0] == 0
+
+        def decisions(path):
+            records = [json.loads(line) for line in path.read_text().splitlines()]
+            for record in records:
+                del record["latency_ms"]
+            return records
+
+        assert len(decisions(routed)) == 5
+        assert decisions(routed) == decisions(local)
+        code, _, err = run(capsys, *stream, *graph, "--dst", "Z", "--out", str(routed))
+        assert (code, err) == (1, "plan: unknown node 'Z'\n")
+
     def test_graph_needs_endpoints(self, tmp_path, capsys, campus_graph_path):
         code, _, err = run(
             capsys, "plan", "--scenario", "random", "--out",

@@ -111,6 +111,18 @@ def test_partial_section_keeps_other_defaults():
     assert cfg.geometry == default_config().geometry
 
 
+def test_config_must_be_object():
+    with pytest.raises(ConfigError) as info:
+        config_from_dict([])
+    assert str(info.value) == "config must be a JSON object"
+
+
+def test_negative_vip_hold_frames():
+    with pytest.raises(ConfigError) as info:
+        PipelineTuning(vip_hold_frames=-1)
+    assert str(info.value) == "vip_hold_frames -1 < 0"
+
+
 def test_unknown_section():
     with pytest.raises(ConfigError, match="unknown config section 'tracker'"):
         config_from_dict({"tracker": {}})

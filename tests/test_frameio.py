@@ -71,6 +71,20 @@ class TestPgm:
         with pytest.raises(FrameDecodeError):
             read_pgm(path)
 
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            (b"P5\n2 x\n65535\n....", "non-numeric PGM header field"),
+            (b"P5\n0 4\n65535\n", "bad dimensions 0x4"),
+        ],
+    )
+    def test_bad_header_field(self, tmp_path, data, message):
+        path = tmp_path / "x.pgm"
+        path.write_bytes(data)
+        with pytest.raises(FrameDecodeError) as info:
+            read_pgm(path)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_truncated_raster(self, tmp_path):
         path = tmp_path / "x.pgm"
         path.write_bytes(b"P5\n2 2\n65535\n\x00\x01")
@@ -285,6 +299,20 @@ class TestRecordCodec:
         mutate(record)
         with pytest.raises(FrameDecodeError, match=needle):
             decode_record(record, sample_frame().depth)
+
+    @pytest.mark.parametrize(
+        "mutate,message",
+        [
+            (lambda r: r.update(detections=[5]), "field 'detections[0]': expected an object"),
+            (lambda r: r.update(instance_masks=[]), "field 'instance_masks': expected an object"),
+        ],
+    )
+    def test_entry_not_an_object(self, mutate, message):
+        record = encode_record(sample_frame())
+        mutate(record)
+        with pytest.raises(FrameDecodeError) as info:
+            decode_record(record, sample_frame().depth)
+        assert str(info.value) == message
 
     def test_mask_dims_checked(self):
         record = encode_record(sample_frame())

@@ -101,6 +101,12 @@ class TestMinDistanceForVisibility:
         assert min_distance_for_visibility(0.0, tiny) == 1.0
 
 
+    def test_negative_offset_rejected(self):
+        with pytest.raises(GeometryError) as info:
+            min_distance_for_visibility(-1.0, GeometricConfig())
+        assert str(info.value) == "negative height offset -1.0"
+
+
 class TestPoseEnvelope:
     def test_far_endpoint_from_range(self):
         cfg = GeometricConfig(

@@ -563,6 +563,19 @@ class TestSerialization:
         with pytest.raises(GraphError, match="nodes"):
             graph_from_dict({"edges": []})
 
+    @pytest.mark.parametrize(
+        "obj,message",
+        [
+            ([], "graph file must hold a JSON object"),
+            ({"nodes": [5], "edges": []}, "nodes[0]: missing id/pos"),
+            ({"nodes": [{"id": "A"}], "edges": []}, "nodes[0]: missing id/pos"),
+        ],
+    )
+    def test_malformed_graph_object(self, obj, message):
+        with pytest.raises(GraphError) as info:
+            graph_from_dict(obj)
+        assert str(info.value) == message
+
     def test_bad_edge_entry(self):
         data = {
             "nodes": [{"id": "A", "pos": [0, 0]}, {"id": "B", "pos": [1, 0]}],

@@ -263,6 +263,11 @@ class TestFreeSpace:
         segs = free_segments(obs, 2.0, 600)
         assert segs == [(0, 350), (400, 600)]
 
+    def test_non_positive_d_filter_rejected(self):
+        with pytest.raises(PlannerError) as info:
+            free_segments([], 0.0, 600)
+        assert str(info.value) == "d_filter 0.0 not positive"
+
     def test_matches_oracle_randomized(self):
         rng = np.random.default_rng(23)
         for _ in range(300):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from numpy.exceptions import VisibleDeprecationWarning
 
 from vipguide.errors import ConsistencyError
 from vipguide.perception import (
@@ -14,12 +13,16 @@ from vipguide.perception import (
     Detection,
     PerceptionFrame,
     clip_rect,
+    free_runs,
     rle_decode,
     rle_encode,
     rle_encode_rect,
 )
 
 from conftest import det, make_frame, mask_from_bbox
+
+# numpy.exceptions is new in 1.25; the declared floor, 1.23.5, has it at top level
+VisibleDeprecationWarning = getattr(np, "exceptions", np).VisibleDeprecationWarning
 
 
 class TestBoundingBox:
@@ -321,6 +324,40 @@ def test_clip_rect_is_the_bounding_rect_of_the_overlap(rect, bounds):
     cols = np.flatnonzero(both.any(axis=0)) - PAD
     expected = (int(cols[0]), int(rows[0]), int(cols[-1]) + 1, int(rows[-1]) + 1)
     assert clip_rect(rect, bounds) == expected
+
+
+# non-empty, starting before lo, inside [lo, hi) or past hi
+INTERVAL = st.tuples(st.integers(-3, 14), st.integers(1, 6)).map(lambda t: (t[0], t[0] + t[1]))
+
+
+def free_runs_oracle(lo, hi, intervals):
+    """The free runs of [lo, hi), one column at a time on a boolean array."""
+    free = np.ones(hi - lo, dtype=bool)
+    for a, b in intervals:
+        free[max(a - lo, 0) : max(b - lo, 0)] = False
+    runs, start = [], None
+    for i, f in enumerate(free.tolist() + [False]):
+        if f and start is None:
+            start = i
+        elif not f and start is not None:
+            runs.append((lo + start, lo + i))
+            start = None
+    return runs
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.integers(0, 4), st.integers(0, 10), st.lists(INTERVAL, max_size=6))
+@example(0, 10, [(2, 5), (4, 7)])  # overlapping
+@example(0, 10, [(2, 4), (4, 6)])  # touching
+@example(0, 10, [])  # no interval: one run
+@example(3, 7, [(0, 3), (7, 9)])  # flush outside both ends
+@example(2, 8, [(6, 12), (9, 11)])  # past hi
+@example(0, 10, [(0, 3), (8, 10)])  # flush with both ends
+@example(5, 0, [(5, 7)])  # lo == hi
+def test_free_runs_are_the_uncovered_runs(lo, span, intervals):
+    hi = lo + span
+    intervals = sorted(intervals, key=lambda iv: iv[0])  # by start, ties as drawn
+    assert free_runs(lo, hi, intervals) == free_runs_oracle(lo, hi, intervals)
 
 
 class TestRleEncodeWindow:
