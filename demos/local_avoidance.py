@@ -30,8 +30,8 @@ def main():
 
     vip = frame.vip_detection
     d_vip = detection_distance(frame, vip, model)
-    d_prime = safety_distance(cfg.geometry.walk_speed, cfg.geometry.t_detect,
-                              cfg.geometry.t_react)
+    geo = cfg.geometry
+    d_prime = safety_distance(geo.walk_speed_mps, geo.t_detect_s, geo.t_react_s)
     print(f"pedestrian at {d_vip:.2f} m, safety distance d' = {d_prime:.2f} m")
     print()
 

@@ -11,7 +11,7 @@ from vipguide import GeometricConfig, lookahead, pose_envelope, safety_distance,
 
 def main():
     cfg = GeometricConfig()  # 90 deg FoV, 1.7 m pedestrian, 1.2 m/s walk
-    d_prime = safety_distance(cfg.walk_speed, cfg.t_detect, cfg.t_react)
+    d_prime = safety_distance(cfg.walk_speed_mps, cfg.t_detect_s, cfg.t_react_s)
     env = pose_envelope(cfg)
 
     print(f"safety distance d' = {d_prime:.3f} m")

@@ -12,20 +12,6 @@ from .frameio import load_json
 from .geometry import GeometricConfig, GeometryError, safety_distance
 from .perception import int_fields, real_fields
 
-GEOMETRY_KEYS = {
-    "f_deg": "f_deg",
-    "h_vip_m": "h_vip",
-    "h_max_m": "h_max",
-    "walk_speed_mps": "walk_speed",
-    "t_detect_s": "t_detect",
-    "t_react_s": "t_react",
-    "buffer_factor": "buffer_factor",
-    "perception_range_m": "perception_range",
-    "visible_fraction": "visible_fraction",
-    "hfov_deg": "hfov_deg",
-}
-
-
 @dataclass(frozen=True)
 class PlannerConfig:
     n_partitions: int = 3
@@ -89,12 +75,16 @@ class Config:
     pipeline: PipelineTuning = field(default_factory=PipelineTuning)
 
     def __post_init__(self):
+        for f in fields(self):
+            section = getattr(self, f.name)
+            if not isinstance(section, f.default_factory):
+                raise ConfigError(f"{f.name} {section!r} not a {f.default_factory.__name__}")
         # the planner classifies against d', so a zero d' fails every frame
         geo = self.geometry
-        if safety_distance(geo.walk_speed, geo.t_detect, geo.t_react) <= 0:
+        if safety_distance(geo.walk_speed_mps, geo.t_detect_s, geo.t_react_s) <= 0:
             raise ConfigError(
-                "geometry.walk_speed_mps * (t_detect_s + t_react_s) must be "
-                f"positive, got {geo.walk_speed} * ({geo.t_detect} + {geo.t_react})"
+                "geometry.walk_speed_mps * (t_detect_s + t_react_s) must be positive, "
+                f"got {geo.walk_speed_mps} * ({geo.t_detect_s} + {geo.t_react_s})"
             )
 
 
@@ -102,14 +92,13 @@ def default_config() -> Config:
     return Config()
 
 
-def _build(section: str, raw: dict, key_map: dict, cls):
-    kwargs = {}
-    for key, value in raw.items():
-        if key not in key_map:
+def _build(section: str, raw: dict, cls):
+    names = {f.name for f in fields(cls)}
+    for key in raw:
+        if key not in names:
             raise ConfigError(f"unknown key '{section}.{key}'")
-        kwargs[key_map[key]] = value
     try:
-        return cls(**kwargs)
+        return cls(**raw)
     except (ConfigError, GeometryError) as exc:
         raise ConfigError(f"bad '{section}' section: {exc}") from exc
 
@@ -124,13 +113,7 @@ def config_from_dict(obj: dict) -> Config:
     for section, raw in obj.items():
         if not isinstance(raw, dict):
             raise ConfigError(f"config section '{section}' must be an object")
-    built = {}
-    for section, cls in sections.items():
-        if cls is GeometricConfig:
-            key_map = GEOMETRY_KEYS
-        else:
-            key_map = {f.name: f.name for f in fields(cls)}
-        built[section] = _build(section, obj.get(section, {}), key_map, cls)
+    built = {name: _build(name, obj.get(name, {}), cls) for name, cls in sections.items()}
     return Config(**built)
 
 

@@ -24,41 +24,32 @@ D_MAX_CEILING = 10.0
 class GeometricConfig:
     """Camera, VIP and timing parameters that fix the pose envelope."""
 
-    f_deg: float = 90.0          # vertical field of view
-    h_vip: float = 1.7           # VIP height, meters
-    h_max: float = 3.0           # highest allowed height offset above the VIP's head
-    walk_speed: float = 1.2      # m/s
-    t_detect: float = 0.161      # perception latency, seconds
-    t_react: float = 1.0         # human reaction allowance, seconds
+    f_deg: float = 90.0            # vertical field of view
+    h_vip_m: float = 1.7           # VIP height
+    h_max_m: float = 3.0           # highest allowed height offset above the VIP's head
+    walk_speed_mps: float = 1.2
+    t_detect_s: float = 0.161      # perception latency
+    t_react_s: float = 1.0         # human reaction allowance
     buffer_factor: float = 0.05
-    perception_range: float = 15.0
+    perception_range_m: float = 15.0
     visible_fraction: float = 2.0 / 3.0
     hfov_deg: float = 90.0
 
     def __post_init__(self):
         real_fields(self, *(f.name for f in fields(self)), error=GeometryError)
-        if not 0.0 < self.f_deg < 180.0:
-            raise GeometryError(f"vertical fov {self.f_deg} outside (0, 180)")
-        if not 0.0 < self.hfov_deg < 180.0:
-            raise GeometryError(f"horizontal fov {self.hfov_deg} outside (0, 180)")
-        if self.h_vip <= 0:
-            raise GeometryError(f"vip height {self.h_vip} not positive")
-        if self.h_max < self.h_vip:
-            raise GeometryError(f"h_max {self.h_max} below vip height {self.h_vip}")
-        if self.walk_speed < 0:
-            raise GeometryError(f"negative walk speed {self.walk_speed}")
-        if self.t_detect < 0 or self.t_react < 0:
-            raise GeometryError("negative latency")
+        for name in ("f_deg", "hfov_deg"):
+            if not 0.0 < getattr(self, name) < 180.0:
+                raise GeometryError(f"{name} {getattr(self, name)} outside (0, 180)")
+        for name in ("h_vip_m", "perception_range_m"):
+            if getattr(self, name) <= 0:
+                raise GeometryError(f"{name} {getattr(self, name)} not positive")
+        for name in ("walk_speed_mps", "t_detect_s", "t_react_s", "buffer_factor"):
+            if getattr(self, name) < 0:
+                raise GeometryError(f"{name} {getattr(self, name)} < 0")
+        if self.h_max_m < self.h_vip_m:
+            raise GeometryError(f"h_max_m {self.h_max_m} below h_vip_m {self.h_vip_m}")
         if not 0.0 < self.visible_fraction <= 1.0:
-            raise GeometryError(
-                f"visible fraction {self.visible_fraction} outside (0, 1]"
-            )
-        if self.buffer_factor < 0:
-            raise GeometryError(f"negative buffer factor {self.buffer_factor}")
-        if self.perception_range <= 0:
-            raise GeometryError(
-                f"perception range {self.perception_range} not positive"
-            )
+            raise GeometryError(f"visible_fraction {self.visible_fraction} outside (0, 1]")
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,16 +108,16 @@ def min_distance_for_visibility(h_prime: float, cfg: GeometricConfig) -> float:
     if h_prime < 0:
         raise GeometryError(f"negative height offset {h_prime}")
     tan_half = math.tan(math.radians(cfg.f_deg) / 2.0)
-    need = (h_prime + cfg.visible_fraction * cfg.h_vip) / tan_half
+    need = (h_prime + cfg.visible_fraction * cfg.h_vip_m) / tan_half
     return max(D_MIN_FLOOR, need)
 
 
 def _distance_bounds(cfg: GeometricConfig) -> tuple[float, float]:
     """The envelope's (d_min, d_max); d_min > d_max when it is empty."""
-    d_min = min_distance_for_visibility(cfg.h_max, cfg)
-    d_prime = safety_distance(cfg.walk_speed, cfg.t_detect, cfg.t_react)
-    # lookahead(d_max, d') must not exceed perception_range
-    d_max = cfg.perception_range - d_prime - cfg.buffer_factor * d_prime
+    d_min = min_distance_for_visibility(cfg.h_max_m, cfg)
+    d_prime = safety_distance(cfg.walk_speed_mps, cfg.t_detect_s, cfg.t_react_s)
+    # lookahead(d_max, d') must not exceed perception_range_m
+    d_max = cfg.perception_range_m - d_prime - cfg.buffer_factor * d_prime
     return d_min, min(D_MAX_CEILING, d_max)
 
 
@@ -143,7 +134,7 @@ def pose_envelope(cfg: GeometricConfig) -> PoseEnvelope:
         raise InfeasibleConfigError(
             f"pose envelope empty: d_min {d_min:.3f} m > d_max {d_max:.3f} m"
         )
-    return PoseEnvelope(h_near=cfg.h_max, d_min=d_min, h_far=cfg.h_vip, d_max=d_max)
+    return PoseEnvelope(h_near=cfg.h_max_m, d_min=d_min, h_far=cfg.h_vip_m, d_max=d_max)
 
 
 def validate_pose(h_prime: float, d: float, cfg: GeometricConfig) -> list[str]:
@@ -165,8 +156,8 @@ def validate_pose(h_prime: float, d: float, cfg: GeometricConfig) -> list[str]:
         violations.append(f"d={d:.3f} below minimum distance {d_min:.3f}")
     if d > d_max + eps:
         violations.append(f"d={d:.3f} beyond maximum distance {d_max:.3f}")
-    if h_prime < cfg.h_vip - eps:
-        violations.append(f"h'={h_prime:.3f} below VIP head height {cfg.h_vip:.3f}")
-    if h_prime > cfg.h_max + eps:
-        violations.append(f"h'={h_prime:.3f} above height ceiling {cfg.h_max:.3f}")
+    if h_prime < cfg.h_vip_m - eps:
+        violations.append(f"h'={h_prime:.3f} below VIP head height {cfg.h_vip_m:.3f}")
+    if h_prime > cfg.h_max_m + eps:
+        violations.append(f"h'={h_prime:.3f} above height ceiling {cfg.h_max_m:.3f}")
     return violations

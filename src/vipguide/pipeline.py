@@ -287,7 +287,7 @@ class Pipeline:
 
     def _safety_distance(self) -> float:
         geo = self.config.geometry
-        speed = geo.walk_speed
+        speed = geo.walk_speed_mps
         if self.config.pipeline.live_speed:
             live = 0.0  # the fastest positive approach rate
             for track in self.tracker.tracks:
@@ -297,7 +297,7 @@ class Pipeline:
                     continue
             if live > 0:
                 speed = live
-        return safety_distance(speed, geo.t_detect, geo.t_react)
+        return safety_distance(speed, geo.t_detect_s, geo.t_react_s)
 
 
 def trace_record(decision: GuidanceDecision, latency_ms: dict[str, float]) -> dict:

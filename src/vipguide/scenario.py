@@ -253,11 +253,11 @@ def default_road_mask(cam: Camera) -> BitMask:
 
 CAMERA = Camera()  # every generated stream and calibration frame uses it
 FPS = 30.0
-WALK_SPEED = GeometricConfig.walk_speed  # m/s, every generated walk's pace
+WALK_SPEED = GeometricConfig.walk_speed_mps  # m/s, every generated walk's pace
 
 CONFIDENCE = {"vip": 0.98, "person": 0.91, "car": 0.93, "tree": 0.85, "wall": 0.8}
 
-VIP_SIZE = (0.5, GeometricConfig.h_vip)  # (width, height), meters
+VIP_SIZE = (0.5, GeometricConfig.h_vip_m)  # (width, height), meters
 VIP_Z = 3.0
 FREEZE_GAP = 0.3  # scene stops advancing this close to the nearest obstacle
 

@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from vipguide.calibration import CalibrationModel, CalibrationSample
 from vipguide.errors import ConsistencyError, FrameDecodeError
+from vipguide.global_planner import NavGraph, Route
 from vipguide.local_planner import ObstacleAssessment
 from vipguide.perception import (
     REV_MAX,
@@ -77,6 +79,86 @@ def ob(x1, y1, x2, y2, distance_m, severity="clear", label="car", track_id=0):
     return ObstacleAssessment(
         track_id, label, BoundingBox(x1, y1, x2, y2), distance_m, severity
     )
+
+
+# -- brute-force oracles the planners must match, and random graphs to route on ---
+
+
+def oracle_free_segments(boxes, distances, d_filter, width):
+    """Brute-force column scan: the semantic definition of free space. Each
+    (x1, x2) box at most d_filter away occupies its columns within [0, width)."""
+    occupied = np.zeros(width, dtype=bool)
+    for (x1, x2), dist in zip(boxes, distances):
+        if dist <= d_filter:
+            occupied[max(0, x1) : max(0, min(width, x2))] = True
+    segments = []
+    start = None
+    for x in range(width):
+        if not occupied[x] and start is None:
+            start = x
+        elif occupied[x] and start is not None:
+            segments.append((start, x))
+            start = None
+    if start is not None:
+        segments.append((start, width))
+    return segments
+
+
+def oracle_shortest(graph: NavGraph, src: str, dst: str):
+    """Exhaustive simple-path enumeration, ties to the smallest node sequence;
+    None when no unblocked path exists. Only viable on tiny graphs."""
+    nodes = [n for n in graph.node_ids if n not in (src, dst)]
+    best = None
+    if src == dst:
+        return Route(nodes=(src,), total_cost=0.0)
+    for r in range(len(nodes) + 1):
+        for mid in permutations(nodes, r):
+            path = (src,) + mid + (dst,)
+            cost = 0.0
+            ok = True
+            for u, v in zip(path, path[1:]):
+                if not graph.has_edge(u, v) or graph.is_blocked(u, v):
+                    ok = False
+                    break
+                cost += graph.weight(u, v)
+            if ok and (best is None or (cost, path) < (best.total_cost, best.nodes)):
+                best = Route(nodes=path, total_cost=cost)
+    return best
+
+
+def random_connected_graph(rng, max_weight: int, p_extra: float):
+    """(graph, node names) on 2 to 8 nodes named A, B, ...: a random spanning
+    tree, so every node is reachable, then each other pair joined with
+    probability p_extra. Weights are integers in [1, max_weight)."""
+    n = int(rng.integers(2, 9))
+    names = [chr(ord("A") + k) for k in range(n)]
+    g = NavGraph()
+    for k, name in enumerate(names):
+        g.add_node(name, (float(k), 0.0))
+    shuffled = list(names)
+    rng.shuffle(shuffled)
+    for a, b in zip(shuffled, shuffled[1:]):
+        g.add_edge(a, b, float(rng.integers(1, max_weight)))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not g.has_edge(names[i], names[j]) and rng.random() < p_extra:
+                g.add_edge(names[i], names[j], float(rng.integers(1, max_weight)))
+    return g, names
+
+
+def oracle_partition_scores(values, partitions, excluded):
+    """H(i) by a Python-int loop over every pixel not set in `excluded`: the
+    semantic definition. (0.0, True) for a partition with no such pixel."""
+    scores = []
+    for p in partitions:
+        total = count = 0
+        for y in range(values.shape[0]):
+            for x in range(p.x_start, p.x_end):
+                if not excluded[y, x]:
+                    total += int(values[y, x])
+                    count += 1
+        scores.append((0.0, True) if count == 0 else (total / count, False))
+    return scores
 
 
 def mask_from_bbox(bbox: BoundingBox, width: int, height: int) -> np.ndarray:

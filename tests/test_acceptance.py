@@ -1,14 +1,14 @@
 """End-to-end gate: one test per release criterion, each printing PASS/FAIL.
 
 Run with -s (or read the -v result lines) to see the per-criterion verdicts.
-These tests exercise the public API only and rebuild every oracle locally so
-a regression in library code cannot silently weaken the gate.
+These tests exercise the public API only and check it against brute-force
+oracles written in the tests (here and in conftest.py), so a regression in
+library code cannot silently weaken the gate.
 """
 import json
 import math
 import time
 from contextlib import contextmanager
-from itertools import permutations
 
 import numpy as np
 import pytest
@@ -30,7 +30,7 @@ from vipguide.geometry import (
     validate_pose,
     visibility_offset,
 )
-from vipguide.global_planner import NavGraph, Route, shortest_path
+from vipguide.global_planner import shortest_path
 from vipguide.local_planner import (
     Heading,
     Partition,
@@ -51,7 +51,13 @@ from vipguide.scenario import (
     write_scenario,
 )
 
-from conftest import ob
+from conftest import (
+    ob,
+    oracle_free_segments,
+    oracle_partition_scores,
+    oracle_shortest,
+    random_connected_graph,
+)
 
 
 @contextmanager
@@ -117,23 +123,6 @@ def test_scenario_regression_headings():
 # -- 2. free space vs column-occupancy oracle -------------------------------------
 
 
-def oracle_free_columns(boxes, distances, d_filter, width):
-    occupied = np.zeros(width, dtype=bool)
-    for (x1, x2), dist in zip(boxes, distances):
-        if dist <= d_filter:
-            occupied[max(0, x1) : min(width, x2)] = True
-    out, start = [], None
-    for x in range(width):
-        if not occupied[x] and start is None:
-            start = x
-        elif occupied[x] and start is not None:
-            out.append((start, x))
-            start = None
-    if start is not None:
-        out.append((start, width))
-    return out
-
-
 def test_free_space_matches_column_oracle():
     rng = np.random.default_rng(101)
     with criterion("free-space oracle, 1000 frames"):
@@ -149,56 +138,20 @@ def test_free_space_matches_column_oracle():
                 obs.append(ob(x1, 0, x2, 1, dists[-1]))
             d_filter = float(rng.uniform(0.5, 3.5))
             got = free_segments(obs, d_filter, width)
-            want = oracle_free_columns(boxes, dists, d_filter, width)
+            want = oracle_free_segments(boxes, dists, d_filter, width)
             assert got == want
 
 
 # -- 3. route planner vs exhaustive enumeration -----------------------------------
 
 
-def enumerate_best(graph, src, dst):
-    middles = [n for n in graph.node_ids if n not in (src, dst)]
-    if src == dst:
-        return Route(nodes=(src,), total_cost=0.0)
-    best = None
-    for r in range(len(middles) + 1):
-        for mid in permutations(middles, r):
-            path = (src,) + mid + (dst,)
-            cost, ok = 0.0, True
-            for u, v in zip(path, path[1:]):
-                if not graph.has_edge(u, v) or graph.is_blocked(u, v):
-                    ok = False
-                    break
-                cost += graph.weight(u, v)
-            if ok and (best is None or (cost, path) < (best.total_cost, best.nodes)):
-                best = Route(nodes=path, total_cost=cost)
-    return best
-
-
-def random_connected_graph(rng):
-    n = int(rng.integers(2, 9))
-    names = [chr(ord("A") + k) for k in range(n)]
-    g = NavGraph()
-    for k, name in enumerate(names):
-        g.add_node(name, (float(k), 0.0))
-    order = list(names)
-    rng.shuffle(order)
-    for a, b in zip(order, order[1:]):
-        g.add_edge(a, b, float(rng.integers(1, 30)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not g.has_edge(names[i], names[j]) and rng.random() < 0.3:
-                g.add_edge(names[i], names[j], float(rng.integers(1, 30)))
-    return g, names
-
-
 def test_route_planner_matches_enumeration():
     rng = np.random.default_rng(211)
     with criterion("route planner oracle, 500 graphs"):
         for _ in range(500):
-            g, names = random_connected_graph(rng)
+            g, names = random_connected_graph(rng, 30, 0.3)
             src, dst = (str(x) for x in rng.choice(names, size=2, replace=False))
-            want = enumerate_best(g, src, dst)
+            want = oracle_shortest(g, src, dst)
             got = shortest_path(g, src, dst)
             assert got.total_cost == want.total_cost
             assert got.nodes == want.nodes
@@ -207,7 +160,7 @@ def test_route_planner_matches_enumeration():
             edges = g.edge_list()
             u, v, _w, _b = edges[int(rng.integers(0, len(edges)))]
             g.block_edge(u, v)
-            want = enumerate_best(g, src, dst)
+            want = oracle_shortest(g, src, dst)
             if want is None:
                 with pytest.raises(UnreachableError):
                     shortest_path(g, src, dst)
@@ -247,7 +200,7 @@ def test_geometry_identities_and_bounds():
         checked = 0
         for h_max in (2.5, 3.0, 4.0):
             for r in (8.0, 10.0, 15.0, 25.0):
-                config = GeometricConfig(h_max=h_max, perception_range=r)
+                config = GeometricConfig(h_max_m=h_max, perception_range_m=r)
                 envelope = pose_envelope(config)
                 assert 1.0 <= envelope.d_min <= envelope.d_max <= 10.0
                 assert validate_pose(envelope.h_near, envelope.d_min, config) == []
@@ -348,18 +301,10 @@ def test_partition_mean_matches_wide_integer_loop():
             x2 = int(rng.integers(x1 + 1, w + 1))
             part = Partition(0, x1, x2)
             use_mask = bool(rng.random() < 0.5)
-            grid = rng.random((h, w)) < 0.4 if use_mask else None
-
-            total, count = 0, 0
-            for y in range(h):
-                for x in range(x1, x2):
-                    if grid is not None and grid[y, x]:
-                        continue
-                    total += int(values[y, x])
-                    count += 1
-            want = (0.0, True) if count == 0 else (total / count, False)
-            exclude = rle_encode(grid) if grid is not None else None
-            assert partition_scores(depth, [part], exclude)[0] == want
+            grid = rng.random((h, w)) < 0.4 if use_mask else np.zeros((h, w), dtype=bool)
+            exclude = rle_encode(grid) if use_mask else None
+            want = oracle_partition_scores(values, [part], grid)
+            assert partition_scores(depth, [part], exclude) == want
 
 
 # -- 8. planner latency budget -----------------------------------------------------

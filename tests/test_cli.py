@@ -364,7 +364,7 @@ class TestPlan:
             ("planner", "n_partitions", 3.0, "n_partitions 3.0 not an integer"),
             ("planner", "edge_box_px", 90.5, "edge_box_px 90.5 not an integer"),
             ("pipeline", "max_misses", 1.5, "max_misses 1.5 not an integer"),
-            ("geometry", "walk_speed_mps", True, "walk_speed True not a real number"),
+            ("geometry", "walk_speed_mps", True, "walk_speed_mps True not a real number"),
         ],
         ids=[
             "pipeline-live_speed-no",

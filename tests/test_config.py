@@ -4,7 +4,7 @@ from dataclasses import fields
 import pytest
 
 from vipguide.config import (
-    GEOMETRY_KEYS,
+    Config,
     PipelineTuning,
     PlannerConfig,
     config_from_dict,
@@ -39,7 +39,7 @@ NON_DEFAULT = {
 def test_defaults():
     cfg = default_config()
     assert cfg.geometry.f_deg == 90.0
-    assert cfg.geometry.walk_speed == 1.2
+    assert cfg.geometry.walk_speed_mps == 1.2
     assert cfg.planner.n_partitions == 3
     assert cfg.pipeline.vip_hold_frames == 30
     assert cfg.pipeline.live_speed is False
@@ -67,15 +67,10 @@ def test_geometry_keys_map_to_fields():
         }
     )
     g = cfg.geometry
-    assert (g.f_deg, g.h_vip, g.h_max) == (80.0, 1.6, 2.8)
-    assert (g.walk_speed, g.t_detect, g.t_react) == (1.0, 0.2, 0.8)
-    assert (g.buffer_factor, g.perception_range) == (0.1, 12.0)
+    assert (g.f_deg, g.h_vip_m, g.h_max_m) == (80.0, 1.6, 2.8)
+    assert (g.walk_speed_mps, g.t_detect_s, g.t_react_s) == (1.0, 0.2, 0.8)
+    assert (g.buffer_factor, g.perception_range_m) == (0.1, 12.0)
     assert (g.visible_fraction, g.hfov_deg) == (0.7, 70.0)
-
-
-def test_geometry_keys_cover_every_field():
-    names = sorted(f.name for f in fields(GeometricConfig))
-    assert sorted(GEOMETRY_KEYS.values()) == names
 
 
 @pytest.mark.parametrize(
@@ -171,7 +166,7 @@ def test_zero_safety_distance_rejected(geometry):
 
 def test_geometry_alone_accepts_zero_speed():
     # the pose envelope needs no walk speed; only a planner config needs d'
-    assert GeometricConfig(walk_speed=0.0).walk_speed == 0.0
+    assert GeometricConfig(walk_speed_mps=0.0).walk_speed_mps == 0.0
 
 
 def test_severity_band_ordering_enforced():
@@ -190,7 +185,7 @@ def test_load_config_round_trip(tmp_path):
         )
     )
     cfg = load_config(path)
-    assert cfg.geometry.walk_speed == 0.9
+    assert cfg.geometry.walk_speed_mps == 0.9
     assert cfg.pipeline.live_speed is True
     assert cfg.pipeline.reroute_patience == 2
 
@@ -230,10 +225,10 @@ def test_load_config_missing_file(tmp_path):
         ("pipeline", "max_misses", 1.5, "max_misses 1.5 not an integer"),
         ("pipeline", "max_misses", True, "max_misses True not an integer"),
         ("planner", "n_partitions", 10**400, "n_partitions beyond float range"),
-        ("geometry", "walk_speed_mps", True, "walk_speed True not a real number"),
-        ("geometry", "walk_speed_mps", "1.2", "walk_speed '1.2' not a real number"),
+        ("geometry", "walk_speed_mps", True, "walk_speed_mps True not a real number"),
+        ("geometry", "walk_speed_mps", "1.2", "walk_speed_mps '1.2' not a real number"),
         ("planner", "width_margin", float("nan"), "width_margin nan not finite"),
-        ("geometry", "perception_range_m", float("inf"), "perception_range inf not finite"),
+        ("geometry", "perception_range_m", float("inf"), "perception_range_m inf not finite"),
         ("planner", "edge_threshold", None, "edge_threshold None not a real number"),
     ],
     ids=[
@@ -248,8 +243,62 @@ def test_value_must_match_field_type(section, key, value, expected):
     assert str(info.value) == f"bad '{section}' section: {expected}"
 
 
+# (section, field name) of every settable value
+CONFIG_KEYS = [
+    (section.name, f.name)
+    for section in fields(Config)
+    for f in fields(section.default_factory)
+]
+
+
+@pytest.mark.parametrize("section,key", CONFIG_KEYS, ids=[".".join(k) for k in CONFIG_KEYS])
+def test_every_refusal_names_a_key_the_file_accepts(section, key):
+    with pytest.raises(ConfigError) as info:
+        config_from_dict({section: {key: "x"}})
+    assert str(info.value).startswith(f"bad '{section}' section: {key} ")
+    valid = getattr(getattr(default_config(), section), key)
+    assert config_from_dict({section: {key: valid}}) == default_config()
+
+
+# one case per range check of GeometricConfig: open interval, positive, not negative
+@pytest.mark.parametrize(
+    "key,value,expected",
+    [
+        ("hfov_deg", 180, "hfov_deg 180 outside (0, 180)"),
+        ("perception_range_m", 0.0, "perception_range_m 0.0 not positive"),
+        ("t_react_s", -1, "t_react_s -1 < 0"),
+    ],
+    ids=["open_interval", "positive", "not_negative"],
+)
+def test_geometry_range_refusal_names_its_key(key, value, expected):
+    with pytest.raises(ConfigError) as info:
+        config_from_dict({"geometry": {key: value}})
+    assert str(info.value) == f"bad 'geometry' section: {expected}"
+
+
+@pytest.mark.parametrize(
+    "section,value,expected",
+    [
+        ("planner", None, "planner None not a PlannerConfig"),
+        ("geometry", None, "geometry None not a GeometricConfig"),
+        (
+            "pipeline",
+            {"live_speed": True},
+            "pipeline {'live_speed': True} not a PipelineTuning",
+        ),
+        ("planner", PipelineTuning(), f"planner {PipelineTuning()!r} not a PlannerConfig"),
+    ],
+    ids=["planner_none", "geometry_none", "pipeline_dict", "planner_swapped"],
+)
+def test_section_must_be_its_class(section, value, expected):
+    # once a None planner built, and its first frame died on an AttributeError
+    with pytest.raises(ConfigError) as info:
+        Config(**{section: value})
+    assert str(info.value) == expected
+
+
 def test_float_field_takes_an_int():
-    assert config_from_dict({"geometry": {"walk_speed_mps": 1}}).geometry.walk_speed == 1
+    assert config_from_dict({"geometry": {"walk_speed_mps": 1}}).geometry.walk_speed_mps == 1
 
 
 def test_load_config_not_utf8(tmp_path):

@@ -81,23 +81,23 @@ class TestLookahead:
 
 class TestMinDistanceForVisibility:
     def test_two_thirds_rule(self):
-        cfg = GeometricConfig(f_deg=90.0, h_vip=1.8, h_max=3.0, visible_fraction=2 / 3)
+        cfg = GeometricConfig(f_deg=90.0, h_vip_m=1.8, h_max_m=3.0, visible_fraction=2 / 3)
         assert min_distance_for_visibility(1.0, cfg) == pytest.approx(2.2)
 
     def test_head_top_only_inverts_offset(self):
-        cfg = GeometricConfig(f_deg=70.0, h_vip=1.7, h_max=3.0, visible_fraction=1e-9)
+        cfg = GeometricConfig(f_deg=70.0, h_vip_m=1.7, h_max_m=3.0, visible_fraction=1e-9)
         h = 2.5
         assert min_distance_for_visibility(h, cfg) == pytest.approx(
             h / math.tan(math.radians(35.0)), rel=1e-9
         )
 
     def test_floor_clamp(self):
-        cfg = GeometricConfig(f_deg=90.0, h_vip=1.5, h_max=1.5, visible_fraction=2 / 3)
+        cfg = GeometricConfig(f_deg=90.0, h_vip_m=1.5, h_max_m=1.5, visible_fraction=2 / 3)
         got = min_distance_for_visibility(0.0, cfg)
         assert got >= 1.0
         assert got == pytest.approx(1.0)
         # well under the unclamped value: the 1 m floor is doing the work
-        tiny = GeometricConfig(f_deg=90.0, h_vip=0.3, h_max=0.3)
+        tiny = GeometricConfig(f_deg=90.0, h_vip_m=0.3, h_max_m=0.3)
         assert min_distance_for_visibility(0.0, tiny) == 1.0
 
 
@@ -111,25 +111,25 @@ class TestPoseEnvelope:
     def test_far_endpoint_from_range(self):
         cfg = GeometricConfig(
             f_deg=90.0,
-            h_vip=1.7,
-            h_max=3.0,
-            walk_speed=1.0,
-            t_detect=0.161,
-            t_react=1.0,
+            h_vip_m=1.7,
+            h_max_m=3.0,
+            walk_speed_mps=1.0,
+            t_detect_s=0.161,
+            t_react_s=1.0,
             buffer_factor=0.05,
-            perception_range=10.0,
+            perception_range_m=10.0,
         )
         env = pose_envelope(cfg)
         assert env.d_max == pytest.approx(10.0 - 1.161 * 1.05)
         assert env.d_max == pytest.approx(8.781, abs=2e-4)
 
     def test_ceiling_clamp(self):
-        cfg = GeometricConfig(perception_range=1e9)
+        cfg = GeometricConfig(perception_range_m=1e9)
         assert pose_envelope(cfg).d_max == 10.0
 
     def test_infeasible(self):
         cfg = GeometricConfig(
-            walk_speed=2.0, t_detect=0.5, t_react=1.0, perception_range=2.0
+            walk_speed_mps=2.0, t_detect_s=0.5, t_react_s=1.0, perception_range_m=2.0
         )
         with pytest.raises(InfeasibleConfigError, match="d_min"):
             pose_envelope(cfg)
@@ -138,7 +138,7 @@ class TestPoseEnvelope:
         feasible = 0
         for r in [6.0, 8.0, 12.0, 40.0]:
             for h_max in [1.7, 2.5, 4.0]:
-                cfg = GeometricConfig(h_max=h_max, perception_range=r)
+                cfg = GeometricConfig(h_max_m=h_max, perception_range_m=r)
                 try:
                     env = pose_envelope(cfg)
                 except InfeasibleConfigError:
@@ -151,12 +151,12 @@ class TestPoseEnvelope:
 
     def test_monotone_in_range_and_height(self):
         d_maxes = [
-            pose_envelope(GeometricConfig(perception_range=r)).d_max
+            pose_envelope(GeometricConfig(perception_range_m=r)).d_max
             for r in [6.0, 7.0, 9.0, 11.0, 13.0]
         ]
         assert d_maxes == sorted(d_maxes)
         d_mins = [
-            pose_envelope(GeometricConfig(h_max=h)).d_min for h in [1.7, 2.0, 3.0, 4.0]
+            pose_envelope(GeometricConfig(h_max_m=h)).d_min for h in [1.7, 2.0, 3.0, 4.0]
         ]
         assert d_mins == sorted(d_mins)
 
@@ -171,7 +171,7 @@ class TestValidatePose:
 
     def test_below_floor(self):
         cfg = GeometricConfig()
-        violations = validate_pose(cfg.h_vip, 0.5, cfg)
+        violations = validate_pose(cfg.h_vip_m, 0.5, cfg)
         assert any("below minimum distance" in v for v in violations)
 
     def test_head_visibility_violation(self):
@@ -180,7 +180,7 @@ class TestValidatePose:
         assert any("head not visible" in v for v in violations)
 
     def test_height_band(self):
-        cfg = GeometricConfig(h_vip=1.7, h_max=3.0)
+        cfg = GeometricConfig(h_vip_m=1.7, h_max_m=3.0)
         env = pose_envelope(cfg)
         d_mid = (env.d_min + env.d_max) / 2
         assert any("below VIP head" in v for v in validate_pose(1.0, d_mid, cfg))
@@ -188,13 +188,13 @@ class TestValidatePose:
 
     def test_beyond_max(self):
         cfg = GeometricConfig()
-        violations = validate_pose(cfg.h_vip, 25.0, cfg)
+        violations = validate_pose(cfg.h_vip_m, 25.0, cfg)
         assert any("beyond maximum distance" in v for v in violations)
 
     @pytest.mark.parametrize("d", [0.0, -1.0])
     def test_non_positive_distance_is_no_pose(self, d):
         with pytest.raises(GeometryError, match="not positive"):
-            validate_pose(GeometricConfig().h_vip, d, GeometricConfig())
+            validate_pose(GeometricConfig().h_vip_m, d, GeometricConfig())
 
 
 class TestConfigInvariants:
@@ -203,14 +203,14 @@ class TestConfigInvariants:
         [
             {"f_deg": 0.0},
             {"f_deg": 180.0},
-            {"h_vip": 0.0},
-            {"h_max": 1.0, "h_vip": 1.7},
-            {"walk_speed": -0.1},
-            {"t_react": -1.0},
+            {"h_vip_m": 0.0},
+            {"h_max_m": 1.0, "h_vip_m": 1.7},
+            {"walk_speed_mps": -0.1},
+            {"t_react_s": -1.0},
             {"visible_fraction": 0.0},
             {"visible_fraction": 1.1},
             {"buffer_factor": -0.01},
-            {"perception_range": 0.0},
+            {"perception_range_m": 0.0},
         ],
     )
     def test_rejected(self, kwargs):

@@ -2,7 +2,6 @@ import heapq
 import math
 import random
 import sys
-from itertools import permutations
 
 import numpy as np
 import pytest
@@ -19,28 +18,7 @@ from vipguide.global_planner import (
     shortest_path,
 )
 
-from conftest import DEEP_NESTING, LONG_INT
-
-
-def oracle_shortest(graph: NavGraph, src: str, dst: str):
-    """Exhaustive simple-path enumeration. Only viable on tiny graphs."""
-    nodes = [n for n in graph.node_ids if n not in (src, dst)]
-    best = None
-    if src == dst:
-        return Route(nodes=(src,), total_cost=0.0)
-    for r in range(len(nodes) + 1):
-        for mid in permutations(nodes, r):
-            path = (src,) + mid + (dst,)
-            cost = 0.0
-            ok = True
-            for u, v in zip(path, path[1:]):
-                if not graph.has_edge(u, v) or graph.is_blocked(u, v):
-                    ok = False
-                    break
-                cost += graph.weight(u, v)
-            if ok and (best is None or (cost, path) < (best.total_cost, best.nodes)):
-                best = Route(nodes=path, total_cost=cost)
-    return best
+from conftest import DEEP_NESTING, LONG_INT, oracle_shortest, random_connected_graph
 
 
 def open_adjacency(graph: NavGraph) -> dict[str, dict[str, float]]:
@@ -371,30 +349,11 @@ class TestShortestPath:
         assert route.total_cost == 300.0
 
 
-def random_graph(rng):
-    n = int(rng.integers(2, 9))
-    names = [chr(ord("A") + k) for k in range(n)]
-    g = NavGraph()
-    for k, name in enumerate(names):
-        g.add_node(name, (float(k), 0.0))
-    # random spanning tree first so connectivity is guaranteed
-    shuffled = list(names)
-    rng.shuffle(shuffled)
-    for a, b in zip(shuffled, shuffled[1:]):
-        g.add_edge(a, b, float(rng.integers(1, 20)))
-    # sprinkle extra edges
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not g.has_edge(names[i], names[j]) and rng.random() < 0.35:
-                g.add_edge(names[i], names[j], float(rng.integers(1, 20)))
-    return g, names
-
-
 class TestAgainstEnumeration:
     def test_random_graphs(self):
         rng = np.random.default_rng(43)
         for _ in range(120):
-            g, names = random_graph(rng)
+            g, names = random_connected_graph(rng, 20, 0.35)
             src, dst = rng.choice(names, size=2, replace=False)
             route = shortest_path(g, str(src), str(dst))
             expected = oracle_shortest(g, str(src), str(dst))
@@ -404,7 +363,7 @@ class TestAgainstEnumeration:
     def test_random_graphs_with_blocks(self):
         rng = np.random.default_rng(47)
         for _ in range(80):
-            g, names = random_graph(rng)
+            g, names = random_connected_graph(rng, 20, 0.35)
             for u, v, _w, _b in g.edge_list():
                 if rng.random() < 0.25:
                     g.block_edge(u, v)
@@ -421,7 +380,7 @@ class TestAgainstEnumeration:
     def test_blocking_never_reduces_cost(self):
         rng = np.random.default_rng(53)
         for _ in range(60):
-            g, names = random_graph(rng)
+            g, names = random_connected_graph(rng, 20, 0.35)
             src, dst = (str(x) for x in rng.choice(names, size=2, replace=False))
             before = shortest_path(g, src, dst).total_cost
             edges = g.edge_list()
@@ -436,7 +395,7 @@ class TestAgainstEnumeration:
     def test_triangle_inequality_of_costs(self):
         rng = np.random.default_rng(59)
         for _ in range(40):
-            g, names = random_graph(rng)
+            g, names = random_connected_graph(rng, 20, 0.35)
             if len(names) < 3:
                 continue
             a, b, c = (str(x) for x in rng.choice(names, size=3, replace=False))

@@ -19,26 +19,7 @@ from vipguide.local_planner import (
 )
 from vipguide.perception import BoundingBox, DepthMap, rle_encode, rle_encode_rect
 
-from conftest import mask_from_bbox, ob
-
-
-def oracle_free_segments(boxes, distances, d_filter, width):
-    """Brute-force column scan: the semantic definition of free space."""
-    occupied = np.zeros(width, dtype=bool)
-    for (x1, x2), dist in zip(boxes, distances):
-        if dist <= d_filter:
-            occupied[max(0, x1) : max(0, min(width, x2))] = True
-    segments = []
-    start = None
-    for x in range(width):
-        if not occupied[x] and start is None:
-            start = x
-        elif occupied[x] and start is not None:
-            segments.append((start, x))
-            start = None
-    if start is not None:
-        segments.append((start, width))
-    return segments
+from conftest import mask_from_bbox, ob, oracle_free_segments, oracle_partition_scores
 
 
 class TestPartitionBounds:
@@ -142,30 +123,8 @@ class TestMeanPartitionDepth:
             x1 = int(rng.integers(0, w))
             x2 = int(rng.integers(x1 + 1, w + 1))
             p = Partition(0, x1, x2)
-
-            total = 0
-            count = 0
-            for y in range(h):
-                for x in range(x1, x2):
-                    if not grid[y, x]:
-                        total += int(values[y, x])
-                        count += 1
-            expected = (0.0, True) if count == 0 else (total / count, False)
-            assert partition_scores(depth, [p], rle_encode(grid))[0] == expected
-
-
-def wide_integer_scores(values, partitions, excluded):
-    """H(i) by a Python-int loop over every pixel: the semantic definition."""
-    scores = []
-    for p in partitions:
-        total = count = 0
-        for y in range(values.shape[0]):
-            for x in range(p.x_start, p.x_end):
-                if not excluded[y, x]:
-                    total += int(values[y, x])
-                    count += 1
-        scores.append((0.0, True) if count == 0 else (total / count, False))
-    return scores
+            expected = oracle_partition_scores(values, [p], grid)
+            assert partition_scores(depth, [p], rle_encode(grid)) == expected
 
 
 class TestPartitionScores:
@@ -211,7 +170,7 @@ class TestPartitionScores:
                     depth = DepthMap(width=w, height=h, values=values)
                     parts = partition_bounds(w, n)
                     exclude, grid = self.random_exclusion(rng, kind, h, w, parts)
-                    want = wide_integer_scores(values, parts, grid)
+                    want = oracle_partition_scores(values, parts, grid)
                     assert partition_scores(depth, parts, exclude) == want, (n, kind)
                     if kind == "covers_partition":
                         assert (0.0, True) in want
@@ -302,17 +261,13 @@ class TestFreeSpace:
                 x2 = int(rng.integers(x1 + 1, width + 1))
                 obs.append(ob(x1, 0, x2, 2, float(rng.uniform(0, 4))))
             d_filter = float(rng.uniform(0.5, 3.5))
-            occupied = np.zeros(width, dtype=bool)
-            for o in obs:
-                if o.distance_m <= d_filter:
-                    occupied[o.bbox.x1 : o.bbox.x2] = True
+            dists = [o.distance_m for o in obs]
             expected = []
             for p in partition_bounds(width, n):
-                longest = run = 0
-                for x in range(p.x_start, p.x_end):
-                    run = 0 if occupied[x] else run + 1
-                    longest = max(longest, run)
-                expected.append(longest)
+                # the scan over the partition's columns alone
+                shifted = [(o.bbox.x1 - p.x_start, o.bbox.x2 - p.x_start) for o in obs]
+                free = oracle_free_segments(shifted, dists, d_filter, p.x_end - p.x_start)
+                expected.append(max((end - start for start, end in free), default=0))
             assert free_widths(obs, d_filter, width, n) == expected
 
 

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vipguide.calibration import CalibrationModel, load_model
-from vipguide.config import GEOMETRY_KEYS, Config, config_from_dict, load_config
+from vipguide.config import Config, config_from_dict, load_config
 from vipguide.errors import (
     CalibrationError,
     ConfigError,
@@ -83,16 +83,10 @@ def config_accepts(kind: str, value) -> bool:
         return False
 
 
-GEOMETRY_KEY_OF = {name: key for key, name in GEOMETRY_KEYS.items()}
-# (section, JSON key, section class, field name, declared type) of every field
+# (section, section class, field name, declared type) of every field; the
+# JSON key is the field's name
 CONFIG_FIELDS = [
-    (
-        section.name,
-        GEOMETRY_KEY_OF[f.name] if section.name == "geometry" else f.name,
-        section.default_factory,
-        f.name,
-        f.type,
-    )
+    (section.name, section.default_factory, f.name, f.type)
     for section in fields(Config)
     for f in fields(section.default_factory)
 ]
@@ -105,8 +99,8 @@ def config_directly(section, cls, name, value) -> Config:
 @EXAMPLES
 @given(st.sampled_from(CONFIG_FIELDS), JSON_VALUES)
 def test_config_reader(field, value):
-    section, key, cls, name, kind = field
-    obj = {section: {key: value}}
+    section, cls, name, kind = field
+    obj = {section: {name: value}}
     if not config_accepts(kind, value):
         assert refusal(config_from_dict, obj) is ConfigError
     elif refusal(config_directly, section, cls, name, value):

@@ -165,7 +165,7 @@ class TestCameraIntrinsics:
     def test_defaults_are_the_planners(self):
         geo = GeometricConfig()
         assert (CAM.hfov_deg, CAM.vfov_deg) == (geo.hfov_deg, geo.f_deg)
-        assert (scenario.WALK_SPEED, VIP_SIZE[1]) == (geo.walk_speed, geo.h_vip)
+        assert (scenario.WALK_SPEED, VIP_SIZE[1]) == (geo.walk_speed_mps, geo.h_vip_m)
 
     # before these checks, a zero fov raised ZeroDivisionError and a NaN
     # height ValueError from project_bbox; the rest projected nothing or
