@@ -15,7 +15,7 @@ def main():
     env = pose_envelope(cfg)
 
     print(f"safety distance d' = {d_prime:.3f} m")
-    print(f"lookahead at d=2 m = {lookahead(2.0, d_prime, cfg.buffer_factor):.3f} m")
+    print(f"lookahead at d=2 m = {lookahead(2.0, d_prime, cfg):.3f} m")
     print()
     print(f"envelope: ({env.h_near:.2f} m @ {env.d_min:.2f} m)"
           f"  ->  ({env.h_far:.2f} m @ {env.d_max:.2f} m)")

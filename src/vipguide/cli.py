@@ -12,7 +12,7 @@ from .annotate import annotate_frame, write_ppm
 from .config import default_config, load_config
 from .errors import VipGuideError
 from .frameio import read_dataset, record_to_line
-from .global_planner import Route, load_graph, shortest_path
+from .global_planner import load_graph, shortest_path
 from .pipeline import Pipeline
 from .scenario import SCENARIO_KINDS, ScenarioSpec, default_model, generate, write_scenario
 

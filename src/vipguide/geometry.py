@@ -79,23 +79,21 @@ def visibility_offset(f_deg: float, d: float) -> float:
     """
     if not 0.0 < f_deg < 180.0:
         raise GeometryError(f"fov {f_deg} outside (0, 180)")
-    if d <= 0:
+    if not d > 0:
         raise GeometryError(f"distance {d} not positive")
     return d * math.tan(math.radians(f_deg) / 2.0)
 
 
 def safety_distance(walk_speed: float, t_detect: float, t_react: float) -> float:
     """Stopping margin: d' = x * (t_detect + t_react)."""
-    if walk_speed < 0 or t_detect < 0 or t_react < 0:
+    if not (walk_speed >= 0 and t_detect >= 0 and t_react >= 0):
         raise GeometryError("safety distance inputs must be nonnegative")
     return walk_speed * (t_detect + t_react)
 
 
-def lookahead(
-    d: float, d_prime: float, buffer_factor: float = GeometricConfig.buffer_factor
-) -> float:
+def lookahead(d: float, d_prime: float, cfg: GeometricConfig = GeometricConfig()) -> float:
     """Forward range the camera must cover: d + d' plus a buffer fraction of d'."""
-    return d + d_prime + buffer_factor * d_prime
+    return d + d_prime + cfg.buffer_factor * d_prime
 
 
 def min_distance_for_visibility(h_prime: float, cfg: GeometricConfig) -> float:
@@ -105,7 +103,7 @@ def min_distance_for_visibility(h_prime: float, cfg: GeometricConfig) -> float:
     below its axis within half the FoV, so d >= (h' + phi*h_vip)/tan(f/2).
     Clamped to the 1 m proximity floor.
     """
-    if h_prime < 0:
+    if not h_prime >= 0:
         raise GeometryError(f"negative height offset {h_prime}")
     tan_half = math.tan(math.radians(cfg.f_deg) / 2.0)
     need = (h_prime + cfg.visible_fraction * cfg.h_vip_m) / tan_half
@@ -142,7 +140,7 @@ def validate_pose(h_prime: float, d: float, cfg: GeometricConfig) -> list[str]:
 
     Violations are data, not errors: this stays total even for configs
     whose envelope is empty (every pose then violates a distance bound).
-    Only a distance d <= 0, which is no pose at all, raises GeometryError.
+    Only a distance d not > 0 (NaN too), which is no pose at all, raises GeometryError.
     """
     violations = []
     d_min, d_max = _distance_bounds(cfg)

@@ -156,7 +156,7 @@ def free_segments(
 
     A column is occupied when any obstacle within d_filter covers it.
     """
-    if d_filter <= 0:
+    if not d_filter > 0:
         raise PlannerError(f"d_filter {d_filter} not positive")
     boxes = sorted((ob.bbox.x1, ob.bbox.x2) for ob in obstacles if ob.distance_m <= d_filter)
     return free_runs(0, width, boxes)
@@ -182,19 +182,16 @@ def partition_profiles(
 
 
 def classify_obstacle(
-    distance_m: float,
-    d_prime: float,
-    danger_mult: float = PlannerConfig.danger_mult,
-    warning_mult: float = PlannerConfig.warning_mult,
+    distance_m: float, d_prime: float, cfg: PlannerConfig = PlannerConfig()
 ) -> Severity:
-    """Severity by distance thresholds: danger <= d', warning <= 2d'."""
-    if distance_m < 0:
+    """Severity by distance: danger <= danger_mult * d', warning <= warning_mult * d'."""
+    if not distance_m >= 0:
         raise PlannerError(f"negative distance {distance_m}")
-    if d_prime <= 0:
+    if not d_prime > 0:
         raise PlannerError(f"d' {d_prime} not positive")
-    if distance_m <= danger_mult * d_prime:
+    if distance_m <= cfg.danger_mult * d_prime:
         return "danger"
-    if distance_m <= warning_mult * d_prime:
+    if distance_m <= cfg.warning_mult * d_prime:
         return "warning"
     return "clear"
 
@@ -211,21 +208,19 @@ def _probe_mean(road: np.ndarray, probe) -> float | None:
 
 
 def road_edge_check(
-    vip_bbox: BoundingBox,
-    road_mask: BitMask | None,
-    box_px: int = PlannerConfig.edge_box_px,
-    threshold: float = PlannerConfig.edge_threshold,
+    vip_bbox: BoundingBox, road_mask: BitMask | None, cfg: PlannerConfig = PlannerConfig()
 ) -> EdgeStatus:
     """Probe road coverage on both sides of the VIP, at their feet.
 
-    Each probe is a box_px square hugging the VIP bbox, bottom-aligned to
-    its lower edge. A side is safe when the probe's mean (road pixels as
-    255, rest 0) exceeds the threshold; a probe pushed fully off-frame
+    Each probe is an edge_box_px square hugging the VIP bbox, bottom-aligned
+    to its lower edge. A side is safe when the probe's mean (road pixels as
+    255, rest 0) exceeds edge_threshold; a probe pushed fully off-frame
     counts as a warning, since the margin is unobserved.
     """
     if road_mask is None:
         return "unknown"
     road = road_mask.decode()
+    box_px, threshold = cfg.edge_box_px, cfg.edge_threshold
     y1, y2 = vip_bbox.y2 - box_px, vip_bbox.y2
     left = _probe_mean(road, (vip_bbox.x1 - box_px, y1, vip_bbox.x1, y2))
     right = _probe_mean(road, (vip_bbox.x2, y1, vip_bbox.x2 + box_px, y2))
@@ -282,8 +277,6 @@ def heading_angle(partition: Partition, width: int, hfov_deg: float) -> float:
     return (partition.center_column - width / 2.0) / width * hfov_deg
 
 
-def width_threshold_px(
-    vip_bbox_width: int, margin: float = PlannerConfig.width_margin
-) -> int:
-    """Minimum free-gap width: the VIP's apparent width plus clearance."""
-    return math.ceil(margin * vip_bbox_width)
+def width_threshold_px(vip_bbox_width: int, cfg: PlannerConfig = PlannerConfig()) -> int:
+    """Minimum free-gap width: the VIP's apparent width times width_margin."""
+    return math.ceil(cfg.width_margin * vip_bbox_width)

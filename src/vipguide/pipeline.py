@@ -126,10 +126,7 @@ class Pipeline:
         self.route = route
         if route is not None and graph is None:
             raise ConfigError("a route needs its graph")
-        tuning = config.pipeline
-        self.tracker = Tracker(
-            iou_threshold=tuning.iou_threshold, max_misses=tuning.max_misses
-        )
+        self.tracker = Tracker(config.pipeline)
         self.stats = StageStats()
         self._last_frame_id: int | None = None
         self._last_vip_bbox: BoundingBox | None = None
@@ -194,19 +191,13 @@ class Pipeline:
         """
         d_vip = self._last_vip_distance
         d_prime = self._safety_distance()
-        planner_cfg = self.config.planner
         assessments: list[ObstacleAssessment] = []
         for det, track_id in zip(frame.detections, ids):
             if det is vip:
                 continue
             cam = detection_distance(frame, det, self.model)
             rel = cam if d_vip is None else max(0.0, cam - d_vip)
-            severity = classify_obstacle(
-                rel,
-                d_prime,
-                danger_mult=planner_cfg.danger_mult,
-                warning_mult=planner_cfg.warning_mult,
-            )
+            severity = classify_obstacle(rel, d_prime, self.config.planner)
             assessments.append(
                 ObstacleAssessment(track_id, det.class_label, det.bbox, rel, severity)
             )
@@ -215,13 +206,7 @@ class Pipeline:
     def _road_edge(self, frame: PerceptionFrame, vip: Detection | None) -> str:
         if vip is None:
             return "unknown"
-        planner_cfg = self.config.planner
-        return road_edge_check(
-            vip.bbox,
-            frame.road_mask,
-            box_px=planner_cfg.edge_box_px,
-            threshold=planner_cfg.edge_threshold,
-        )
+        return road_edge_check(vip.bbox, frame.road_mask, self.config.planner)
 
     def _profiles(self, frame, vip, partitions, assessments, d_prime):
         """The partitions' profiles, the VIP's pixels excluded: its mask when
@@ -248,9 +233,7 @@ class Pipeline:
             vip_partition = next(
                 (p.index for p in partitions if p.x_start <= cx < p.x_end), None
             )
-            width_threshold = width_threshold_px(
-                vip_bbox.width, self.config.planner.width_margin
-            )
+            width_threshold = width_threshold_px(vip_bbox.width, self.config.planner)
         return decide(
             profiles,
             vip_partition,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .config import PipelineTuning
-from .errors import ConsistencyError, InsufficientHistoryError
+from .errors import ConfigError, ConsistencyError, InsufficientHistoryError
 from .perception import BoundingBox, Detection
 
 APPROACH_WINDOW_S = 1.0  # history kept per track; the planner's rate window
@@ -62,16 +62,13 @@ def iou(b1: BoundingBox, b2: BoundingBox) -> float:
 
 
 class Tracker:
-    """Owns track state and the never-reused id counter for one stream."""
+    """Owns track state and the never-reused id counter for one stream; matches
+    and retires tracks by its tuning's `iou_threshold` and `max_misses`."""
 
-    def __init__(
-        self,
-        iou_threshold: float = PipelineTuning.iou_threshold,
-        max_misses: int = PipelineTuning.max_misses,
-    ):
-        tuning = PipelineTuning(iou_threshold=iou_threshold, max_misses=max_misses)
-        self.iou_threshold = tuning.iou_threshold
-        self.max_misses = tuning.max_misses
+    def __init__(self, tuning: PipelineTuning = PipelineTuning()):
+        if not isinstance(tuning, PipelineTuning):  # so both limits passed its checks
+            raise ConfigError(f"tuning {tuning!r} not a PipelineTuning")
+        self.tuning = tuning
         self.tracks: list[Track] = []
         self._next_id = 0
         self._timestamp: float | None = None  # the last step's
@@ -94,6 +91,7 @@ class Tracker:
                 f"timestamp {timestamp} not after the previous step's {self._timestamp}"
             )
         self._timestamp = timestamp
+        threshold, max_misses = self.tuning.iou_threshold, self.tuning.max_misses
         candidates = []
         for t_pos, track in enumerate(self.tracks):
             label, bbox = track.class_label, track.bbox
@@ -101,7 +99,7 @@ class Tracker:
                 if det.class_label != label:
                     continue
                 overlap = iou(bbox, det.bbox)
-                if overlap >= self.iou_threshold:
+                if overlap >= threshold:
                     candidates.append((-overlap, d_idx, t_pos))
         candidates.sort()
 
@@ -115,7 +113,7 @@ class Tracker:
         kept: list[Track] = []
         for t_pos, track in enumerate(self.tracks):
             if t_pos not in matched:
-                if track.misses >= self.max_misses:
+                if track.misses >= max_misses:
                     continue  # retired
                 track.misses += 1
             kept.append(track)

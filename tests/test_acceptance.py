@@ -5,7 +5,6 @@ These tests exercise the public API only and check it against brute-force
 oracles written in the tests (here and in conftest.py), so a regression in
 library code cannot silently weaken the gate.
 """
-import json
 import math
 import time
 from contextlib import contextmanager
@@ -17,10 +16,9 @@ from vipguide.calibration import (
     CalibrationSample,
     detection_distance,
     fit,
-    predict,
     region_rev,
 )
-from vipguide.config import default_config
+from vipguide.config import PlannerConfig, default_config
 from vipguide.errors import UnreachableError
 from vipguide.frameio import record_to_line
 from vipguide.geometry import (
@@ -35,7 +33,6 @@ from vipguide.local_planner import (
     Heading,
     Partition,
     free_segments,
-    partition_bounds,
     partition_scores,
     road_edge_check,
 )
@@ -43,7 +40,6 @@ from vipguide.perception import BoundingBox, DepthMap, rle_encode
 from vipguide.pipeline import Pipeline, nearest_rank
 from vipguide.scenario import (
     CALIBRATION_Z,
-    Camera,
     ScenarioSpec,
     calibration_frames,
     direction_name,
@@ -261,6 +257,7 @@ def test_calibration_accuracy():
 
 def test_road_edge_probe_exhaustive():
     vip = BoundingBox(3, 0, 6, 3)  # probes: columns 0-2 (left) and 6-8 (right)
+    cfg = PlannerConfig(edge_box_px=3)
     with criterion("road-edge probe, 512 patterns per side"):
         for bits in range(512):
             cells = np.array([(bits >> k) & 1 for k in range(9)], dtype=bool)
@@ -271,19 +268,19 @@ def test_road_edge_probe_exhaustive():
             left_grid[:, 0:3] = cells.reshape(3, 3)
             left_grid[:, 6:9] = True
             want = "safe" if road else "warn_left"
-            assert road_edge_check(vip, rle_encode(left_grid), box_px=3) == want
+            assert road_edge_check(vip, rle_encode(left_grid), cfg) == want
 
             right_grid = np.zeros((3, 9), dtype=bool)
             right_grid[:, 0:3] = True
             right_grid[:, 6:9] = cells.reshape(3, 3)
             want = "safe" if road else "warn_right"
-            assert road_edge_check(vip, rle_encode(right_grid), box_px=3) == want
+            assert road_edge_check(vip, rle_encode(right_grid), cfg) == want
 
             both_grid = np.zeros((3, 9), dtype=bool)
             both_grid[:, 0:3] = cells.reshape(3, 3)
             both_grid[:, 6:9] = cells.reshape(3, 3)
             want = "safe" if road else "warn_both"
-            assert road_edge_check(vip, rle_encode(both_grid), box_px=3) == want
+            assert road_edge_check(vip, rle_encode(both_grid), cfg) == want
 
 
 # -- 7. partition mean exactness ---------------------------------------------------

@@ -133,22 +133,30 @@ def test_section_must_be_object():
         config_from_dict({"planner": 3})
 
 
+OUT_OF_RANGE = [
+    ("planner", "n_partitions", 4, "n_partitions must be odd and positive, got 4"),  # even
+    ("planner", "n_partitions", 0, "n_partitions must be odd and positive, got 0"),
+    ("planner", "width_margin", 0.0, "width_margin 0.0 not positive"),
+    ("planner", "edge_threshold", 255.0, "edge_threshold 255.0 outside [0, 255)"),
+    ("pipeline", "reroute_patience", 0, "reroute_patience 0 < 1"),
+    ("pipeline", "iou_threshold", 1.5, "iou_threshold 1.5 outside (0,1)"),
+    ("pipeline", "iou_threshold", 0.0, "iou_threshold 0.0 outside (0,1)"),
+    ("pipeline", "iou_threshold", 1.0, "iou_threshold 1.0 outside (0,1)"),
+    ("pipeline", "iou_threshold", -0.5, "iou_threshold -0.5 outside (0,1)"),
+    ("pipeline", "max_misses", -1, "max_misses -1 < 0"),
+    ("geometry", "walk_speed_mps", -1.0, "walk_speed_mps -1.0 < 0"),
+]
+
+
 @pytest.mark.parametrize(
-    "section,key,value",
-    [
-        ("planner", "n_partitions", 4),       # even
-        ("planner", "n_partitions", 0),
-        ("planner", "width_margin", 0.0),
-        ("planner", "edge_threshold", 255.0),
-        ("pipeline", "reroute_patience", 0),
-        ("pipeline", "iou_threshold", 1.5),
-        ("pipeline", "max_misses", -1),
-        ("geometry", "walk_speed_mps", -1.0),
-    ],
+    "section,key,value,expected",
+    OUT_OF_RANGE,
+    ids=[f"{section}-{key}-{value}" for section, key, value, _ in OUT_OF_RANGE],
 )
-def test_invalid_values_rejected(section, key, value):
-    with pytest.raises(ConfigError):
+def test_invalid_values_rejected(section, key, value, expected):
+    with pytest.raises(ConfigError) as info:
         config_from_dict({section: {key: value}})
+    assert str(info.value) == f"bad '{section}' section: {expected}"
 
 
 @pytest.mark.parametrize(
@@ -224,16 +232,19 @@ def test_load_config_missing_file(tmp_path):
         ("planner", "edge_box_px", 90.5, "edge_box_px 90.5 not an integer"),
         ("pipeline", "max_misses", 1.5, "max_misses 1.5 not an integer"),
         ("pipeline", "max_misses", True, "max_misses True not an integer"),
+        ("pipeline", "max_misses", "x", "max_misses 'x' not an integer"),
         ("planner", "n_partitions", 10**400, "n_partitions beyond float range"),
         ("geometry", "walk_speed_mps", True, "walk_speed_mps True not a real number"),
         ("geometry", "walk_speed_mps", "1.2", "walk_speed_mps '1.2' not a real number"),
+        ("pipeline", "iou_threshold", "x", "iou_threshold 'x' not a real number"),
         ("planner", "width_margin", float("nan"), "width_margin nan not finite"),
         ("geometry", "perception_range_m", float("inf"), "perception_range_m inf not finite"),
         ("planner", "edge_threshold", None, "edge_threshold None not a real number"),
     ],
     ids=[
         "bool_str", "bool_int", "int_float", "int_half", "int_fraction", "int_bool",
-        "int_huge", "float_bool", "float_str", "float_nan", "float_inf", "float_null",
+        "int_str", "int_huge", "float_bool", "float_str", "float_str_iou", "float_nan",
+        "float_inf", "float_null",
     ],
 )
 def test_value_must_match_field_type(section, key, value, expected):

@@ -28,7 +28,9 @@ class TestVisibilityOffset:
         )
         assert visibility_offset(82.6, 2.0) == pytest.approx(1.757, abs=5e-4)
 
-    @pytest.mark.parametrize("f,d", [(0.0, 1.0), (180.0, 1.0), (90.0, 0.0), (90.0, -2.0)])
+    @pytest.mark.parametrize(
+        "f,d", [(0.0, 1.0), (180.0, 1.0), (90.0, 0.0), (90.0, -2.0), (90.0, math.nan)]
+    )
     def test_domain(self, f, d):
         with pytest.raises(GeometryError):
             visibility_offset(f, d)
@@ -55,6 +57,8 @@ class TestSafetyDistance:
     def test_negative_rejected(self):
         with pytest.raises(GeometryError):
             safety_distance(-1.0, 0.1, 0.1)
+        with pytest.raises(GeometryError):
+            safety_distance(math.nan, 0.161, 1.0)
 
     def test_linearity_exact_for_binary_scales(self):
         base = safety_distance(1.3, 0.161, 1.0)
@@ -70,13 +74,13 @@ class TestSafetyDistance:
 
 class TestLookahead:
     def test_with_buffer(self):
-        assert lookahead(2.0, 1.0, 0.05) == pytest.approx(3.05)
+        assert lookahead(2.0, 1.0, GeometricConfig(buffer_factor=0.05)) == pytest.approx(3.05)
 
     def test_zero_safety(self):
-        assert lookahead(4.2, 0.0, 0.05) == 4.2
+        assert lookahead(4.2, 0.0, GeometricConfig(buffer_factor=0.05)) == 4.2
 
     def test_zero_buffer(self):
-        assert lookahead(0.0, 2.0, 0.0) == 2.0
+        assert lookahead(0.0, 2.0, GeometricConfig(buffer_factor=0.0)) == 2.0
 
 
 class TestMinDistanceForVisibility:
@@ -105,6 +109,9 @@ class TestMinDistanceForVisibility:
         with pytest.raises(GeometryError) as info:
             min_distance_for_visibility(-1.0, GeometricConfig())
         assert str(info.value) == "negative height offset -1.0"
+        with pytest.raises(GeometryError) as info:
+            min_distance_for_visibility(math.nan, GeometricConfig())
+        assert str(info.value) == "negative height offset nan"
 
 
 class TestPoseEnvelope:
@@ -191,7 +198,7 @@ class TestValidatePose:
         violations = validate_pose(cfg.h_vip_m, 25.0, cfg)
         assert any("beyond maximum distance" in v for v in violations)
 
-    @pytest.mark.parametrize("d", [0.0, -1.0])
+    @pytest.mark.parametrize("d", [0.0, -1.0, math.nan])
     def test_non_positive_distance_is_no_pose(self, d):
         with pytest.raises(GeometryError, match="not positive"):
             validate_pose(GeometricConfig().h_vip_m, d, GeometricConfig())

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from vipguide.config import PlannerConfig
 from vipguide.errors import PlannerError
 from vipguide.local_planner import (
     Heading,
@@ -226,6 +229,9 @@ class TestFreeSpace:
         with pytest.raises(PlannerError) as info:
             free_segments([], 0.0, 600)
         assert str(info.value) == "d_filter 0.0 not positive"
+        with pytest.raises(PlannerError) as info:
+            free_segments([ob(0, 0, 10, 5, 1.0)], math.nan, 640)
+        assert str(info.value) == "d_filter nan not positive"
 
     def test_matches_oracle_randomized(self):
         rng = np.random.default_rng(23)
@@ -293,13 +299,18 @@ class TestClassifyObstacle:
         assert ranks == sorted(ranks)
 
     def test_custom_multipliers(self):
-        assert classify_obstacle(2.0, 1.0, danger_mult=2.5, warning_mult=3.0) == "danger"
+        cfg = PlannerConfig(danger_mult=2.5, warning_mult=3.0)
+        assert classify_obstacle(2.0, 1.0, cfg) == "danger"
 
     def test_domain(self):
         with pytest.raises(PlannerError):
             classify_obstacle(-1.0, 1.0)
         with pytest.raises(PlannerError):
             classify_obstacle(1.0, 0.0)
+        with pytest.raises(PlannerError):
+            classify_obstacle(math.nan, 1.0)
+        with pytest.raises(PlannerError):
+            classify_obstacle(1.0, math.nan)
 
 
 def road_grid(width, height, fill=True):
@@ -363,12 +374,13 @@ class TestRoadEdge:
         # every road pattern on a 3x3 probe, both sides, against the
         # mean-threshold definition evaluated independently
         vip = BoundingBox(3, 0, 6, 3)
+        cfg = PlannerConfig(edge_box_px=3)
         for bits in range(512):
             pattern = np.array([(bits >> k) & 1 for k in range(9)], dtype=bool)
             grid = np.zeros((3, 9), dtype=bool)
             grid[:, 0:3] = pattern.reshape(3, 3)
             grid[:, 6:9] = True
-            status = road_edge_check(vip, rle_encode(grid), box_px=3)
+            status = road_edge_check(vip, rle_encode(grid), cfg)
             left_mean = 255.0 * pattern.sum() / 9.0
             expected = "safe" if left_mean > 128.0 else "warn_left"
             assert status == expected, f"pattern {bits:09b}"
@@ -487,4 +499,4 @@ class TestDepthOnlySuppression:
 def test_width_threshold_px():
     assert width_threshold_px(100) == 120
     assert width_threshold_px(53) == 64  # ceil(63.6)
-    assert width_threshold_px(10, margin=1.0) == 10
+    assert width_threshold_px(10, PlannerConfig(width_margin=1.0)) == 10

@@ -10,7 +10,6 @@ from vipguide.perception import (
     BitMask,
     BoundingBox,
     DepthMap,
-    Detection,
     PerceptionFrame,
     clip_rect,
     free_runs,

@@ -3,6 +3,7 @@ import json
 import os
 from collections import Counter
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -13,7 +14,10 @@ from vipguide.config import default_config
 from vipguide.errors import ConfigError, ConsistencyError
 from vipguide.frameio import record_to_line
 from vipguide.global_planner import NavGraph, shortest_path
-from vipguide.local_planner import Heading, RerouteNeeded
+from vipguide.geometry import safety_distance
+from vipguide.local_planner import (
+    Heading, RerouteNeeded, classify_obstacle, road_edge_check, width_threshold_px
+)
 from vipguide import global_planner, perception
 from vipguide import pipeline as pipeline_module
 from vipguide.pipeline import Pipeline, nearest_rank
@@ -635,11 +639,12 @@ class TestTraceRecords:
 def test_assessments_follow_the_frames_non_vip_detections(kind):
     """Each non-VIP detection of a frame, in order, has one assessment that
     carries its label and box. A tracker of the same tuning, run beside the
-    pipeline, gives the ids."""
-    tuning = default_config().pipeline
-    for seed in range(1, 6):
-        pipe = make_pipeline()
-        tracker = Tracker(tuning.iou_threshold, tuning.max_misses)
+    pipeline, gives the ids, at the default tuning and at two others."""
+    for tuning, seed in product(
+        ({}, {"iou_threshold": 0.99}, {"max_misses": 0}), range(1, 6)
+    ):
+        pipe = make_pipeline(**tuning)
+        tracker = Tracker(pipe.config.pipeline)
         for frame, _ in generate(ScenarioSpec(kind=kind, seed=seed, n_frames=30)):
             decision, _ = pipe.process_frame(frame)
             obstacles = [d for d in frame.detections if d.class_label != "vip"]
@@ -654,6 +659,93 @@ def test_assessments_follow_the_frames_non_vip_detections(kind):
                 if d.class_label != "vip"
             ]
             assert [a.track_id for a in decision.assessments] == ids
+
+
+# one valid non-default value for each setting the pipeline hands a stage;
+# each moves its stage's output on the frames `handoff_streams` gives
+HANDED_OVER = [
+    ("pipeline", "iou_threshold", 0.99),
+    ("pipeline", "max_misses", 0),
+    ("planner", "danger_mult", 0.5),
+    ("planner", "warning_mult", 1.2),
+    ("planner", "edge_box_px", 300),
+    ("planner", "edge_threshold", 254.0),
+    ("planner", "width_margin", 10.0),
+]
+
+
+def handoff_streams(key):
+    """(model, frames) pairs. On generated streams max_misses 0 and
+    edge_threshold 254 move nothing, so those two get built frames: a car
+    missing for one frame, and a road mask over 80 of the left probe's 90
+    columns (a probe mean of 227)."""
+    if key == "max_misses":
+        car = [("car", (0, 100, 100, 300), 3.0)]
+        frames = [world_frame(0, 0.0, obstacles=car), world_frame(1, 1 / 30),
+                  world_frame(2, 2 / 30, obstacles=car)]
+        return [(scaled_model(), frames)]
+    if key == "edge_threshold":
+        road = np.ones((H, W), dtype=bool)
+        road[:, 190:200] = False  # the left probe spans columns 190-279
+        frame = replace(world_frame(0, 0.0), road_mask=rle_encode(road))
+        return [(scaled_model(), [frame])]
+    specs = [ScenarioSpec(kind=kind, seed=seed, n_frames=60)
+             for kind in SCENARIO_KINDS for seed in (1, 2, 3)]
+    return [(default_model(), (frame for frame, _ in generate(spec))) for spec in specs]
+
+
+@pytest.mark.parametrize(
+    "section,key,value", HANDED_OVER, ids=[f"{s}.{k}" for s, k, _ in HANDED_OVER]
+)
+def test_each_handed_over_setting_reaches_its_stage(section, key, value, monkeypatch):
+    """With one setting off its default, each stage's output is its stage
+    function's, called directly with the same config section: track ids
+    from a `Tracker` of the same tuning run beside the pipeline, severities
+    from `classify_obstacle` at the default d', the edge status from
+    `road_edge_check` and the width gate `decide` gets from
+    `width_threshold_px`. On some frame one of them differs from the same
+    call at the default section, so a setting left behind shows."""
+    default = default_config()
+    config = replace(default, **{section: replace(getattr(default, section), **{key: value})})
+    planner, geo = config.planner, config.geometry
+    d_prime = safety_distance(geo.walk_speed_mps, geo.t_detect_s, geo.t_react_s)
+    gates = []
+    real_decide = pipeline_module.decide
+
+    def recording_decide(profiles, vip_partition, width_threshold, *rest):
+        gates.append(width_threshold)
+        return real_decide(profiles, vip_partition, width_threshold, *rest)
+
+    monkeypatch.setattr(pipeline_module, "decide", recording_decide)
+    moved = False
+    for model, frames in handoff_streams(key):
+        pipe = Pipeline(config, model)
+        trackers = Tracker(config.pipeline), Tracker(default.pipeline)
+        vip_bbox = None
+        for frame in frames:
+            gates.clear()
+            decision, _ = pipe.process_frame(frame)
+            vip = frame.vip_detection
+            vip_bbox = vip.bbox if vip is not None else vip_bbox
+            got = (
+                [a.track_id for a in decision.assessments],
+                [a.severity for a in decision.assessments],
+                decision.edge_status,
+                gates,
+            )
+            want = []
+            for tracker, cfg in zip(trackers, (planner, default.planner)):
+                ids = tracker.step(frame.timestamp, frame.detections)
+                want.append((
+                    [i for d, i in zip(frame.detections, ids) if d is not vip],
+                    [classify_obstacle(a.distance_m, d_prime, cfg) for a in decision.assessments],
+                    "unknown" if vip is None else road_edge_check(vip.bbox, frame.road_mask, cfg),
+                    [] if decision.outcome is None
+                    else [0 if vip_bbox is None else width_threshold_px(vip_bbox.width, cfg)],
+                ))
+            assert got == want[0]
+            moved = moved or want[0] != want[1]
+    assert moved
 
 
 def test_instance_ids_key_the_masks_and_tracker_ids_label_the_assessments():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vipguide.config import PipelineTuning
 from vipguide.errors import ConfigError, ConsistencyError, InsufficientHistoryError
 from vipguide.perception import BoundingBox, Detection
 from vipguide.tracking import (
@@ -72,7 +73,7 @@ class TestAssociate:
         assert ids == [1]  # same box, different class: new track
 
     def test_threshold_gate(self):
-        tracker = Tracker(iou_threshold=0.9)
+        tracker = Tracker(PipelineTuning(iou_threshold=0.9))
         tracker.step(0.0, [det("car", 0, 0, 10, 10)])
         ids = tracker.step(1 / 30, [det("car", 3, 0, 13, 10)])
         assert ids == [1]
@@ -99,7 +100,7 @@ class TestAssociate:
         assert track_by_id(tracker, 0).misses == 0
 
     def test_retirement_boundary(self):
-        tracker = Tracker(max_misses=3)
+        tracker = Tracker(PipelineTuning(max_misses=3))
         tracker.step(0.0, [det("car", 0, 0, 10, 10)])
         for k in range(3):
             tracker.step((k + 1) / 30, [])
@@ -108,7 +109,7 @@ class TestAssociate:
         assert track_by_id(tracker, 0) is None  # misses exceeded: retired
 
     def test_ids_never_reused(self):
-        tracker = Tracker(max_misses=0)
+        tracker = Tracker(PipelineTuning(max_misses=0))
         seen = set()
         for k in range(6):
             ids = tracker.step(
@@ -203,7 +204,7 @@ def test_window_trim_matches_untrimmed_oracle():
     """
     rng = np.random.default_rng(11)
     fps, n_frames, n_lanes = 30, 900, 6
-    tracker = Tracker(max_misses=5)
+    tracker = Tracker(PipelineTuning(max_misses=5))
     full: dict[int, list[TrackPoint]] = {}
     last_seen: dict[int, tuple[float, BoundingBox]] = {}
     hidden = [int(rng.integers(0, 120)) for _ in range(n_lanes)]
@@ -268,28 +269,19 @@ def test_history_timestamps_must_increase():
         )
 
 
+@pytest.mark.parametrize(
+    "tuning, message",
+    [(0.5, "tuning 0.5 not a PipelineTuning"), (None, "tuning None not a PipelineTuning")],
+)
+def test_tuning_must_be_a_pipeline_tuning(tuning, message):
+    with pytest.raises(ConfigError) as info:
+        Tracker(tuning)
+    assert str(info.value) == message
+
+
 def test_negative_misses_rejected():
     with pytest.raises(ConsistencyError, match="negative misses"):
         Track(0, "car", box(0, 0, 2, 2), [TrackPoint(0.0, 1.0)], misses=-1)
-
-
-@pytest.mark.parametrize("threshold", [0.0, 1.0, -0.5, "x"])
-def test_iou_threshold_outside_unit_interval_rejected(threshold):
-    with pytest.raises(ConfigError, match="iou_threshold"):
-        Tracker(iou_threshold=threshold)
-
-
-# each built a tracker before PipelineTuning checked the limits; "x" then
-# failed inside step
-@pytest.mark.parametrize(
-    "misses, message",
-    [(-1, "max_misses -1 < 0"), (1.5, "max_misses 1.5 not an integer"),
-     ("x", "max_misses 'x' not an integer")],
-)
-def test_max_misses_checked_as_pipeline_tuning_checks_it(misses, message):
-    with pytest.raises(ConfigError) as info:
-        Tracker(max_misses=misses)
-    assert str(info.value) == message
 
 
 class TestInPlace:
@@ -349,7 +341,7 @@ def reference_step(tracker, timestamp, detections):
             if d_obj.class_label != track.class_label:
                 continue
             overlap = iou(track.bbox, d_obj.bbox)
-            if overlap >= tracker.iou_threshold:
+            if overlap >= tracker.tuning.iou_threshold:
                 candidates.append((-overlap, d_idx, t_pos))
     candidates.sort()
     det_match, track_match = {}, {}
@@ -363,7 +355,7 @@ def reference_step(tracker, timestamp, detections):
     for t_pos, track in enumerate(tracker.tracks):
         d_idx = track_match.get(t_pos)
         if d_idx is None:
-            if track.misses >= tracker.max_misses:
+            if track.misses >= tracker.tuning.max_misses:
                 continue
             track.misses += 1
         else:
@@ -403,7 +395,8 @@ def test_step_matches_reference_step(seed):
     frame stamped no later than the last raises in both and touches neither."""
     rng = np.random.default_rng(seed)
     max_misses = int(rng.integers(0, 6))
-    new, ref = Tracker(max_misses=max_misses), Tracker(max_misses=max_misses)
+    tuning = PipelineTuning(max_misses=max_misses)
+    new, ref = Tracker(tuning), Tracker(tuning)
     n_lanes = int(rng.integers(3, 9))
     labels = [str(rng.choice(["car", "person", "tree"])) for _ in range(n_lanes)]
     xs = [int(rng.integers(0, 200)) for _ in range(n_lanes)]
