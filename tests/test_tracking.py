@@ -279,6 +279,19 @@ def test_tuning_must_be_a_pipeline_tuning(tuning, message):
     assert str(info.value) == message
 
 
+# a tracker's retirement limit is refused where its tuning is built, with the
+# message a config file's refusal carries
+@pytest.mark.parametrize(
+    "misses, message",
+    [(-1, "max_misses -1 < 0"), (1.5, "max_misses 1.5 not an integer"),
+     ("x", "max_misses 'x' not an integer")],
+)
+def test_max_misses_checked_as_pipeline_tuning_checks_it(misses, message):
+    with pytest.raises(ConfigError) as info:
+        Tracker(PipelineTuning(max_misses=misses))
+    assert str(info.value) == message
+
+
 def test_negative_misses_rejected():
     with pytest.raises(ConsistencyError, match="negative misses"):
         Track(0, "car", box(0, 0, 2, 2), [TrackPoint(0.0, 1.0)], misses=-1)
