@@ -146,7 +146,8 @@ def validate_pose(h_prime: float, d: float, cfg: GeometricConfig) -> list[str]:
     d_min, d_max = _distance_bounds(cfg)
     h_top = visibility_offset(cfg.f_deg, d)
     eps = 1e-9
-    if h_prime > h_top + eps:
+    # the h' checks are negated so that a NaN h' fails each of them
+    if not h_prime <= h_top + eps:
         violations.append(
             f"head not visible: h'={h_prime:.3f} > d*tan(f/2)={h_top:.3f}"
         )
@@ -154,8 +155,8 @@ def validate_pose(h_prime: float, d: float, cfg: GeometricConfig) -> list[str]:
         violations.append(f"d={d:.3f} below minimum distance {d_min:.3f}")
     if d > d_max + eps:
         violations.append(f"d={d:.3f} beyond maximum distance {d_max:.3f}")
-    if h_prime < cfg.h_vip_m - eps:
+    if not h_prime >= cfg.h_vip_m - eps:
         violations.append(f"h'={h_prime:.3f} below VIP head height {cfg.h_vip_m:.3f}")
-    if h_prime > cfg.h_max_m + eps:
+    if not h_prime <= cfg.h_max_m + eps:
         violations.append(f"h'={h_prime:.3f} above height ceiling {cfg.h_max_m:.3f}")
     return violations

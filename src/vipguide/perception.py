@@ -167,12 +167,20 @@ class BitMask:
 
     def __post_init__(self):
         _positive_dims(self, "mask")
-        runs = _exact_ints(self.runs)
-        if runs is None:
-            raise ConsistencyError("run lengths must be integers")
+        try:
+            runs = tuple(self.runs)
+        except TypeError:  # not iterable
+            raise ConsistencyError("run lengths must be integers") from None
+        for run in runs:  # one pass in the common case: exact ints, none negative
+            if type(run) is not int or run < 0:
+                # numpy ints are converted; a non-int anywhere is refused before a negative run
+                runs = _exact_ints(runs)
+                if runs is None:
+                    raise ConsistencyError("run lengths must be integers")
+                if min(runs) < 0:
+                    raise ConsistencyError("negative run length")
+                break
         object.__setattr__(self, "runs", runs)
-        if runs and min(runs) < 0:
-            raise ConsistencyError("negative run length")
         total = sum(runs)
         if total != self.width * self.height:
             raise ConsistencyError(

@@ -1,4 +1,7 @@
 import json
+import os
+import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from vipguide.errors import ConsistencyError, FrameDecodeError
 from vipguide.frameio import (
+    _PGM_FIRST_READ,
     _PGM_TOKEN,
     decode_record,
     encode_record,
@@ -17,6 +21,7 @@ from vipguide.frameio import (
     write_pgm,
 )
 from vipguide.perception import (
+    REV_MAX,
     BoundingBox,
     DepthMap,
     Detection,
@@ -135,6 +140,73 @@ class TestPgm:
         with pytest.raises(FrameDecodeError, match="truncated PGM header$"):
             read_pgm(path)
 
+    def test_full_frame_bytes(self, tmp_path):
+        values = np.random.default_rng(5).integers(0, 65536, size=(480, 640), dtype=np.uint16)
+        path = tmp_path / "x.pgm"
+        write_pgm(path, DepthMap(640, 480, values))
+        assert path.read_bytes() == b"P5\n640 480\n65535\n" + values.astype(">u2").tobytes()
+
+    @pytest.mark.parametrize("limit", [1, 7, 15, 16, 1000])
+    def test_short_writes_resumed(self, tmp_path, monkeypatch, limit):
+        """A write that takes only part of its bytes, within the 15-byte
+        header, at its end or past it, is resumed where it stopped."""
+        d = DepthMap(width=40, height=30, values=np.arange(1200) * 53)
+        write_pgm(tmp_path / "whole.pgm", d)
+        write, size, sizes = os.write, (tmp_path / "whole.pgm").stat().st_size, []
+
+        def short_writev(fd, views):
+            sizes.append(len(data := b"".join(views)[:limit]))
+            # a writer that lost its place would otherwise write forever
+            assert sum(sizes) <= size, "wrote past the file's size"
+            return write(fd, data)
+
+        monkeypatch.setattr(os, "writev", short_writev)
+        write_pgm(tmp_path / "x.pgm", d)
+        assert (tmp_path / "x.pgm").read_bytes() == (tmp_path / "whole.pgm").read_bytes()
+
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    @pytest.mark.parametrize(
+        "target",
+        [
+            "missing",
+            pytest.param(
+                "/dev/full",  # opens, then every write fails with ENOSPC
+                marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full"),
+            ),
+        ],
+    )
+    def test_failed_write_leaves_no_fd_open(self, tmp_path, target):
+        path = tmp_path / "missing" / "x.pgm" if target == "missing" else target
+        # a new fd takes the lowest free number, so a leaked one would shift it
+        probe = os.open(os.devnull, os.O_RDONLY)
+        os.close(probe)
+        with pytest.raises(OSError):
+            write_pgm(path, DepthMap(width=2, height=1, values=np.array([[1, 258]])))
+        again = os.open(os.devnull, os.O_RDONLY)
+        os.close(again)
+        assert again == probe
+
+    def test_raster_read_into_the_kept_array(self, tmp_path):
+        """Reading a 640x480 PGM allocates the depth map's own array and no
+        second raster-sized block: no whole-file bytes, slice or cast copy."""
+        path = tmp_path / "x.pgm"
+        write_pgm(path, DepthMap(640, 480, np.arange(640 * 480) % 65536))
+        tracemalloc.start()
+        try:
+            depth = read_pgm(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert depth.values.nbytes <= peak < 1.5 * depth.values.nbytes
+
+    def test_raster_size_checked_before_allocation(self, tmp_path):
+        """A header that claims 8 GB is refused by the bytes present, not by allocating."""
+        path = tmp_path / "x.pgm"
+        path.write_bytes(b"P5 65535 65535 65535\n\x00\x07")
+        with pytest.raises(FrameDecodeError) as info:
+            read_pgm(path)
+        assert str(info.value) == f"{path}: raster has 2 bytes, expected {65535 * 65535 * 2}"
+
     def test_long_comment(self, tmp_path):
         """A 200 KB comment is skipped; left unended, it truncates the header."""
         comment = b"# " + b"x #" * 70_000
@@ -198,6 +270,105 @@ def test_header_pattern_matches_byte_loop(data, cut):
     place."""
     data = data[: cut % (len(data) + 1)]
     assert pattern_tokens(data) == reference_tokens(data)
+
+
+def reference_read_pgm(path) -> DepthMap:
+    """The reader before the raster was read in place: the whole file in one
+    read, each header token matched in it, and the raster sliced out and cast."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise FrameDecodeError(f"{path}: cannot read: {exc.strerror}") from exc
+    pos = 0
+
+    def next_token() -> bytes:
+        nonlocal pos
+        match = _PGM_TOKEN.match(data, pos)
+        if match is None:
+            raise FrameDecodeError(f"{path}: truncated PGM header")
+        pos = match.end()
+        return match[1]
+
+    magic = next_token()
+    if magic != b"P5":
+        raise FrameDecodeError(f"{path}: bad magic {magic!r}, expected P5")
+    try:
+        width = int(next_token())
+        height = int(next_token())
+        maxval = int(next_token())
+    except ValueError as exc:
+        raise FrameDecodeError(f"{path}: non-numeric PGM header field") from exc
+    if maxval != REV_MAX:
+        raise FrameDecodeError(f"{path}: maxval {maxval}, expected {REV_MAX}")
+    if width <= 0 or height <= 0:
+        raise FrameDecodeError(f"{path}: bad dimensions {width}x{height}")
+    pos += 1
+    expected = width * height * 2
+    raster = data[pos : pos + expected]
+    if len(raster) != expected:
+        raise FrameDecodeError(f"{path}: raster has {len(raster)} bytes, expected {expected}")
+    values = np.frombuffer(raster, dtype=">u2").astype(np.uint16)
+    return DepthMap(width=width, height=height, values=values.reshape(height, width))
+
+
+# runs of spaces and comments as long as two first reads, so that a header
+# ends, or a token or comment runs, across the end of the first read
+LONG_GAPS = st.integers(1, 2 * _PGM_FIRST_READ).flatmap(
+    lambda n: st.sampled_from([b" " * n, b"#" + b"x" * n + b"\n"])
+)
+GAPS = st.lists(
+    st.lists(WHITESPACE, min_size=1).map(b"".join)
+    | COMMENTS.map(lambda comment: comment + b"\n")
+    | LONG_GAPS,
+    max_size=4,
+).map(b"".join)
+# 65535 x 65535 names an 8 GB raster, always short here: refused before any
+# array is sized from it
+SIZES = st.sampled_from([b"1", b"2", b"3", b"640", b"480", b"65535", b"0"])
+
+
+@st.composite
+def pgm_files(draw) -> bytes:
+    """A PGM header, built from HEADER_PIECES alone or as four fields with
+    whitespace and comments between, then a raster short of, equal to, or
+    longer than the size the fields name (a random length for a header of
+    HEADER_PIECES alone)."""
+    if draw(st.integers(0, 3)) == 0:
+        header = draw(st.lists(HEADER_PIECES, max_size=12).map(b"".join))
+        expected = draw(st.integers(0, 16))
+    else:
+        magic = draw(st.sampled_from([b"P5", b"P5", b"P5", b"P2"]))
+        width, height = draw(SIZES), draw(SIZES)
+        maxval = draw(st.sampled_from([b"65535", b"65535", b"65535", b"255"]))
+        header = draw(GAPS) + magic
+        for field in (width, height, maxval):
+            header += draw(WHITESPACE) + draw(GAPS) + field
+        # the byte after maxval; "#" or no byte at all runs maxval on into the next
+        header += draw(st.sampled_from([b"\n", b"\n", b"\n", b" ", b"\t", b"#", b""]))
+        expected = 2 * int(width) * int(height)
+    kind = draw(st.sampled_from(["short", "exact", "trailing"]))
+    if kind == "short" or expected > 640 * 480 * 2:
+        length = draw(st.integers(0, min(max(expected - 1, 0), 70)))
+    else:
+        length = expected + (draw(st.integers(1, 70)) if kind == "trailing" else 0)
+    return header + random.Random(draw(st.integers(0, 2**32))).randbytes(length)
+
+
+def pgm_outcome(reader, path):
+    try:
+        return reader(path)
+    except FrameDecodeError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pgm_files())
+def test_read_pgm_matches_reference_reader(tmp_path_factory, data):
+    """Both readers return the same depth map, or refuse with the same text."""
+    path = tmp_path_factory.getbasetemp() / "reference_reader.pgm"
+    path.write_bytes(data)
+    assert pgm_outcome(read_pgm, path) == pgm_outcome(reference_read_pgm, path)
 
 
 class TestRecordCodec:

@@ -198,6 +198,23 @@ class TestValidatePose:
         violations = validate_pose(cfg.h_vip_m, 25.0, cfg)
         assert any("beyond maximum distance" in v for v in violations)
 
+    @pytest.mark.parametrize(
+        "h,kinds",
+        [
+            (math.nan, ["head not visible", "below VIP head height", "above height ceiling"]),
+            (math.inf, ["head not visible", "above height ceiling"]),
+            (-math.inf, ["below VIP head height"]),
+        ],
+    )
+    def test_non_finite_height_offset_is_a_violation(self, h, kinds):
+        """Each h' check fails a NaN h', and an infinite one fails the checks it lies beyond."""
+        cfg = GeometricConfig()
+        env = pose_envelope(cfg)
+        violations = validate_pose(h, (env.d_min + env.d_max) / 2, cfg)
+        assert len(violations) == len(kinds)
+        for violation, kind in zip(violations, kinds):
+            assert kind in violation and f"h'={h:.3f}" in violation
+
     @pytest.mark.parametrize("d", [0.0, -1.0, math.nan])
     def test_non_positive_distance_is_no_pose(self, d):
         with pytest.raises(GeometryError, match="not positive"):

@@ -569,6 +569,20 @@ class TestBitMaskValidation:
         with pytest.raises(ConsistencyError, match=r"^runs sum 5 != 3x2 pixels$"):
             BitMask(width=3, height=2, runs=(2, 3))
 
+    @pytest.mark.parametrize(
+        "runs,message",
+        [
+            ((-1, 2.5, 5), "run lengths must be integers"),
+            ((7, -1, "x"), "run lengths must be integers"),
+            ((np.int64(-1), 7), "negative run length"),
+            ((7, np.int32(-1)), "negative run length"),
+        ],
+    )
+    def test_non_int_reported_before_negative_run(self, runs, message):
+        with pytest.raises(ConsistencyError) as info:
+            BitMask(width=3, height=2, runs=runs)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("width, height", [(3, 0), (0, 2), (-1, -1)])
     def test_non_positive_dims_rejected(self, width, height):
         with pytest.raises(ConsistencyError) as info:
