@@ -13,7 +13,6 @@ from vipguide import (
     detection_distance,
     free_segments,
     generate,
-    safety_distance,
     width_threshold_px,
 )
 from vipguide.local_planner import partition_profiles
@@ -28,8 +27,7 @@ def main():
 
     vip = frame.vip_detection
     d_vip = detection_distance(frame, vip, model)
-    geo = cfg.geometry
-    d_prime = safety_distance(geo.walk_speed_mps, geo.t_detect_s, geo.t_react_s)
+    d_prime = cfg.geometry.d_prime
     print(f"pedestrian at {d_vip:.2f} m, safety distance d' = {d_prime:.2f} m")
     print()
 

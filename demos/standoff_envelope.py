@@ -6,12 +6,12 @@ frame while staying ahead far enough to cover braking distance. Prints
 the endpoints, a few interpolated poses, and what each constraint says
 about poses just outside the band.
 """
-from vipguide import GeometricConfig, lookahead, pose_envelope, safety_distance, validate_pose
+from vipguide import GeometricConfig, lookahead, pose_envelope, validate_pose
 
 
 def main():
     cfg = GeometricConfig()  # 90 deg FoV, 1.7 m pedestrian, 1.2 m/s walk
-    d_prime = safety_distance(cfg.walk_speed_mps, cfg.t_detect_s, cfg.t_react_s)
+    d_prime = cfg.d_prime
     env = pose_envelope(cfg)
 
     print(f"safety distance d' = {d_prime:.3f} m")

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 from .frameio import load_json
-from .geometry import GeometricConfig, GeometryError, safety_distance
+from .geometry import GeometricConfig, GeometryError
 from .perception import int_fields, real_fields
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ class Config:
                 raise ConfigError(f"{f.name} {section!r} not a {f.default_factory.__name__}")
         # the planner classifies against d', so a zero d' fails every frame
         geo = self.geometry
-        if safety_distance(geo.walk_speed_mps, geo.t_detect_s, geo.t_react_s) <= 0:
+        if geo.d_prime <= 0:
             raise ConfigError(
                 "geometry.walk_speed_mps * (t_detect_s + t_react_s) must be positive, "
                 f"got {geo.walk_speed_mps} * ({geo.t_detect_s} + {geo.t_react_s})"

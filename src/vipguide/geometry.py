@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .errors import GeometryError, InfeasibleConfigError
+from .errors import ConfigError, GeometryError, InfeasibleConfigError
 from .perception import real_fields
 
 D_MIN_FLOOR = 1.0
@@ -50,6 +50,11 @@ class GeometricConfig:
             raise GeometryError(f"h_max_m {self.h_max_m} below h_vip_m {self.h_vip_m}")
         if not 0.0 < self.visible_fraction <= 1.0:
             raise GeometryError(f"visible_fraction {self.visible_fraction} outside (0, 1]")
+
+    @property
+    def d_prime(self) -> float:
+        """The safety distance d' at walk_speed_mps."""
+        return safety_distance(self.walk_speed_mps, self.t_detect_s, self.t_react_s)
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,6 +98,8 @@ def safety_distance(walk_speed: float, t_detect: float, t_react: float) -> float
 
 def lookahead(d: float, d_prime: float, cfg: GeometricConfig = GeometricConfig()) -> float:
     """Forward range the camera must cover: d + d' plus a buffer fraction of d'."""
+    if not isinstance(cfg, GeometricConfig):
+        raise ConfigError(f"cfg {cfg!r} not a GeometricConfig")
     return d + d_prime + cfg.buffer_factor * d_prime
 
 
@@ -103,6 +110,8 @@ def min_distance_for_visibility(h_prime: float, cfg: GeometricConfig) -> float:
     below its axis within half the FoV, so d >= (h' + phi*h_vip)/tan(f/2).
     Clamped to the 1 m proximity floor.
     """
+    if not isinstance(cfg, GeometricConfig):
+        raise ConfigError(f"cfg {cfg!r} not a GeometricConfig")
     if not h_prime >= 0:
         raise GeometryError(f"negative height offset {h_prime}")
     tan_half = math.tan(math.radians(cfg.f_deg) / 2.0)
@@ -112,8 +121,10 @@ def min_distance_for_visibility(h_prime: float, cfg: GeometricConfig) -> float:
 
 def _distance_bounds(cfg: GeometricConfig) -> tuple[float, float]:
     """The envelope's (d_min, d_max); d_min > d_max when it is empty."""
+    if not isinstance(cfg, GeometricConfig):
+        raise ConfigError(f"cfg {cfg!r} not a GeometricConfig")
     d_min = min_distance_for_visibility(cfg.h_max_m, cfg)
-    d_prime = safety_distance(cfg.walk_speed_mps, cfg.t_detect_s, cfg.t_react_s)
+    d_prime = cfg.d_prime
     # lookahead(d_max, d') must not exceed perception_range_m
     d_max = cfg.perception_range_m - d_prime - cfg.buffer_factor * d_prime
     return d_min, min(D_MAX_CEILING, d_max)
@@ -140,7 +151,8 @@ def validate_pose(h_prime: float, d: float, cfg: GeometricConfig) -> list[str]:
 
     Violations are data, not errors: this stays total even for configs
     whose envelope is empty (every pose then violates a distance bound).
-    Only a distance d not > 0 (NaN too), which is no pose at all, raises GeometryError.
+    Only a distance d not > 0 (NaN too), which is no pose at all, raises GeometryError,
+    and a cfg that is not a GeometricConfig ConfigError.
     """
     violations = []
     d_min, d_max = _distance_bounds(cfg)

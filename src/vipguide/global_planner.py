@@ -230,6 +230,29 @@ def shortest_path(graph: NavGraph, src: str, dst: str) -> Route:
     raise UnreachableError(f"no unblocked path from '{src}' to '{dst}'")
 
 
+def reroute(graph: NavGraph, route: Route) -> Route | None:
+    """Block the edge being walked and route again; None when no path is left.
+
+    A single exhausted frame does not rewrite the map: the pipeline calls
+    this only after `reroute_patience` consecutive RerouteNeeded frames,
+    and a fired replan's route rides on its frame's RerouteNeeded.
+    Progress along the route is not tracked yet, so the walk is taken to
+    be at the route's start: the blocked edge is the route's first (a
+    one-node route blocks none), and the new route starts from the same
+    node. When no path over unblocked edges remains, the pipeline drops
+    its route and keeps guiding locally; later exhausted frames only
+    signal, as with no graph.
+    """
+    current, destination = route.nodes[0], route.nodes[-1]
+    if len(route.nodes) >= 2:
+        graph.block_edge(current, route.nodes[1])
+    try:
+        # the module global, so a patched shortest_path sees every replan
+        return shortest_path(graph, current, destination)
+    except UnreachableError:
+        return None
+
+
 # -- persistence ----------------------------------------------------------------
 
 

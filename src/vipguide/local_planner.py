@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PlannerConfig
-from .errors import PlannerError
+from .errors import ConfigError, PlannerError
 from .perception import REV_MAX, BitMask, BoundingBox, DepthMap, _exact_int, clip_rect, free_runs
 
 Severity = str  # "danger" | "warning" | "clear"
@@ -185,6 +185,8 @@ def classify_obstacle(
     distance_m: float, d_prime: float, cfg: PlannerConfig = PlannerConfig()
 ) -> Severity:
     """Severity by distance: danger <= danger_mult * d', warning <= warning_mult * d'."""
+    if not isinstance(cfg, PlannerConfig):
+        raise ConfigError(f"cfg {cfg!r} not a PlannerConfig")
     if not distance_m >= 0:
         raise PlannerError(f"negative distance {distance_m}")
     if not d_prime > 0:
@@ -219,6 +221,8 @@ def road_edge_check(
     """
     if road_mask is None:
         return "unknown"
+    if not isinstance(cfg, PlannerConfig):
+        raise ConfigError(f"cfg {cfg!r} not a PlannerConfig")
     road = road_mask.decode()
     box_px, threshold = cfg.edge_box_px, cfg.edge_threshold
     y1, y2 = vip_bbox.y2 - box_px, vip_bbox.y2
@@ -279,4 +283,6 @@ def heading_angle(partition: Partition, width: int, hfov_deg: float) -> float:
 
 def width_threshold_px(vip_bbox_width: int, cfg: PlannerConfig = PlannerConfig()) -> int:
     """Minimum free-gap width: the VIP's apparent width times width_margin."""
+    if not isinstance(cfg, PlannerConfig):
+        raise ConfigError(f"cfg {cfg!r} not a PlannerConfig")
     return math.ceil(cfg.width_margin * vip_bbox_width)

@@ -4,7 +4,7 @@ Holds the mutable run state (tracker, route, loss/reroute counters,
 latency tallies) and turns each PerceptionFrame into a GuidanceDecision
 plus a JSON-ready trace record; the decision gathers what the named
 stages of `process_frame` found. Decisions are emitted strictly in
-frame_id order; the graph is only touched from here (single writer).
+frame_id order; the graph is only touched from here, by `reroute`.
 
 VIP-loss policy: while the VIP is undetected the planner coasts on the
 last sighting for a bounded number of frames (exclusion, clearance width
@@ -14,15 +14,10 @@ records carrying no heading, and no partition is scored. Before the
 first sighting there is nothing to coast on: frames are planned with no
 exclusion and no width gate.
 
-Reroute policy: a single exhausted frame does not rewrite the map. Only
-after `reroute_patience` consecutive RerouteNeeded frames is an edge
-blocked and a fresh route computed. Progress along the route is not
-tracked yet, so the walk is taken to be at the route's start: the
-blocked edge is the route's first, and the new route starts from the
-same node. A fired replan's route rides on its frame's RerouteNeeded.
-When no path over unblocked edges remains, that route is empty, the
-pipeline drops its route and keeps guiding locally; later exhausted
-frames only signal, as with no graph.
+Replanning counts exhausted frames here; `global_planner.reroute` holds
+the reroute policy. Every refusal a frame can meet comes before the
+tracker steps (the model's type and the route's fit to its graph are
+checked when the pipeline is built), so a refused frame changes nothing.
 """
 from __future__ import annotations
 
@@ -32,33 +27,19 @@ from collections import defaultdict, deque
 from collections.abc import Sequence
 from fractions import Fraction
 
-from . import global_planner
 from .calibration import CalibrationModel, detection_distance
 from .config import Config
-from .errors import (
-    ConfigError,
-    ConsistencyError,
-    InsufficientHistoryError,
-    UnreachableError,
-)
+from .errors import ConfigError, ConsistencyError
 from .geometry import safety_distance
-from .global_planner import NavGraph, Route
+from .global_planner import NavGraph, Route, reroute
 from .local_planner import (
-    GuidanceDecision,
-    Heading,
-    ObstacleAssessment,
-    RerouteNeeded,
-    classify_obstacle,
-    decide,
-    partition_bounds,
-    partition_profiles,
-    road_edge_check,
-    width_threshold_px,
+    GuidanceDecision, Heading, ObstacleAssessment, RerouteNeeded, classify_obstacle, decide,
+    partition_bounds, partition_profiles, road_edge_check, width_threshold_px,
 )
 from .perception import (
     BoundingBox, Detection, PerceptionFrame, check_frame_order, clip_rect, rle_encode_rect
 )
-from .tracking import Tracker, approach_rate
+from .tracking import Tracker
 
 
 def nearest_rank(values: Sequence[float], q: float) -> float:
@@ -112,20 +93,23 @@ class StageStats:
 
 class Pipeline:
     def __init__(
-        self,
-        config: Config,
-        model: CalibrationModel,
-        graph: NavGraph | None = None,
+        self, config: Config, model: CalibrationModel, graph: NavGraph | None = None,
         route: Route | None = None,
     ):
-        if model is None:
-            raise ConfigError("pipeline needs a calibration model")
+        if not isinstance(model, CalibrationModel):  # else the first frame fails mid-step
+            raise ConfigError(f"pipeline needs a calibration model, got {model!r}")
         self.config = config
         self.model = model
         self.graph = graph
         self.route = route
-        if route is not None and graph is None:
-            raise ConfigError("a route needs its graph")
+        if route is not None:
+            if graph is None:
+                raise ConfigError("a route needs its graph")
+            # so a replan's block_edge and shortest_path cannot refuse mid-stream
+            nodes = route.nodes
+            known = bool(nodes) and all(isinstance(n, str) and n in graph.positions for n in nodes)
+            if not known or not all(graph.has_edge(u, v) for u, v in zip(nodes, nodes[1:])):
+                raise ConfigError(f"route {nodes!r} has a node or an edge its graph lacks")
         self.tracker = Tracker(config.pipeline)
         self.stats = StageStats()
         self._last_frame_id: int | None = None
@@ -139,6 +123,8 @@ class Pipeline:
     ) -> tuple[GuidanceDecision, dict]:
         # frame ids here; `Tracker.step` checks that timestamps increase
         check_frame_order(self._last_frame_id, frame.frame_id)
+        # the tiling's refusal too comes before the tracker steps
+        partitions = partition_bounds(frame.width, self.config.planner.n_partitions)
         t0 = time.perf_counter()
         ids = self.tracker.step(frame.timestamp, frame.detections)
         t1 = time.perf_counter()
@@ -147,7 +133,6 @@ class Pipeline:
         d_prime, assessments = self._assess(frame, ids, vip)
         self.tracker.attach_distances({a.track_id: a.distance_m for a in assessments})
         edge_status = self._road_edge(frame, vip)
-        partitions = partition_bounds(frame.width, self.config.planner.n_partitions)
         if self._vip_miss_streak > self.config.pipeline.vip_hold_frames:
             outcome = None  # lost past the hold
         else:
@@ -156,16 +141,8 @@ class Pipeline:
         outcome = self._replan(outcome)
         t2 = time.perf_counter()
 
-        decision = GuidanceDecision(
-            frame_id=frame.frame_id,
-            outcome=outcome,
-            assessments=assessments,
-            edge_status=edge_status,
-            partitions=partitions,
-        )
-        latency_ms = {
-            "decode": decode_ms, "track": (t1 - t0) * 1e3, "plan": (t2 - t1) * 1e3
-        }
+        decision = GuidanceDecision(frame.frame_id, outcome, assessments, edge_status, partitions)
+        latency_ms = {"decode": decode_ms, "track": (t1 - t0) * 1e3, "plan": (t2 - t1) * 1e3}
         self.stats.record(latency_ms)
         return decision, trace_record(decision, latency_ms)
 
@@ -190,7 +167,11 @@ class Pipeline:
         Distances are camera-relative before the VIP's first sighting.
         """
         d_vip = self._last_vip_distance
-        d_prime = self._safety_distance()
+        geo = self.config.geometry
+        live = self.tracker.closing_speed() if self.config.pipeline.live_speed else 0.0
+        d_prime = geo.d_prime  # the configured d', unless a track closes on the VIP
+        if live > 0:
+            d_prime = safety_distance(live, geo.t_detect_s, geo.t_react_s)
         assessments: list[ObstacleAssessment] = []
         for det, track_id in zip(frame.detections, ids):
             if det is vip:
@@ -219,9 +200,7 @@ class Pipeline:
             rect = clip_rect(box.as_list(), (0, 0, frame.width, frame.height))
             if rect is not None:
                 exclude = rle_encode_rect(rect, (), frame.width, frame.height)
-        return partition_profiles(
-            frame.depth, partitions, assessments, d_prime, exclude=exclude
-        )
+        return partition_profiles(frame.depth, partitions, assessments, d_prime, exclude=exclude)
 
     def _decide(self, frame, partitions, profiles) -> Heading | RerouteNeeded:
         """The heading, gated and tie-broken by the latest VIP sighting."""
@@ -230,22 +209,15 @@ class Pipeline:
         width_threshold = 0
         if vip_bbox is not None:
             cx = vip_bbox.center_x
-            vip_partition = next(
-                (p.index for p in partitions if p.x_start <= cx < p.x_end), None
-            )
+            vip_partition = next((p.index for p in partitions if p.x_start <= cx < p.x_end), None)
             width_threshold = width_threshold_px(vip_bbox.width, self.config.planner)
-        return decide(
-            profiles,
-            vip_partition,
-            width_threshold,
-            self.config.geometry.hfov_deg,
-            frame.width,
-        )
+        hfov_deg = self.config.geometry.hfov_deg
+        return decide(profiles, vip_partition, width_threshold, hfov_deg, frame.width)
 
     def _replan(self, outcome):
-        """After `reroute_patience` exhausted frames in a row, block the route's
-        first edge and route again from its start. Returns the outcome, with
-        the new route on it when a replan fired (() when no path is left)."""
+        """After `reroute_patience` exhausted frames in a row, `reroute`.
+        Returns the outcome, with the new route on it when a replan fired
+        (() when no path is left, and the walk has no route from then on)."""
         if not isinstance(outcome, RerouteNeeded):
             self._reroute_streak = 0
             return outcome
@@ -255,32 +227,8 @@ class Pipeline:
         self._reroute_streak = 0
         if self.route is None:
             return outcome
-        current, destination = self.route.nodes[0], self.route.nodes[-1]
-        if len(self.route.nodes) >= 2:
-            self.graph.block_edge(current, self.route.nodes[1])
-        try:
-            # through the module, so a patched shortest_path sees every replan
-            self.route = global_planner.shortest_path(self.graph, current, destination)
-        except UnreachableError:
-            self.route = None
-            return RerouteNeeded(new_route=())
-        return RerouteNeeded(new_route=self.route.nodes)
-
-    # -- helpers ---------------------------------------------------------------
-
-    def _safety_distance(self) -> float:
-        geo = self.config.geometry
-        speed = geo.walk_speed_mps
-        if self.config.pipeline.live_speed:
-            live = 0.0  # the fastest positive approach rate
-            for track in self.tracker.tracks:
-                try:  # only obstacles' tracks hold distances
-                    live = max(live, approach_rate(track))
-                except InsufficientHistoryError:
-                    continue
-            if live > 0:
-                speed = live
-        return safety_distance(speed, geo.t_detect_s, geo.t_react_s)
+        self.route = reroute(self.graph, self.route)
+        return RerouteNeeded(new_route=() if self.route is None else self.route.nodes)
 
 
 def trace_record(decision: GuidanceDecision, latency_ms: dict[str, float]) -> dict:

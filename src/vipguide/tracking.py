@@ -147,6 +147,16 @@ class Tracker:
                     TrackPoint(self._timestamp, distances[track.track_id])
                 )
 
+    def closing_speed(self) -> float:
+        """The fastest positive `approach_rate` over the tracks that hold at
+        least two distances (only obstacles' tracks hold any); 0.0 when none
+        approaches. Coasting tracks count, with the history they hold."""
+        live = 0.0
+        for track in self.tracks:
+            if len(track.history) >= 2:
+                live = max(live, approach_rate(track))
+        return live
+
 
 def approach_rate(track: Track) -> float:
     """Closing speed (m/s, positive = approaching) from the track's distances.

@@ -137,6 +137,7 @@ OUT_OF_RANGE = [
     ("planner", "n_partitions", 4, "n_partitions must be odd and positive, got 4"),  # even
     ("planner", "n_partitions", 0, "n_partitions must be odd and positive, got 0"),
     ("planner", "width_margin", 0.0, "width_margin 0.0 not positive"),
+    ("planner", "edge_box_px", 0, "edge_box_px 0 not positive"),
     ("planner", "edge_threshold", 255.0, "edge_threshold 255.0 outside [0, 255)"),
     ("pipeline", "reroute_patience", 0, "reroute_patience 0 < 1"),
     ("pipeline", "iou_threshold", 1.5, "iou_threshold 1.5 outside (0,1)"),

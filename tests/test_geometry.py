@@ -1,8 +1,10 @@
 import math
+from dataclasses import fields
 
 import pytest
 
-from vipguide.errors import GeometryError, InfeasibleConfigError
+from vipguide.config import PlannerConfig
+from vipguide.errors import ConfigError, GeometryError, InfeasibleConfigError
 from vipguide.geometry import (
     GeometricConfig,
     lookahead,
@@ -70,6 +72,44 @@ class TestSafetyDistance:
         for alpha in [0.3, 1.7, 2.9]:
             got = safety_distance(alpha * 1.1, 0.2, 0.9)
             assert got == pytest.approx(alpha * base, rel=1e-12)
+
+
+class TestDPrime:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{}, {"walk_speed_mps": 0.0}, {"walk_speed_mps": 0.9, "t_detect_s": 0.2, "t_react_s": 1.5},
+         {"t_detect_s": 0.0, "t_react_s": 0.0}],
+    )
+    def test_is_safety_distance_of_its_own_fields(self, kwargs):
+        cfg = GeometricConfig(**kwargs)
+        assert cfg.d_prime == safety_distance(cfg.walk_speed_mps, cfg.t_detect_s, cfg.t_react_s)
+
+    def test_is_no_config_key(self):
+        # a read-only property, not a field: the config file cannot set it
+        assert "d_prime" not in {f.name for f in fields(GeometricConfig)}
+        with pytest.raises(TypeError):
+            GeometricConfig(d_prime=1.0)
+
+
+GEOMETRY_SECTION_READERS = [
+    (lookahead, (1.0, 1.0)),
+    (min_distance_for_visibility, (1.0,)),
+    (pose_envelope, ()),
+    (validate_pose, (2.0, 5.0)),
+]
+
+
+@pytest.mark.parametrize(
+    "fn,args", GEOMETRY_SECTION_READERS, ids=[fn.__name__ for fn, _ in GEOMETRY_SECTION_READERS]
+)
+@pytest.mark.parametrize(
+    "cfg", [None, 0.05, {"buffer_factor": 0.05}, PlannerConfig()],
+    ids=["none", "float", "dict", "planner_section"],
+)
+def test_section_of_another_type_refused(fn, args, cfg):
+    with pytest.raises(ConfigError) as info:
+        fn(*args, cfg)
+    assert str(info.value) == f"cfg {cfg!r} not a GeometricConfig"
 
 
 class TestLookahead:

@@ -15,6 +15,7 @@ from vipguide.global_planner import (
     Route,
     graph_from_dict,
     load_graph,
+    reroute,
     shortest_path,
 )
 
@@ -347,6 +348,31 @@ class TestShortestPath:
         route = shortest_path(g, "C", "L")
         assert route.nodes == ("C", "G", "H", "L")
         assert route.total_cost == 300.0
+
+
+class TestReroute:
+    def test_blocks_the_first_edge_and_searches_from_the_start(self):
+        g = triangle()
+        route = reroute(g, shortest_path(g, "A", "C"))
+        assert g.is_blocked("A", "B") and not g.is_blocked("B", "C")
+        assert route == Route(nodes=("A", "C"), total_cost=3.0)
+        # the next replan blocks the detour's first leg, and nothing is left
+        assert reroute(g, route) is None
+        assert g.is_blocked("A", "C")
+
+    def test_no_path_left_returns_none(self):
+        g = NavGraph()
+        g.add_node("A", (0, 0))
+        g.add_node("B", (1, 0))
+        g.add_edge("A", "B", 1.0)
+        assert reroute(g, shortest_path(g, "A", "B")) is None
+        assert g.is_blocked("A", "B")
+
+    def test_one_node_route_blocks_nothing(self):
+        g = triangle()
+        route = shortest_path(g, "B", "B")
+        assert reroute(g, route) == Route(nodes=("B",), total_cost=0.0)
+        assert not any(blocked for *_, blocked in g.edge_list())
 
 
 class TestAgainstEnumeration:

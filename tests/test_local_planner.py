@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from vipguide.config import PlannerConfig
-from vipguide.errors import PlannerError
+from vipguide.config import PipelineTuning, PlannerConfig
+from vipguide.errors import ConfigError, PlannerError
 from vipguide.local_planner import (
     Heading,
     Partition,
@@ -500,3 +500,24 @@ def test_width_threshold_px():
     assert width_threshold_px(100) == 120
     assert width_threshold_px(53) == 64  # ceil(63.6)
     assert width_threshold_px(10, PlannerConfig(width_margin=1.0)) == 10
+
+
+PLANNER_SECTION_READERS = [
+    (classify_obstacle, (1.0, 1.0)),
+    (width_threshold_px, (10,)),
+    # with a road mask: without one the probe reads no section
+    (road_edge_check, (BoundingBox(275, 150, 365, 400), rle_encode(road_grid(640, 480)))),
+]
+
+
+@pytest.mark.parametrize(
+    "fn,args", PLANNER_SECTION_READERS, ids=[fn.__name__ for fn, _ in PLANNER_SECTION_READERS]
+)
+@pytest.mark.parametrize(
+    "cfg", [None, 1.0, {"width_margin": 1.0}, PipelineTuning()],
+    ids=["none", "float", "dict", "tuning_section"],
+)
+def test_section_of_another_type_refused(fn, args, cfg):
+    with pytest.raises(ConfigError) as info:
+        fn(*args, cfg)
+    assert str(info.value) == f"cfg {cfg!r} not a PlannerConfig"

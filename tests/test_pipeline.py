@@ -11,10 +11,9 @@ from hypothesis import given, settings
 
 from vipguide.calibration import CalibrationModel
 from vipguide.config import default_config
-from vipguide.errors import ConfigError, ConsistencyError
+from vipguide.errors import ConfigError, ConsistencyError, PlannerError
 from vipguide.frameio import record_to_line
-from vipguide.global_planner import NavGraph, shortest_path
-from vipguide.geometry import safety_distance
+from vipguide.global_planner import NavGraph, Route, shortest_path
 from vipguide.local_planner import (
     Heading, RerouteNeeded, classify_obstacle, road_edge_check, width_threshold_px
 )
@@ -235,11 +234,13 @@ class TestBasics:
             pipe.process_frame(world_frame(2, 0.0))
 
     def test_rejected_frames_leave_no_trace(self):
-        """Three frames rejected just before frame 20, with tracks live: an id
-        out of order, frame 19's timestamp under id 20, and a stale timestamp
-        under the in-order id 25. Frame ids are checked by the pipeline and
-        the clock by the tracker; either way the rest of the trace, latency
-        stripped, equals the clean run's."""
+        """Four frames rejected just before frame 20, with tracks live: an id
+        out of order, frame 19's timestamp under id 20, a stale timestamp
+        under the in-order id 25, and frame 20's id and time on a 2x2 frame
+        too narrow to tile. Frame ids are checked by the pipeline, the clock
+        by the tracker and the width by the tiling, each before the tracker
+        steps; either way the rest of the trace, latency stripped, equals the
+        clean run's."""
         spec = ScenarioSpec(kind="crowded_street", seed=1, n_frames=60)
         frames = [frame for frame, _ in generate(spec)]
         model = default_model()
@@ -257,13 +258,16 @@ class TestBasics:
         records = trace(pipe, frames[:20])
         assert len(pipe.tracker.tracks) > 1
         nxt, last = frames[20], frames[19]
+        tiny = make_frame(np.zeros((2, 2)), frame_id=nxt.frame_id, timestamp=nxt.timestamp)
         rejected = [
-            (replace(nxt, frame_id=last.frame_id), "not greater than"),
-            (replace(nxt, timestamp=last.timestamp), "not after"),
-            (replace(nxt, frame_id=25, timestamp=frames[10].timestamp), "not after"),
+            (replace(nxt, frame_id=last.frame_id), ConsistencyError, "not greater than"),
+            (replace(nxt, timestamp=last.timestamp), ConsistencyError, "not after"),
+            (replace(nxt, frame_id=25, timestamp=frames[10].timestamp), ConsistencyError,
+             "not after"),
+            (tiny, PlannerError, "width 2 cannot hold 3 partitions"),
         ]
-        for frame, message in rejected:
-            with pytest.raises(ConsistencyError, match=message):
+        for frame, error, message in rejected:
+            with pytest.raises(error, match=message):
                 pipe.process_frame(frame)
         assert pipe.stats.frames == 20
         records += trace(pipe, frames[20:])
@@ -272,6 +276,13 @@ class TestBasics:
     def test_model_required(self):
         with pytest.raises(ConfigError):
             Pipeline(default_config(), None)
+
+    @pytest.mark.parametrize("model", [3.0, {"a": 0.0, "b": 10.0, "c": 0.0}], ids=["float", "dict"])
+    def test_model_of_another_type_refused(self, model):
+        # once built, it would fail the first frame just after the tracker stepped
+        with pytest.raises(ConfigError) as info:
+            Pipeline(default_config(), model)
+        assert str(info.value) == f"pipeline needs a calibration model, got {model!r}"
 
 
 class TestVipLoss:
@@ -482,6 +493,29 @@ class TestReroute:
         route = shortest_path(escort_graph(), "A", "C")
         with pytest.raises(ConfigError):
             Pipeline(default_config(), scaled_model(), route=route)
+
+    @pytest.mark.parametrize(
+        "nodes", [("A", "Z"), ("Z",), ("C", "D"), ("A", "B", "D"), (), (["A"],)],
+        ids=["unknown_end", "unknown_only_node", "missing_edge", "missing_later_edge", "empty",
+             "unhashable_node"],
+    )
+    def test_route_off_its_graph_refused(self, nodes):
+        """The replan would refuse such a route mid-stream, in `block_edge`
+        or the search, after the tracker had stepped; it is refused here."""
+        graph = escort_graph()
+        graph.add_node("D", (3.0, 0.0))  # known, but joined to nothing
+        with pytest.raises(ConfigError) as info:
+            Pipeline(default_config(), scaled_model(), graph=graph, route=Route(nodes, 1.0))
+        assert str(info.value) == f"route {nodes!r} has a node or an edge its graph lacks"
+
+    def test_one_node_route_replans_to_itself(self):
+        graph = escort_graph()
+        config = replace(default_config(), pipeline=replace(default_config().pipeline,
+                                                            reroute_patience=1))
+        pipe = Pipeline(config, scaled_model(), graph=graph, route=Route(("B",), 0.0))
+        _, record = pipe.process_frame(blocked_frame(0, 0.0))
+        assert record["outcome"] == {"type": "reroute", "new_route": ["B"]}
+        assert not any(blocked for *_, blocked in graph.edge_list())
 
 
 class TestLiveSpeed:
@@ -707,8 +741,7 @@ def test_each_handed_over_setting_reaches_its_stage(section, key, value, monkeyp
     call at the default section, so a setting left behind shows."""
     default = default_config()
     config = replace(default, **{section: replace(getattr(default, section), **{key: value})})
-    planner, geo = config.planner, config.geometry
-    d_prime = safety_distance(geo.walk_speed_mps, geo.t_detect_s, geo.t_react_s)
+    planner, d_prime = config.planner, config.geometry.d_prime
     gates = []
     real_decide = pipeline_module.decide
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vipguide.config import PipelineTuning
 from vipguide.errors import ConfigError, ConsistencyError, InsufficientHistoryError
@@ -257,6 +259,58 @@ def test_window_trim_matches_untrimmed_oracle():
     assert len(set(full) - live_ids) > n_lanes  # many tracks retired
     assert max(len(p) for p in full.values()) > 3 * fps  # trimming fired
     assert rated > n_frames
+
+
+def closing_speed_oracle(tracker):
+    """The loop `Tracker.closing_speed` replaced in the pipeline: the
+    fastest positive rate, skipping the tracks too short to rate."""
+    live = 0.0
+    for track in tracker.tracks:
+        try:
+            live = max(live, approach_rate(track))
+        except InsufficientHistoryError:
+            continue
+    return live
+
+
+@st.composite
+def rated_tracks(draw):
+    """Tracks with empty, one-point and longer histories, approaching,
+    receding or neither, some of them coasting on misses."""
+    tracks = []
+    for track_id in range(draw(st.integers(0, 5))):
+        n = draw(st.integers(0, 6))
+        steps = draw(st.lists(st.floats(0.01, 0.5), min_size=n, max_size=n))
+        distances = draw(st.lists(st.floats(0.0, 50.0), min_size=n, max_size=n))
+        trend = draw(st.sampled_from(["approach", "recede", "none"]))
+        if trend != "none":
+            distances.sort(reverse=trend == "approach")
+        times = np.cumsum(steps).tolist()
+        history = [TrackPoint(t, d) for t, d in zip(times, distances)]
+        misses = draw(st.integers(0, 3))
+        tracks.append(Track(track_id, "car", box(0, 0, 4, 4), history, misses=misses))
+    return tracks
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rated_tracks())
+def test_closing_speed_matches_the_replaced_loop(tracks):
+    tracker = Tracker()
+    tracker.tracks = tracks
+    assert tracker.closing_speed() == closing_speed_oracle(tracker)
+
+
+def test_closing_speed_cases():
+    tracker = Tracker()
+    assert tracker.closing_speed() == 0.0  # no tracks
+    approaching = Track(0, "car", box(0, 0, 4, 4), [TrackPoint(0.0, 5.0), TrackPoint(1.0, 3.0)])
+    receding = Track(1, "car", box(0, 0, 4, 4), [TrackPoint(0.0, 3.0), TrackPoint(1.0, 5.0)])
+    single = Track(2, "car", box(0, 0, 4, 4), [TrackPoint(0.0, 1.0)])
+    tracker.tracks = [receding, single, Track(3, "vip", box(0, 0, 4, 4), [])]
+    assert tracker.closing_speed() == 0.0  # none approaches
+    approaching.misses = 2  # a coasting track still rates on its history
+    tracker.tracks.append(approaching)
+    assert tracker.closing_speed() == approach_rate(approaching) == pytest.approx(2.0)
 
 
 def test_history_timestamps_must_increase():
