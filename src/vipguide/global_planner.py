@@ -243,6 +243,8 @@ def reroute(graph: NavGraph, route: Route) -> Route | None:
     its route and keeps guiding locally; later exhausted frames only
     signal, as with no graph.
     """
+    if not route.nodes:
+        raise GraphError("route has no nodes")
     current, destination = route.nodes[0], route.nodes[-1]
     if len(route.nodes) >= 2:
         graph.block_edge(current, route.nodes[1])

@@ -466,5 +466,5 @@ def rle_decode(mask: BitMask, rows: tuple[int, int] | None = None) -> np.ndarray
     if mask.runs[0] >= lead and mask.runs[-1] >= tail:
         runs[0] -= lead  # one run alone is both first and last
         runs[-1] -= tail
-        return np.repeat(pattern, runs).reshape(y2 - y1, w)
-    return np.repeat(pattern, runs).reshape(h, w)[y1:y2]
+        return pattern.repeat(runs).reshape(y2 - y1, w)
+    return pattern.repeat(runs).reshape(h, w)[y1:y2]

@@ -16,8 +16,9 @@ exclusion and no width gate.
 
 Replanning counts exhausted frames here; `global_planner.reroute` holds
 the reroute policy. Every refusal a frame can meet comes before the
-tracker steps (the model's type and the route's fit to its graph are
-checked when the pipeline is built), so a refused frame changes nothing.
+tracker steps (the config's and the model's types and the route's fit
+to its graph are checked when the pipeline is built), so a refused frame
+changes nothing.
 """
 from __future__ import annotations
 
@@ -96,6 +97,8 @@ class Pipeline:
         self, config: Config, model: CalibrationModel, graph: NavGraph | None = None,
         route: Route | None = None,
     ):
+        if not isinstance(config, Config):  # else `Tracker` fails reading its section
+            raise ConfigError(f"pipeline needs a Config, got {config!r}")
         if not isinstance(model, CalibrationModel):  # else the first frame fails mid-step
             raise ConfigError(f"pipeline needs a calibration model, got {model!r}")
         self.config = config

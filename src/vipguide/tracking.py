@@ -51,14 +51,21 @@ class Track:
 
 
 def iou(b1: BoundingBox, b2: BoundingBox) -> float:
-    """Intersection-over-union of two boxes."""
-    ix = min(b1.x2, b2.x2) - max(b1.x1, b2.x1)
-    iy = min(b1.y2, b2.y2) - max(b1.y1, b2.y1)
-    if ix <= 0 or iy <= 0:
+    """Intersection-over-union of two boxes.
+
+    Read from the corners alone, with no property or min/max call: it runs
+    for every same-class track×detection pair of every frame.
+    """
+    ax1, ay1, ax2, ay2 = b1.x1, b1.y1, b1.x2, b1.y2
+    bx1, by1, bx2, by2 = b2.x1, b2.y1, b2.x2, b2.y2
+    ix = (ax2 if ax2 < bx2 else bx2) - (ax1 if ax1 > bx1 else bx1)
+    if ix <= 0:
+        return 0.0
+    iy = (ay2 if ay2 < by2 else by2) - (ay1 if ay1 > by1 else by1)
+    if iy <= 0:
         return 0.0
     inter = ix * iy
-    union = b1.width * b1.height + b2.width * b2.height - inter
-    return inter / union
+    return inter / ((ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter)
 
 
 class Tracker:

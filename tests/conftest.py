@@ -161,6 +161,15 @@ def oracle_partition_scores(values, partitions, excluded):
     return scores
 
 
+def oracle_iou(b1: BoundingBox, b2: BoundingBox) -> float:
+    """|A∩B| / |A∪B| by counting the boxes' pixels on a canvas holding both,
+    as Python ints: the semantic definition of `tracking.iou`."""
+    shape = (max(b1.y2, b2.y2), max(b1.x2, b2.x2))
+    a = mask_from_bbox(b1, shape[1], shape[0])
+    b = mask_from_bbox(b2, shape[1], shape[0])
+    return int(np.count_nonzero(a & b)) / int(np.count_nonzero(a | b))
+
+
 def mask_from_bbox(bbox: BoundingBox, width: int, height: int) -> np.ndarray:
     """Boolean grid with the (clipped) bbox interior set."""
     grid = np.zeros((height, width), dtype=bool)

@@ -374,6 +374,12 @@ class TestReroute:
         assert reroute(g, route) == Route(nodes=("B",), total_cost=0.0)
         assert not any(blocked for *_, blocked in g.edge_list())
 
+    def test_route_with_no_nodes_refused(self):
+        g = triangle()
+        with pytest.raises(GraphError, match="^route has no nodes$"):
+            reroute(g, Route((), 0.0))
+        assert not any(blocked for *_, blocked in g.edge_list())
+
 
 class TestAgainstEnumeration:
     def test_random_graphs(self):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vipguide.config import PipelineTuning, PlannerConfig
 from vipguide.errors import ConfigError, PlannerError
@@ -130,49 +132,52 @@ class TestMeanPartitionDepth:
             assert partition_scores(depth, [p], rle_encode(grid)) == expected
 
 
+EXCLUSION_KINDS = ("none", "background", "bbox", "clipped_bbox", "mask", "covers_partition")
+
+
+def random_exclusion(rng, kind, h, w, parts):
+    """(exclusion passed to the planner, dense grid the oracle skips)."""
+    if kind == "none":
+        return None, np.zeros((h, w), dtype=bool)
+    if kind == "background":
+        grid = np.zeros((h, w), dtype=bool)
+        return rle_encode(grid), grid
+    x1 = int(rng.integers(0, w))
+    y1 = int(rng.integers(0, h))
+    if kind == "clipped_bbox":
+        # runs past the right and bottom edges, as a bbox remembered
+        # from a larger frame can; the planner gets it clipped, as a mask
+        box = BoundingBox(
+            x1, y1, w + int(rng.integers(1, 9)), h + int(rng.integers(1, 9))
+        )
+        return rle_encode_rect((x1, y1, w, h), (), w, h), mask_from_bbox(box, w, h)
+    box = BoundingBox(
+        x1, y1, int(rng.integers(x1 + 1, w + 1)), int(rng.integers(y1 + 1, h + 1))
+    )
+    grid = mask_from_bbox(box, w, h)
+    if kind == "bbox":
+        return rle_encode_rect(box.as_list(), (), w, h), grid
+    grid |= rng.random((h, w)) < 0.1  # foreground outside the VIP's box
+    if kind == "covers_partition":
+        p = parts[int(rng.integers(0, len(parts)))]
+        grid[:, p.x_start : p.x_end] = True
+    return rle_encode(grid), grid
+
+
 class TestPartitionScores:
     """The single pass over all partitions against a per-pixel oracle."""
 
-    def random_exclusion(self, rng, kind, h, w, parts):
-        """(exclusion passed to the planner, dense grid the oracle skips)."""
-        if kind == "none":
-            return None, np.zeros((h, w), dtype=bool)
-        if kind == "background":
-            grid = np.zeros((h, w), dtype=bool)
-            return rle_encode(grid), grid
-        x1 = int(rng.integers(0, w))
-        y1 = int(rng.integers(0, h))
-        if kind == "clipped_bbox":
-            # runs past the right and bottom edges, as a bbox remembered
-            # from a larger frame can; the planner gets it clipped, as a mask
-            box = BoundingBox(
-                x1, y1, w + int(rng.integers(1, 9)), h + int(rng.integers(1, 9))
-            )
-            return rle_encode_rect((x1, y1, w, h), (), w, h), mask_from_bbox(box, w, h)
-        box = BoundingBox(
-            x1, y1, int(rng.integers(x1 + 1, w + 1)), int(rng.integers(y1 + 1, h + 1))
-        )
-        grid = mask_from_bbox(box, w, h)
-        if kind == "bbox":
-            return rle_encode_rect(box.as_list(), (), w, h), grid
-        grid |= rng.random((h, w)) < 0.1  # foreground outside the VIP's box
-        if kind == "covers_partition":
-            p = parts[int(rng.integers(0, len(parts)))]
-            grid[:, p.x_start : p.x_end] = True
-        return rle_encode(grid), grid
-
     def test_matches_wide_integer_loop(self):
         rng = np.random.default_rng(23)
-        kinds = ("none", "background", "bbox", "clipped_bbox", "mask", "covers_partition")
         for n in (1, 3, 5, 7):
-            for kind in kinds:
+            for kind in EXCLUSION_KINDS:
                 for _ in range(6):
                     h = int(rng.integers(1, 20))
                     w = int(rng.integers(n, 36))
                     values = rng.integers(0, 65536, size=(h, w)).astype(np.uint16)
                     depth = DepthMap(width=w, height=h, values=values)
                     parts = partition_bounds(w, n)
-                    exclude, grid = self.random_exclusion(rng, kind, h, w, parts)
+                    exclude, grid = random_exclusion(rng, kind, h, w, parts)
                     want = oracle_partition_scores(values, parts, grid)
                     assert partition_scores(depth, parts, exclude) == want, (n, kind)
                     if kind == "covers_partition":
@@ -197,6 +202,37 @@ class TestPartitionScores:
         with pytest.raises(PlannerError):
             tall = rle_encode(np.zeros((4, 2), dtype=bool))
             partition_scores(depth, [Partition(0, 0, 4)], tall)
+
+
+@st.composite
+def scored_frames(draw):
+    """A small frame, an exclusion kind and a partition list of any shape:
+    empty, zero-width at 0 or at the width, overlapping, repeated, unsorted."""
+    h, w = draw(st.integers(1, 8)), draw(st.integers(1, 24))
+    spans = draw(st.lists(st.tuples(st.integers(0, w), st.integers(0, w)).map(sorted), max_size=7))
+    if draw(st.booleans()):
+        spans += [(0, 0), (w, w)]
+    if spans and draw(st.booleans()):
+        spans.append(spans[0])
+    if draw(st.booleans()):
+        spans.reverse()
+    parts = [Partition(i, a, b) for i, (a, b) in enumerate(spans)]
+    return h, w, parts, draw(st.sampled_from(EXCLUSION_KINDS)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(scored_frames())
+@example((3, 5, [], "mask", 0))
+@example((2, 4, [Partition(0, 4, 4), Partition(1, 0, 0)], "none", 1))
+@example((4, 6, [Partition(0, 2, 6), Partition(1, 0, 4), Partition(2, 2, 6)], "covers_partition", 2))
+def test_scores_match_the_oracle_on_any_partition_list(case):
+    h, w, parts, kind, seed = case
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, 65536, size=(h, w)).astype(np.uint16)
+    # "covers_partition" picks the partition it covers; with none, the whole frame
+    exclude, grid = random_exclusion(rng, kind, h, w, parts or [Partition(0, 0, w)])
+    depth = DepthMap(width=w, height=h, values=values)
+    assert partition_scores(depth, parts, exclude) == oracle_partition_scores(values, parts, grid)
 
 
 def free_widths(obstacles, d_filter, width, n=3):

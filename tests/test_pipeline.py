@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from vipguide.calibration import CalibrationModel
-from vipguide.config import default_config
+from vipguide.config import PlannerConfig, default_config
 from vipguide.errors import ConfigError, ConsistencyError, PlannerError
 from vipguide.frameio import record_to_line
 from vipguide.global_planner import NavGraph, Route, shortest_path
@@ -283,6 +283,15 @@ class TestBasics:
         with pytest.raises(ConfigError) as info:
             Pipeline(default_config(), model)
         assert str(info.value) == f"pipeline needs a calibration model, got {model!r}"
+
+    @pytest.mark.parametrize(
+        "config", [None, PlannerConfig(), {"planner": {}}], ids=["none", "section", "dict"]
+    )
+    def test_config_of_another_type_refused(self, config):
+        # refused before `Tracker(config.pipeline)` reads a section of it
+        with pytest.raises(ConfigError) as info:
+            Pipeline(config, scaled_model())
+        assert str(info.value) == f"pipeline needs a Config, got {config!r}"
 
 
 class TestVipLoss:

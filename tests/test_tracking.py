@@ -15,7 +15,7 @@ from vipguide.tracking import (
     iou,
 )
 
-from conftest import det
+from conftest import det, oracle_iou
 
 
 def box(x1, y1, x2, y2):
@@ -46,6 +46,40 @@ class TestIou:
     def test_symmetry(self):
         a, b = box(0, 0, 4, 4), box(2, 1, 6, 5)
         assert iou(a, b) == iou(b, a)
+
+
+@st.composite
+def box_pairs(draw):
+    """Two boxes on a 20 px canvas, disjoint, edge-touching, nested,
+    identical or placed freely."""
+    def free_box():
+        x1, y1 = draw(st.integers(0, 15)), draw(st.integers(0, 15))
+        return box(x1, y1, draw(st.integers(x1 + 1, 20)), draw(st.integers(y1 + 1, 20)))
+
+    a = free_box()
+    relation = draw(st.sampled_from(["disjoint", "touching", "nested", "identical", "free"]))
+    if relation == "identical":
+        return a, a
+    if relation == "nested":
+        x1, y1 = draw(st.integers(a.x1, a.x2 - 1)), draw(st.integers(a.y1, a.y2 - 1))
+        b = box(x1, y1, draw(st.integers(x1 + 1, a.x2)), draw(st.integers(y1 + 1, a.y2)))
+        return (a, b) if draw(st.booleans()) else (b, a)
+    if relation in ("disjoint", "touching"):
+        gap = draw(st.integers(1, 4)) if relation == "disjoint" else 0
+        at, dw, dh = draw(st.integers(0, 15)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        if draw(st.booleans()):  # to the right
+            b = box(a.x2 + gap, at, a.x2 + gap + dw, at + dh)
+        else:  # below
+            b = box(at, a.y2 + gap, at + dw, a.y2 + gap + dh)
+        return (a, b) if draw(st.booleans()) else (b, a)
+    return a, free_box()
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(box_pairs())
+def test_iou_matches_the_pixel_count(pair):
+    a, b = pair
+    assert iou(a, b) == oracle_iou(a, b)
 
 
 class TestAssociate:
