@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CalibrationError
 from .frameio import load_json, record_to_line, require_field
-from .perception import REV_MAX, Detection, PerceptionFrame, int_fields, real_fields
+from .perception import REV_MAX, Detection, PerceptionFrame, int_fields, real_fields, sign_fields
 
 
 @dataclass(frozen=True, slots=True)
@@ -28,8 +28,7 @@ class CalibrationSample:
         real_fields(self, "rev", "distance", error=CalibrationError)
         if not 0.0 <= self.rev <= 1.0:
             raise CalibrationError(f"rev {self.rev} outside [0,1]")
-        if self.distance <= 0:
-            raise CalibrationError(f"distance {self.distance} not positive")
+        sign_fields(self, positive=("distance",), error=CalibrationError)
 
 
 @dataclass(frozen=True, slots=True)

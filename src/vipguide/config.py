@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, fields
 from .errors import ConfigError
 from .frameio import load_json
 from .geometry import GeometricConfig, GeometryError
-from .perception import int_fields, real_fields
+from .perception import check_section, int_fields, real_fields, sign_fields
 
 @dataclass(frozen=True)
 class PlannerConfig:
@@ -31,15 +31,12 @@ class PlannerConfig:
             raise ConfigError(
                 f"n_partitions must be odd and positive, got {self.n_partitions}"
             )
-        if self.width_margin <= 0:
-            raise ConfigError(f"width_margin {self.width_margin} not positive")
+        sign_fields(self, positive=("width_margin", "edge_box_px"), error=ConfigError)
         if not 0 < self.danger_mult <= self.warning_mult:
             raise ConfigError(
                 f"thresholds need 0 < danger_mult <= warning_mult, "
                 f"got {self.danger_mult}, {self.warning_mult}"
             )
-        if self.edge_box_px <= 0:
-            raise ConfigError(f"edge_box_px {self.edge_box_px} not positive")
         if not 0 <= self.edge_threshold < 255:
             raise ConfigError(f"edge_threshold {self.edge_threshold} outside [0, 255)")
 
@@ -58,14 +55,11 @@ class PipelineTuning:
         ints = ("vip_hold_frames", "reroute_patience", "max_misses")
         int_fields(self, *ints, error=ConfigError)
         real_fields(self, *ints, "iou_threshold", error=ConfigError)
-        if self.vip_hold_frames < 0:
-            raise ConfigError(f"vip_hold_frames {self.vip_hold_frames} < 0")
+        sign_fields(self, nonnegative=("vip_hold_frames", "max_misses"), error=ConfigError)
         if self.reroute_patience < 1:
             raise ConfigError(f"reroute_patience {self.reroute_patience} < 1")
         if not 0.0 < self.iou_threshold < 1.0:
             raise ConfigError(f"iou_threshold {self.iou_threshold} outside (0,1)")
-        if self.max_misses < 0:
-            raise ConfigError(f"max_misses {self.max_misses} < 0")
 
 
 @dataclass(frozen=True)
@@ -76,9 +70,7 @@ class Config:
 
     def __post_init__(self):
         for f in fields(self):
-            section = getattr(self, f.name)
-            if not isinstance(section, f.default_factory):
-                raise ConfigError(f"{f.name} {section!r} not a {f.default_factory.__name__}")
+            check_section(getattr(self, f.name), f.default_factory, f.name)
         # the planner classifies against d', so a zero d' fails every frame
         geo = self.geometry
         if geo.d_prime <= 0:

@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError, GeometryError, InfeasibleConfigError
-from .perception import real_fields
+from .errors import GeometryError, InfeasibleConfigError
+from .perception import check_section, real_fields, sign_fields
 
 D_MIN_FLOOR = 1.0
 D_MAX_CEILING = 10.0
@@ -40,12 +40,8 @@ class GeometricConfig:
         for name in ("f_deg", "hfov_deg"):
             if not 0.0 < getattr(self, name) < 180.0:
                 raise GeometryError(f"{name} {getattr(self, name)} outside (0, 180)")
-        for name in ("h_vip_m", "perception_range_m"):
-            if getattr(self, name) <= 0:
-                raise GeometryError(f"{name} {getattr(self, name)} not positive")
-        for name in ("walk_speed_mps", "t_detect_s", "t_react_s", "buffer_factor"):
-            if getattr(self, name) < 0:
-                raise GeometryError(f"{name} {getattr(self, name)} < 0")
+        nonnegative = ("walk_speed_mps", "t_detect_s", "t_react_s", "buffer_factor")
+        sign_fields(self, ("h_vip_m", "perception_range_m"), nonnegative, error=GeometryError)
         if self.h_max_m < self.h_vip_m:
             raise GeometryError(f"h_max_m {self.h_max_m} below h_vip_m {self.h_vip_m}")
         if not 0.0 < self.visible_fraction <= 1.0:
@@ -98,8 +94,7 @@ def safety_distance(walk_speed: float, t_detect: float, t_react: float) -> float
 
 def lookahead(d: float, d_prime: float, cfg: GeometricConfig = GeometricConfig()) -> float:
     """Forward range the camera must cover: d + d' plus a buffer fraction of d'."""
-    if not isinstance(cfg, GeometricConfig):
-        raise ConfigError(f"cfg {cfg!r} not a GeometricConfig")
+    check_section(cfg, GeometricConfig)
     return d + d_prime + cfg.buffer_factor * d_prime
 
 
@@ -110,8 +105,7 @@ def min_distance_for_visibility(h_prime: float, cfg: GeometricConfig) -> float:
     below its axis within half the FoV, so d >= (h' + phi*h_vip)/tan(f/2).
     Clamped to the 1 m proximity floor.
     """
-    if not isinstance(cfg, GeometricConfig):
-        raise ConfigError(f"cfg {cfg!r} not a GeometricConfig")
+    check_section(cfg, GeometricConfig)
     if not h_prime >= 0:
         raise GeometryError(f"negative height offset {h_prime}")
     tan_half = math.tan(math.radians(cfg.f_deg) / 2.0)
@@ -121,8 +115,7 @@ def min_distance_for_visibility(h_prime: float, cfg: GeometricConfig) -> float:
 
 def _distance_bounds(cfg: GeometricConfig) -> tuple[float, float]:
     """The envelope's (d_min, d_max); d_min > d_max when it is empty."""
-    if not isinstance(cfg, GeometricConfig):
-        raise ConfigError(f"cfg {cfg!r} not a GeometricConfig")
+    check_section(cfg, GeometricConfig)
     d_min = min_distance_for_visibility(cfg.h_max_m, cfg)
     d_prime = cfg.d_prime
     # lookahead(d_max, d') must not exceed perception_range_m

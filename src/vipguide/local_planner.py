@@ -18,8 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PlannerConfig
-from .errors import ConfigError, PlannerError
-from .perception import REV_MAX, BitMask, BoundingBox, DepthMap, _exact_int, clip_rect, free_runs
+from .errors import PlannerError
+from .perception import (
+    REV_MAX, BitMask, BoundingBox, DepthMap, _exact_int, check_section, clip_rect, free_runs,
+    int_fields,
+)
 
 Severity = str  # "danger" | "warning" | "clear"
 EdgeStatus = str  # "safe" | "warn_left" | "warn_right" | "warn_both" | "unknown"
@@ -30,6 +33,9 @@ class Partition:
     index: int
     x_start: int
     x_end: int
+
+    def __post_init__(self):
+        int_fields(self, "index", "x_start", "x_end", error=PlannerError)
 
     @property
     def center_column(self) -> float:
@@ -79,16 +85,19 @@ class GuidanceDecision:
     partitions: tuple[Partition, ...]
 
 
-# one tiling per width, shared; bounded as widths change; typed, so 640.0
-# is never answered from 640's entry
-@functools.lru_cache(maxsize=8, typed=True)
 def partition_bounds(width: int, n: int = PlannerConfig.n_partitions) -> tuple[Partition, ...]:
     """Tile [0, width) into n near-equal strips, remainder going leftmost.
     Both are exact ints; numpy ints convert."""
-    for name, value in (("width", width), ("partition count", n)):
-        if _exact_int(value) is None:
-            raise PlannerError(f"{name} {value!r} not an integer")
-    width, n = _exact_int(width), _exact_int(n)
+    ints = _exact_int(width), _exact_int(n)
+    if None in ints:
+        name, value = ("width", width) if ints[0] is None else ("partition count", n)
+        raise PlannerError(f"{name} {value!r} not an integer")
+    return _tiling(*ints)
+
+
+# one tiling per width, shared; bounded as widths change; its keys are exact ints
+@functools.lru_cache(maxsize=8)
+def _tiling(width: int, n: int) -> tuple[Partition, ...]:
     if n < 1 or n % 2 == 0:
         raise PlannerError(f"partition count must be odd and positive, got {n}")
     if width < n:
@@ -185,8 +194,7 @@ def classify_obstacle(
     distance_m: float, d_prime: float, cfg: PlannerConfig = PlannerConfig()
 ) -> Severity:
     """Severity by distance: danger <= danger_mult * d', warning <= warning_mult * d'."""
-    if not isinstance(cfg, PlannerConfig):
-        raise ConfigError(f"cfg {cfg!r} not a PlannerConfig")
+    check_section(cfg, PlannerConfig)
     if not distance_m >= 0:
         raise PlannerError(f"negative distance {distance_m}")
     if not d_prime > 0:
@@ -221,8 +229,7 @@ def road_edge_check(
     """
     if road_mask is None:
         return "unknown"
-    if not isinstance(cfg, PlannerConfig):
-        raise ConfigError(f"cfg {cfg!r} not a PlannerConfig")
+    check_section(cfg, PlannerConfig)
     road = road_mask.decode()
     box_px, threshold = cfg.edge_box_px, cfg.edge_threshold
     y1, y2 = vip_bbox.y2 - box_px, vip_bbox.y2
@@ -283,6 +290,5 @@ def heading_angle(partition: Partition, width: int, hfov_deg: float) -> float:
 
 def width_threshold_px(vip_bbox_width: int, cfg: PlannerConfig = PlannerConfig()) -> int:
     """Minimum free-gap width: the VIP's apparent width times width_margin."""
-    if not isinstance(cfg, PlannerConfig):
-        raise ConfigError(f"cfg {cfg!r} not a PlannerConfig")
+    check_section(cfg, PlannerConfig)
     return math.ceil(cfg.width_margin * vip_bbox_width)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConsistencyError
+from .errors import ConfigError, ConsistencyError
 
 REV_MAX = 65535
 # what numpy < 1.24 warns as it builds an object array of a ragged list (1.25 has np.exceptions)
@@ -96,6 +96,22 @@ def real_fields(obj, *names: str, error=ConsistencyError, what: str = "") -> Non
     """Store each named field of the frozen dataclass `obj` as `finite_real` returns it."""
     for name in names:
         object.__setattr__(obj, name, finite_real(getattr(obj, name), name, error, what))
+
+
+def sign_fields(obj, positive=(), nonnegative=(), error=ConsistencyError, what: str = "") -> None:
+    """Refuse `positive` fields not above 0, then `nonnegative` ones below 0; NaN fails both."""
+    for name in positive:
+        if not getattr(obj, name) > 0:
+            raise error(f"{what}{name} {getattr(obj, name)} not positive")
+    for name in nonnegative:
+        if not getattr(obj, name) >= 0:
+            raise error(f"{what}{name} {getattr(obj, name)} < 0")
+
+
+def check_section(value, cls, name: str = "cfg") -> None:
+    """Refuse a config section `value`, named `name`, that is not a `cls`."""
+    if not isinstance(value, cls):
+        raise ConfigError(f"{name} {value!r} not a {cls.__name__}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -280,11 +296,13 @@ class PerceptionFrame:
         int_fields(self, "frame_id", "width", "height")
         real_fields(self, "timestamp", what=f"frame {self.frame_id}: ")
         object.__setattr__(self, "detections", tuple(self.detections))
-        for key in self.instance_masks:  # the keys decode_record reads back
+        grids = [("depth", self.depth), ("vip_mask", self.vip_mask), ("road_mask", self.road_mask)]
+        for key, mask in self.instance_masks.items():  # the keys decode_record reads back
             if _exact_int(key) is None or key < 0:
                 raise ConsistencyError(f"instance_masks key {key!r} not a non-negative integer")
-        for name, grid in self._named_grids():
-            if grid.width != self.width or grid.height != self.height:
+            grids.append((f"instance_masks[{key}]", mask))
+        for name, grid in grids:
+            if grid is not None and (grid.width != self.width or grid.height != self.height):
                 raise ConsistencyError(
                     f"{name} dims {grid.width}x{grid.height} != "
                     f"frame dims {self.width}x{self.height}"
@@ -298,15 +316,6 @@ class PerceptionFrame:
                 raise ConsistencyError(
                     f"bbox {det.bbox.as_list()} exceeds frame {self.width}x{self.height}"
                 )
-
-    def _named_grids(self):
-        yield "depth", self.depth
-        if self.vip_mask is not None:
-            yield "vip_mask", self.vip_mask
-        if self.road_mask is not None:
-            yield "road_mask", self.road_mask
-        for track_id, mask in self.instance_masks.items():
-            yield f"instance_masks[{track_id}]", mask
 
 
 def check_frame_order(last_id: int | None, frame_id: int) -> None:

@@ -38,6 +38,7 @@ from .perception import (
     int_fields,
     real_fields,
     rle_encode_rect,
+    sign_fields,
 )
 
 Z_NEAR = 1.0
@@ -58,9 +59,7 @@ class Camera:
     def __post_init__(self):
         int_fields(self, "width", "height", what="camera ")
         real_fields(self, "hfov_deg", "vfov_deg", "ground_height", what="camera ")
-        for name in ("width", "height", "ground_height"):
-            if getattr(self, name) <= 0:
-                raise ConsistencyError(f"camera {name} {getattr(self, name)} not positive")
+        sign_fields(self, positive=("width", "height", "ground_height"), what="camera ")
         for name in ("hfov_deg", "vfov_deg"):
             if not 0.0 < getattr(self, name) < 180.0:
                 raise ConsistencyError(f"camera {name} {getattr(self, name)} outside (0, 180)")
@@ -310,10 +309,7 @@ class ScenarioSpec:
         real_fields(self, "rev_jitter_sigma")
         if self.n_frames < 1:
             raise ConsistencyError(f"n_frames {self.n_frames} < 1")
-        if self.seed < 0:
-            raise ConsistencyError(f"seed {self.seed} < 0")
-        if self.rev_jitter_sigma < 0:
-            raise ConsistencyError(f"rev_jitter_sigma {self.rev_jitter_sigma} < 0")
+        sign_fields(self, nonnegative=("seed", "rev_jitter_sigma"))
 
 
 def direction_name(partition_index: int) -> str:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .config import PipelineTuning
-from .errors import ConfigError, ConsistencyError, InsufficientHistoryError
-from .perception import BoundingBox, Detection
+from .errors import ConsistencyError, InsufficientHistoryError
+from .perception import BoundingBox, Detection, check_section
 
 APPROACH_WINDOW_S = 1.0  # history kept per track; the planner's rate window
 
@@ -73,8 +73,7 @@ class Tracker:
     and retires tracks by its tuning's `iou_threshold` and `max_misses`."""
 
     def __init__(self, tuning: PipelineTuning = PipelineTuning()):
-        if not isinstance(tuning, PipelineTuning):  # so both limits passed its checks
-            raise ConfigError(f"tuning {tuning!r} not a PipelineTuning")
+        check_section(tuning, PipelineTuning, "tuning")  # so both limits passed its checks
         self.tuning = tuning
         self.tracks: list[Track] = []
         self._next_id = 0

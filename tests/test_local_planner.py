@@ -63,12 +63,20 @@ class TestPartitionBounds:
             (640, 3.0, "partition count 3.0 not an integer"),
             (640, True, "partition count True not an integer"),
             ("640", 3, "width '640' not an integer"),
+            # unhashable: a bare TypeError from the memo, before the check ran
+            ([], 3, "width [] not an integer"),
+            (640, [], "partition count [] not an integer"),
+            ({}, 3, "width {} not an integer"),
         ],
     )
     def test_inexact_ints_refused(self, width, n, message):
         with pytest.raises(PlannerError) as info:
             partition_bounds(width, n)
         assert str(info.value) == message
+
+    def test_one_shared_tiling_per_width(self):
+        assert partition_bounds(640) is partition_bounds(640)
+        assert partition_bounds(np.int64(640), 3) is partition_bounds(640, 3)
 
     def test_numpy_ints_convert(self):
         parts = partition_bounds(np.int64(601), np.int32(3))
@@ -194,6 +202,27 @@ class TestPartitionScores:
         assert partition_scores(depth, parts) == [(65535.0, False)] * 3
         box = rle_encode_rect((0, 0, 1, h // 2), (), w, h)
         assert partition_scores(depth, parts, box) == [(65535.0, False)] * 3
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            # a bare TypeError from the column-sum slice
+            ((0, 0.5, 2), "x_start 0.5 not an integer"),
+            # was scored as columns 1-3
+            ((0, True, 3), "x_start True not an integer"),
+            (("a", 0, 2), "index 'a' not an integer"),
+        ],
+    )
+    def test_partition_fields_must_be_exact_ints(self, fields, message):
+        depth = DepthMap(width=4, height=2, values=np.zeros((2, 4)))
+        with pytest.raises(PlannerError) as info:
+            partition_scores(depth, [Partition(*fields)])
+        assert str(info.value) == message
+
+    def test_partition_numpy_ints_convert(self):
+        p = Partition(np.int64(0), np.int32(1), np.int64(3))
+        assert (p.index, p.x_start, p.x_end) == (0, 1, 3)
+        assert all(type(v) is int for v in (p.index, p.x_start, p.x_end))
 
     def test_rejects_partition_outside_frame_and_mismatched_mask(self):
         depth = DepthMap(width=4, height=2, values=np.zeros((2, 4)))

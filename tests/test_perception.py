@@ -1,4 +1,5 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from vipguide.perception import (
     rle_decode,
     rle_encode,
     rle_encode_rect,
+    sign_fields,
 )
 
 from conftest import det, make_frame, mask_from_bbox
@@ -744,6 +746,12 @@ class TestPerceptionFrame:
         with pytest.raises(ConsistencyError, match="^instance_masks key .* not a non-negative integer$"):
             make_frame(np.zeros((4, 4)), instance_masks={key: mask})
 
+    def test_mask_key_refused_before_any_dims(self):
+        small = BitMask(width=4, height=3, runs=(12,))
+        with pytest.raises(ConsistencyError) as info:
+            make_frame(np.zeros((4, 4)), vip_mask=small, instance_masks={0: small, -1: small})
+        assert str(info.value) == "instance_masks key -1 not a non-negative integer"
+
     def test_numpy_int_instance_mask_key_accepted(self):
         mask = BitMask(width=4, height=4, runs=(16,))
         frame = make_frame(np.zeros((4, 4)), instance_masks={np.int64(3): mask})
@@ -780,6 +788,21 @@ class TestPerceptionFrame:
         assert frame() != frame(label="bike")
         assert frame() != frame(run=4)
         assert BitMask(width=4, height=4, runs=(16,)) != BitMask(8, 2, (16,))
+
+
+@pytest.mark.parametrize("value", [float("nan"), -0.5, 0])
+def test_sign_rule_refuses_nan_negatives_and_zero_as_not_positive(value):
+    with pytest.raises(ConsistencyError) as info:
+        sign_fields(SimpleNamespace(x=value), positive=("x",), what="box ")
+    assert str(info.value) == f"box x {value} not positive"
+
+
+@pytest.mark.parametrize("value", [float("nan"), -0.5])
+def test_sign_rule_refuses_nan_and_negatives_as_below_zero(value):
+    with pytest.raises(ConsistencyError) as info:
+        sign_fields(SimpleNamespace(x=value), nonnegative=("x",))
+    assert str(info.value) == f"x {value} < 0"
+    sign_fields(SimpleNamespace(x=0), nonnegative=("x",))
 
 
 def test_mask_from_bbox_clips():
